@@ -2,7 +2,7 @@
 
 Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 0 success / property holds, 1 property fails, 2 usage error,
-3 internal limit (e.g. the exhaustive-search guard).
+3 size limit (the exhaustive-search and exponent desk-scale guards).
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
 """
@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .core import InvalidParametersError, load_code, save_code, CodeFileError
+from .core import InvalidParametersError, SizeLimitError, load_code, save_code, CodeFileError
 from .channels import load_channel, make_channel, ChannelFileError
 from . import bounds as bnd
 from . import construct as cst
@@ -162,14 +162,8 @@ def cmd_table1(args) -> int:
 def cmd_search(args) -> int:
     started = time.monotonic()
     channel = _channel_from_args(args, args.s, args.q)
-    try:
-        result = cst.max_code_search(channel, args.s, args.q, args.N,
-                                     mode=args.mode, seed=_default_seed())
-    except InvalidParametersError as exc:
-        if "too large" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_LIMIT
-        raise
+    result = cst.max_code_search(channel, args.s, args.q, args.N,
+                                 mode=args.mode, seed=_default_seed())
     if args.out:
         save_code(result.code, args.out)
     _emit("search", {"channel": args.channel, "s": args.s, "q": args.q,
@@ -232,8 +226,7 @@ def cmd_exponent(args) -> int:
     rows = ["R,E"]
     r_values = [float(x) for x in args.R.split(",")]
     for r in r_values:
-        rep = expm.exponent(channel, dist, r, ensemble=args.ensemble,
-                            seed=_default_seed())
+        rep = expm.exponent(channel, dist, r, ensemble=args.ensemble)
         rows.append(f"{r:.6f},{rep.value:.6f}")
     sys.stdout.write("\n".join(rows) + "\n")
     print(f"exponent sweep done in {time.monotonic() - started:.2f}s", file=sys.stderr)
@@ -247,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepmac",
         description="Separable and list-decoding codes for symmetric MACs.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count (results are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="verify a code property")
@@ -333,6 +324,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SizeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (CodeFileError, ChannelFileError, InvalidParametersError, ValueError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Code, InvalidParametersError, Message, type_of
+from .core import Code, InvalidParametersError, Message, SizeLimitError, type_of
 from .channels import ChannelSpec, output_word
 from .verify import is_separable, split_graph_girth_check
 
@@ -177,7 +177,7 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={q})")
     if q ** N > EXHAUSTIVE_GUARD:
-        raise InvalidParametersError(
+        raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
     candidates = _all_columns(q, N)
 

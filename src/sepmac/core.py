@@ -1,5 +1,5 @@
-"""Fundamental value types: alphabets, codes, messages, compositions,
-alphabet subsets, and the two column operators (type and union).
+"""Fundamental value types: codes, messages, compositions, alphabet
+subsets, and the two column operators (type and union).
 
 Conventions used throughout the toolkit:
   * codeword indices are 1-based in every external interface;
@@ -24,19 +24,8 @@ class InvalidParametersError(ValueError):
     """Operation parameters are out of their stated range."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """The standard q-ary alphabet {0, 1, ..., q-1}."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise InvalidParametersError(f"alphabet size must be >= 2, got {self.q}")
-
-    @property
-    def symbols(self) -> range:
-        return range(self.q)
+class SizeLimitError(InvalidParametersError):
+    """The instance exceeds a size guard set to keep work at desk scale."""
 
 
 @dataclass(frozen=True)

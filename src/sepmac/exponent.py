@@ -1,9 +1,17 @@
-"""Random-coding error-exponent machinery for almost separable codes.
+"""Random-coding error exponents of almost separable codes.
 
-The joint distribution tau lives on A_q^s x Z but is restricted to the
-channel support {(x, f(x))}, so it is parameterized by one weight per input
-word and the support constraint is structural rather than penalized.
-Desk scale only: the polytope dimension is q^s.
+A joint distribution tau on A_q^s x Z is supported on the channel graph
+{(x, f(x))}, so it is one weight per input word. H and I_m are convex in
+tau, so by Sion's theorem min_tau H + [I_m - mR]^+ equals the dual
+max over lam in [0, 1] and mu of E0(lam, mu, m) - <mu, p> - lam m R. With
+w = (h, u) split after its first m symbols, P the product law and
+P~(w) = P(w) exp(-sum_k mu[k, w_k]),
+
+    E0 = -ln sum_u P~(u) sum_z [sum_{h: f(h,u)=z} P~(h)^(1/(1+lam)) P(h)^(lam/(1+lam))]^(1+lam)
+
+is the closed-form minimum over tau of H + lam I_m + <mu, input marginals>.
+The cr ensemble has mu = 0 (Gallager's E0); fc keeps mu as multipliers on
+the fixed input marginals. Desk scale only: the dimension is q^s.
 """
 
 from __future__ import annotations
@@ -11,23 +19,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
+from scipy.optimize import brentq, minimize
 
-from .core import InvalidParametersError, type_of
+from .core import InvalidParametersError, SizeLimitError, type_of
 from .channels import ChannelSpec, eval_channel
-from .bounds import Distribution, entropy_output
+from .bounds import Distribution
 
 DESK_S = 3
 DESK_Q = 3
+# A report is converged when the primal value at tau* is this close to the
+# dual value and, under fc, tau* meets the input marginals this closely.
+CERTIFICATE_TOL = 1e-7
 
 
 def _check_desk_scale(channel: ChannelSpec) -> None:
     if channel.s > DESK_S or channel.q > DESK_Q:
-        raise InvalidParametersError(
+        raise SizeLimitError(
             f"exponent evaluation is desk scale only (s <= {DESK_S}, q <= {DESK_Q}), "
             f"got s={channel.s}, q={channel.q}")
 
@@ -48,12 +58,17 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class ExponentReport:
+    """`value` is the dual value, a lower bound on the exponent; `primal` is
+    H + [I_m - mR]^+ at `tau_star`, and `gap` = primal - value."""
+
     value: float
     ensemble: str
     R: float
     m_star: int
     tau_star: JointDistribution
     converged: bool
+    primal: float
+    gap: float
 
     def to_dict(self) -> dict:
         return {
@@ -71,6 +86,16 @@ def _input_words(channel: ChannelSpec) -> list[tuple[int, ...]]:
 
 def _outputs_for(channel: ChannelSpec, words) -> list:
     return [eval_channel(channel, type_of(w, channel.q)) for w in words]
+
+
+def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
+    _check_desk_scale(channel)
+    if p.q != channel.q:
+        raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
+    ensemble = ensemble.lower()
+    if ensemble not in ("cr", "fc"):
+        raise InvalidParametersError(f"ensemble must be 'cr' or 'fc', got {ensemble!r}")
+    return ensemble
 
 
 def canonical_tau(p: Distribution, channel: ChannelSpec) -> JointDistribution:
@@ -134,161 +159,134 @@ def eval_I(p: Distribution, tau: JointDistribution, m: int) -> float:
     return total
 
 
-class _Objective:
-    """Vectorized H and I_m over the support-restricted tau simplex."""
+class _Point(NamedTuple):
+    """E0 at one (lam, mu), the tau attaining it, H(tau), I_m(tau) and the
+    per-coordinate input marginals of tau, flattened like mu."""
 
-    def __init__(self, channel: ChannelSpec, p: Distribution):
-        self.channel = channel
-        self.p = p
-        self.words = _input_words(channel)
+    e0: float
+    tau: np.ndarray
+    H: float
+    I: float
+    marg: np.ndarray
+
+
+class _Split:
+    """The words of positive product probability, each split at coordinate m
+    into head h and tail u and grouped by (u, f(w)). mu[k * q + a] is the
+    multiplier of symbol a at coordinate k."""
+
+    def __init__(self, channel: ChannelSpec, p: Distribution, m: int):
+        s, q = channel.s, channel.q
+        pf = np.array(p.as_floats())
+        self.m, self.mq, self.p_flat = m, m * q, np.tile(pf, s)
+        self.words = [w for w in _input_words(channel) if all(pf[a] > 0 for a in w)]
         self.outs = _outputs_for(channel, self.words)
-        self.n = len(self.words)
-        pf = p.as_floats()
-        # floor at exp(-745) instead of -inf so that 0 * log(0) stays 0 in dots
-        self.log_prod_p = np.array(
-            [sum(math.log(pf[a]) if pf[a] > 0 else -745.0 for a in w) for w in self.words])
-        # marginal group index for each m: atoms sharing (x_{m+1}^s, z)
-        s = channel.s
-        self.group_idx = {}
-        self.log_prod_p_head = {}
-        for m in range(1, s + 1):
-            keys = [(w[m:], z) for w, z in zip(self.words, self.outs)]
-            uniq = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-            self.group_idx[m] = (np.array([uniq[k] for k in keys]), len(uniq))
-            self.log_prod_p_head[m] = np.array(
-                [sum(math.log(pf[a]) if pf[a] > 0 else -745.0 for a in w[:m])
-                 for w in self.words])
-        # per-coordinate input marginal masks for the FC constraint
-        self.marg_mask = {}
-        for k in range(s):
-            for a in range(channel.q):
-                self.marg_mask[(k, a)] = np.array(
-                    [1.0 if w[k] == a else 0.0 for w in self.words])
+        W = np.array(self.words)
+        log_p = np.log(np.where(pf > 0, pf, 1.0))[W]  # no kept word has a zero symbol
+        self.lp, self.lp_h = log_p.sum(axis=1), log_p[:, :m].sum(axis=1)
+        self.X = np.zeros((len(W), s * q))
+        self.X[np.arange(len(W))[:, None], np.arange(s) * q + W] = 1.0
+        index: dict = {}
+        self.group = np.array([index.setdefault((w[m:], z), len(index))
+                               for w, z in zip(self.words, self.outs)])
+        self.members = self.group == np.arange(len(index))[:, None]
+        self.first = np.unique(self.group, return_index=True)[1]
+        # mu is defined up to a shift per coordinate, so the last supported
+        # symbol's multiplier is pinned to 0; zero-probability symbols get none
+        support = np.flatnonzero(pf > 0)[:-1]
+        self.free = (np.arange(s)[:, None] * q + support).ravel()
 
-    def H(self, x: np.ndarray) -> float:
-        return float(np.sum(xlogy(x, x)) - np.dot(x, self.log_prod_p))
+    def solve(self, lam: float, mu: np.ndarray) -> _Point:
+        mq = self.mq
+        a = self.lp_h - self.X[:, :mq] @ mu[:mq] / (1 + lam)
+        peak = np.max(np.where(self.members, a, -np.inf), axis=1)
+        log_S = peak + np.log(self.members @ np.exp(a - peak[self.group]))
+        tail = (self.lp - self.lp_h - self.X[:, mq:] @ mu[mq:])[self.first]
+        b = tail + (1 + lam) * log_S
+        e0 = -(b.max() + math.log(np.exp(b - b.max()).sum()))
+        log_pi = a - log_S[self.group]
+        log_tau = b[self.group] + e0 + log_pi
+        tau = np.exp(log_tau)
+        return _Point(e0, tau, float(tau @ (log_tau - self.lp)),
+                      float(tau @ (log_pi - self.lp_h)), tau @ self.X)
 
-    def I(self, x: np.ndarray, m: int) -> float:
-        idx, ngroups = self.group_idx[m]
-        marg = np.zeros(ngroups)
-        np.add.at(marg, idx, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_marg = np.where(marg > 0, np.log(np.maximum(marg, 1e-300)), 0.0)
-        return float(np.sum(xlogy(x, x)) - np.dot(x, log_marg[idx])
-                     - np.dot(x, self.log_prod_p_head[m]))
+    def dual(self, lam: float, mu: np.ndarray, R: float) -> float:
+        return self.solve(lam, mu).e0 - float(mu @ self.p_flat) - lam * self.m * R
 
-    def tau_from_vector(self, x: np.ndarray) -> JointDistribution:
-        return JointDistribution({
-            (w, z): float(v) for w, z, v in zip(self.words, self.outs, x)})
+    def cr_multipliers(self, R: float) -> tuple[float, np.ndarray]:
+        """The maximizing lam at mu = 0. The dual is concave in lam with
+        slope I_m(tau) - mR at the tau attaining E0."""
+        mu = np.zeros_like(self.p_flat)
 
+        def slope(lam):
+            return self.solve(lam, mu).I - self.m * R
 
-def _fc_constraints(obj: _Objective) -> list[dict]:
-    cons = []
-    pf = obj.p.as_floats()
-    for k in range(obj.channel.s):
-        for a in range(obj.channel.q - 1):  # last one implied by normalization
-            mask = obj.marg_mask[(k, a)]
-            target = pf[a]
-            cons.append({"type": "eq",
-                         "fun": (lambda x, mask=mask, target=target:
-                                 float(np.dot(mask, x) - target))})
-    return cons
+        if slope(0.0) <= 0:
+            return 0.0, mu
+        if slope(1.0) >= 0:
+            return 1.0, mu
+        return brentq(slope, 0.0, 1.0, xtol=1e-15), mu
 
+    def fc_multipliers(self, R: float, lam_bounds: tuple[float, float],
+                       lam0: float) -> tuple[float, np.ndarray]:
+        """The maximizing (lam, mu); the dual's gradient is
+        (I_m - mR, marginals - p) at the tau attaining E0."""
+        mu = np.zeros_like(self.p_flat)
 
-def _minimize_over_polytope(obj: _Objective, objective, extra_constraints,
-                            ensemble: str, seed: int, n_starts: int = 8):
-    n = obj.n
-    rng = np.random.default_rng(seed)
-    base_cons = [{"type": "eq", "fun": lambda x: float(np.sum(x) - 1.0)}]
-    if ensemble == "fc":
-        base_cons += _fc_constraints(obj)
-    cons = base_cons + list(extra_constraints)
-    bnds = [(0.0, 1.0)] * n
+        def neg_dual(x):
+            mu[self.free] = x[1:]
+            pt = self.solve(x[0], mu)
+            grad = np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
+            return -(pt.e0 - mu @ self.p_flat - x[0] * self.m * R), -grad
 
-    canonical = np.exp(np.where(np.isfinite(obj.log_prod_p), obj.log_prod_p, -745.0))
-    canonical /= canonical.sum()
-    starts = [canonical, np.full(n, 1.0 / n)]
-    for _ in range(n_starts):
-        starts.append(rng.dirichlet(np.ones(n)))
-
-    best_val, best_x, ok = math.inf, None, False
-    for x0 in starts:
-        try:
-            res = minimize(objective, x0, method="SLSQP", bounds=bnds,
-                           constraints=cons, options={"maxiter": 400, "ftol": 1e-12})
-        except (ValueError, FloatingPointError):
-            continue
-        if not np.isfinite(res.fun):
-            continue
-        x = np.clip(res.x, 0.0, None)
-        if x.sum() <= 0:
-            continue
-        x /= x.sum()
-        feasible = all(abs(c["fun"](x)) < 1e-6 for c in base_cons if c["type"] == "eq")
-        feasible = feasible and all(c["fun"](x) > -1e-7 for c in cons if c["type"] == "ineq")
-        if not feasible:
-            continue
-        val = float(objective(x))
-        if val < best_val:
-            best_val, best_x, ok = val, x, bool(res.success) or ok
-    return best_val, best_x, ok
+        res = minimize(neg_dual, np.r_[lam0, np.zeros(len(self.free))], jac=True,
+                       method="L-BFGS-B", bounds=[lam_bounds] + [(None, None)] * len(self.free),
+                       options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
+        mu[self.free] = res.x[1:]
+        return float(res.x[0]), mu
 
 
 def exponent(channel: ChannelSpec, p: Distribution, R: float,
-             ensemble: str = "cr", seed: int = 0) -> ExponentReport:
-    """Random-coding error exponent: min over m of the minimum over the tau
-    polytope of H + [I_m - mR]^+. The positive-part kink is handled by
-    minimizing both branches (I_m <= mR active, and the sum unconstrained on
-    I_m >= mR) and taking the smaller."""
-    _check_desk_scale(channel)
-    ensemble = ensemble.lower()
-    if ensemble not in ("cr", "fc"):
-        raise InvalidParametersError(f"ensemble must be 'cr' or 'fc', got {ensemble!r}")
+             ensemble: str = "cr") -> ExponentReport:
+    """Random-coding error exponent: min over m of the minimum over tau of
+    H + [I_m - mR]^+, evaluated as min over m of the dual E_m(R)."""
+    ensemble = _check_args(channel, p, ensemble)
     if R < 0:
         raise InvalidParametersError(f"rate must be nonnegative, got {R}")
-    obj = _Objective(channel, p)
-    s = channel.s
 
-    best = None  # (value, m, x, converged)
-    for m in range(1, s + 1):
-        # branch A: region I_m <= mR, objective H alone
-        val_a, x_a, ok_a = _minimize_over_polytope(
-            obj, lambda x: obj.H(x),
-            [{"type": "ineq", "fun": (lambda x, m=m: float(m * R - obj.I(x, m)))}],
-            ensemble, seed + 101 * m)
-        # branch B: region I_m >= mR, objective H + I_m - mR
-        val_b, x_b, ok_b = _minimize_over_polytope(
-            obj, lambda x, m=m: obj.H(x) + obj.I(x, m) - m * R,
-            [{"type": "ineq", "fun": (lambda x, m=m: float(obj.I(x, m) - m * R))}],
-            ensemble, seed + 211 * m)
-        for val, x, ok in ((val_a, x_a, ok_a), (val_b, x_b, ok_b)):
-            if x is None:
-                continue
-            if best is None or val < best[0]:
-                best = (val, m, x, ok)
+    def solved(m):
+        split = _Split(channel, p, m)
+        lam, mu = split.cr_multipliers(R)
+        if ensemble == "fc":
+            lam, mu = split.fc_multipliers(R, (0.0, 1.0), lam)
+        return split.dual(lam, mu, R), split, lam, mu
 
-    if best is None:
-        raise InvalidParametersError("exponent minimization failed to converge")
-    value, m_star, x_star, converged = best
+    value, split, lam, mu = min(map(solved, range(1, channel.s + 1)), key=lambda c: c[0])
     value = max(value, 0.0)
-    return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=m_star,
-                          tau_star=obj.tau_from_vector(x_star), converged=converged)
+    pt = split.solve(lam, mu)
+    primal = pt.H + max(pt.I - split.m * R, 0.0)
+    residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
+    gap = primal - value
+    tau_star = JointDistribution({
+        (w, z): float(t) for w, z, t in zip(split.words, split.outs, pt.tau)})
+    return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
+                          tau_star=tau_star,
+                          converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,
+                          primal=primal, gap=gap)
 
 
 def rate_lower_bound_general(channel: ChannelSpec, p: Distribution,
-                             ensemble: str = "cr", seed: int = 0) -> float:
+                             ensemble: str = "cr") -> float:
     """General random-coding lower bound on the separable-code rate:
-    min over m of min_tau (H + I_m) / (s + m - 1)."""
-    _check_desk_scale(channel)
-    ensemble = ensemble.lower()
-    if ensemble not in ("cr", "fc"):
-        raise InvalidParametersError(f"ensemble must be 'cr' or 'fc', got {ensemble!r}")
-    obj = _Objective(channel, p)
+    min over m of min_tau (H + I_m) / (s + m - 1), the inner minimum being
+    the dual at lam = 1 and R = 0."""
+    ensemble = _check_args(channel, p, ensemble)
     s = channel.s
     best = math.inf
     for m in range(1, s + 1):
-        val, x, _ = _minimize_over_polytope(
-            obj, lambda x, m=m: obj.H(x) + obj.I(x, m), [], ensemble, seed + 307 * m)
-        if x is not None:
-            best = min(best, max(val, 0.0) / (s + m - 1))
+        split = _Split(channel, p, m)
+        mu = np.zeros_like(split.p_flat)
+        if ensemble == "fc":
+            _, mu = split.fc_multipliers(0.0, (1.0, 1.0), 1.0)
+        best = min(best, max(split.dual(1.0, mu, 0.0), 0.0) / (s + m - 1))
     return best

@@ -18,7 +18,6 @@ from .core import (
     Message,
     enumerate_messages,
     message_count,
-    union_of,
 )
 from .channels import ChannelSpec, OutputWord, output_word
 

@@ -196,6 +196,20 @@ def test_exponent_csv(capsys):
     assert float(rows[0][1]) >= float(rows[1][1]) >= 0.0
 
 
+@pytest.mark.parametrize("q, probs", [("3", "0.5,0.5"), ("2", "0.5,0.3,0.2")])
+def test_exponent_distribution_size_mismatch(capsys, q, probs):
+    rc, out = run(capsys, ["exponent", "--channel", "B", "--s", "2", "--q", q,
+                           "--R", "0.1", "--p", probs])
+    assert rc == 2
+    assert out == ""
+
+
+def test_exponent_limit_exit_code(capsys):
+    rc, _ = run(capsys, ["exponent", "--channel", "B", "--s", "4", "--q", "2",
+                         "--R", "0.1"])
+    assert rc == 3
+
+
 def test_custom_channel(capsys, tmp_path, code_file):
     ch = tmp_path / "chan.txt"
     ch.write_text("2 2 2\n2 0 -> 0\n1 1 -> 1\n0 2 -> 1\n")

@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepmac.core import InvalidParametersError
 from sepmac.channels import make_channel
@@ -138,3 +140,68 @@ def test_report_json():
     d = rep.to_dict()
     assert set(d) == {"value", "ensemble", "R", "m_star", "converged"}
     assert d["ensemble"] == "cr"
+
+
+# values of the multi-start polytope solver this dual replaced
+@pytest.mark.parametrize("name, s, q, probs, R, cr, fc", [
+    ("disj", 2, 2, (0.7, 0.3), 0.1, 0.248140041, 0.318005933),
+    ("thr:2", 3, 2, (0.6, 0.4), 0.05, 0.211884380, 0.217829760),
+    ("A", 2, 3, (0.5, 0.3, 0.2), 0.2, 0.767584026, 0.829653014),
+])
+def test_dual_matches_polytope_values(name, s, q, probs, R, cr, fc):
+    ch, p = make_channel(name, s, q), Distribution(probs)
+    for ensemble, want in (("cr", cr), ("fc", fc)):
+        rep = exponent(ch, p, R, ensemble=ensemble)
+        assert abs(rep.value - want) <= 1e-7, (ensemble, rep.value)
+        assert rep.converged and abs(rep.gap) <= 1e-7
+
+
+def test_rate_lower_bound_values():
+    lb = rate_lower_bound_general(make_channel("disj", 3, 2), Distribution((0.7, 0.3)))
+    assert abs(lb - 0.0768066534) <= 1e-7
+    lb = rate_lower_bound_general(make_channel("A", 2, 3), Distribution((0.5, 0.3, 0.2)),
+                                  ensemble="fc")
+    assert abs(lb - 0.5148265070) <= 1e-7
+
+
+def test_zero_probability_symbol():
+    ch, p = make_channel("B", 2, 3), Distribution((0.6, 0.4, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cr = exponent(ch, p, 0.1, ensemble="cr")
+        fc = exponent(ch, p, 0.1, ensemble="fc")
+    assert abs(fc.value - 0.573011667) <= 1e-7
+    # the polytope solver reported 0.553927158 here, unconverged
+    assert 0.553927158 - 1e-6 <= cr.value <= 0.553927158
+    assert cr.converged and fc.converged
+
+
+def test_exponent_q_mismatch():
+    with pytest.raises(InvalidParametersError):
+        exponent(make_channel("B", 2, 3), UNIF2, 0.1)
+    with pytest.raises(InvalidParametersError):
+        rate_lower_bound_general(B22, Distribution.uniform(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("A", 3, 2), ("B", 2, 2), ("B", 2, 3), ("eras", 2, 3),
+                        ("eras", 3, 2), ("disj", 3, 2), ("thr:2", 3, 2)]),
+       st.lists(st.integers(0, 20), min_size=3, max_size=3).filter(lambda w: w[0] + w[1] > 0),
+       st.floats(0.0, 1.2),
+       st.lists(st.floats(0.01, 1.0), min_size=9, max_size=9))
+def test_dual_certificate(channel, raw, R, weights):
+    ch = make_channel(*channel)
+    p = Distribution(tuple(w / sum(raw[:ch.q]) for w in raw[:ch.q]))
+    cr = exponent(ch, p, R, ensemble="cr")
+    fc = exponent(ch, p, R, ensemble="fc")
+    # weak duality: the dual value is below the primal at any tau on the support
+    words = list(canonical_tau(p, ch).tau)
+    total = sum(weights[:len(words)])
+    tau = JointDistribution({k: w / total for k, w in zip(words, weights)})
+    for m in range(1, ch.s + 1):
+        assert cr.value <= eval_H(p, tau, ch) + max(eval_I(p, tau, m) - m * R, 0.0) + 1e-12
+    for rep in (cr, fc):
+        primal = (eval_H(p, rep.tau_star, ch)
+                  + max(eval_I(p, rep.tau_star, rep.m_star) - rep.m_star * R, 0.0))
+        assert abs(primal - rep.value) <= 1e-7
+    assert cr.value <= fc.value + 1e-9
