@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, log
 from typing import Optional
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Composition, InvalidParametersError, compositions
+from .core import Composition, InvalidParametersError, SizeLimitError, compositions
 from .channels import ChannelSpec, eval_channel
 
 
@@ -257,11 +257,10 @@ def proof_probability_estimates(q: int, m: int, s: int) -> dict:
     if m < 1 or s < m:
         raise InvalidParametersError(f"need 1 <= m <= s, got m={m}, s={s}")
     if q ** (2 * m) > _ENUM_GUARD or q ** (m + s) > _ENUM_GUARD:
-        raise InvalidParametersError(
+        raise SizeLimitError(
             f"instance too large for enumeration: q^2m={q ** (2 * m)}, q^(m+s)={q ** (m + s)}")
 
     # collision of types of two independent uniform m-tuples
-    type_hits = 0
     type_counts: dict = {}
     for u in itertools.product(range(q), repeat=m):
         key = tuple(sorted(u))
@@ -269,17 +268,11 @@ def proof_probability_estimates(q: int, m: int, s: int) -> dict:
     type_hits = sum(c * c for c in type_counts.values())
     type_exact = Fraction(type_hits, q ** (2 * m))
 
-    # support of a uniform m-tuple inside the support of a uniform s-tuple
-    union_hits = 0
-    for xs in itertools.product(range(q), repeat=s):
-        support = set(xs)
-        union_hits += len(support) ** m
-    union_exact = Fraction(union_hits, q ** (m + s))
-
     return {
         "type_collision_exact": type_exact,
         "type_collision_bound": Fraction(factorial(m), q ** m),
-        "union_containment_exact": union_exact,
+        # support of a uniform m-tuple inside the support of a uniform s-tuple
+        "union_containment_exact": P_term_enumerate(q, s, m),
         "union_containment_bound": Fraction(s, q) ** m,
     }
 

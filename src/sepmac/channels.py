@@ -3,22 +3,22 @@
 A symmetric MAC is a deterministic function of the multiset of the s input
 symbols, so every channel here is keyed by composition: the table needs only
 C(q+s-1, s) entries. Output symbols carry the channel kind as a tag so that
-outputs of different channels never compare equal accidentally.
+outputs of different channels never compare equal accidentally. Each
+channel also carries an integer kernel (``_kernel``, ``output_ids``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+
+import numpy as np
 
 from .core import (
     Code,
     Composition,
     InvalidParametersError,
     Message,
-    column_multiset,
     compositions,
     type_of,
 )
@@ -120,6 +120,7 @@ class ChannelSpec:
             self._table = {
                 c.counts: self._rule(c) for c in compositions(s, q)
             }
+        self.trans, self.out, self.outputs = _kernel(q, s, self._table)
 
     def _rule(self, comp: Composition) -> OutputSymbol:
         counts = comp.counts
@@ -148,6 +149,19 @@ class ChannelSpec:
         return self.kind
 
 
+def _kernel(q: int, s: int, table: dict) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(trans, out, outputs) over the compositions of weight <= s (state 0 is
+    empty): trans[state, a] adds symbol a below weight s, out[state] is the
+    output id of a weight-s state, outputs[id] its symbol; equal ones share it."""
+    states = [c.counts for w in range(s + 1) for c in compositions(w, q)]
+    index = {c: i for i, c in enumerate(states)}
+    trans = np.array([[index.get(c[:a] + (c[a] + 1,) + c[a + 1:], 0) for a in range(q)]
+                      for c in states], dtype=np.intp)
+    ids: dict = {}
+    out = [ids.setdefault(table[c], len(ids)) if sum(c) == s else 0 for c in states]
+    return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
+
+
 def eval_channel(channel: ChannelSpec, comp: Composition) -> OutputSymbol:
     """Channel output for one composition of weight s."""
     if comp.q != channel.q:
@@ -165,11 +179,20 @@ def output_word(channel: ChannelSpec, code: Code, message: Message) -> OutputWor
         raise InvalidParametersError(f"code alphabet {code.q} != channel alphabet {channel.q}")
     if message.s != channel.s:
         raise InvalidParametersError(f"message size {message.s} != channel user count {channel.s}")
-    symbols = []
-    for i in range(1, code.N + 1):
-        word = column_multiset(code, message, i)
-        symbols.append(eval_channel(channel, type_of(word, code.q)))
-    return OutputWord(tuple(symbols))
+    if message.indices[-1] > code.t:
+        raise InvalidParametersError(f"message {message.indices} outside 1..{code.t}")
+    ids = output_ids(channel, code.symbols(), np.array([message.indices]) - 1)
+    return OutputWord(tuple(channel.outputs[z] for z in ids[0].tolist()))
+
+
+def output_ids(channel: ChannelSpec, symbols: np.ndarray, messages: np.ndarray) -> np.ndarray:
+    """The (M, N) output ids of M messages: ``symbols`` is the (t, N) symbol
+    array of a code (``Code.symbols``), ``messages`` an (M, s) array of
+    0-based codeword indices."""
+    state = 0
+    for k in range(messages.shape[1]):
+        state = channel.trans[state, symbols[messages[:, k]]]
+    return channel.out[state]
 
 
 def output_alphabet_size(kind: str, s: int, q: int, threshold: int | None = None) -> int:

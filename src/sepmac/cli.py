@@ -2,7 +2,7 @@
 
 Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 0 success / property holds, 1 property fails, 2 usage error,
-3 size limit (the exhaustive-search and exponent desk-scale guards).
+3 size limit (the desk-scale guards of search, verify and exponent).
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
 """

@@ -3,14 +3,16 @@ construction, and desk-scale maximal-code search."""
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Code, InvalidParametersError, Message, SizeLimitError, type_of
-from .channels import ChannelSpec, output_word
-from .verify import is_separable, split_graph_girth_check
+import numpy as np
+
+from .bounds import k_factor
+from .core import Code, InvalidParametersError, SizeLimitError
+from .channels import ChannelSpec
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ def reduce_alphabet(code: Code, q: int) -> Code:
     qprime = code.q
     if not 2 <= q < qprime:
         raise InvalidParametersError(f"need 2 <= q < q', got q={q}, q'={qprime}")
-    l = math.ceil(qprime / (q - 1))
+    l = k_factor(q, qprime)
     columns = []
     for col in code.columns():
         new_col: list[int] = []
@@ -125,43 +127,18 @@ class SearchResult:
         return {"t_star": self.t_star, "nodes": self.nodes, "mode": self.mode}
 
 
-def _all_columns(q: int, N: int) -> list[tuple[int, ...]]:
-    cols = [()]
-    for _ in range(N):
-        cols = [c + (a,) for c in cols for a in range(q)]
-    return sorted(cols)
-
-
-def _separable_columns(channel: ChannelSpec, columns: list[tuple[int, ...]], s: int) -> bool:
-    if len(columns) <= s:
-        return True
-    code = Code.from_columns(channel.q, columns)
-    return bool(is_separable(code, s, channel))
-
-
-def _extension_ok(channel: ChannelSpec, columns: list[tuple[int, ...]], s: int) -> bool:
-    """Check separability of messages involving the last-added column only;
-    earlier messages were verified when their columns were added."""
-    t = len(columns)
-    if t <= s:
-        return True
-    code = Code.from_columns(channel.q, columns)
-    import itertools
-
-    from .channels import output_word as ow
-
-    new_outputs = {}
-    for rest in itertools.combinations(range(1, t), s - 1):
-        e = Message(tuple(sorted(rest + (t,))))
-        z = ow(channel, code, e)
-        if z in new_outputs:
-            return False
-        new_outputs[z] = e
-    for e_idx in itertools.combinations(range(1, t), s):
-        e = Message(e_idx)
-        if ow(channel, code, e) in new_outputs:
-            return False
-    return True
+def _extend(channel: ChannelSpec, code: tuple, column: np.ndarray) -> Optional[tuple]:
+    """Add ``column`` to a separable code (states, seen), or None when two
+    messages would then share an output word. ``states[k]`` holds the kernel
+    states of every k-subset of the chosen columns, k < s, and ``seen`` the
+    output rows of every s-message."""
+    states, seen = code
+    rows = channel.out[channel.trans[states[-1], column]]
+    new = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    if len(set(new)) < len(new) or not seen.isdisjoint(new):
+        return None
+    return states[:1] + [np.concatenate([old, channel.trans[shorter, column]])
+                         for old, shorter in zip(states[1:], states)], seen.union(new)
 
 
 def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
@@ -170,8 +147,8 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
 
     Exhaustive mode runs a branch-and-bound over candidate columns in
     lexicographic order; the returned witness is the lexicographically
-    smallest maximum code. The cheap split-graph girth necessary condition
-    prunes before the full separability check.
+    smallest maximum code. Each node carries the output rows of its code's
+    messages, so a branch checks only the messages containing its column.
     """
     if channel.q != q or channel.s != s:
         raise InvalidParametersError(
@@ -179,19 +156,20 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
     if q ** N > EXHAUSTIVE_GUARD:
         raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
-    candidates = _all_columns(q, N)
+    candidates = list(itertools.product(range(q), repeat=N))
+    columns = np.array(candidates, dtype=np.intp)
+    # the empty code: one empty subset, no messages
+    code = ([np.zeros((0 if k else 1, N), dtype=np.intp) for k in range(s)], frozenset())
 
     if mode == "greedy":
-        rng = random.Random(seed)
-        order = list(candidates)
-        rng.shuffle(order)
+        order = list(range(len(candidates)))
+        random.Random(seed).shuffle(order)
         chosen: list[tuple[int, ...]] = []
-        for col in order:
-            trial = sorted(chosen + [col])
-            if _separable_columns(channel, trial, s):
-                chosen = trial
-        chosen.sort()
-        return SearchResult(len(chosen), Code.from_columns(q, chosen), len(order), "greedy")
+        for idx in order:
+            bigger = _extend(channel, code, columns[idx])
+            if bigger is not None:
+                code, chosen = bigger, chosen + [candidates[idx]]
+        return SearchResult(len(chosen), Code.from_columns(q, sorted(chosen)), len(order), "greedy")
 
     if mode != "exhaustive":
         raise InvalidParametersError(f"unknown search mode {mode!r}")
@@ -200,13 +178,7 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
     best: list[tuple[int, ...]] = []
     nodes = 0
 
-    def girth_ok(cols: list[tuple[int, ...]]) -> bool:
-        if N < 2 or len(cols) < 2:
-            return True
-        code = Code.from_columns(q, cols)
-        return bool(split_graph_girth_check(code, s, N // 2 if N > 1 else 1))
-
-    def extend(chosen: list[tuple[int, ...]], start: int):
+    def extend(chosen: list[tuple[int, ...]], code: tuple, start: int):
         nonlocal best, nodes
         nodes += 1
         if len(chosen) > len(best):
@@ -217,15 +189,9 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
         for idx in range(start, n_cand):
             if len(chosen) + (n_cand - idx) <= len(best):
                 break
-            col = candidates[idx]
-            trial = chosen + [col]
-            # the girth condition is necessary only once the code is large
-            # enough that a short cycle forces a separability violation
-            if len(trial) >= 2 * s and not girth_ok(trial):
-                continue
-            if not _extension_ok(channel, trial, s):
-                continue
-            extend(trial, idx + 1)
+            bigger = _extend(channel, code, columns[idx])
+            if bigger is not None:
+                extend(chosen + [candidates[idx]], bigger, idx + 1)
 
-    extend([], 0)
+    extend([], code, 0)
     return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")

@@ -1,19 +1,19 @@
-"""Fundamental value types: codes, messages, compositions, alphabet
-subsets, and the two column operators (type and union).
+"""Fundamental value types: codes, messages, compositions and their types.
 
 Conventions used throughout the toolkit:
   * codeword indices are 1-based in every external interface;
   * multisets are canonically represented as sorted tuples;
-  * subsets as sorted tuples of distinct symbols;
   * a composition is a length-q tuple of counts summing to s.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class InvalidSymbolError(ValueError):
@@ -69,6 +69,10 @@ class Code:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(1, self.t + 1)]
 
+    def symbols(self) -> np.ndarray:
+        """The (t, N) symbol array: row j-1 is codeword j."""
+        return np.ascontiguousarray(np.array(self.entries, dtype=np.intp).T)
+
     @classmethod
     def from_columns(cls, q: int, columns: Sequence[Sequence[int]]) -> "Code":
         if not columns:
@@ -121,21 +125,6 @@ class Composition:
         return tuple(a for a, c in enumerate(self.counts) if c > 0)
 
 
-@dataclass(frozen=True)
-class AlphabetSubset:
-    """A subset of the alphabet, canonically a sorted tuple of members."""
-
-    members: tuple[int, ...]
-    q: int = field(default=0)
-
-    def __post_init__(self):
-        m = self.members
-        if list(m) != sorted(set(m)):
-            raise InvalidParametersError(f"subset members must be distinct and sorted: {m}")
-        if self.q and any(a >= self.q for a in m):
-            raise InvalidSymbolError(f"subset {m} outside alphabet of size {self.q}")
-
-
 def _check_word(word: Sequence[int], q: int) -> None:
     for a in word:
         if not 0 <= a < q:
@@ -149,12 +138,6 @@ def type_of(word: Sequence[int], q: int) -> Composition:
     for a in word:
         counts[a] += 1
     return Composition(tuple(counts))
-
-
-def union_of(word: Sequence[int], q: int) -> AlphabetSubset:
-    """The set of distinct symbols occurring in a word."""
-    _check_word(word, q)
-    return AlphabetSubset(tuple(sorted(set(word))), q)
 
 
 def column_multiset(code: Code, message: Message, row: int) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 All verifiers are exhaustive over the relevant message/tuple space and
 deterministic: a failing verdict carries the lexicographically smallest
-witness so that fixtures are stable.
+witness so that fixtures are stable. Channel-free properties test covers
+on q-bit row masks: a union word is the OR of the rows' 1 << x.
 """
 
 from __future__ import annotations
@@ -10,16 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
-from .core import (
-    Code,
-    InvalidParametersError,
-    Message,
-    enumerate_messages,
-    message_count,
-)
-from .channels import ChannelSpec, OutputWord, output_word
+import numpy as np
+
+from .core import Code, InvalidParametersError, SizeLimitError
+from .channels import ChannelSpec, OutputWord, output_ids
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,6 @@ class Verdict:
 def _jsonable(obj):
     if isinstance(obj, OutputWord):
         return obj.labels()
-    if isinstance(obj, Message):
-        return list(obj.indices)
     if isinstance(obj, (tuple, list)):
         return [_jsonable(x) for x in obj]
     return obj
@@ -72,42 +68,94 @@ class ErrorFractionReport:
         }
 
 
-def _best_collision_pair(groups: dict) -> Optional[tuple]:
-    """Smallest witness among output groups of size >= 2, with the output.
-
-    Each group value is the sorted list of messages mapped to that output.
-    The witness is the lexicographically smallest (first, second) message
-    pair over all colliding groups.
-    """
-    best = None
-    for out, msgs in groups.items():
-        if len(msgs) >= 2:
-            cand = (msgs[0], msgs[1], out)
-            if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-                best = cand
-    return best
+MESSAGE_GUARD = 10 ** 6  # index sets a verifier may enumerate
+_BLOCK_CELLS = 1 << 18   # array cells per block of gathered index sets
 
 
-def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
-    """All channel output words over s-messages are pairwise distinct."""
+def _index_sets(t: int, sizes) -> np.ndarray:
+    """All 0-based index sets of the given sizes, by size and then
+    lexicographically, one per row padded with -1."""
+    if sum(comb(t, k) for k in sizes) > MESSAGE_GUARD:
+        raise SizeLimitError(f"instance too large: more than {MESSAGE_GUARD} index sets")
+    width = max(sizes)
+    sets = (c + (-1,) * (width - k) for k in sizes for c in itertools.combinations(range(t), k))
+    return np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp).reshape(-1, width)
+
+
+def _blocks(sets: np.ndarray, cells: int):
+    """``sets`` in consecutive blocks of about _BLOCK_CELLS / cells rows."""
+    step = max(1, _BLOCK_CELLS // cells)
+    for lo in range(0, len(sets), step):
+        yield sets[lo:lo + step]
+
+
+def _as_tuple(index_set: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(j) + 1 for j in index_set if j >= 0)
+
+
+def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique over whole rows: the group of each row and each group's size."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return inverse, counts
+
+
+def _collision_verdict(sets: np.ndarray, rows: np.ndarray, word) -> Verdict:
+    """Holds when the rows (the words of ``sets``) are distinct; else the
+    witness is the first two sets of the group of equal words whose 1-based
+    pair is lexicographically smallest, and ``word`` gives their output."""
+    inverse, counts = _groups(rows)
+    starts = (np.cumsum(counts) - counts)[counts >= 2]
+    if not starts.size:
+        return Verdict(True)
+    order = np.argsort(inverse, kind="stable")
+    first, second = order[starts], order[starts + 1]
+    # 1-based and padded with 0, the order of rows is the order of tuples
+    pairs = np.concatenate([sets[first], sets[second]], axis=1) + 1
+    g = np.lexsort(pairs.T[::-1])[0]
+    a, b = first[g], second[g]
+    return Verdict(False, witness=(_as_tuple(sets[a]), _as_tuple(sets[b])),
+                   colliding_output=(word(rows[a]),))
+
+
+def _output_rows(code: Code, s: int, channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """All s-messages and their output id rows."""
     if not 1 <= s < code.t:
         raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
     if channel.s != s or channel.q != code.q:
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
-    groups: dict = {}
-    for e in enumerate_messages(code.t, s):
-        z = output_word(channel, code, e)
-        groups.setdefault(z, []).append(e.indices)
-    bad = _best_collision_pair(groups)
-    if bad is None:
-        return Verdict(True)
-    return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
+    x, msgs = code.symbols(), _index_sets(code.t, [s])
+    return msgs, np.concatenate([output_ids(channel, x, b) for b in _blocks(msgs, s * code.N)])
 
 
-def _union_word(code: Code, indices: Sequence[int]) -> tuple:
-    cols = [code.column(j) for j in indices]
-    return tuple(tuple(sorted({c[i] for c in cols})) for i in range(code.N))
+def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
+    """All channel output words over s-messages are pairwise distinct."""
+    msgs, rows = _output_rows(code, s, channel)
+    return _collision_verdict(msgs, rows, lambda row: OutputWord(
+        tuple(channel.outputs[z] for z in row.tolist())))
+
+
+def _masks(code: Code) -> np.ndarray:
+    """(t, N) q-bit row masks 1 << x of the code's symbols."""
+    if code.q > 64:
+        raise SizeLimitError(f"alphabet size {code.q} exceeds the 64-bit row masks")
+    bits = np.uint64(1) << np.arange(code.q, dtype=np.uint64)
+    return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols()]
+
+
+def _unions(masks: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(M, N) union words, as row masks, of M index sets (-1 is padding)."""
+    return np.bitwise_or.reduce(np.where(sets[:, :, None] >= 0, masks[sets], 0), axis=1)
+
+
+def _covered(masks: np.ndarray, unions: np.ndarray) -> np.ndarray:
+    """(M, t) flags: codeword j lies inside union word m on every row."""
+    return ~np.any(masks[None, :, :] & ~unions[:, None, :], axis=2)
+
+
+def _subsets_of(union: np.ndarray, q: int) -> tuple:
+    return tuple(tuple(a for a in range(q) if m >> a & 1) for m in union.tolist())
 
 
 def is_at_most_s_separable(code: Code, s: int) -> Verdict:
@@ -115,20 +163,28 @@ def is_at_most_s_separable(code: Code, s: int) -> Verdict:
     of sizes 1..s (the A-MAC, tuples of unequal size included)."""
     if not 1 <= s < code.t:
         raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
-    groups: dict = {}
-    for k in range(1, s + 1):
-        for idx in itertools.combinations(range(1, code.t + 1), k):
-            groups.setdefault(_union_word(code, idx), []).append(idx)
-    for msgs in groups.values():
-        msgs.sort(key=lambda m: (len(m), m))
-    bad = _best_collision_pair(groups)
-    if bad is None:
-        return Verdict(True)
-    return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
+    sets = _index_sets(code.t, range(1, s + 1))
+    masks = _masks(code)
+    rows = np.concatenate([_unions(masks, b) for b in _blocks(sets, s * code.N)])
+    return _collision_verdict(sets, rows, lambda row: _subsets_of(row, code.q))
 
 
-def _covers(union_word: tuple, column: tuple) -> bool:
-    return all(column[i] in union_word[i] for i in range(len(column)))
+def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
+    """Fails at the lexicographically first s-tuple whose union covers more
+    than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
+    codewords into the witness's second entry."""
+    masks = _masks(code)
+    for block in _blocks(_index_sets(code.t, [s]), code.N * code.t):
+        unions = _unions(masks, block)
+        covered = _covered(masks, unions)
+        covered[np.arange(len(block))[:, None], block] = False
+        bad = np.flatnonzero(covered.sum(axis=1) > limit)
+        if bad.size:
+            i = bad[0]
+            js = tuple((np.flatnonzero(covered[i]) + 1).tolist())
+            return Verdict(False, witness=(_as_tuple(block[i]), pick(js)),
+                           colliding_output=(_subsets_of(unions[i], code.q),))
+    return Verdict(True)
 
 
 def is_frameproof(code: Code, s: int) -> Verdict:
@@ -139,15 +195,7 @@ def is_frameproof(code: Code, s: int) -> Verdict:
     """
     if not 1 <= s < code.t:
         raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
-    for idx in itertools.combinations(range(1, code.t + 1), s):
-        uw = _union_word(code, idx)
-        chosen = set(idx)
-        for j in range(1, code.t + 1):
-            if j in chosen:
-                continue
-            if _covers(uw, code.column(j)):
-                return Verdict(False, witness=(idx, j), colliding_output=(uw,))
-    return Verdict(True)
+    return _cover_verdict(code, s, 0, lambda js: js[0])
 
 
 def is_hash(code: Code, s: int) -> Verdict:
@@ -156,10 +204,12 @@ def is_hash(code: Code, s: int) -> Verdict:
         raise InvalidParametersError(f"hash property requires q >= s, got q={code.q}, s={s}")
     if not 1 <= s <= code.t:
         raise InvalidParametersError(f"need 1 <= s <= t, got s={s}, t={code.t}")
-    for idx in itertools.combinations(range(1, code.t + 1), s):
-        cols = [code.column(j) for j in idx]
-        if not any(len({c[i] for c in cols}) == s for i in range(code.N)):
-            return Verdict(False, witness=(idx,))
+    masks = _masks(code)
+    for block in _blocks(_index_sets(code.t, [s]), s * code.N):
+        distinct = np.bitwise_count(_unions(masks, block)) == s
+        bad = np.flatnonzero(~distinct.any(axis=1))
+        if bad.size:
+            return Verdict(False, witness=(_as_tuple(block[bad[0]]),))
     return Verdict(True)
 
 
@@ -169,14 +219,7 @@ def is_list_decoding(code: Code, s: int, L: int) -> Verdict:
         raise InvalidParametersError(f"need s >= 1 and L >= 1, got s={s}, L={L}")
     if s >= code.t:
         raise InvalidParametersError(f"need s < t, got s={s}, t={code.t}")
-    for idx in itertools.combinations(range(1, code.t + 1), s):
-        uw = _union_word(code, idx)
-        chosen = set(idx)
-        covered = [j for j in range(1, code.t + 1)
-                   if j not in chosen and _covers(uw, code.column(j))]
-        if len(covered) > L - 1:
-            return Verdict(False, witness=(idx, tuple(covered)), colliding_output=(uw,))
-    return Verdict(True)
+    return _cover_verdict(code, s, L - 1, lambda js: js)
 
 
 def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
@@ -184,25 +227,17 @@ def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     (a sequence of N alphabet subsets)."""
     if len(z) != code.N:
         raise InvalidParametersError(f"output word length {len(z)} != code length {code.N}")
-    sets = [frozenset(zi) for zi in z]
-    result = set()
-    for j in range(1, code.t + 1):
-        col = code.column(j)
-        if all(col[i] in sets[i] for i in range(code.N)):
-            result.add(j)
-    return result
+    masks = _masks(code)
+    union = np.array([[sum(1 << a for a in set(zi) if 0 <= a < code.q) for zi in z]],
+                     dtype=masks.dtype)
+    return set((np.flatnonzero(_covered(masks, union)[0]) + 1).tolist())
 
 
 def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionReport:
     """Fraction of messages whose output word collides with another's."""
-    if not 1 <= s < code.t:
-        raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
-    groups: dict = {}
-    for e in enumerate_messages(code.t, s):
-        z = output_word(channel, code, e)
-        groups[z] = groups.get(z, 0) + 1
-    bad = sum(n for n in groups.values() if n >= 2)
-    return ErrorFractionReport(bad, message_count(code.t, s))
+    msgs, rows = _output_rows(code, s, channel)
+    _, counts = _groups(rows)
+    return ErrorFractionReport(int(counts[counts >= 2].sum()), len(msgs))
 
 
 def count_L_rare(code: Code, L: int) -> tuple[int, list[bool]]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepmac.core import InvalidParametersError
+from sepmac.core import InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.bounds import (
     BoundReport,
@@ -178,7 +178,7 @@ def test_proof_estimates_exact_below_bound():
 
 
 def test_proof_estimates_size_guard():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(SizeLimitError):
         proof_probability_estimates(10, 8, 8)
 
 

@@ -138,6 +138,16 @@ def test_search_limit_exit_code(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("prop", [
+    ["--channel", "B", "--separable"], ["--le-separable"], ["--frameproof"], ["--hash"],
+    ["--list", "2"]])
+def test_verify_limit_exit_code(capsys, code_file, prop):
+    # C(200, 3) = 1,313,400 messages: refused before any is enumerated
+    big = format_code(Code.from_columns(3, [(j % 3,) for j in range(200)]))
+    rc, out = run(capsys, ["verify", "--code", code_file(big), "--s", "3", *prop])
+    assert rc == 3 and out == ""
+
+
 def test_gen_reproducible(capsys, tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     for path in (a, b):

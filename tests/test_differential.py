@@ -1,0 +1,92 @@
+"""Differential tests: the integer channel kernel, the row-mask cover tests
+and the incremental search against the pure-Python reference in
+``reference.py``."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference as ref
+from sepmac.channels import make_channel, output_word, validate_symmetric
+from sepmac.core import Code, compositions, enumerate_messages
+from sepmac.construct import max_code_search
+from sepmac.verify import (
+    error_fraction,
+    factor_decode,
+    is_at_most_s_separable,
+    is_frameproof,
+    is_hash,
+    is_list_decoding,
+    is_separable,
+)
+
+KINDS = ("A", "B", "eras", "thr", "disj", "custom")
+
+
+def _channel(kind, s, q, rng):
+    if kind == "thr":
+        return make_channel(f"thr:{rng.randint(1, s)}", s, q)
+    if kind == "custom":
+        labels = "uvw"[:rng.randint(1, 3)]
+        return validate_symmetric({c.counts: rng.choice(labels) for c in compositions(s, q)},
+                                  s, q)
+    return make_channel(kind, s, q)
+
+
+@st.composite
+def codes(draw, kinds=KINDS):
+    """A small random code, s, and a channel of a drawn kind."""
+    kind = draw(st.sampled_from(kinds))
+    q = 2 if kind in ("thr", "disj") else draw(st.integers(2, 4))
+    t = draw(st.integers(2, 7))
+    s = draw(st.integers(1, min(3, t - 1)))
+    n = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return Code.from_columns(q, cols), s, _channel(kind, s, q, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes())
+def test_separable_matches_reference(case):
+    code, s, ch = case
+    assert is_separable(code, s, ch) == ref.is_separable(code, s, ch)
+    assert error_fraction(code, s, ch) == ref.error_fraction(code, s, ch)
+    for e in enumerate_messages(code.t, s):
+        assert output_word(ch, code, e) == ref.output_word(ch, code, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes(kinds=("A",)), st.integers(1, 3), st.data())
+def test_cover_tests_match_reference(case, L, data):
+    code, s, _ = case
+    assert is_at_most_s_separable(code, s) == ref.is_at_most_s_separable(code, s)
+    assert is_frameproof(code, s) == ref.is_frameproof(code, s)
+    assert is_list_decoding(code, s, L) == ref.is_list_decoding(code, s, L)
+    if code.q >= s:
+        assert is_hash(code, s) == ref.is_hash(code, s)
+    # a union word of some codewords, widened by random symbols
+    members = data.draw(st.lists(st.integers(1, code.t), min_size=1, max_size=3))
+    extra = data.draw(st.lists(st.sets(st.integers(0, code.q - 1), max_size=2),
+                               min_size=code.N, max_size=code.N))
+    z = [set(u) | e for u, e in zip(ref.union_word(code, sorted(set(members))), extra)]
+    assert factor_decode(code, z) == ref.factor_decode(code, z)
+
+
+def _search_instances():
+    for s in (2, 3):
+        for q, n in [(q, 1) for q in range(2, 16)] + [(2, 2), (2, 3), (3, 2), (2, 4)]:
+            names = ["disj"] + [f"thr:{l}" for l in range(1, s + 1)] if q == 2 else []
+            if n < 4:
+                names += ["A", "B", "eras", "custom"]
+            for name in names:
+                yield s, q, n, name
+
+
+@pytest.mark.parametrize("s,q,n,name", list(_search_instances()))
+def test_search_matches_reference(s, q, n, name):
+    ch = _channel(name, s, q, random.Random(f"{s}-{q}")) if name == "custom" else \
+        make_channel(name, s, q)
+    got, want = max_code_search(ch, s, q, n), ref.max_code_search(ch, s, q, n)
+    assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepmac.core import Code, InvalidParametersError, Message, enumerate_messages
+from sepmac.core import Code, InvalidParametersError, Message, SizeLimitError, enumerate_messages
 from sepmac.channels import make_channel, output_word
 from sepmac.construct import EnsembleSpec, random_code
 from sepmac.verify import (
@@ -90,6 +90,14 @@ def test_frameproof_repeated_columns_fail():
     v = is_frameproof(code, 1)
     assert not v.holds
     assert v.witness == ((1,), 2)
+
+
+def test_row_masks_refuse_wide_alphabets():
+    code = Code.from_columns(65, [(64,), (0,), (1,)])
+    for check in (lambda: is_frameproof(code, 1), lambda: is_hash(code, 1),
+                  lambda: factor_decode(code, [(0,)])):
+        with pytest.raises(SizeLimitError):
+            check()
 
 
 def test_hash():
