@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Composition, InvalidParametersError, SizeLimitError, compositions
-from .channels import ChannelSpec, eval_channel
+from .core import InvalidParametersError, SizeLimitError, compositions
+from .channels import ChannelSpec, output_law
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,13 @@ class Distribution:
 
     def __post_init__(self):
         p = self.probs
-        if any(x < 0 for x in p):
-            raise InvalidParametersError(f"negative probability in {p}")
+        if not all(x >= 0 for x in p):
+            raise InvalidParametersError(f"negative or NaN probability in {p}")
         total = sum(p)
         if isinstance(total, Fraction):
             if total != 1:
                 raise InvalidParametersError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1) > 1e-12:
+        elif not abs(total - 1) <= 1e-12:
             raise InvalidParametersError(f"probabilities sum to {total}, not 1")
 
     @property
@@ -82,33 +82,18 @@ def multinomial(s: int, counts) -> int:
     return num
 
 
-def composition_probability(comp: Composition, p: Distribution) -> Fraction | float:
-    """Probability that s i.i.d. symbols with law p realize this type."""
-    prob = multinomial(comp.s, comp.counts)
-    for a, c in enumerate(comp.counts):
-        if c:
-            prob *= p.probs[a] ** c
-    return prob
-
-
 def entropy_output(channel: ChannelSpec, p: Distribution) -> float:
     """Shannon entropy (nats) of the channel output for i.i.d. inputs ~ p."""
     if p.q != channel.q:
         raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
-    out_prob: dict = {}
-    for comp in compositions(channel.s, channel.q):
-        z = eval_channel(channel, comp)
-        out_prob[z] = out_prob.get(z, 0) + float(composition_probability(comp, p))
-    h = 0.0
-    for pr in out_prob.values():
-        if pr > 0:
-            h -= pr * log(pr)
-    return h
+    law = output_law(channel, p.as_floats())
+    law = law[law > 0]
+    return max(0.0, -float(law @ np.log(law)))  # 0.0 first: a point law gives -0.0
 
 
-def _maximize_entropy(channel: ChannelSpec, n_starts: int = 16, seed: int = 0,
-                      tol: float = 1e-12) -> tuple[float, Distribution, bool]:
-    """Multi-start maximization of the output entropy over the simplex."""
+def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
+    """Entropy upper bound on the rate: max_p H(output) / s, by SLSQP over
+    the simplex from the uniform law and 16 random starts."""
     q = channel.q
     rng = np.random.default_rng(seed)
 
@@ -119,29 +104,18 @@ def _maximize_entropy(channel: ChannelSpec, n_starts: int = 16, seed: int = 0,
             return 0.0
         return -entropy_output(channel, Distribution(tuple(x / total)))
 
-    starts = [np.full(q, 1.0 / q)]
-    for _ in range(n_starts):
-        starts.append(rng.dirichlet(np.ones(q)))
-
-    best_val, best_p, converged = -math.inf, None, False
+    starts = [np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)]
+    hmax, pstar, converged = -math.inf, None, False
     constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0}]
-    bnds = [(0.0, 1.0)] * q
     for x0 in starts:
-        res = minimize(neg_entropy, x0, method="SLSQP", bounds=bnds,
-                       constraints=constraints,
-                       options={"maxiter": 500, "ftol": tol})
+        res = minimize(neg_entropy, x0, method="SLSQP", bounds=[(0.0, 1.0)] * q,
+                       constraints=constraints, options={"maxiter": 500, "ftol": 1e-12})
         x = np.clip(res.x, 0.0, None)
         x /= x.sum()
         val = -neg_entropy(x)
-        if val > best_val:
-            best_val, best_p = val, Distribution(tuple(float(v) for v in x))
+        if val > hmax:
+            hmax, pstar = val, Distribution(tuple(float(v) for v in x))
             converged = bool(res.success)
-    return best_val, best_p, converged
-
-
-def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
-    """Entropy upper bound on the rate: max_p H(output) / s."""
-    hmax, pstar, converged = _maximize_entropy(channel, seed=seed)
     return BoundReport(
         name="entropy-capacity",
         value=hmax / channel.s,

@@ -4,7 +4,9 @@ A symmetric MAC is a deterministic function of the multiset of the s input
 symbols, so every channel here is keyed by composition: the table needs only
 C(q+s-1, s) entries. Output symbols carry the channel kind as a tag so that
 outputs of different channels never compare equal accidentally. Each
-channel also carries an integer kernel (``_kernel``, ``output_ids``).
+channel also carries an integer kernel (``_kernel``): ``output_ids`` maps
+s-words to output ids and ``output_law`` gives the output law of i.i.d.
+inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .core import (
     Composition,
     InvalidParametersError,
     Message,
+    SizeLimitError,
     compositions,
     type_of,
 )
@@ -31,6 +34,8 @@ KIND_DISJUNCTIVE = "disj"
 KIND_CUSTOM = "custom"
 
 ERASURE_MARK = "*"
+
+KERNEL_GUARD = 2 ** 20  # transition cells C(q+s, s) * q a channel may build
 
 
 class NotSymmetricError(ValueError):
@@ -89,6 +94,10 @@ class ChannelSpec:
             raise InvalidParametersError(f"alphabet size must be >= 2, got {q}")
         if s < 1:
             raise InvalidParametersError(f"user count must be >= 1, got {s}")
+        cells = comb(q + s, s) * q
+        if cells > KERNEL_GUARD:
+            raise SizeLimitError(f"channel too large: C(q+s, s)*q = {cells} kernel cells "
+                                 f"exceed guard {KERNEL_GUARD} (q={q}, s={s})")
         if kind in (KIND_THRESHOLD, KIND_DISJUNCTIVE) and q != 2:
             raise InvalidParametersError(f"{kind} channel requires q=2, got q={q}")
         if kind == KIND_THRESHOLD:
@@ -181,18 +190,28 @@ def output_word(channel: ChannelSpec, code: Code, message: Message) -> OutputWor
         raise InvalidParametersError(f"message size {message.s} != channel user count {channel.s}")
     if message.indices[-1] > code.t:
         raise InvalidParametersError(f"message {message.indices} outside 1..{code.t}")
-    ids = output_ids(channel, code.symbols(), np.array([message.indices]) - 1)
-    return OutputWord(tuple(channel.outputs[z] for z in ids[0].tolist()))
+    ids = output_ids(channel, code.symbols()[np.array(message.indices) - 1])
+    return OutputWord(tuple(channel.outputs[z] for z in ids.tolist()))
 
 
-def output_ids(channel: ChannelSpec, symbols: np.ndarray, messages: np.ndarray) -> np.ndarray:
-    """The (M, N) output ids of M messages: ``symbols`` is the (t, N) symbol
-    array of a code (``Code.symbols``), ``messages`` an (M, s) array of
-    0-based codeword indices."""
+def output_ids(channel: ChannelSpec, words) -> np.ndarray:
+    """Output ids of s-words stacked on the first axis: ``words`` yields s
+    symbol arrays of one shape, and the ids have that shape."""
     state = 0
-    for k in range(messages.shape[1]):
-        state = channel.trans[state, symbols[messages[:, k]]]
+    for symbols in words:
+        state = channel.trans[state, symbols]
     return channel.out[state]
+
+
+def output_law(channel: ChannelSpec, p) -> np.ndarray:
+    """The law of the output id when the s inputs are i.i.d. with the law p
+    (q probabilities): the state law folded through ``trans`` s times."""
+    p = np.asarray(p, dtype=float)
+    law = np.zeros(len(channel.trans))
+    law[0] = 1.0
+    for _ in range(channel.s):
+        law = np.bincount(channel.trans.ravel(), np.outer(law, p).ravel(), len(law))
+    return np.bincount(channel.out, law, len(channel.outputs))
 
 
 def output_alphabet_size(kind: str, s: int, q: int, threshold: int | None = None) -> int:
@@ -249,16 +268,11 @@ def validate_symmetric(table: dict, s: int, q: int) -> ChannelSpec:
 
 def make_channel(name: str, s: int, q: int) -> ChannelSpec:
     """Parse a channel name: A | B | eras | thr:L | disj."""
-    if name == KIND_A:
-        return ChannelSpec(KIND_A, q, s)
-    if name == KIND_B:
-        return ChannelSpec(KIND_B, q, s)
-    if name == KIND_ERASURE:
-        return ChannelSpec(KIND_ERASURE, q, s)
-    if name == KIND_DISJUNCTIVE:
-        return ChannelSpec(KIND_DISJUNCTIVE, q, s)
-    if name.startswith(KIND_THRESHOLD + ":"):
-        return ChannelSpec(KIND_THRESHOLD, q, s, threshold=int(name.split(":", 1)[1]))
+    if name in (KIND_A, KIND_B, KIND_ERASURE, KIND_DISJUNCTIVE):
+        return ChannelSpec(name, q, s)
+    kind, _, level = name.partition(":")
+    if kind == KIND_THRESHOLD and level.isdecimal():
+        return ChannelSpec(KIND_THRESHOLD, q, s, threshold=int(level))
     raise InvalidParametersError(f"unknown channel name {name!r}")
 
 

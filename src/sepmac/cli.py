@@ -2,7 +2,7 @@
 
 Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 0 success / property holds, 1 property fails, 2 usage error,
-3 size limit (the desk-scale guards of search, verify and exponent).
+3 size limit (the desk-scale guards of channels, search, verify and exponent).
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
 """
@@ -64,6 +64,16 @@ def _channel_from_args(args, s: int, q: int):
                 f"custom channel has (s={spec.s}, q={spec.q}), expected (s={s}, q={q})")
         return spec
     return make_channel(name, s, q)
+
+
+def _distribution_from_args(args) -> bnd.Distribution:
+    """--p as a distribution over A_q; uniform when absent."""
+    if not args.p:
+        return bnd.Distribution(tuple(1.0 / args.q for _ in range(args.q)))
+    try:
+        return bnd.Distribution(tuple(float(x) for x in args.p.split(",")))
+    except ValueError as exc:  # a non-number, or a law Distribution rejects
+        raise UsageError(f"--p {args.p}: {exc}") from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -176,9 +186,8 @@ def cmd_gen(args) -> int:
     started = time.monotonic()
     seed = args.seed if args.seed is not None else _default_seed()
     if args.ensemble == "cr":
-        p = tuple(float(x) for x in args.p.split(",")) if args.p else \
-            tuple(1.0 / args.q for _ in range(args.q))
-        spec = cst.EnsembleSpec("cr", args.q, args.N, args.t, p=p, seed=seed)
+        spec = cst.EnsembleSpec("cr", args.q, args.N, args.t,
+                                p=_distribution_from_args(args).probs, seed=seed)
     else:
         if not args.composition:
             raise UsageError("--composition is required for the fc ensemble")
@@ -220,9 +229,7 @@ def cmd_decode(args) -> int:
 def cmd_exponent(args) -> int:
     started = time.monotonic()
     channel = _channel_from_args(args, args.s, args.q)
-    p = tuple(float(x) for x in args.p.split(",")) if args.p else \
-        tuple(1.0 / args.q for _ in range(args.q))
-    dist = bnd.Distribution(p)
+    dist = _distribution_from_args(args)
     rows = ["R,E"]
     r_values = [float(x) for x in args.R.split(",")]
     for r in r_values:

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import k_factor
+from .bounds import Distribution, k_factor
 from .core import Code, InvalidParametersError, SizeLimitError
 from .channels import ChannelSpec
 
@@ -40,8 +40,7 @@ class EnsembleSpec:
         if self.kind == "cr":
             if self.p is None or len(self.p) != self.q:
                 raise InvalidParametersError("cr ensemble needs a length-q distribution p")
-            if any(x < 0 for x in self.p) or abs(sum(self.p) - 1) > 1e-9:
-                raise InvalidParametersError(f"invalid distribution {self.p}")
+            Distribution(tuple(self.p))  # raises on a negative entry or a sum off 1
         else:
             c = self.composition
             if c is None or len(c) != self.q or any(x < 0 for x in c) or sum(c) != self.N:

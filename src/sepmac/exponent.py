@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .core import InvalidParametersError, SizeLimitError, type_of
-from .channels import ChannelSpec, eval_channel
+from .channels import ChannelSpec, eval_channel, output_ids
 from .bounds import Distribution
 
 DESK_S = 3
@@ -84,10 +84,6 @@ def _input_words(channel: ChannelSpec) -> list[tuple[int, ...]]:
     return list(itertools.product(range(channel.q), repeat=channel.s))
 
 
-def _outputs_for(channel: ChannelSpec, words) -> list:
-    return [eval_channel(channel, type_of(w, channel.q)) for w in words]
-
-
 def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
     _check_desk_scale(channel)
     if p.q != channel.q:
@@ -104,7 +100,7 @@ def canonical_tau(p: Distribution, channel: ChannelSpec) -> JointDistribution:
     if p.q != channel.q:
         raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
     words = _input_words(channel)
-    outs = _outputs_for(channel, words)
+    outs = [eval_channel(channel, type_of(w, channel.q)) for w in words]
     tau = {}
     for w, z in zip(words, outs):
         weight = 1.0
@@ -172,23 +168,23 @@ class _Point(NamedTuple):
 
 class _Split:
     """The words of positive product probability, each split at coordinate m
-    into head h and tail u and grouped by (u, f(w)). mu[k * q + a] is the
-    multiplier of symbol a at coordinate k."""
+    into head h and tail u and grouped by (u, f(w)); ``ids`` are the output
+    ids f(w). mu[k * q + a] is the multiplier of symbol a at coordinate k."""
 
     def __init__(self, channel: ChannelSpec, p: Distribution, m: int):
         s, q = channel.s, channel.q
         pf = np.array(p.as_floats())
         self.m, self.mq, self.p_flat = m, m * q, np.tile(pf, s)
         self.words = [w for w in _input_words(channel) if all(pf[a] > 0 for a in w)]
-        self.outs = _outputs_for(channel, self.words)
         W = np.array(self.words)
+        self.ids = output_ids(channel, W.T).tolist()
         log_p = np.log(np.where(pf > 0, pf, 1.0))[W]  # no kept word has a zero symbol
         self.lp, self.lp_h = log_p.sum(axis=1), log_p[:, :m].sum(axis=1)
         self.X = np.zeros((len(W), s * q))
         self.X[np.arange(len(W))[:, None], np.arange(s) * q + W] = 1.0
         index: dict = {}
         self.group = np.array([index.setdefault((w[m:], z), len(index))
-                               for w, z in zip(self.words, self.outs)])
+                               for w, z in zip(self.words, self.ids)])
         self.members = self.group == np.arange(len(index))[:, None]
         self.first = np.unique(self.group, return_index=True)[1]
         # mu is defined up to a shift per coordinate, so the last supported
@@ -251,8 +247,8 @@ def exponent(channel: ChannelSpec, p: Distribution, R: float,
     """Random-coding error exponent: min over m of the minimum over tau of
     H + [I_m - mR]^+, evaluated as min over m of the dual E_m(R)."""
     ensemble = _check_args(channel, p, ensemble)
-    if R < 0:
-        raise InvalidParametersError(f"rate must be nonnegative, got {R}")
+    if not (math.isfinite(R) and R >= 0):
+        raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")
 
     def solved(m):
         split = _Split(channel, p, m)
@@ -262,13 +258,13 @@ def exponent(channel: ChannelSpec, p: Distribution, R: float,
         return split.dual(lam, mu, R), split, lam, mu
 
     value, split, lam, mu = min(map(solved, range(1, channel.s + 1)), key=lambda c: c[0])
-    value = max(value, 0.0)
+    value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
     pt = split.solve(lam, mu)
     primal = pt.H + max(pt.I - split.m * R, 0.0)
     residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value
     tau_star = JointDistribution({
-        (w, z): float(t) for w, z, t in zip(split.words, split.outs, pt.tau)})
+        (w, channel.outputs[z]): float(t) for w, z, t in zip(split.words, split.ids, pt.tau)})
     return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
                           tau_star=tau_star,
                           converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,
@@ -288,5 +284,5 @@ def rate_lower_bound_general(channel: ChannelSpec, p: Distribution,
         mu = np.zeros_like(split.p_flat)
         if ensemble == "fc":
             _, mu = split.fc_multipliers(0.0, (1.0, 1.0), 1.0)
-        best = min(best, max(split.dual(1.0, mu, 0.0), 0.0) / (s + m - 1))
+        best = min(best, max(0.0, split.dual(1.0, mu, 0.0)) / (s + m - 1))
     return best

@@ -126,7 +126,8 @@ def _output_rows(code: Code, s: int, channel: ChannelSpec) -> tuple[np.ndarray, 
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
     x, msgs = code.symbols(), _index_sets(code.t, [s])
-    return msgs, np.concatenate([output_ids(channel, x, b) for b in _blocks(msgs, s * code.N)])
+    return msgs, np.concatenate([output_ids(channel, (x[c] for c in b.T))
+                                 for b in _blocks(msgs, s * code.N)])
 
 
 def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:

@@ -1,24 +1,29 @@
 """Pure-Python reference implementations for differential tests.
 
-These are the object-by-object verifiers and the branch-and-bound search
-that the integer channel kernel replaced: every message builds its output
-word from column multisets, types and channel table lookups, and every
-search node recomputes the outputs of all messages of its code. They are
-slow and simple on purpose; nothing under ``src/`` imports them.
+These are the object-by-object verifiers, the branch-and-bound search and
+the output entropy that the integer channel kernel replaced: every message
+builds its output word from column multisets, types and channel table
+lookups, every search node recomputes the outputs of all messages of its
+code, and the output law sums composition probabilities per output symbol.
+They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import log
 from typing import Sequence
 
+from sepmac.bounds import Distribution, multinomial
 from sepmac.channels import ChannelSpec, OutputWord, eval_channel
 from sepmac.core import (
     Code,
+    Composition,
     InvalidParametersError,
     Message,
     column_multiset,
+    compositions,
     enumerate_messages,
     message_count,
     type_of,
@@ -167,3 +172,27 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int) -> SearchResul
 
     extend([], 0)
     return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")
+
+
+def composition_probability(comp: Composition, p: Distribution) -> Fraction | float:
+    """Probability that s i.i.d. symbols with law p realize this type."""
+    prob = multinomial(comp.s, comp.counts)
+    for a, c in enumerate(comp.counts):
+        if c:
+            prob *= p.probs[a] ** c
+    return prob
+
+
+def entropy_output(channel: ChannelSpec, p: Distribution) -> float:
+    """Shannon entropy (nats) of the channel output for i.i.d. inputs ~ p."""
+    if p.q != channel.q:
+        raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
+    out_prob: dict = {}
+    for comp in compositions(channel.s, channel.q):
+        z = eval_channel(channel, comp)
+        out_prob[z] = out_prob.get(z, 0) + float(composition_probability(comp, p))
+    h = 0.0
+    for pr in out_prob.values():
+        if pr > 0:
+            h -= pr * log(pr)
+    return h

@@ -38,7 +38,8 @@ def test_entropy_output_degenerate():
     for name in ("A", "B", "eras"):
         ch = make_channel(name, 3, 3)
         p = Distribution((1, 0, 0))
-        assert entropy_output(ch, p) == 0.0
+        h = entropy_output(ch, p)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def test_entropy_rejects_bad_distribution():
@@ -46,6 +47,8 @@ def test_entropy_rejects_bad_distribution():
         Distribution((0.5, 0.6))
     with pytest.raises(InvalidParametersError):
         Distribution((-0.1, 1.1))
+    with pytest.raises(InvalidParametersError):
+        Distribution((math.nan, 0.5))
 
 
 def test_disjunctive_capacity():

@@ -24,6 +24,12 @@ def run(capsys, argv):
     return rc, out
 
 
+def run_err(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
 def run_json(capsys, argv):
     rc, out = run(capsys, argv)
     return rc, json.loads(out)
@@ -148,6 +154,18 @@ def test_verify_limit_exit_code(capsys, code_file, prop):
     assert rc == 3 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--kind", "entropy", "--channel", "B", "--s", "2", "--q", "300"],
+    ["verify", "--s", "2", "--channel", "B", "--separable"]])
+def test_channel_kernel_limit_exit_code(capsys, code_file, argv):
+    # C(302, 2) * 300 = 13,635,300 kernel cells: refused before any is built
+    if argv[0] == "verify":
+        argv = argv + ["--code", code_file(format_code(
+            Code.from_columns(300, [(0,), (1,), (299,)])))]
+    rc, out = run(capsys, argv)
+    assert rc == 3 and out == ""
+
+
 def test_gen_reproducible(capsys, tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     for path in (a, b):
@@ -186,6 +204,14 @@ def test_reduce_roundtrip(capsys, tmp_path, code_file):
     assert rec["payload"]["N"] == 4
 
 
+def test_reduce_to_larger_alphabet(capsys, tmp_path, code_file):
+    code_path = code_file(format_code(Code.from_columns(3, [(0, 2), (1, 1)])))
+    for q in ("3", "4"):
+        rc, out = run(capsys, ["reduce", "--code", code_path, "--q", q,
+                               "--out", str(tmp_path / "red.txt")])
+        assert rc == 2 and out == ""
+
+
 def test_decode(capsys, tmp_path, code_file):
     code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
     z = tmp_path / "z.txt"
@@ -193,6 +219,48 @@ def test_decode(capsys, tmp_path, code_file):
     rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
     assert rc == 0
     assert rec["payload"]["decoded"] == [2, 3]
+
+
+def test_decode_wrong_length(capsys, tmp_path, code_file):
+    code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
+    z = tmp_path / "z.txt"
+    z.write_text("0,1\n1\n0\n")
+    rc, out = run(capsys, ["decode", "--code", code_path, "--z", str(z)])
+    assert rc == 2 and out == ""
+
+
+def test_table1_empty_qprime_range(capsys):
+    rc, out = run(capsys, ["table1", "--qprime-max", "1"])
+    assert rc == 2 and out == ""
+
+
+def test_search_channel_s_mismatch(capsys, tmp_path):
+    ch = tmp_path / "chan.txt"
+    ch.write_text("2 2 2\n2 0 -> 0\n1 1 -> 1\n0 2 -> 1\n")
+    rc, out = run(capsys, ["search", "--channel", f"custom:{ch}", "--s", "3",
+                           "--q", "2", "--N", "2"])
+    assert rc == 2 and out == ""
+
+
+def test_unknown_threshold_channel(capsys):
+    rc, out, err = run_err(capsys, ["search", "--channel", "thr:x", "--s", "2",
+                                    "--q", "2", "--N", "2"])
+    assert rc == 2 and out == ""
+    assert "unknown channel name 'thr:x'" in err
+
+
+@pytest.mark.parametrize("probs", ["0.5,0.5000000001", "0.5,x", "nan,0.5"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--ensemble", "cr", "--N", "2", "--t", "2", "--out"],
+    ["exponent", "--channel", "B", "--s", "2", "--R", "0.1"]])
+def test_p_usage_error(capsys, tmp_path, command, probs):
+    if command[0] == "gen":
+        command = command + [str(tmp_path / "code.txt")]
+    rc, out, err = run_err(capsys, command + ["--q", "2", "--p", probs])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: --p")
+    if probs == "0.5,0.5000000001":
+        assert "sum to 1.0000000001" in err
 
 
 def test_exponent_csv(capsys):

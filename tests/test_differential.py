@@ -1,6 +1,6 @@
-"""Differential tests: the integer channel kernel, the row-mask cover tests
-and the incremental search against the pure-Python reference in
-``reference.py``."""
+"""Differential tests: the integer channel kernel, its output law, the
+row-mask cover tests and the incremental search against the pure-Python
+reference in ``reference.py``."""
 
 import random
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
+from sepmac.bounds import Distribution, entropy_output
 from sepmac.channels import make_channel, output_word, validate_symmetric
 from sepmac.core import Code, compositions, enumerate_messages
 from sepmac.construct import max_code_search
@@ -55,6 +56,24 @@ def test_separable_matches_reference(case):
     assert error_fraction(code, s, ch) == ref.error_fraction(code, s, ch)
     for e in enumerate_messages(code.t, s):
         assert output_word(ch, code, e) == ref.output_word(ch, code, e)
+
+
+@st.composite
+def channel_laws(draw):
+    """A channel of a drawn kind and an input law, often with zero entries."""
+    kind = draw(st.sampled_from(KINDS))
+    q = 2 if kind in ("thr", "disj") else draw(st.integers(2, 4))
+    s = draw(st.integers(1, 4))
+    w = draw(st.lists(st.integers(0, 5), min_size=q, max_size=q).filter(any))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return _channel(kind, s, q, rng), Distribution(tuple(x / sum(w) for x in w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_laws())
+def test_entropy_output_matches_reference(case):
+    ch, p = case
+    assert abs(entropy_output(ch, p) - ref.entropy_output(ch, p)) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)

@@ -110,8 +110,9 @@ def test_fc_at_zero_rate_b_mac():
 
 
 def test_exponent_param_checks():
-    with pytest.raises(InvalidParametersError):
-        exponent(B22, UNIF2, -0.1)
+    for R in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidParametersError):
+            exponent(B22, UNIF2, R)
     with pytest.raises(InvalidParametersError):
         exponent(B22, UNIF2, 0.1, ensemble="xx")
     big = make_channel("B", 4, 2)
@@ -174,6 +175,12 @@ def test_zero_probability_symbol():
     # the polytope solver reported 0.553927158 here, unconverged
     assert 0.553927158 - 1e-6 <= cr.value <= 0.553927158
     assert cr.converged and fc.converged
+
+
+def test_degenerate_input_gives_positive_zero():
+    p = Distribution((1, 0))
+    for value in (exponent(B22, p, 0.1).value, rate_lower_bound_general(B22, p)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_exponent_q_mismatch():
