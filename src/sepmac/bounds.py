@@ -152,16 +152,14 @@ def comb_upper_bound(s: int, q: int) -> float:
 
 def P_term(q: int, s: int, L: int) -> Fraction:
     """Exact probability that L uniform symbols all lie in the support of
-    s uniform symbols, via the inclusion-exclusion closed form."""
+    s uniform symbols, via the inclusion-exclusion closed form
+    sum_m C(q,m) m^L sum_k (-1)^k C(m,k) (m-k)^s / q^(s+L)."""
     if q < 2 or s < 1 or L < 1:
         raise InvalidParametersError(f"need q >= 2, s >= 1, L >= 1, got {(q, s, L)}")
-    total = Fraction(0)
-    for m in range(1, min(q, s) + 1):
-        inner = Fraction(0)
-        for k in range(m + 1):
-            inner += (-1) ** k * comb(m, k) * Fraction((m - k) ** s, q ** s)
-        total += comb(q, m) * Fraction(m, q) ** L * inner
-    return total
+    hits = sum(comb(q, m) * m ** L * sum((-1) ** k * comb(m, k) * (m - k) ** s
+                                         for k in range(m + 1))
+               for m in range(1, min(q, s) + 1))
+    return Fraction(hits, q ** (s + L))
 
 
 def P_term_enumerate(q: int, s: int, L: int) -> Fraction:

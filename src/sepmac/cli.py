@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
-0 success / property holds, 1 property fails, 2 usage error,
-3 size limit (the desk-scale guards of channels, search, verify and exponent).
+0 success / property holds, 1 property fails, 2 usage error (a bad option
+or value, an unreadable or malformed file, a decode symbol outside the
+alphabet), 3 size limit (the desk-scale guards of channels, search, verify
+and exponent). `main` parses, starts the clock, runs the command and maps
+its errors to these codes; commands call the library and `_emit` the result.
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
 """
@@ -17,8 +20,8 @@ import sys
 import time
 
 from . import __version__
-from .core import InvalidParametersError, SizeLimitError, load_code, save_code, CodeFileError
-from .channels import load_channel, make_channel, ChannelFileError
+from .core import InvalidParametersError, SizeLimitError, load_code, save_code
+from .channels import load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
 from . import exponent as expm
@@ -36,18 +39,30 @@ class UsageError(Exception):
     pass
 
 
+def _values(option: str, text: str, kind=float) -> tuple:
+    """The comma-separated values of an option or environment variable."""
+    try:
+        return tuple(map(kind, text.split(",")))
+    except ValueError as exc:  # its message names the bad value
+        raise UsageError(f"{option} {text}: {exc}") from None
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("SEPMAC_SEED", "0"))
+    text = os.environ.get("SEPMAC_SEED", "0")
+    seed = _values("SEPMAC_SEED", text, int)
+    if len(seed) != 1:
+        raise UsageError(f"SEPMAC_SEED {text}: expected one integer")
+    return seed[0]
 
 
-def _emit(command: str, params: dict, payload: dict, started: float) -> None:
+def _emit(args, params: dict, payload: dict) -> None:
     record = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "params": params,
         "payload": payload,
-        "wall_time_s": round(time.monotonic() - started, 6),
+        "wall_time_s": round(time.monotonic() - args.started, 6),
     }
     json.dump(record, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
@@ -71,8 +86,8 @@ def _distribution_from_args(args) -> bnd.Distribution:
     if not args.p:
         return bnd.Distribution(tuple(1.0 / args.q for _ in range(args.q)))
     try:
-        return bnd.Distribution(tuple(float(x) for x in args.p.split(",")))
-    except ValueError as exc:  # a non-number, or a law Distribution rejects
+        return bnd.Distribution(_values("--p", args.p))
+    except InvalidParametersError as exc:
         raise UsageError(f"--p {args.p}: {exc}") from None
 
 
@@ -80,83 +95,53 @@ def _distribution_from_args(args) -> bnd.Distribution:
 
 
 def cmd_verify(args) -> int:
-    started = time.monotonic()
     code = load_code(args.code)
-    s = args.s
-    flags = [name for name in ("separable", "le_separable", "frameproof", "hash")
-             if getattr(args, name)]
-    if args.list is not None:
-        flags.append("list")
-    if len(flags) != 1:
-        raise UsageError("exactly one property flag is required")
-    prop = flags[0]
-
-    channel_free = prop in ("le_separable", "frameproof", "hash", "list")
-    if channel_free and args.channel is not None:
+    s, prop = args.s, args.property
+    if prop != "separable" and args.channel is not None:
         raise UsageError(f"--{prop.replace('_', '-')} is channel-free; drop --channel")
 
     if prop == "separable":
-        channel = _channel_from_args(args, s, code.q)
-        verdict = vfy.is_separable(code, s, channel)
-    elif prop == "le_separable":
-        verdict = vfy.is_at_most_s_separable(code, s)
-    elif prop == "frameproof":
-        verdict = vfy.is_frameproof(code, s)
-    elif prop == "hash":
-        verdict = vfy.is_hash(code, s)
+        verdict = vfy.is_separable(code, s, _channel_from_args(args, s, code.q))
+    elif prop == "list":
+        verdict = vfy.is_list_decoding(code, s, args.L)
     else:
-        verdict = vfy.is_list_decoding(code, s, args.list)
+        verdict = {"le_separable": vfy.is_at_most_s_separable, "frameproof": vfy.is_frameproof,
+                   "hash": vfy.is_hash}[prop](code, s)
 
     params = {"code": args.code, "s": s, "property": prop}
-    if args.list is not None:
-        params["L"] = args.list
+    if args.L is not None:
+        params["L"] = args.L
     if args.channel is not None:
         params["channel"] = args.channel
-    payload = {"property": prop, **verdict.to_dict()}
-    _emit("verify", params, payload, started)
+    _emit(args, params, {"property": prop, **verdict.to_dict()})
     return EXIT_OK if verdict.holds else EXIT_FAIL
 
 
 def cmd_bound(args) -> int:
-    started = time.monotonic()
-    kind = args.kind
-    s, q, L = args.s, args.q, args.L
-    scale = 1.0 / math.log(2) if args.bits else 1.0
-    unit = "bits" if args.bits else "nats"
+    kind, s, q, L = args.kind, args.s, args.q, args.L
+    if kind.startswith("ld-") and L is None:
+        raise UsageError(f"--L is required for {kind}")
 
     if kind == "entropy":
-        channel = _channel_from_args(args, s, q)
-        report = bnd.capacity_entropy_bound(channel, seed=_default_seed())
-    elif kind == "b-capacity":
-        report = bnd.BoundReport("b-capacity", bnd.capacity_B_closed_form(s, q),
-                                 {"s": s, "q": q})
-    elif kind == "comb-upper":
-        report = bnd.BoundReport("comb-upper", bnd.comb_upper_bound(s, q),
-                                 {"s": s, "q": q})
+        report = bnd.capacity_entropy_bound(_channel_from_args(args, s, q), seed=_default_seed())
     elif kind == "ld-lower":
-        if L is None:
-            raise UsageError("--L is required for ld-lower")
         report = bnd.lower_bound_LD(s, L, q, qprime_max=args.qprime_max)
     elif kind == "ld-upper":
-        if L is None:
-            raise UsageError("--L is required for ld-upper")
-        report = bnd.BoundReport("ld-upper", bnd.upper_bound_LD(s, L, q),
-                                 {"s": s, "L": L, "q": q})
-    elif kind == "a-upper":
-        report = bnd.BoundReport("a-upper", bnd.upper_bound_A(s, q), {"s": s, "q": q})
+        report = bnd.BoundReport(kind, bnd.upper_bound_LD(s, L, q), {"s": s, "L": L, "q": q})
     else:
-        raise UsageError(f"unknown bound kind {kind!r}")
+        value = {"b-capacity": bnd.capacity_B_closed_form, "comb-upper": bnd.comb_upper_bound,
+                 "a-upper": bnd.upper_bound_A}[kind](s, q)
+        report = bnd.BoundReport(kind, value, {"s": s, "q": q})
 
     payload = report.to_dict()
-    payload["value"] = payload["value"] * scale
-    payload["unit"] = unit
-    _emit("bound", {"kind": kind, "s": s, "q": q, "L": L, "bits": args.bits},
-          payload, started)
+    if args.bits:
+        payload["value"] *= 1.0 / math.log(2)
+    payload["unit"] = "bits" if args.bits else "nats"
+    _emit(args, {"kind": kind, "s": s, "q": q, "L": L, "bits": args.bits}, payload)
     return EXIT_OK
 
 
 def cmd_table1(args) -> int:
-    started = time.monotonic()
     rows = ["s,L,q,lower_bound,qprime_argmax,upper_bound"]
     for q in (2, 3):
         for L in (1, 2):
@@ -165,25 +150,22 @@ def cmd_table1(args) -> int:
                 up = bnd.upper_bound_LD(s, L, q)
                 rows.append(f"{s},{L},{q},{rep.value:.4f},{rep.witness},{up:.4f}")
     sys.stdout.write("\n".join(rows) + "\n")
-    print(f"table1 done in {time.monotonic() - started:.2f}s", file=sys.stderr)
+    print(f"table1 done in {time.monotonic() - args.started:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    started = time.monotonic()
     channel = _channel_from_args(args, args.s, args.q)
     result = cst.max_code_search(channel, args.s, args.q, args.N,
                                  mode=args.mode, seed=_default_seed())
     if args.out:
         save_code(result.code, args.out)
-    _emit("search", {"channel": args.channel, "s": args.s, "q": args.q,
-                     "N": args.N, "mode": args.mode},
-          result.to_dict(), started)
+    _emit(args, {"channel": args.channel, "s": args.s, "q": args.q, "N": args.N,
+                 "mode": args.mode}, result.to_dict())
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    started = time.monotonic()
     seed = args.seed if args.seed is not None else _default_seed()
     if args.ensemble == "cr":
         spec = cst.EnsembleSpec("cr", args.q, args.N, args.t,
@@ -191,52 +173,43 @@ def cmd_gen(args) -> int:
     else:
         if not args.composition:
             raise UsageError("--composition is required for the fc ensemble")
-        comp = tuple(int(x) for x in args.composition.split(","))
-        spec = cst.EnsembleSpec("fc", args.q, args.N, args.t, composition=comp, seed=seed)
-    code = cst.random_code(spec)
-    save_code(code, args.out)
-    _emit("gen", {"ensemble": args.ensemble, "q": args.q, "N": args.N,
-                  "t": args.t, "seed": seed},
-          {"out": args.out}, started)
+        spec = cst.EnsembleSpec("fc", args.q, args.N, args.t,
+                                composition=_values("--composition", args.composition, int),
+                                seed=seed)
+    save_code(cst.random_code(spec), args.out)
+    _emit(args, {"ensemble": args.ensemble, "q": args.q, "N": args.N, "t": args.t,
+                 "seed": seed}, {"out": args.out})
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    started = time.monotonic()
-    code = load_code(args.code)
-    reduced = cst.reduce_alphabet(code, args.q)
+    reduced = cst.reduce_alphabet(load_code(args.code), args.q)
     save_code(reduced, args.out)
-    _emit("reduce", {"code": args.code, "q": args.q},
-          {"out": args.out, "N": reduced.N, "t": reduced.t, "q": reduced.q}, started)
+    _emit(args, {"code": args.code, "q": args.q},
+          {"out": args.out, "N": reduced.N, "t": reduced.t, "q": reduced.q})
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    started = time.monotonic()
     code = load_code(args.code)
     with open(args.z, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    z = []
-    for ln in lines:
-        members = sorted(int(x) for x in ln.replace("{", "").replace("}", "").split(",") if x != "")
-        z.append(members)
-    decoded = sorted(vfy.factor_decode(code, z))
-    _emit("decode", {"code": args.code, "z": args.z},
-          {"decoded": decoded}, started)
+        rows = [ln.strip().replace("{", "").replace("}", "") for ln in fh
+                if ln.strip() and not ln.startswith("#")]
+    z = [_values("--z", row, int) if row else () for row in rows]
+    _emit(args, {"code": args.code, "z": args.z},
+          {"decoded": sorted(vfy.factor_decode(code, z))})
     return EXIT_OK
 
 
 def cmd_exponent(args) -> int:
-    started = time.monotonic()
     channel = _channel_from_args(args, args.s, args.q)
     dist = _distribution_from_args(args)
     rows = ["R,E"]
-    r_values = [float(x) for x in args.R.split(",")]
-    for r in r_values:
+    for r in _values("--R", args.R):
         rep = expm.exponent(channel, dist, r, ensemble=args.ensemble)
         rows.append(f"{r:.6f},{rep.value:.6f}")
     sys.stdout.write("\n".join(rows) + "\n")
-    print(f"exponent sweep done in {time.monotonic() - started:.2f}s", file=sys.stderr)
+    print(f"exponent sweep done in {time.monotonic() - args.started:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -253,12 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--channel")
-    p.add_argument("--separable", action="store_true")
-    p.add_argument("--le-separable", dest="le_separable", action="store_true")
-    p.add_argument("--frameproof", action="store_true")
-    p.add_argument("--hash", action="store_true")
-    p.add_argument("--list", type=int, metavar="L")
-    p.set_defaults(func=cmd_verify)
+    prop = p.add_mutually_exclusive_group(required=True)
+    for flag in ("separable", "le-separable", "frameproof", "hash"):
+        prop.add_argument(f"--{flag}", dest="property", action="store_const",
+                          const=flag.replace("-", "_"))
+    prop.add_argument("--list", dest="L", type=int, metavar="L")
+    # the required group leaves the property at this default only for --list
+    p.set_defaults(func=cmd_verify, property="list")
 
     p = sub.add_parser("bound", help="compute a rate/capacity bound")
     p.add_argument("--kind", required=True,
@@ -321,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except UsageError as exc:
@@ -334,8 +308,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (CodeFileError, ChannelFileError, InvalidParametersError, ValueError,
-            FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # bad files and parameters, unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

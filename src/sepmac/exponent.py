@@ -209,37 +209,35 @@ class _Split:
     def dual(self, lam: float, mu: np.ndarray, R: float) -> float:
         return self.solve(lam, mu).e0 - float(mu @ self.p_flat) - lam * self.m * R
 
-    def cr_multipliers(self, R: float) -> tuple[float, np.ndarray]:
-        """The maximizing lam at mu = 0. The dual is concave in lam with
-        slope I_m(tau) - mR at the tau attaining E0."""
+    def maximize(self, R: float, ensemble: str) -> tuple[float, float, np.ndarray]:
+        """E_m(R), the maximum of the dual, with its (lam, mu). The dual is
+        concave in lam with slope I_m(tau) - mR at the tau attaining E0, so
+        at mu = 0 (cr) lam is a root find; fc then solves over (lam, mu) from
+        there, with gradient (I_m - mR, marginals - p)."""
         mu = np.zeros_like(self.p_flat)
 
         def slope(lam):
             return self.solve(lam, mu).I - self.m * R
 
         if slope(0.0) <= 0:
-            return 0.0, mu
-        if slope(1.0) >= 0:
-            return 1.0, mu
-        return brentq(slope, 0.0, 1.0, xtol=1e-15), mu
+            lam = 0.0
+        elif slope(1.0) >= 0:
+            lam = 1.0
+        else:
+            lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
+        if ensemble == "fc":
+            def neg_dual(x):
+                mu[self.free] = x[1:]
+                pt = self.solve(x[0], mu)
+                grad = np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
+                return -(pt.e0 - mu @ self.p_flat - x[0] * self.m * R), -grad
 
-    def fc_multipliers(self, R: float, lam_bounds: tuple[float, float],
-                       lam0: float) -> tuple[float, np.ndarray]:
-        """The maximizing (lam, mu); the dual's gradient is
-        (I_m - mR, marginals - p) at the tau attaining E0."""
-        mu = np.zeros_like(self.p_flat)
-
-        def neg_dual(x):
-            mu[self.free] = x[1:]
-            pt = self.solve(x[0], mu)
-            grad = np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
-            return -(pt.e0 - mu @ self.p_flat - x[0] * self.m * R), -grad
-
-        res = minimize(neg_dual, np.r_[lam0, np.zeros(len(self.free))], jac=True,
-                       method="L-BFGS-B", bounds=[lam_bounds] + [(None, None)] * len(self.free),
-                       options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
-        mu[self.free] = res.x[1:]
-        return float(res.x[0]), mu
+            res = minimize(neg_dual, np.r_[lam, np.zeros(len(self.free))], jac=True,
+                           method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(self.free),
+                           options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
+            lam = float(res.x[0])
+            mu[self.free] = res.x[1:]
+        return self.dual(lam, mu, R), lam, mu
 
 
 def exponent(channel: ChannelSpec, p: Distribution, R: float,
@@ -252,12 +250,9 @@ def exponent(channel: ChannelSpec, p: Distribution, R: float,
 
     def solved(m):
         split = _Split(channel, p, m)
-        lam, mu = split.cr_multipliers(R)
-        if ensemble == "fc":
-            lam, mu = split.fc_multipliers(R, (0.0, 1.0), lam)
-        return split.dual(lam, mu, R), split, lam, mu
+        return (*split.maximize(R, ensemble), split)
 
-    value, split, lam, mu = min(map(solved, range(1, channel.s + 1)), key=lambda c: c[0])
+    value, lam, mu, split = min(map(solved, range(1, channel.s + 1)), key=lambda c: c[0])
     value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
     pt = split.solve(lam, mu)
     primal = pt.H + max(pt.I - split.m * R, 0.0)
@@ -275,14 +270,8 @@ def rate_lower_bound_general(channel: ChannelSpec, p: Distribution,
                              ensemble: str = "cr") -> float:
     """General random-coding lower bound on the separable-code rate:
     min over m of min_tau (H + I_m) / (s + m - 1), the inner minimum being
-    the dual at lam = 1 and R = 0."""
+    E_m(0); the dual's slope in lam is I_m >= 0 there, so lam* = 1."""
     ensemble = _check_args(channel, p, ensemble)
     s = channel.s
-    best = math.inf
-    for m in range(1, s + 1):
-        split = _Split(channel, p, m)
-        mu = np.zeros_like(split.p_flat)
-        if ensemble == "fc":
-            _, mu = split.fc_multipliers(0.0, (1.0, 1.0), 1.0)
-        best = min(best, max(0.0, split.dual(1.0, mu, 0.0)) / (s + m - 1))
-    return best
+    return min(max(0.0, _Split(channel, p, m).maximize(0.0, ensemble)[0]) / (s + m - 1)
+               for m in range(1, s + 1))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Code, InvalidParametersError, SizeLimitError
+from .core import Code, InvalidParametersError, SizeLimitError, _check_word
 from .channels import ChannelSpec, OutputWord, output_ids
 
 
@@ -225,12 +225,13 @@ def is_list_decoding(code: Code, s: int, L: int) -> Verdict:
 
 def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     """All codeword indices covered by the observed union word ``z``
-    (a sequence of N alphabet subsets)."""
+    (a sequence of N subsets of 0..q-1; any other symbol is an error)."""
     if len(z) != code.N:
         raise InvalidParametersError(f"output word length {len(z)} != code length {code.N}")
     masks = _masks(code)
-    union = np.array([[sum(1 << a for a in set(zi) if 0 <= a < code.q) for zi in z]],
-                     dtype=masks.dtype)
+    for zi in z:
+        _check_word(zi, code.q)
+    union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=masks.dtype)
     return set((np.flatnonzero(_covered(masks, union)[0]) + 1).tolist())
 
 

@@ -5,6 +5,7 @@ the output entropy that the integer channel kernel replaced: every message
 builds its output word from column multisets, types and channel table
 lookups, every search node recomputes the outputs of all messages of its
 code, and the output law sums composition probabilities per output symbol.
+The list-decoding P_term adds one Fraction per inclusion-exclusion term.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import log
+from math import comb, log
 from typing import Sequence
 
 from sepmac.bounds import Distribution, multinomial
@@ -196,3 +197,14 @@ def entropy_output(channel: ChannelSpec, p: Distribution) -> float:
         if pr > 0:
             h -= pr * log(pr)
     return h
+
+
+def P_term(q: int, s: int, L: int) -> Fraction:
+    """The inclusion-exclusion sum for P_term, one Fraction per term."""
+    total = Fraction(0)
+    for m in range(1, min(q, s) + 1):
+        inner = Fraction(0)
+        for k in range(m + 1):
+            inner += (-1) ** k * comb(m, k) * Fraction((m - k) ** s, q ** s)
+        total += comb(q, m) * Fraction(m, q) ** L * inner
+    return total

@@ -263,6 +263,42 @@ def test_p_usage_error(capsys, tmp_path, command, probs):
         assert "sum to 1.0000000001" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--code", "{dir}", "--s", "2", "--frameproof"],
+    ["gen", "--ensemble", "cr", "--q", "2", "--N", "2", "--t", "2", "--out", "{dir}"]])
+def test_directory_path_exit_code(capsys, tmp_path, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    rc, out, err = run_err(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--R", ["exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.1,abc"]),
+    ("--composition", ["gen", "--ensemble", "fc", "--q", "2", "--N", "2", "--t", "2",
+                       "--composition", "a,b", "--out", "{dir}/code.txt"]),
+    ("--z", ["decode", "--code", "{dir}/code.txt", "--z", "{dir}/z.txt"]),
+    ("SEPMAC_SEED", ["gen", "--ensemble", "cr", "--q", "2", "--N", "2", "--t", "2",
+                     "--out", "{dir}/code.txt"])])
+def test_bad_value_names_option(capsys, tmp_path, monkeypatch, option, argv):
+    (tmp_path / "code.txt").write_text(SEP_CODE)
+    (tmp_path / "z.txt").write_text("0,1\n0,x\n")
+    if option == "SEPMAC_SEED":
+        monkeypatch.setenv("SEPMAC_SEED", "x")
+    rc, out, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"usage error: {option}")
+
+
+def test_decode_symbol_outside_alphabet(capsys, tmp_path, code_file):
+    code_path = code_file(SEP_CODE)
+    z = tmp_path / "z.txt"
+    z.write_text("0,7\n0\n")
+    rc, out, err = run_err(capsys, ["decode", "--code", code_path, "--z", str(z)])
+    assert rc == 2 and out == ""
+    assert "symbol 7 outside alphabet of size 2" in err
+
+
 def test_exponent_csv(capsys):
     rc, out = run(capsys, [
         "exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.0,0.3"])

@@ -1,6 +1,6 @@
 """Differential tests: the integer channel kernel, its output law, the
-row-mask cover tests and the incremental search against the pure-Python
-reference in ``reference.py``."""
+row-mask cover tests, the incremental search and the integer P_term against
+the pure-Python reference in ``reference.py``."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from sepmac.bounds import Distribution, entropy_output
+from sepmac.bounds import Distribution, P_term, entropy_output
 from sepmac.channels import make_channel, output_word, validate_symmetric
 from sepmac.core import Code, compositions, enumerate_messages
 from sepmac.construct import max_code_search
@@ -91,6 +91,14 @@ def test_cover_tests_match_reference(case, L, data):
                                min_size=code.N, max_size=code.N))
     z = [set(u) | e for u, e in zip(ref.union_word(code, sorted(set(members))), extra)]
     assert factor_decode(code, z) == ref.factor_decode(code, z)
+
+
+def test_P_term_matches_reference():
+    # the range table1 evaluates: q' <= 64, s <= 6, L <= 2
+    for q in range(2, 65):
+        for s in range(1, 7):
+            for L in (1, 2):
+                assert P_term(q, s, L) == ref.P_term(q, s, L), (q, s, L)
 
 
 def _search_instances():

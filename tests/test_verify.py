@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from sepmac.core import Code, InvalidParametersError, Message, SizeLimitError, enumerate_messages
+from sepmac.core import (
+    Code,
+    InvalidParametersError,
+    InvalidSymbolError,
+    Message,
+    SizeLimitError,
+    enumerate_messages,
+)
 from sepmac.channels import make_channel, output_word
 from sepmac.construct import EnsembleSpec, random_code
 from sepmac.verify import (
@@ -124,6 +131,9 @@ def test_factor_decode():
     assert factor_decode(code, [(1,), (1,)]) == {2}
     with pytest.raises(InvalidParametersError):
         factor_decode(code, [(0,)])
+    for z in ([(0, 7), (1,)], [(0,), (-1,)]):
+        with pytest.raises(InvalidSymbolError):
+            factor_decode(code, z)
 
 
 def test_factor_decode_contains_message():
