@@ -7,7 +7,6 @@ cancels badly in floats); the logarithm is taken only at the final step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,8 @@ from scipy.optimize import minimize
 
 from .core import InvalidParametersError, SizeLimitError, compositions
 from .channels import ChannelSpec, output_law
+
+LD_TERM_GUARD = 10 ** 6  # inclusion-exclusion terms lower_bound_LD may sum
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,12 @@ class BoundReport:
                 w = [float(x) for x in w.probs]
             d["witness"] = w
         if self.exact is not None:
-            d["exact"] = f"{self.exact.numerator}/{self.exact.denominator}"
+            try:
+                d["exact"] = f"{self.exact.numerator}/{self.exact.denominator}"
+            except ValueError:  # the interpreter's limit on int-to-str digits
+                digits = int(math.log10(self.exact.denominator)) + 1
+                raise SizeLimitError(f"exact value too large to print: its denominator has "
+                                     f"{digits} decimal digits") from None
         if self.approximate:
             d["approximate"] = True
         return d
@@ -162,16 +168,6 @@ def P_term(q: int, s: int, L: int) -> Fraction:
     return Fraction(hits, q ** (s + L))
 
 
-def P_term_enumerate(q: int, s: int, L: int) -> Fraction:
-    """Brute-force oracle for P_term over all q^(s+L) symbol tuples."""
-    good = 0
-    for xs in itertools.product(range(q), repeat=s):
-        support = set(xs)
-        hits = sum(1 for a in range(q) if a in support)
-        good += hits ** L
-    return Fraction(good, q ** (s + L))
-
-
 def k_factor(q: int, qprime: int) -> int:
     """Length blow-up of the alphabet-reduction construction."""
     if qprime < q or q < 2:
@@ -188,6 +184,10 @@ def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:
         raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")
     if qprime_max < q:
         raise InvalidParametersError(f"empty search range: qprime_max={qprime_max} < q={q}")
+    terms = (qprime_max - q + 1) * min(qprime_max, s) ** 2
+    if terms > LD_TERM_GUARD:
+        raise SizeLimitError(f"instance too large: (qprime_max - q + 1) * min(qprime_max, s)^2 "
+                             f"= {terms} inclusion-exclusion terms exceed guard {LD_TERM_GUARD}")
     best_val, best_qp, best_p = -math.inf, None, None
     for qp in range(q, qprime_max + 1):
         pr = P_term(qp, s, L)
@@ -218,52 +218,3 @@ def upper_bound_A(s: int, q: int) -> float:
         raise InvalidParametersError(f"need s >= 2, q >= 2, got s={s}, q={q}")
     return (2 / s) * log(q)
 
-
-_ENUM_GUARD = 10 ** 7
-
-
-def proof_probability_estimates(q: int, m: int, s: int) -> dict:
-    """Exact desk-scale probabilities behind the random-coding estimates:
-    type collision of two uniform m-tuples vs the m!/q^m bound, and union
-    containment (m-support inside s-support) vs the (s/q)^m bound."""
-    if m < 1 or s < m:
-        raise InvalidParametersError(f"need 1 <= m <= s, got m={m}, s={s}")
-    if q ** (2 * m) > _ENUM_GUARD or q ** (m + s) > _ENUM_GUARD:
-        raise SizeLimitError(
-            f"instance too large for enumeration: q^2m={q ** (2 * m)}, q^(m+s)={q ** (m + s)}")
-
-    # collision of types of two independent uniform m-tuples
-    type_counts: dict = {}
-    for u in itertools.product(range(q), repeat=m):
-        key = tuple(sorted(u))
-        type_counts[key] = type_counts.get(key, 0) + 1
-    type_hits = sum(c * c for c in type_counts.values())
-    type_exact = Fraction(type_hits, q ** (2 * m))
-
-    return {
-        "type_collision_exact": type_exact,
-        "type_collision_bound": Fraction(factorial(m), q ** m),
-        # support of a uniform m-tuple inside the support of a uniform s-tuple
-        "union_containment_exact": P_term_enumerate(q, s, m),
-        "union_containment_bound": Fraction(s, q) ** m,
-    }
-
-
-def reference_asymptotics() -> dict:
-    """Documented reference constants/curves from prior asymptotic results.
-
-    Emitted for plotting and comparison only; nothing here is derived by the
-    toolkit. Each entry maps a name to a coefficient function of (s, L).
-    """
-    return {
-        # rate lower bound coefficients of ln q, q -> infinity
-        "B_lower_coeff": lambda s: s / (2 * s - 1),
-        "A_lower_coeff": lambda s: 2 / (s + 1),
-        "A_le_coeff": lambda s: 2 / 3 if s == 2 else 1 / (s - 1),
-        "hash_coeff": lambda s: 1 / (s - 1),
-        "frameproof_coeff": lambda s: 1 / s,
-        "ld_lower_coeff": lambda s, L: L / (s + L - 1),
-        # s -> infinity envelopes (coefficients of the displayed expressions)
-        "disj_lower": lambda s: 2 * (log(2) ** 2) / s ** 2,
-        "disj_upper": lambda s: 4 * log(s) / s ** 2,
-    }

@@ -16,15 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .core import (
-    Code,
-    Composition,
-    InvalidParametersError,
-    Message,
-    SizeLimitError,
-    compositions,
-    type_of,
-)
+from .core import Composition, InvalidParametersError, SizeLimitError, compositions, type_of
 
 KIND_A = "A"
 KIND_B = "B"
@@ -36,6 +28,14 @@ KIND_CUSTOM = "custom"
 ERASURE_MARK = "*"
 
 KERNEL_GUARD = 2 ** 20  # transition cells C(q+s, s) * q a channel may build
+
+
+def _check_kernel_size(q: int, s: int) -> None:
+    """Refuse an (s, q) whose kernel would exceed KERNEL_GUARD cells."""
+    cells = comb(q + s, s) * q
+    if cells > KERNEL_GUARD:
+        raise SizeLimitError(f"channel too large: C(q+s, s)*q = {cells} kernel cells "
+                             f"exceed guard {KERNEL_GUARD} (q={q}, s={s})")
 
 
 class NotSymmetricError(ValueError):
@@ -94,10 +94,7 @@ class ChannelSpec:
             raise InvalidParametersError(f"alphabet size must be >= 2, got {q}")
         if s < 1:
             raise InvalidParametersError(f"user count must be >= 1, got {s}")
-        cells = comb(q + s, s) * q
-        if cells > KERNEL_GUARD:
-            raise SizeLimitError(f"channel too large: C(q+s, s)*q = {cells} kernel cells "
-                                 f"exceed guard {KERNEL_GUARD} (q={q}, s={s})")
+        _check_kernel_size(q, s)
         if kind in (KIND_THRESHOLD, KIND_DISJUNCTIVE) and q != 2:
             raise InvalidParametersError(f"{kind} channel requires q=2, got q={q}")
         if kind == KIND_THRESHOLD:
@@ -171,29 +168,6 @@ def _kernel(q: int, s: int, table: dict) -> tuple[np.ndarray, np.ndarray, tuple]
     return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
 
 
-def eval_channel(channel: ChannelSpec, comp: Composition) -> OutputSymbol:
-    """Channel output for one composition of weight s."""
-    if comp.q != channel.q:
-        raise InvalidParametersError(
-            f"composition alphabet {comp.q} != channel alphabet {channel.q}")
-    if comp.s != channel.s:
-        raise InvalidParametersError(
-            f"composition weight {comp.s} != channel user count {channel.s}")
-    return channel._table[comp.counts]
-
-
-def output_word(channel: ChannelSpec, code: Code, message: Message) -> OutputWord:
-    """The N-symbol channel output for a message through a code."""
-    if code.q != channel.q:
-        raise InvalidParametersError(f"code alphabet {code.q} != channel alphabet {channel.q}")
-    if message.s != channel.s:
-        raise InvalidParametersError(f"message size {message.s} != channel user count {channel.s}")
-    if message.indices[-1] > code.t:
-        raise InvalidParametersError(f"message {message.indices} outside 1..{code.t}")
-    ids = output_ids(channel, code.symbols()[np.array(message.indices) - 1])
-    return OutputWord(tuple(channel.outputs[z] for z in ids.tolist()))
-
-
 def output_ids(channel: ChannelSpec, words) -> np.ndarray:
     """Output ids of s-words stacked on the first axis: ``words`` yields s
     symbol arrays of one shape, and the ids have that shape."""
@@ -212,25 +186,6 @@ def output_law(channel: ChannelSpec, p) -> np.ndarray:
     for _ in range(channel.s):
         law = np.bincount(channel.trans.ravel(), np.outer(law, p).ravel(), len(law))
     return np.bincount(channel.out, law, len(channel.outputs))
-
-
-def output_alphabet_size(kind: str, s: int, q: int, threshold: int | None = None) -> int:
-    """Cardinality of the output alphabet of a built-in channel."""
-    if kind == KIND_A:
-        return sum(comb(q, k) for k in range(1, min(s, q) + 1))
-    if kind == KIND_B:
-        return comb(q + s - 1, s)
-    if kind == KIND_ERASURE:
-        return q + 1
-    if kind == KIND_THRESHOLD:
-        if q != 2 or threshold is None or not 1 <= threshold <= s:
-            raise InvalidParametersError("threshold channel needs q=2 and 1 <= l <= s")
-        return 2
-    if kind == KIND_DISJUNCTIVE:
-        if q != 2:
-            raise InvalidParametersError("disjunctive channel needs q=2")
-        return 2
-    raise InvalidParametersError(f"unknown channel kind {kind!r}")
 
 
 def validate_symmetric(table: dict, s: int, q: int) -> ChannelSpec:

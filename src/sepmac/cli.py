@@ -3,8 +3,8 @@
 Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 0 success / property holds, 1 property fails, 2 usage error (a bad option
 or value, an unreadable or malformed file, a decode symbol outside the
-alphabet), 3 size limit (the desk-scale guards of channels, search, verify
-and exponent). `main` parses, starts the clock, runs the command and maps
+alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
+bounds and exponent). `main` parses, starts the clock, runs the command and maps
 its errors to these codes; commands call the library and `_emit` the result.
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .core import InvalidParametersError, SizeLimitError, load_code, save_code
-from .channels import load_channel, make_channel
+from .channels import _check_kernel_size, load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
 from . import exponent as expm
@@ -129,6 +129,10 @@ def cmd_bound(args) -> int:
     elif kind == "ld-upper":
         report = bnd.BoundReport(kind, bnd.upper_bound_LD(s, L, q), {"s": s, "L": L, "q": q})
     else:
+        # b-capacity refuses the (s, q) the B channel's kernel refuses; the
+        # bound itself names an s or q out of range
+        if kind == "b-capacity" and s >= 1 and q >= 2:
+            _check_kernel_size(q, s)
         value = {"b-capacity": bnd.capacity_B_closed_form, "comb-upper": bnd.comb_upper_bound,
                  "a-upper": bnd.upper_bound_A}[kind](s, q)
         report = bnd.BoundReport(kind, value, {"s": s, "q": q})
@@ -193,8 +197,9 @@ def cmd_reduce(args) -> int:
 def cmd_decode(args) -> int:
     code = load_code(args.code)
     with open(args.z, "r", encoding="utf-8") as fh:
-        rows = [ln.strip().replace("{", "").replace("}", "") for ln in fh
-                if ln.strip() and not ln.startswith("#")]
+        lines = [ln.strip() for ln in fh]
+    rows = [ln.replace("{", "").replace("}", "") for ln in lines
+            if ln and not ln.startswith("#")]
     z = [_values("--z", row, int) if row else () for row in rows]
     _emit(args, {"code": args.code, "z": args.z},
           {"decoded": sorted(vfy.factor_decode(code, z))})

@@ -1,4 +1,4 @@
-"""Fundamental value types: codes, messages, compositions and their types.
+"""Fundamental value types: codes, compositions and their types.
 
 Conventions used throughout the toolkit:
   * codeword indices are 1-based in every external interface;
@@ -8,9 +8,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -83,27 +81,6 @@ class Code:
 
 
 @dataclass(frozen=True)
-class Message:
-    """An s-subset of codeword indices, stored sorted and 1-based."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = self.indices
-        if not idx:
-            raise InvalidParametersError("message must be nonempty")
-        if any(i < 1 for i in idx) or list(idx) != sorted(set(idx)):
-            raise InvalidParametersError(f"message indices must be distinct, sorted, >= 1: {idx}")
-
-    @property
-    def s(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-
-@dataclass(frozen=True)
 class Composition:
     """A type: counts of each alphabet symbol in an s-word."""
 
@@ -138,29 +115,6 @@ def type_of(word: Sequence[int], q: int) -> Composition:
     for a in word:
         counts[a] += 1
     return Composition(tuple(counts))
-
-
-def column_multiset(code: Code, message: Message, row: int) -> tuple[int, ...]:
-    """The s-collection of signals at one row: {x_row(e_1), ..., x_row(e_s)},
-    canonically sorted. ``row`` is 1-based."""
-    if not 1 <= row <= code.N:
-        raise InvalidParametersError(f"row {row} outside 1..{code.N}")
-    if any(j > code.t for j in message):
-        raise InvalidParametersError(f"message {message.indices} outside 1..{code.t}")
-    r = code.entries[row - 1]
-    return tuple(sorted(r[j - 1] for j in message))
-
-
-def enumerate_messages(t: int, s: int) -> Iterator[Message]:
-    """All C(t,s) messages in lexicographic order."""
-    if not 1 <= s <= t:
-        raise InvalidParametersError(f"need 1 <= s <= t, got s={s}, t={t}")
-    for combo in itertools.combinations(range(1, t + 1), s):
-        yield Message(combo)
-
-
-def message_count(t: int, s: int) -> int:
-    return comb(t, s)
 
 
 def compositions(s: int, q: int) -> Iterator[Composition]:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .core import InvalidParametersError, SizeLimitError, type_of
-from .channels import ChannelSpec, eval_channel, output_ids
+from .core import InvalidParametersError, SizeLimitError
+from .channels import ChannelSpec, output_ids
 from .bounds import Distribution
 
 DESK_S = 3
@@ -43,29 +43,16 @@ def _check_desk_scale(channel: ChannelSpec) -> None:
 
 
 @dataclass(frozen=True)
-class JointDistribution:
-    """A distribution on input words x output symbols, supported on the
-    channel graph {(x, f(x))}. Stored as a map (word, output) -> weight."""
-
-    tau: dict
-
-    def total(self) -> float:
-        return float(sum(self.tau.values()))
-
-    def items(self):
-        return self.tau.items()
-
-
-@dataclass(frozen=True)
 class ExponentReport:
     """`value` is the dual value, a lower bound on the exponent; `primal` is
-    H + [I_m - mR]^+ at `tau_star`, and `gap` = primal - value."""
+    H + [I_m - mR]^+ at `tau_star`, a map (word, output symbol) -> weight,
+    and `gap` = primal - value."""
 
     value: float
     ensemble: str
     R: float
     m_star: int
-    tau_star: JointDistribution
+    tau_star: dict
     converged: bool
     primal: float
     gap: float
@@ -92,67 +79,6 @@ def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
     if ensemble not in ("cr", "fc"):
         raise InvalidParametersError(f"ensemble must be 'cr' or 'fc', got {ensemble!r}")
     return ensemble
-
-
-def canonical_tau(p: Distribution, channel: ChannelSpec) -> JointDistribution:
-    """The product-input distribution pushed through the channel:
-    tau(x, f(x)) = prod_k p(x_k)."""
-    if p.q != channel.q:
-        raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
-    words = _input_words(channel)
-    outs = [eval_channel(channel, type_of(w, channel.q)) for w in words]
-    tau = {}
-    for w, z in zip(words, outs):
-        weight = 1.0
-        for a in w:
-            weight *= float(p.probs[a])
-        tau[(w, z)] = weight
-    return JointDistribution(tau)
-
-
-def eval_H(p: Distribution, tau: JointDistribution, channel: ChannelSpec) -> float:
-    """Divergence of tau from the canonical product-input distribution.
-    Zero exactly at canonical_tau(p); +inf when tau puts mass off the
-    channel support or where the input product law vanishes."""
-    total = 0.0
-    for (w, z), weight in tau.items():
-        if weight <= 0:
-            continue
-        if eval_channel(channel, type_of(w, channel.q)) != z:
-            return math.inf
-        denom = 1.0
-        for a in w:
-            denom *= float(p.probs[a])
-        if denom <= 0:
-            return math.inf
-        total += weight * math.log(weight / denom)
-    return total
-
-
-def eval_I(p: Distribution, tau: JointDistribution, m: int) -> float:
-    """Conditional-information functional: mean log ratio of the conditional
-    law of the first m inputs given the rest and the output, to the product
-    input law on those m coordinates."""
-    some_key = next(iter(tau.tau))
-    s = len(some_key[0])
-    if not 1 <= m <= s:
-        raise InvalidParametersError(f"need 1 <= m <= s, got m={m}, s={s}")
-    marg: dict = {}
-    for (w, z), weight in tau.items():
-        marg_key = (w[m:], z)
-        marg[marg_key] = marg.get(marg_key, 0.0) + weight
-    total = 0.0
-    for (w, z), weight in tau.items():
-        if weight <= 0:
-            continue
-        cond = weight / marg[(w[m:], z)]
-        denom = 1.0
-        for a in w[:m]:
-            denom *= float(p.probs[a])
-        if denom <= 0:
-            return math.inf
-        total += weight * math.log(cond / denom)
-    return total
 
 
 class _Point(NamedTuple):
@@ -258,8 +184,8 @@ def exponent(channel: ChannelSpec, p: Distribution, R: float,
     primal = pt.H + max(pt.I - split.m * R, 0.0)
     residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value
-    tau_star = JointDistribution({
-        (w, channel.outputs[z]): float(t) for w, z, t in zip(split.words, split.ids, pt.tau)})
+    tau_star = {(w, channel.outputs[z]): float(t)
+                for w, z, t in zip(split.words, split.ids, pt.tau)}
     return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
                           tau_star=tau_star,
                           converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,

@@ -241,89 +241,3 @@ def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionRep
     _, counts = _groups(rows)
     return ErrorFractionReport(int(counts[counts >= 2].sum()), len(msgs))
 
-
-def count_L_rare(code: Code, L: int) -> tuple[int, list[bool]]:
-    """Count codewords with a cyclic length-L row window whose projection is
-    shared by at most L-1 other codewords. Returns (count, per-codeword flags,
-    1-based order)."""
-    if L < 1:
-        raise InvalidParametersError(f"need L >= 1, got L={L}")
-    n, t = code.N, code.t
-    cols = code.columns()
-    flags = [False] * t
-    for start in range(n):
-        rows = [(start + d) % n for d in range(L)]
-        proj_count: dict = {}
-        for col in cols:
-            proj = tuple(col[r] for r in rows)
-            proj_count[proj] = proj_count.get(proj, 0) + 1
-        for j, col in enumerate(cols):
-            proj = tuple(col[r] for r in rows)
-            if proj_count[proj] - 1 <= L - 1:
-                flags[j] = True
-    return sum(flags), flags
-
-
-def split_graph_girth_check(code: Code, s: int, split: int) -> Verdict:
-    """No simple cycle of length <= 2s in the bipartite prefix/suffix graph.
-
-    Left vertices are distinct prefixes (rows 1..split), right vertices are
-    distinct suffixes (rows split+1..N); each codeword is an edge. Two
-    codewords sharing both prefix and suffix form a 2-cycle (parallel edges).
-    Necessary for s-separability under any symmetric channel when the
-    codewords are distinct.
-    """
-    if not 1 <= split < code.N:
-        raise InvalidParametersError(f"split must satisfy 1 <= n1 < N, got {split}")
-    cols = code.columns()
-    edges = []  # (prefix, suffix, codeword index)
-    for j, col in enumerate(cols, start=1):
-        edges.append((col[:split], col[split:], j))
-
-    # parallel edges: a 2-cycle
-    seen: dict = {}
-    for pre, suf, j in edges:
-        if (pre, suf) in seen:
-            return Verdict(False, witness=((seen[(pre, suf)], j),))
-        seen[(pre, suf)] = j
-
-    # adjacency on (side, vertex) nodes; edges labeled by codeword index
-    adj: dict = {}
-    for pre, suf, j in edges:
-        u, v = ("L", pre), ("R", suf)
-        adj.setdefault(u, []).append((v, j))
-        adj.setdefault(v, []).append((u, j))
-
-    # shortest cycle through each edge: remove the edge, BFS between endpoints.
-    # Small desk-scale graphs, so the O(t * V) scan is fine.
-    best = None  # (cycle length, sorted edge tuple)
-    for pre, suf, j in edges:
-        u, v = ("L", pre), ("R", suf)
-        dist = {u: 0}
-        parent_edge = {u: None}
-        queue = [u]
-        while queue:
-            nxt = []
-            for node in queue:
-                for other, label in adj[node]:
-                    if label == j or other in dist:
-                        continue
-                    dist[other] = dist[node] + 1
-                    parent_edge[other] = (node, label)
-                    nxt.append(other)
-            queue = nxt
-        if v in dist:
-            length = dist[v] + 1
-            if length <= 2 * s:
-                cycle = [j]
-                node = v
-                while parent_edge[node] is not None:
-                    prev, label = parent_edge[node]
-                    cycle.append(label)
-                    node = prev
-                cand = (length, tuple(sorted(cycle)))
-                if best is None or cand < best:
-                    best = cand
-    if best is not None:
-        return Verdict(False, witness=(best[1],))
-    return Verdict(True)

@@ -6,31 +6,85 @@ builds its output word from column multisets, types and channel table
 lookups, every search node recomputes the outputs of all messages of its
 code, and the output law sums composition probabilities per output symbol.
 The list-decoding P_term adds one Fraction per inclusion-exclusion term.
+Next to them are the proofs' desk checks (rare rows, the split-graph girth
+condition, the random-coding probability estimates and their enumeration
+oracle), the quoted asymptotic constants, and the exponent's definitions on
+a joint distribution tau, a map (word, output symbol) -> weight.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log
-from typing import Sequence
+from math import comb, factorial, log
+from typing import Iterator, Sequence
 
 from sepmac.bounds import Distribution, multinomial
-from sepmac.channels import ChannelSpec, OutputWord, eval_channel
+from sepmac.channels import ChannelSpec, OutputSymbol, OutputWord
 from sepmac.core import (
     Code,
     Composition,
     InvalidParametersError,
-    Message,
-    column_multiset,
+    SizeLimitError,
     compositions,
-    enumerate_messages,
-    message_count,
     type_of,
 )
 from sepmac.construct import SearchResult
-from sepmac.verify import ErrorFractionReport, Verdict, split_graph_girth_check
+from sepmac.verify import ErrorFractionReport, Verdict
+
+
+@dataclass(frozen=True)
+class Message:
+    """An s-subset of codeword indices, stored sorted and 1-based."""
+
+    indices: tuple[int, ...]
+
+    def __post_init__(self):
+        idx = self.indices
+        if not idx:
+            raise InvalidParametersError("message must be nonempty")
+        if any(i < 1 for i in idx) or list(idx) != sorted(set(idx)):
+            raise InvalidParametersError(f"message indices must be distinct, sorted, >= 1: {idx}")
+
+    @property
+    def s(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
+
+
+def column_multiset(code: Code, message: Message, row: int) -> tuple[int, ...]:
+    """The s-collection of signals at one row: {x_row(e_1), ..., x_row(e_s)},
+    canonically sorted. ``row`` is 1-based."""
+    if not 1 <= row <= code.N:
+        raise InvalidParametersError(f"row {row} outside 1..{code.N}")
+    if any(j > code.t for j in message):
+        raise InvalidParametersError(f"message {message.indices} outside 1..{code.t}")
+    r = code.entries[row - 1]
+    return tuple(sorted(r[j - 1] for j in message))
+
+
+def enumerate_messages(t: int, s: int) -> Iterator[Message]:
+    """All C(t,s) messages in lexicographic order."""
+    if not 1 <= s <= t:
+        raise InvalidParametersError(f"need 1 <= s <= t, got s={s}, t={t}")
+    for combo in itertools.combinations(range(1, t + 1), s):
+        yield Message(combo)
+
+
+def eval_channel(channel: ChannelSpec, comp: Composition) -> OutputSymbol:
+    """Channel output for one composition of weight s."""
+    if comp.q != channel.q:
+        raise InvalidParametersError(
+            f"composition alphabet {comp.q} != channel alphabet {channel.q}")
+    if comp.s != channel.s:
+        raise InvalidParametersError(
+            f"composition weight {comp.s} != channel user count {channel.s}")
+    return channel._table[comp.counts]
 
 
 def output_word(channel: ChannelSpec, code: Code, message: Message) -> OutputWord:
@@ -66,8 +120,7 @@ def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionRep
     for e in enumerate_messages(code.t, s):
         z = output_word(channel, code, e)
         groups[z] = groups.get(z, 0) + 1
-    return ErrorFractionReport(sum(n for n in groups.values() if n >= 2),
-                               message_count(code.t, s))
+    return ErrorFractionReport(sum(n for n in groups.values() if n >= 2), comb(code.t, s))
 
 
 def union_word(code: Code, indices: Sequence[int]) -> tuple:
@@ -175,6 +228,93 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int) -> SearchResul
     return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")
 
 
+def count_L_rare(code: Code, L: int) -> tuple[int, list[bool]]:
+    """Count codewords with a cyclic length-L row window whose projection is
+    shared by at most L-1 other codewords. Returns (count, per-codeword flags,
+    1-based order)."""
+    if L < 1:
+        raise InvalidParametersError(f"need L >= 1, got L={L}")
+    n, t = code.N, code.t
+    cols = code.columns()
+    flags = [False] * t
+    for start in range(n):
+        rows = [(start + d) % n for d in range(L)]
+        proj_count: dict = {}
+        for col in cols:
+            proj = tuple(col[r] for r in rows)
+            proj_count[proj] = proj_count.get(proj, 0) + 1
+        for j, col in enumerate(cols):
+            proj = tuple(col[r] for r in rows)
+            if proj_count[proj] - 1 <= L - 1:
+                flags[j] = True
+    return sum(flags), flags
+
+
+def split_graph_girth_check(code: Code, s: int, split: int) -> Verdict:
+    """No simple cycle of length <= 2s in the bipartite prefix/suffix graph.
+
+    Left vertices are distinct prefixes (rows 1..split), right vertices are
+    distinct suffixes (rows split+1..N); each codeword is an edge. Two
+    codewords sharing both prefix and suffix form a 2-cycle (parallel edges).
+    Necessary for s-separability under any symmetric channel when the
+    codewords are distinct.
+    """
+    if not 1 <= split < code.N:
+        raise InvalidParametersError(f"split must satisfy 1 <= n1 < N, got {split}")
+    cols = code.columns()
+    edges = []  # (prefix, suffix, codeword index)
+    for j, col in enumerate(cols, start=1):
+        edges.append((col[:split], col[split:], j))
+
+    # parallel edges: a 2-cycle
+    seen: dict = {}
+    for pre, suf, j in edges:
+        if (pre, suf) in seen:
+            return Verdict(False, witness=((seen[(pre, suf)], j),))
+        seen[(pre, suf)] = j
+
+    # adjacency on (side, vertex) nodes; edges labeled by codeword index
+    adj: dict = {}
+    for pre, suf, j in edges:
+        u, v = ("L", pre), ("R", suf)
+        adj.setdefault(u, []).append((v, j))
+        adj.setdefault(v, []).append((u, j))
+
+    # shortest cycle through each edge: remove the edge, BFS between endpoints.
+    # Small desk-scale graphs, so the O(t * V) scan is fine.
+    best = None  # (cycle length, sorted edge tuple)
+    for pre, suf, j in edges:
+        u, v = ("L", pre), ("R", suf)
+        dist = {u: 0}
+        parent_edge = {u: None}
+        queue = [u]
+        while queue:
+            nxt = []
+            for node in queue:
+                for other, label in adj[node]:
+                    if label == j or other in dist:
+                        continue
+                    dist[other] = dist[node] + 1
+                    parent_edge[other] = (node, label)
+                    nxt.append(other)
+            queue = nxt
+        if v in dist:
+            length = dist[v] + 1
+            if length <= 2 * s:
+                cycle = [j]
+                node = v
+                while parent_edge[node] is not None:
+                    prev, label = parent_edge[node]
+                    cycle.append(label)
+                    node = prev
+                cand = (length, tuple(sorted(cycle)))
+                if best is None or cand < best:
+                    best = cand
+    if best is not None:
+        return Verdict(False, witness=(best[1],))
+    return Verdict(True)
+
+
 def composition_probability(comp: Composition, p: Distribution) -> Fraction | float:
     """Probability that s i.i.d. symbols with law p realize this type."""
     prob = multinomial(comp.s, comp.counts)
@@ -207,4 +347,125 @@ def P_term(q: int, s: int, L: int) -> Fraction:
         for k in range(m + 1):
             inner += (-1) ** k * comb(m, k) * Fraction((m - k) ** s, q ** s)
         total += comb(q, m) * Fraction(m, q) ** L * inner
+    return total
+
+
+def P_term_enumerate(q: int, s: int, L: int) -> Fraction:
+    """Brute-force oracle for P_term over all q^(s+L) symbol tuples."""
+    good = 0
+    for xs in itertools.product(range(q), repeat=s):
+        support = set(xs)
+        hits = sum(1 for a in range(q) if a in support)
+        good += hits ** L
+    return Fraction(good, q ** (s + L))
+
+
+_ENUM_GUARD = 10 ** 7
+
+
+def proof_probability_estimates(q: int, m: int, s: int) -> dict:
+    """Exact desk-scale probabilities behind the random-coding estimates:
+    type collision of two uniform m-tuples vs the m!/q^m bound, and union
+    containment (m-support inside s-support) vs the (s/q)^m bound."""
+    if m < 1 or s < m:
+        raise InvalidParametersError(f"need 1 <= m <= s, got m={m}, s={s}")
+    if q ** (2 * m) > _ENUM_GUARD or q ** (m + s) > _ENUM_GUARD:
+        raise SizeLimitError(
+            f"instance too large for enumeration: q^2m={q ** (2 * m)}, q^(m+s)={q ** (m + s)}")
+
+    # collision of types of two independent uniform m-tuples
+    type_counts: dict = {}
+    for u in itertools.product(range(q), repeat=m):
+        key = tuple(sorted(u))
+        type_counts[key] = type_counts.get(key, 0) + 1
+    type_hits = sum(c * c for c in type_counts.values())
+    type_exact = Fraction(type_hits, q ** (2 * m))
+
+    return {
+        "type_collision_exact": type_exact,
+        "type_collision_bound": Fraction(factorial(m), q ** m),
+        # support of a uniform m-tuple inside the support of a uniform s-tuple
+        "union_containment_exact": P_term_enumerate(q, s, m),
+        "union_containment_bound": Fraction(s, q) ** m,
+    }
+
+
+def reference_asymptotics() -> dict:
+    """Documented reference constants/curves from prior asymptotic results.
+
+    Emitted for plotting and comparison only; nothing here is derived by the
+    toolkit. Each entry maps a name to a coefficient function of (s, L).
+    """
+    return {
+        # rate lower bound coefficients of ln q, q -> infinity
+        "B_lower_coeff": lambda s: s / (2 * s - 1),
+        "A_lower_coeff": lambda s: 2 / (s + 1),
+        "A_le_coeff": lambda s: 2 / 3 if s == 2 else 1 / (s - 1),
+        "hash_coeff": lambda s: 1 / (s - 1),
+        "frameproof_coeff": lambda s: 1 / s,
+        "ld_lower_coeff": lambda s, L: L / (s + L - 1),
+        # s -> infinity envelopes (coefficients of the displayed expressions)
+        "disj_lower": lambda s: 2 * (log(2) ** 2) / s ** 2,
+        "disj_upper": lambda s: 4 * log(s) / s ** 2,
+    }
+
+
+def canonical_tau(p: Distribution, channel: ChannelSpec) -> dict:
+    """The product-input distribution pushed through the channel:
+    tau(x, f(x)) = prod_k p(x_k)."""
+    if p.q != channel.q:
+        raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
+    words = list(itertools.product(range(channel.q), repeat=channel.s))
+    outs = [eval_channel(channel, type_of(w, channel.q)) for w in words]
+    tau = {}
+    for w, z in zip(words, outs):
+        weight = 1.0
+        for a in w:
+            weight *= float(p.probs[a])
+        tau[(w, z)] = weight
+    return tau
+
+
+def eval_H(p: Distribution, tau: dict, channel: ChannelSpec) -> float:
+    """Divergence of tau from the canonical product-input distribution.
+    Zero exactly at canonical_tau(p); +inf when tau puts mass off the
+    channel support or where the input product law vanishes."""
+    total = 0.0
+    for (w, z), weight in tau.items():
+        if weight <= 0:
+            continue
+        if eval_channel(channel, type_of(w, channel.q)) != z:
+            return math.inf
+        denom = 1.0
+        for a in w:
+            denom *= float(p.probs[a])
+        if denom <= 0:
+            return math.inf
+        total += weight * math.log(weight / denom)
+    return total
+
+
+def eval_I(p: Distribution, tau: dict, m: int) -> float:
+    """Conditional-information functional: mean log ratio of the conditional
+    law of the first m inputs given the rest and the output, to the product
+    input law on those m coordinates."""
+    some_key = next(iter(tau))
+    s = len(some_key[0])
+    if not 1 <= m <= s:
+        raise InvalidParametersError(f"need 1 <= m <= s, got m={m}, s={s}")
+    marg: dict = {}
+    for (w, z), weight in tau.items():
+        marg_key = (w[m:], z)
+        marg[marg_key] = marg.get(marg_key, 0.0) + weight
+    total = 0.0
+    for (w, z), weight in tau.items():
+        if weight <= 0:
+            continue
+        cond = weight / marg[(w[m:], z)]
+        denom = 1.0
+        for a in w[:m]:
+            denom *= float(p.probs[a])
+        if denom <= 0:
+            return math.inf
+        total += weight * math.log(cond / denom)
     return total

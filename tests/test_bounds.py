@@ -3,21 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from reference import P_term_enumerate, proof_probability_estimates, reference_asymptotics
 from sepmac.core import InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.bounds import (
     BoundReport,
     Distribution,
     P_term,
-    P_term_enumerate,
     capacity_B_closed_form,
     capacity_entropy_bound,
     comb_upper_bound,
     entropy_output,
     k_factor,
     lower_bound_LD,
-    proof_probability_estimates,
-    reference_asymptotics,
     upper_bound_A,
     upper_bound_LD,
 )

@@ -108,6 +108,28 @@ def test_bound_bits_flag(capsys):
     assert abs(bits["payload"]["value"] - 0.75) < 1e-12
 
 
+def test_b_capacity_limit_exit_code(capsys):
+    # C(22, 12) * 10 = 6,466,460 kernel cells: both B-channel bounds refuse
+    for argv in (["--kind", "b-capacity"], ["--kind", "entropy", "--channel", "B"]):
+        rc, out = run(capsys, ["bound", *argv, "--s", "12", "--q", "10"])
+        assert rc == 3 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--kind", "ld-lower", "--s", "3", "--L", "1", "--q", "2"], ["table1"]])
+def test_ld_lower_limit_exit_code(capsys, argv):
+    # 10^8 - 1 values of q', each summing min(q', s)^2 terms: refused before the first
+    rc, out = run(capsys, argv + ["--qprime-max", "100000000"])
+    assert rc == 3 and out == ""
+
+
+def test_ld_lower_exact_too_long_to_print(capsys):
+    rc, out, err = run_err(capsys, ["bound", "--kind", "ld-lower", "--s", "3", "--L", "5000",
+                                    "--q", "2"])
+    assert rc == 3 and out == ""
+    assert "decimal digits" in err and "Traceback" not in err
+
+
 def test_bound_requires_L(capsys):
     rc, _ = run(capsys, ["bound", "--kind", "ld-lower", "--s", "2", "--q", "3"])
     assert rc == 2
@@ -216,6 +238,15 @@ def test_decode(capsys, tmp_path, code_file):
     code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
     z = tmp_path / "z.txt"
     z.write_text("0,1\n1\n")
+    rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
+    assert rc == 0
+    assert rec["payload"]["decoded"] == [2, 3]
+
+
+def test_decode_indented_comment(capsys, tmp_path, code_file):
+    code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
+    z = tmp_path / "z.txt"
+    z.write_text("0,1\n  # note\n1\n")
     rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
     assert rc == 0
     assert rec["payload"]["decoded"] == [2, 3]

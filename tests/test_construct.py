@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepmac.core import Code, InvalidParametersError, enumerate_messages
+from sepmac.core import Code, InvalidParametersError
 from sepmac.channels import make_channel
 from sepmac.construct import (
     EnsembleSpec,

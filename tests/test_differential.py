@@ -4,13 +4,14 @@ the pure-Python reference in ``reference.py``."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from sepmac.bounds import Distribution, P_term, entropy_output
-from sepmac.channels import make_channel, output_word, validate_symmetric
-from sepmac.core import Code, compositions, enumerate_messages
+from sepmac.channels import make_channel, output_ids, validate_symmetric
+from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
 from sepmac.verify import (
     error_fraction,
@@ -54,8 +55,10 @@ def test_separable_matches_reference(case):
     code, s, ch = case
     assert is_separable(code, s, ch) == ref.is_separable(code, s, ch)
     assert error_fraction(code, s, ch) == ref.error_fraction(code, s, ch)
-    for e in enumerate_messages(code.t, s):
-        assert output_word(ch, code, e) == ref.output_word(ch, code, e)
+    x = code.symbols()
+    for e in ref.enumerate_messages(code.t, s):
+        ids = output_ids(ch, x[np.array(e.indices) - 1])
+        assert [ch.outputs[z] for z in ids.tolist()] == list(ref.output_word(ch, code, e).symbols)
 
 
 @st.composite

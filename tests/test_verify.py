@@ -3,18 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from sepmac.core import (
-    Code,
-    InvalidParametersError,
-    InvalidSymbolError,
-    Message,
-    SizeLimitError,
-    enumerate_messages,
-)
-from sepmac.channels import make_channel, output_word
+from reference import count_L_rare, enumerate_messages, output_word, split_graph_girth_check
+from sepmac.core import Code, InvalidParametersError, InvalidSymbolError, SizeLimitError
+from sepmac.channels import make_channel
 from sepmac.construct import EnsembleSpec, random_code
 from sepmac.verify import (
-    count_L_rare,
     error_fraction,
     factor_decode,
     is_at_most_s_separable,
@@ -22,7 +15,6 @@ from sepmac.verify import (
     is_hash,
     is_list_decoding,
     is_separable,
-    split_graph_girth_check,
 )
 
 B2 = make_channel("B", 2, 2)
