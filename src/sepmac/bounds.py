@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 from .core import InvalidParametersError, SizeLimitError, compositions
 from .channels import ChannelSpec, output_law
 
-LD_TERM_GUARD = 10 ** 6  # inclusion-exclusion terms lower_bound_LD may sum
+LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def capacity_B_closed_form(s: int, q: int) -> float:
     total = 0.0
     qs = q ** s
     for comp in compositions(s, q):
-        mult = multinomial(s, comp.counts)
+        mult = multinomial(s, comp)
         total += (mult / qs) * log(qs / mult)
     return total / s
 
@@ -168,6 +168,35 @@ def P_term(q: int, s: int, L: int) -> Fraction:
     return Fraction(hits, q ** (s + L))
 
 
+def _P_term_work(q: int, s: int, L: int) -> int:
+    """Work units of P_term(q, s, L), weighed by the size of its integers in
+    30-bit digits: min(q, s)^2 terms, each 1000 units plus 2 n^1.5 for its
+    power (m-k)^s of n digits, and n^2 / 2 for the gcd of the q^(s+L)
+    denominator of n digits. A unit is about 1 ns on a Xeon core under
+    CPython 3.11. Integer arithmetic, so no s or L overflows it."""
+    m = min(q, s)
+    power = s * (m - 1).bit_length() // 30  # (m - 1).bit_length() = ceil(log2 m)
+    denominator = (s + L) * (q - 1).bit_length() // 30
+    return m * m * (1000 + 2 * power * math.isqrt(power)) + denominator ** 2 // 2
+
+
+def check_ld_work(rows, qprime_max: int) -> None:
+    """Refuse lower_bound_LD on the (s, L, q) rows with q' up to qprime_max
+    when their P_term work would exceed LD_WORK_GUARD units."""
+    work = 0
+    for s, L, q in rows:
+        for qp in range(q, min(qprime_max, s) + 1):
+            work += _P_term_work(qp, s, L)
+            if work > LD_WORK_GUARD:
+                break
+        else:  # past q' = s only the denominator grows: charge those q' as qprime_max
+            work += max(0, qprime_max - max(q, s + 1) + 1) * _P_term_work(qprime_max, s, L)
+        if work > LD_WORK_GUARD:
+            raise SizeLimitError(f"instance too large: the P_term work for q' up to {qprime_max} "
+                                 f"exceeds the guard of {LD_WORK_GUARD} work units at "
+                                 f"(s, L, q) = {(s, L, q)}")
+
+
 def k_factor(q: int, qprime: int) -> int:
     """Length blow-up of the alphabet-reduction construction."""
     if qprime < q or q < 2:
@@ -184,10 +213,7 @@ def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:
         raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")
     if qprime_max < q:
         raise InvalidParametersError(f"empty search range: qprime_max={qprime_max} < q={q}")
-    terms = (qprime_max - q + 1) * min(qprime_max, s) ** 2
-    if terms > LD_TERM_GUARD:
-        raise SizeLimitError(f"instance too large: (qprime_max - q + 1) * min(qprime_max, s)^2 "
-                             f"= {terms} inclusion-exclusion terms exceed guard {LD_TERM_GUARD}")
+    check_ld_work([(s, L, q)], qprime_max)
     best_val, best_qp, best_p = -math.inf, None, None
     for qp in range(q, qprime_max + 1):
         pr = P_term(qp, s, L)

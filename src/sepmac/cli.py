@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .core import InvalidParametersError, SizeLimitError, load_code, save_code
-from .channels import _check_kernel_size, load_channel, make_channel
+from .channels import _check_shape, load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
 from . import exponent as expm
@@ -132,7 +132,7 @@ def cmd_bound(args) -> int:
         # b-capacity refuses the (s, q) the B channel's kernel refuses; the
         # bound itself names an s or q out of range
         if kind == "b-capacity" and s >= 1 and q >= 2:
-            _check_kernel_size(q, s)
+            _check_shape(q, s)
         value = {"b-capacity": bnd.capacity_B_closed_form, "comb-upper": bnd.comb_upper_bound,
                  "a-upper": bnd.upper_bound_A}[kind](s, q)
         report = bnd.BoundReport(kind, value, {"s": s, "q": q})
@@ -146,13 +146,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    table = [(s, L, q) for q in (2, 3) for L in (1, 2) for s in range(2, 7)]
+    bnd.check_ld_work(table, args.qprime_max)  # the whole table, before its first row
     rows = ["s,L,q,lower_bound,qprime_argmax,upper_bound"]
-    for q in (2, 3):
-        for L in (1, 2):
-            for s in range(2, 7):
-                rep = bnd.lower_bound_LD(s, L, q, qprime_max=args.qprime_max)
-                up = bnd.upper_bound_LD(s, L, q)
-                rows.append(f"{s},{L},{q},{rep.value:.4f},{rep.witness},{up:.4f}")
+    for s, L, q in table:
+        rep = bnd.lower_bound_LD(s, L, q, qprime_max=args.qprime_max)
+        up = bnd.upper_bound_LD(s, L, q)
+        rows.append(f"{s},{L},{q},{rep.value:.4f},{rep.witness},{up:.4f}")
     sys.stdout.write("\n".join(rows) + "\n")
     print(f"table1 done in {time.monotonic() - args.started:.2f}s", file=sys.stderr)
     return EXIT_OK
@@ -160,8 +160,7 @@ def cmd_table1(args) -> int:
 
 def cmd_search(args) -> int:
     channel = _channel_from_args(args, args.s, args.q)
-    result = cst.max_code_search(channel, args.s, args.q, args.N,
-                                 mode=args.mode, seed=_default_seed())
+    result = cst.max_code_search(channel, args.N, mode=args.mode, seed=_default_seed())
     if args.out:
         save_code(result.code, args.out)
     _emit(args, {"channel": args.channel, "s": args.s, "q": args.q, "N": args.N,

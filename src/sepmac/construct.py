@@ -140,18 +140,19 @@ def _extend(channel: ChannelSpec, code: tuple, column: np.ndarray) -> Optional[t
                          for old, shorter in zip(states[1:], states)], seen.union(new)
 
 
-def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
-                    mode: str = "exhaustive", seed: int = 0) -> SearchResult:
-    """Find a maximum (exhaustive) or maximal (greedy) s-separable code.
+def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
+                    seed: int = 0) -> SearchResult:
+    """Find a maximum (exhaustive) or maximal (greedy) s-separable code of
+    length N over the channel's alphabet, s being the channel's user count.
 
     Exhaustive mode runs a branch-and-bound over candidate columns in
     lexicographic order; the returned witness is the lexicographically
     smallest maximum code. Each node carries the output rows of its code's
     messages, so a branch checks only the messages containing its column.
     """
-    if channel.q != q or channel.s != s:
-        raise InvalidParametersError(
-            f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={q})")
+    s, q = channel.s, channel.q
+    if N < 1:
+        raise InvalidParametersError(f"code length N must be >= 1, got N={N}")
     if q ** N > EXHAUSTIVE_GUARD:
         raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
@@ -182,10 +183,8 @@ def max_code_search(channel: ChannelSpec, s: int, q: int, N: int,
         nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
-        # bound: even taking every remaining candidate cannot beat best
-        if len(chosen) + (n_cand - start) <= len(best):
-            return
         for idx in range(start, n_cand):
+            # bound: even taking every remaining candidate cannot beat best
             if len(chosen) + (n_cand - idx) <= len(best):
                 break
             bigger = _extend(channel, code, columns[idx])

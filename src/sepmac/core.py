@@ -80,44 +80,22 @@ class Code:
         return cls(q, entries)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """A type: counts of each alphabet symbol in an s-word."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise InvalidParametersError(f"negative count in composition {self.counts}")
-
-    @property
-    def q(self) -> int:
-        return len(self.counts)
-
-    @property
-    def s(self) -> int:
-        return sum(self.counts)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(a for a, c in enumerate(self.counts) if c > 0)
-
-
 def _check_word(word: Sequence[int], q: int) -> None:
     for a in word:
         if not 0 <= a < q:
             raise InvalidSymbolError(f"symbol {a} outside alphabet of size {q}")
 
 
-def type_of(word: Sequence[int], q: int) -> Composition:
-    """The type of a word: per-symbol occurrence counts."""
+def type_of(word: Sequence[int], q: int) -> tuple[int, ...]:
+    """The type of a word: its composition, the per-symbol occurrence counts."""
     _check_word(word, q)
     counts = [0] * q
     for a in word:
         counts[a] += 1
-    return Composition(tuple(counts))
+    return tuple(counts)
 
 
-def compositions(s: int, q: int) -> Iterator[Composition]:
+def compositions(s: int, q: int) -> Iterator[tuple[int, ...]]:
     """All C(q+s-1, s) compositions of weight s over q symbols,
     in lexicographic order of the count vector."""
     if s < 0 or q < 1:
@@ -131,8 +109,7 @@ def compositions(s: int, q: int) -> Iterator[Composition]:
             for rest in rec(remaining - c, slots - 1):
                 yield (c,) + rest
 
-    for counts in rec(s, q):
-        yield Composition(counts)
+    yield from rec(s, q)
 
 
 # --- code matrix file format -------------------------------------------------

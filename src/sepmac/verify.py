@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Code, InvalidParametersError, SizeLimitError, _check_word
-from .channels import ChannelSpec, OutputWord, output_ids
+from .channels import ChannelSpec, output_ids
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,7 @@ class Verdict:
 
 
 def _jsonable(obj):
-    if isinstance(obj, OutputWord):
-        return obj.labels()
-    if isinstance(obj, (tuple, list)):
+    if isinstance(obj, tuple):
         return [_jsonable(x) for x in obj]
     return obj
 
@@ -131,10 +129,11 @@ def _output_rows(code: Code, s: int, channel: ChannelSpec) -> tuple[np.ndarray, 
 
 
 def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
-    """All channel output words over s-messages are pairwise distinct."""
+    """All channel output words over s-messages are pairwise distinct; the
+    colliding output is the word's tuple of output labels."""
     msgs, rows = _output_rows(code, s, channel)
-    return _collision_verdict(msgs, rows, lambda row: OutputWord(
-        tuple(channel.outputs[z] for z in row.tolist())))
+    return _collision_verdict(msgs, rows, lambda row: tuple(
+        channel.outputs[z].label() for z in row.tolist()))
 
 
 def _masks(code: Code) -> np.ndarray:

@@ -5,7 +5,9 @@ the output entropy that the integer channel kernel replaced: every message
 builds its output word from column multisets, types and channel table
 lookups, every search node recomputes the outputs of all messages of its
 code, and the output law sums composition probabilities per output symbol.
-The list-decoding P_term adds one Fraction per inclusion-exclusion term.
+The list-decoding P_term adds one Fraction per inclusion-exclusion term,
+and ``builtin_output`` reads each built-in channel's output off the s-word
+itself, apart from the composition tables the channels are built from.
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
@@ -23,10 +25,9 @@ from math import comb, factorial, log
 from typing import Iterator, Sequence
 
 from sepmac.bounds import Distribution, multinomial
-from sepmac.channels import ChannelSpec, OutputSymbol, OutputWord
+from sepmac.channels import ChannelSpec, OutputSymbol
 from sepmac.core import (
     Code,
-    Composition,
     InvalidParametersError,
     SizeLimitError,
     compositions,
@@ -76,15 +77,42 @@ def enumerate_messages(t: int, s: int) -> Iterator[Message]:
         yield Message(combo)
 
 
-def eval_channel(channel: ChannelSpec, comp: Composition) -> OutputSymbol:
-    """Channel output for one composition of weight s."""
-    if comp.q != channel.q:
+def builtin_output(name: str, word: tuple[int, ...], q: int):
+    """The raw output of a built-in channel on an s-word, read off the word
+    as the README's channel table defines it."""
+    kind, _, level = name.partition(":")
+    if kind == "A":  # the set of distinct input symbols
+        return tuple(sorted(set(word)))
+    if kind == "B":  # the full composition of the inputs
+        return tuple(word.count(a) for a in range(q))
+    if kind == "eras":  # the common symbol, or * if the inputs differ
+        return word[0] if len(set(word)) == 1 else "*"
+    if kind == "thr":  # 1 iff at least L inputs are 1
+        return 1 if word.count(1) >= int(level) else 0
+    if kind == "disj":  # the logical OR of the inputs
+        return 1 if any(word) else 0
+    raise ValueError(f"not a built-in channel: {name!r}")
+
+
+def eval_channel(channel: ChannelSpec, comp: tuple[int, ...]) -> OutputSymbol:
+    """Channel output for one composition (count tuple) of weight s."""
+    if len(comp) != channel.q:
         raise InvalidParametersError(
-            f"composition alphabet {comp.q} != channel alphabet {channel.q}")
-    if comp.s != channel.s:
+            f"composition alphabet {len(comp)} != channel alphabet {channel.q}")
+    if sum(comp) != channel.s:
         raise InvalidParametersError(
-            f"composition weight {comp.s} != channel user count {channel.s}")
-    return channel._table[comp.counts]
+            f"composition weight {sum(comp)} != channel user count {channel.s}")
+    return channel._table[comp]
+
+
+@dataclass(frozen=True)
+class OutputWord:
+    """The output symbols of one message, row by row."""
+
+    symbols: tuple[OutputSymbol, ...]
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(z.label() for z in self.symbols)
 
 
 def output_word(channel: ChannelSpec, code: Code, message: Message) -> OutputWord:
@@ -112,7 +140,7 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     bad = _best_collision_pair(groups)
     if bad is None:
         return Verdict(True)
-    return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
+    return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2].labels(),))
 
 
 def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionReport:
@@ -195,9 +223,10 @@ def _extension_ok(channel: ChannelSpec, columns: list, s: int) -> bool:
                    for e in itertools.combinations(range(1, t), s))
 
 
-def max_code_search(channel: ChannelSpec, s: int, q: int, N: int) -> SearchResult:
+def max_code_search(channel: ChannelSpec, N: int) -> SearchResult:
     """Exhaustive branch-and-bound with split-graph girth pruning before
     each extension check."""
+    s, q = channel.s, channel.q
     candidates = sorted(itertools.product(range(q), repeat=N))
     n_cand = len(candidates)
     best: list = []
@@ -315,10 +344,10 @@ def split_graph_girth_check(code: Code, s: int, split: int) -> Verdict:
     return Verdict(True)
 
 
-def composition_probability(comp: Composition, p: Distribution) -> Fraction | float:
+def composition_probability(comp: tuple[int, ...], p: Distribution) -> Fraction | float:
     """Probability that s i.i.d. symbols with law p realize this type."""
-    prob = multinomial(comp.s, comp.counts)
-    for a, c in enumerate(comp.counts):
+    prob = multinomial(sum(comp), comp)
+    for a, c in enumerate(comp):
         if c:
             prob *= p.probs[a] ** c
     return prob

@@ -189,13 +189,13 @@ def test_exhaustive_search_ground_truth():
     disj = make_channel("disj", 2, 2)
     expected_disj = {1: 2, 2: 3, 3: 4, 4: 5}
     for N, t_star in expected_disj.items():
-        res = max_code_search(disj, 2, 2, N)
+        res = max_code_search(disj, N)
         assert res.t_star == t_star, (N, res.t_star)
         if res.t_star > 2:
             assert is_separable(res.code, 2, disj).holds
 
     b_ch = make_channel("B", 2, 2)
-    res = max_code_search(b_ch, 2, 2, 2)
+    res = max_code_search(b_ch, 2)
     assert res.t_star == 3
     assert is_separable(res.code, 2, b_ch).holds
     elapsed = time.monotonic() - started

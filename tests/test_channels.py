@@ -109,7 +109,7 @@ def test_s1_channels_injective():
 def test_validate_symmetric_word_table():
     # total word table of the B-MAC: accepted, keyed down to compositions
     q, s = 2, 2
-    table = {w: str(tuple(type_of(w, q).counts)) for w in itertools.product(range(q), repeat=s)}
+    table = {w: str(type_of(w, q)) for w in itertools.product(range(q), repeat=s)}
     spec = validate_symmetric(table, s, q)
     assert spec.kind == "custom"
     assert len(spec._table) == 3
@@ -124,13 +124,13 @@ def test_validate_symmetric_rejects_asymmetric():
 
 def test_validate_symmetric_composition_table():
     table = {(3, 0): "0", (2, 1): "x", (1, 2): "x", (0, 3): "1"}
-    spec = validate_symmetric(table, 3, 2)
+    spec = ChannelSpec("custom", 2, 3, table)
     assert eval_channel(spec, type_of((0, 1, 0), 2)).value == "x"
 
 
 def test_custom_table_must_be_total():
     with pytest.raises(InvalidParametersError):
-        ChannelSpec("custom", 2, 2, table={})
+        ChannelSpec("custom", 2, 2, {})
 
 
 def test_channel_kind_tag_prevents_cross_equality():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -115,12 +116,28 @@ def test_b_capacity_limit_exit_code(capsys):
         assert rc == 3 and out == ""
 
 
+LD_LOWER = ["bound", "--kind", "ld-lower", "--q", "2"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["bound", "--kind", "ld-lower", "--s", "3", "--L", "1", "--q", "2"], ["table1"]])
+    # 10^8 - 1 values of q'
+    LD_LOWER + ["--s", "3", "--L", "1", "--qprime-max", "100000000"],
+    ["table1", "--qprime-max", "100000000"],
+    # the first two rows fit the budget, the whole table does not
+    ["table1", "--qprime-max", "1000000"],
+    # q'^(s+L) denominators of up to 1.2 million bits
+    LD_LOWER + ["--s", "3", "--L", "200000"],
+    # 64^2 powers (m-k)^s of up to 120,000 and 12 million bits
+    LD_LOWER + ["--s", "20000", "--L", "1"],
+    LD_LOWER + ["--s", "2000000", "--L", "1"],
+    # a 401-digit s: the budget's integer arithmetic does not overflow
+    LD_LOWER + ["--s", str(10 ** 400), "--L", "1"]])
 def test_ld_lower_limit_exit_code(capsys, argv):
-    # 10^8 - 1 values of q', each summing min(q', s)^2 terms: refused before the first
-    rc, out = run(capsys, argv + ["--qprime-max", "100000000"])
-    assert rc == 3 and out == ""
+    # the work budget refuses before the first P_term
+    start = time.monotonic()
+    rc, out, err = run_err(capsys, argv)
+    assert rc == 3 and out == "" and "work units" in err
+    assert time.monotonic() - start < 1
 
 
 def test_ld_lower_exact_too_long_to_print(capsys):
@@ -271,6 +288,21 @@ def test_search_channel_s_mismatch(capsys, tmp_path):
     rc, out = run(capsys, ["search", "--channel", f"custom:{ch}", "--s", "3",
                            "--q", "2", "--N", "2"])
     assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # the kernel guard comes before the q = 2 check and the level check
+    (["--channel", "disj", "--s", "2000", "--q", "3"], 3,
+     "error: channel too large: C(q+s, s)*q = 4012011003 kernel cells exceed guard "
+     "1048576 (q=3, s=2000)\n"),
+    (["--channel", "thr:3000", "--s", "2000", "--q", "3"], 3,
+     "error: channel too large: C(q+s, s)*q = 4012011003 kernel cells exceed guard "
+     "1048576 (q=3, s=2000)\n"),
+    # the user count comes before the level check
+    (["--channel", "thr:2", "--s", "0", "--q", "2"], 2,
+     "error: user count must be >= 1, got 0\n")])
+def test_channel_refusal_order(capsys, argv, code, err):
+    assert run_err(capsys, ["search", *argv, "--N", "2"]) == (code, "", err)
 
 
 def test_unknown_threshold_channel(capsys):

@@ -120,7 +120,7 @@ def test_max_code_search_disjunctive_fixtures():
     # brute-force all-subsets oracle at N = 3, 4
     expected = {1: 2, 2: 3, 3: 4, 4: 5}
     for N, t_star in expected.items():
-        res = max_code_search(DISJ2, 2, 2, N)
+        res = max_code_search(DISJ2, N)
         assert res.t_star == t_star
         assert res.mode == "exhaustive"
         if res.t_star > 2:
@@ -129,13 +129,13 @@ def test_max_code_search_disjunctive_fixtures():
 
 def test_max_code_search_b_mac():
     ch = make_channel("B", 2, 2)
-    res = max_code_search(ch, 2, 2, 2)
+    res = max_code_search(ch, 2)
     assert res.t_star == 3
     assert res.code == Code.from_columns(2, [(0, 0), (0, 1), (1, 0)])
 
 
 def test_max_code_search_returns_lex_smallest():
-    res = max_code_search(DISJ2, 2, 2, 2)
+    res = max_code_search(DISJ2, 2)
     cols = [res.code.column(j) for j in range(1, res.t_star + 1)]
     assert cols == sorted(cols)
     assert cols[0] == (0, 0)
@@ -145,7 +145,7 @@ def test_max_code_search_matches_brute_force():
     # independent oracle: test every subset of columns
     for (name, s, q, N) in (("disj", 2, 2, 3), ("B", 2, 2, 2), ("A", 2, 2, 2)):
         ch = make_channel(name, s, q)
-        res = max_code_search(ch, s, q, N)
+        res = max_code_search(ch, N)
         all_cols = list(itertools.product(range(q), repeat=N))
         best = 0
         for r in range(1, len(all_cols) + 1):
@@ -163,16 +163,16 @@ def test_max_code_search_matches_brute_force():
 
 
 def test_greedy_not_better_than_exhaustive():
-    exact = max_code_search(DISJ2, 2, 2, 3).t_star
+    exact = max_code_search(DISJ2, 3).t_star
     for seed in range(5):
-        res = max_code_search(DISJ2, 2, 2, 3, mode="greedy", seed=seed)
+        res = max_code_search(DISJ2, 3, mode="greedy", seed=seed)
         assert res.mode == "greedy"
         assert res.t_star <= exact
         assert is_separable(res.code, 2, DISJ2).holds
 
 
 def test_greedy_is_maximal():
-    res = max_code_search(DISJ2, 2, 2, 3, mode="greedy", seed=1)
+    res = max_code_search(DISJ2, 3, mode="greedy", seed=1)
     chosen = [res.code.column(j) for j in range(1, res.t_star + 1)]
     for col in itertools.product(range(2), repeat=3):
         if col in chosen:
@@ -183,8 +183,9 @@ def test_greedy_is_maximal():
 
 def test_max_code_search_guards():
     with pytest.raises(InvalidParametersError):
-        max_code_search(DISJ2, 2, 2, 25)
+        max_code_search(DISJ2, 25)
+    for N in (0, -1):
+        with pytest.raises(InvalidParametersError, match=f"N={N}"):
+            max_code_search(DISJ2, N)
     with pytest.raises(InvalidParametersError):
-        max_code_search(DISJ2, 3, 2, 2)
-    with pytest.raises(InvalidParametersError):
-        max_code_search(DISJ2, 2, 2, 2, mode="fast")
+        max_code_search(DISJ2, 2, mode="fast")

@@ -2,6 +2,7 @@
 row-mask cover tests, the incremental search and the integer P_term against
 the pure-Python reference in ``reference.py``."""
 
+import itertools
 import random
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from sepmac.bounds import Distribution, P_term, entropy_output
-from sepmac.channels import make_channel, output_ids, validate_symmetric
+from sepmac.channels import ChannelSpec, OutputSymbol, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
 from sepmac.verify import (
@@ -31,8 +32,7 @@ def _channel(kind, s, q, rng):
         return make_channel(f"thr:{rng.randint(1, s)}", s, q)
     if kind == "custom":
         labels = "uvw"[:rng.randint(1, 3)]
-        return validate_symmetric({c.counts: rng.choice(labels) for c in compositions(s, q)},
-                                  s, q)
+        return ChannelSpec("custom", q, s, {c: rng.choice(labels) for c in compositions(s, q)})
     return make_channel(kind, s, q)
 
 
@@ -59,6 +59,21 @@ def test_separable_matches_reference(case):
     for e in ref.enumerate_messages(code.t, s):
         ids = output_ids(ch, x[np.array(e.indices) - 1])
         assert [ch.outputs[z] for z in ids.tolist()] == list(ref.output_word(ch, code, e).symbols)
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "eras", "thr", "disj"])
+def test_builtin_rules_match_reference(kind):
+    # every s-word, s <= 4 and q <= 4, through the kernel against the rule
+    # read off the word
+    for s in range(1, 5):
+        names = [f"thr:{l}" for l in range(1, s + 1)] if kind == "thr" else [kind]
+        for q in [2] if kind in ("thr", "disj") else range(2, 5):
+            words = list(itertools.product(range(q), repeat=s))
+            for name in names:
+                ch = make_channel(name, s, q)
+                ids = output_ids(ch, np.array(words).T).tolist()
+                assert [ch.outputs[z] for z in ids] == [
+                    OutputSymbol(kind, ref.builtin_output(name, w, q)) for w in words], (name, s, q)
 
 
 @st.composite
@@ -118,5 +133,5 @@ def _search_instances():
 def test_search_matches_reference(s, q, n, name):
     ch = _channel(name, s, q, random.Random(f"{s}-{q}")) if name == "custom" else \
         make_channel(name, s, q)
-    got, want = max_code_search(ch, s, q, n), ref.max_code_search(ch, s, q, n)
+    got, want = max_code_search(ch, n), ref.max_code_search(ch, n)
     assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes)
