@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .core import InvalidParametersError, SizeLimitError, compositions, type_of
+from .core import InvalidParametersError, SizeLimitError, compositions
 
 KERNEL_GUARD = 2 ** 20  # transition cells C(q+s, s) * q a channel may build
 
@@ -33,17 +33,6 @@ def _check_shape(q: int, s: int) -> None:
     if cells > KERNEL_GUARD:
         raise SizeLimitError(f"channel too large: C(q+s, s)*q = {cells} kernel cells "
                              f"exceed guard {KERNEL_GUARD} (q={q}, s={s})")
-
-
-class NotSymmetricError(ValueError):
-    """A raw channel table violates permutation invariance."""
-
-    def __init__(self, word_a, word_b, out_a, out_b):
-        self.witness = (word_a, word_b)
-        self.outputs = (out_a, out_b)
-        super().__init__(
-            f"words {word_a} and {word_b} have equal type but outputs {out_a!r} != {out_b!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -121,23 +110,6 @@ def output_law(channel: ChannelSpec, p) -> np.ndarray:
     for _ in range(channel.s):
         law = np.bincount(channel.trans.ravel(), np.outer(law, p).ravel(), len(law))
     return np.bincount(channel.out, law, len(channel.outputs))
-
-
-def validate_symmetric(table: dict, s: int, q: int) -> ChannelSpec:
-    """Build a custom ChannelSpec from a raw table keyed by s-words over A_q.
-
-    Words of equal type must share an output; the first violating pair (in
-    word order) is reported."""
-    if not all(len(w) == s and all(0 <= a < q for a in w) for w in table):
-        raise InvalidParametersError(f"table keys must be words of length {s} over 0..{q - 1}")
-    comp_table, comp_witness = {}, {}
-    for word in sorted(table):
-        counts = type_of(word, q)
-        if counts not in comp_table:
-            comp_table[counts], comp_witness[counts] = table[word], word
-        elif comp_table[counts] != table[word]:
-            raise NotSymmetricError(comp_witness[counts], word, comp_table[counts], table[word])
-    return ChannelSpec("custom", q, s, comp_table)
 
 
 # the built-in rules: the output of a composition c, given the level l of a

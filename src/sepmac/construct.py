@@ -113,6 +113,8 @@ def reduce_alphabet(code: Code, q: int) -> Code:
 
 
 EXHAUSTIVE_GUARD = 2 ** 20
+NODE_GUARD = 2 ** 21  # branch-and-bound nodes an exhaustive search may visit
+GATHER_CELLS = 2 ** 16  # kernel cells one block of a node's output gather may hold
 
 
 @dataclass
@@ -126,18 +128,27 @@ class SearchResult:
         return {"t_star": self.t_star, "nodes": self.nodes, "mode": self.mode}
 
 
-def _extend(channel: ChannelSpec, code: tuple, column: np.ndarray) -> Optional[tuple]:
-    """Add ``column`` to a separable code (states, seen), or None when two
-    messages would then share an output word. ``states[k]`` holds the kernel
-    states of every k-subset of the chosen columns, k < s, and ``seen`` the
-    output rows of every s-message."""
-    states, seen = code
-    rows = channel.out[channel.trans[states[-1], column]]
-    new = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    if len(set(new)) < len(new) or not seen.isdisjoint(new):
-        return None
+def _output_keys(channel: ChannelSpec, subsets: np.ndarray, columns: np.ndarray):
+    """For each of ``columns``, the list of output rows (one bytes key each)
+    of the messages joining it to every (s-1)-subset of the chosen columns,
+    whose kernel states are ``subsets``. Gathered in blocks of at most
+    GATHER_CELLS cells, one block at a time as the caller iterates."""
+    step = max(1, GATHER_CELLS // max(1, subsets.size))
+    for lo in range(0, len(columns), step):
+        rows = channel.out[channel.trans[subsets[None], columns[lo:lo + step, None]]]
+        yield from rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0].tolist()
+
+
+def _accepts(seen: frozenset, new: list) -> bool:
+    """The new messages' output rows differ from each other and from ``seen``."""
+    return len(set(new)) == len(new) and seen.isdisjoint(new)
+
+
+def _grow(channel: ChannelSpec, states: list, column: np.ndarray) -> list:
+    """``states[k]`` holds the kernel states of every k-subset of the chosen
+    columns, k < s; these are the states once ``column`` joins them."""
     return states[:1] + [np.concatenate([old, channel.trans[shorter, column]])
-                         for old, shorter in zip(states[1:], states)], seen.union(new)
+                         for old, shorter in zip(states[1:], states)]
 
 
 def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
@@ -147,8 +158,13 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
 
     Exhaustive mode runs a branch-and-bound over candidate columns in
     lexicographic order; the returned witness is the lexicographically
-    smallest maximum code. Each node carries the output rows of its code's
-    messages, so a branch checks only the messages containing its column.
+    smallest maximum code. Each node carries the kernel states of its code's
+    (s-1)-subsets and the output rows of its messages, so a branch checks
+    only the messages containing its column. A node gathers those rows for
+    all the candidates the bound still lets it reach in one numpy gather
+    (in blocks for large instances); the candidate loop then only compares
+    sets of row keys. A tree of more than NODE_GUARD nodes raises
+    SizeLimitError, after the search has started.
     """
     s, q = channel.s, channel.q
     if N < 1:
@@ -158,38 +174,46 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
     candidates = list(itertools.product(range(q), repeat=N))
     columns = np.array(candidates, dtype=np.intp)
+    n_cand = len(candidates)
     # the empty code: one empty subset, no messages
-    code = ([np.zeros((0 if k else 1, N), dtype=np.intp) for k in range(s)], frozenset())
+    states = [np.zeros((0 if k else 1, N), dtype=np.intp) for k in range(s)]
 
     if mode == "greedy":
-        order = list(range(len(candidates)))
+        order = list(range(n_cand))
         random.Random(seed).shuffle(order)
         chosen: list[tuple[int, ...]] = []
+        seen: frozenset = frozenset()
         for idx in order:
-            bigger = _extend(channel, code, columns[idx])
-            if bigger is not None:
-                code, chosen = bigger, chosen + [candidates[idx]]
-        return SearchResult(len(chosen), Code.from_columns(q, sorted(chosen)), len(order), "greedy")
+            new = next(_output_keys(channel, states[-1], columns[idx:idx + 1]))
+            if _accepts(seen, new):
+                states, seen = _grow(channel, states, columns[idx]), seen.union(new)
+                chosen.append(candidates[idx])
+        return SearchResult(len(chosen), Code.from_columns(q, sorted(chosen)), n_cand, "greedy")
 
     if mode != "exhaustive":
         raise InvalidParametersError(f"unknown search mode {mode!r}")
 
-    n_cand = len(candidates)
     best: list[tuple[int, ...]] = []
     nodes = 0
 
-    def extend(chosen: list[tuple[int, ...]], code: tuple, start: int):
+    def extend(chosen: list[tuple[int, ...]], states: list, seen: frozenset, start: int):
         nonlocal best, nodes
         nodes += 1
+        if nodes > NODE_GUARD:
+            raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
+                                 f"(q^N = {n_cand}, s = {s})")
         if len(chosen) > len(best):
             best = list(chosen)
-        for idx in range(start, n_cand):
+        # no candidate from stop on can pass the bound, and best only grows
+        stop = n_cand - len(best) + len(chosen)
+        keys = _output_keys(channel, states[-1], columns[start:stop])
+        for idx, new in zip(range(start, stop), keys):
             # bound: even taking every remaining candidate cannot beat best
             if len(chosen) + (n_cand - idx) <= len(best):
                 break
-            bigger = _extend(channel, code, columns[idx])
-            if bigger is not None:
-                extend(chosen + [candidates[idx]], bigger, idx + 1)
+            if _accepts(seen, new):
+                extend(chosen + [candidates[idx]], _grow(channel, states, columns[idx]),
+                       seen.union(new), idx + 1)
 
-    extend([], code, 0)
+    extend([], states, frozenset(), 0)
     return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")

@@ -7,7 +7,10 @@ lookups, every search node recomputes the outputs of all messages of its
 code, and the output law sums composition probabilities per output symbol.
 The list-decoding P_term adds one Fraction per inclusion-exclusion term,
 and ``builtin_output`` reads each built-in channel's output off the s-word
-itself, apart from the composition tables the channels are built from.
+itself, apart from the composition tables the channels are built from;
+``validate_symmetric`` folds a table keyed by s-words into a channel.
+The greedy search keeps a column iff the reference separability check
+holds on the grown code.
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, log
@@ -103,6 +107,34 @@ def eval_channel(channel: ChannelSpec, comp: tuple[int, ...]) -> OutputSymbol:
         raise InvalidParametersError(
             f"composition weight {sum(comp)} != channel user count {channel.s}")
     return channel._table[comp]
+
+
+class NotSymmetricError(ValueError):
+    """A raw channel table violates permutation invariance."""
+
+    def __init__(self, word_a, word_b, out_a, out_b):
+        self.witness = (word_a, word_b)
+        self.outputs = (out_a, out_b)
+        super().__init__(
+            f"words {word_a} and {word_b} have equal type but outputs {out_a!r} != {out_b!r}"
+        )
+
+
+def validate_symmetric(table: dict, s: int, q: int) -> ChannelSpec:
+    """Build a custom ChannelSpec from a raw table keyed by s-words over A_q.
+
+    Words of equal type must share an output; the first violating pair (in
+    word order) is reported."""
+    if not all(len(w) == s and all(0 <= a < q for a in w) for w in table):
+        raise InvalidParametersError(f"table keys must be words of length {s} over 0..{q - 1}")
+    comp_table, comp_witness = {}, {}
+    for word in sorted(table):
+        counts = type_of(word, q)
+        if counts not in comp_table:
+            comp_table[counts], comp_witness[counts] = table[word], word
+        elif comp_table[counts] != table[word]:
+            raise NotSymmetricError(comp_witness[counts], word, comp_table[counts], table[word])
+    return ChannelSpec("custom", q, s, comp_table)
 
 
 @dataclass(frozen=True)
@@ -255,6 +287,21 @@ def max_code_search(channel: ChannelSpec, N: int) -> SearchResult:
 
     extend([], 0)
     return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")
+
+
+def greedy_search(channel: ChannelSpec, N: int, seed: int) -> SearchResult:
+    """Greedy search: the candidate columns in ``random.Random(seed)``'s
+    shuffled order, each kept iff the grown code is s-separable."""
+    s, q = channel.s, channel.q
+    candidates = sorted(itertools.product(range(q), repeat=N))
+    order = list(range(len(candidates)))
+    random.Random(seed).shuffle(order)
+    chosen: list = []
+    for idx in order:
+        trial = chosen + [candidates[idx]]
+        if len(trial) < s or is_separable(Code.from_columns(q, trial), s, channel).holds:
+            chosen = trial
+    return SearchResult(len(chosen), Code.from_columns(q, sorted(chosen)), len(order), "greedy")
 
 
 def count_L_rare(code: Code, L: int) -> tuple[int, list[bool]]:

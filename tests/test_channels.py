@@ -3,16 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import eval_channel
+from reference import NotSymmetricError, eval_channel, validate_symmetric
 from sepmac.core import Code, InvalidParametersError, compositions, type_of
 from sepmac.channels import (
     ChannelFileError,
     ChannelSpec,
-    NotSymmetricError,
     make_channel,
     output_ids,
     parse_channel,
-    validate_symmetric,
 )
 
 

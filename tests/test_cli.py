@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import sepmac.construct as cst
 from sepmac.cli import main
 from sepmac.core import format_code, load_code, Code
 
@@ -181,6 +182,14 @@ def test_search_limit_exit_code(capsys):
     rc, _ = run(capsys, ["search", "--channel", "disj", "--s", "2", "--q", "2",
                          "--N", "25"])
     assert rc == 3
+
+
+def test_search_node_budget_exit_code(capsys, monkeypatch):
+    # disj s=2 N=5 visits 6,553 nodes: the budget stops it after work started
+    monkeypatch.setattr(cst, "NODE_GUARD", 1000)
+    rc, out, err = run_err(capsys, ["search", "--channel", "disj", "--s", "2", "--q", "2",
+                                    "--N", "5"])
+    assert rc == 3 and out == "" and "nodes" in err
 
 
 @pytest.mark.parametrize("prop", [

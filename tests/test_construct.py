@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepmac.core import Code, InvalidParametersError
+import sepmac.construct as cst
+from sepmac.core import Code, InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.construct import (
     EnsembleSpec,
@@ -189,3 +190,46 @@ def test_max_code_search_guards():
             max_code_search(DISJ2, N)
     with pytest.raises(InvalidParametersError):
         max_code_search(DISJ2, 2, mode="fast")
+
+
+# (t*, nodes, witness) of the benchmark's exhaustive search commands (s = 2,
+# q = 2): the 5-column trees lie beyond the differential tests' N <= 4
+SEARCH_TREES = {
+    ("disj", 4): (5, 331, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                           (1, 0, 0, 0)]),
+    ("disj", 5): (6, 6553, [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
+                            (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
+    ("thr:2", 5): (6, 4172, [(0, 0, 1, 1, 1), (0, 1, 0, 1, 1), (1, 0, 1, 0, 1),
+                             (1, 1, 0, 1, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 1)]),
+    ("eras", 4): (7, 2554, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                            (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("name,N", list(SEARCH_TREES))
+def test_search_trees_pinned(name, N):
+    t_star, nodes, witness = SEARCH_TREES[name, N]
+    res = max_code_search(make_channel(name, 2, 2), N)
+    assert (res.t_star, res.nodes, res.code) == (t_star, nodes, Code.from_columns(2, witness))
+
+
+def test_node_budget(monkeypatch):
+    # disj s=2 N=4 visits exactly 331 nodes
+    monkeypatch.setattr(cst, "NODE_GUARD", 331)
+    assert max_code_search(DISJ2, 4).nodes == 331
+    monkeypatch.setattr(cst, "NODE_GUARD", 330)
+    with pytest.raises(SizeLimitError, match="330 nodes"):
+        max_code_search(DISJ2, 4)
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+def test_gather_blocks_leave_search_unchanged(monkeypatch, cells):
+    # blocks of one candidate, and blocks that split a node's candidates
+    # unevenly, against one block per node
+    cases = [(DISJ2, 4, "exhaustive"), (make_channel("eras", 2, 2), 4, "exhaustive"),
+             (make_channel("B", 3, 2), 3, "exhaustive"), (make_channel("A", 1, 3), 2, "exhaustive"),
+             (make_channel("B", 2, 3), 3, "greedy")]
+    want = [max_code_search(ch, N, mode, 1) for ch, N, mode in cases]
+    monkeypatch.setattr(cst, "GATHER_CELLS", cells)
+    got = [max_code_search(ch, N, mode, 1) for ch, N, mode in cases]
+    assert [(r.t_star, r.nodes, r.code) for r in got] == [(r.t_star, r.nodes, r.code) for r in want]

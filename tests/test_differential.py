@@ -1,6 +1,6 @@
 """Differential tests: the integer channel kernel, its output law, the
-row-mask cover tests, the incremental search and the integer P_term against
-the pure-Python reference in ``reference.py``."""
+row-mask cover tests, the incremental exhaustive and greedy search and the
+integer P_term against the pure-Python reference in ``reference.py``."""
 
 import itertools
 import random
@@ -119,8 +119,14 @@ def test_P_term_matches_reference():
                 assert P_term(q, s, L) == ref.P_term(q, s, L), (q, s, L)
 
 
+def _search_channel(name, s, q):
+    if name == "custom":
+        return _channel(name, s, q, random.Random(f"{s}-{q}"))
+    return make_channel(name, s, q)
+
+
 def _search_instances():
-    for s in (2, 3):
+    for s in (1, 2, 3):
         for q, n in [(q, 1) for q in range(2, 16)] + [(2, 2), (2, 3), (3, 2), (2, 4)]:
             names = ["disj"] + [f"thr:{l}" for l in range(1, s + 1)] if q == 2 else []
             if n < 4:
@@ -131,7 +137,22 @@ def _search_instances():
 
 @pytest.mark.parametrize("s,q,n,name", list(_search_instances()))
 def test_search_matches_reference(s, q, n, name):
-    ch = _channel(name, s, q, random.Random(f"{s}-{q}")) if name == "custom" else \
-        make_channel(name, s, q)
+    ch = _search_channel(name, s, q)
     got, want = max_code_search(ch, n), ref.max_code_search(ch, n)
     assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes)
+
+
+def _greedy_instances():
+    for s in (1, 2, 3):
+        for q, n in [(q, n) for q in range(2, 17) for n in range(1, 6) if q ** n <= 32]:
+            names = ["disj"] + [f"thr:{l}" for l in range(1, s + 1)] if q == 2 else []
+            for name in names + ["A", "B", "eras", "custom"]:
+                yield s, q, n, name
+
+
+@pytest.mark.parametrize("s,q,n,name", list(_greedy_instances()))
+def test_greedy_matches_reference(s, q, n, name):
+    ch = _search_channel(name, s, q)
+    for seed in range(3):
+        got, want = max_code_search(ch, n, "greedy", seed), ref.greedy_search(ch, n, seed)
+        assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes), seed
