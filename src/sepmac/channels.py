@@ -101,14 +101,22 @@ def output_ids(channel: ChannelSpec, words) -> np.ndarray:
     return channel.out[state]
 
 
-def output_law(channel: ChannelSpec, p) -> np.ndarray:
-    """The law of the output id when the s inputs are i.i.d. with the law p
-    (q probabilities): the state law folded through ``trans`` s times."""
+def _state_laws(channel: ChannelSpec, p):
+    """The laws of the kernel state after 0, 1, ..., s inputs i.i.d. with the
+    law p (q probabilities), each folded once more through ``trans``."""
     p = np.asarray(p, dtype=float)
     law = np.zeros(len(channel.trans))
     law[0] = 1.0
+    yield law
     for _ in range(channel.s):
         law = np.bincount(channel.trans.ravel(), np.outer(law, p).ravel(), len(law))
+        yield law
+
+
+def output_law(channel: ChannelSpec, p) -> np.ndarray:
+    """The law of the output id when the s inputs are i.i.d. with the law p
+    (q probabilities): the state law folded through ``trans`` s times."""
+    *_, law = _state_laws(channel, p)
     return np.bincount(channel.out, law, len(channel.outputs))
 
 

@@ -3,7 +3,6 @@ construction, and desk-scale maximal-code search."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -172,31 +171,35 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     if q ** N > EXHAUSTIVE_GUARD:
         raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
-    candidates = list(itertools.product(range(q), repeat=N))
-    columns = np.array(candidates, dtype=np.intp)
-    n_cand = len(candidates)
+    n_cand = q ** N
+    # candidate column i is the base-q digits of i, so index order is lexicographic
+    columns = np.empty((n_cand, N), dtype=np.intp)
+    index = np.arange(n_cand)
+    for j in range(N):
+        index, columns[:, N - 1 - j] = np.divmod(index, q)
     # the empty code: one empty subset, no messages
     states = [np.zeros((0 if k else 1, N), dtype=np.intp) for k in range(s)]
 
     if mode == "greedy":
         order = list(range(n_cand))
         random.Random(seed).shuffle(order)
-        chosen: list[tuple[int, ...]] = []
+        chosen: list[int] = []
         seen: frozenset = frozenset()
         for idx in order:
             new = next(_output_keys(channel, states[-1], columns[idx:idx + 1]))
             if _accepts(seen, new):
                 states, seen = _grow(channel, states, columns[idx]), seen.union(new)
-                chosen.append(candidates[idx])
-        return SearchResult(len(chosen), Code.from_columns(q, sorted(chosen)), n_cand, "greedy")
+                chosen.append(idx)
+        code = Code.from_columns(q, columns[sorted(chosen)].tolist())
+        return SearchResult(len(chosen), code, n_cand, "greedy")
 
     if mode != "exhaustive":
         raise InvalidParametersError(f"unknown search mode {mode!r}")
 
-    best: list[tuple[int, ...]] = []
+    best: list[int] = []
     nodes = 0
 
-    def extend(chosen: list[tuple[int, ...]], states: list, seen: frozenset, start: int):
+    def extend(chosen: list[int], states: list, seen: frozenset, start: int):
         nonlocal best, nodes
         nodes += 1
         if nodes > NODE_GUARD:
@@ -212,8 +215,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             if len(chosen) + (n_cand - idx) <= len(best):
                 break
             if _accepts(seen, new):
-                extend(chosen + [candidates[idx]], _grow(channel, states, columns[idx]),
+                extend(chosen + [idx], _grow(channel, states, columns[idx]),
                        seen.union(new), idx + 1)
 
     extend([], states, frozenset(), 0)
-    return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")
+    code = Code.from_columns(q, columns[best].tolist())
+    return SearchResult(len(best), code, nodes, "exhaustive")

@@ -10,7 +10,9 @@ and ``builtin_output`` reads each built-in channel's output off the s-word
 itself, apart from the composition tables the channels are built from;
 ``validate_symmetric`` folds a table keyed by s-words into a channel.
 The greedy search keeps a column iff the reference separability check
-holds on the grown code.
+holds on the grown code. The entropy bound's multi-start SLSQP here
+takes finite-difference gradients, each step evaluating
+``sepmac.bounds.entropy_output`` q + 1 times.
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
@@ -28,7 +30,11 @@ from fractions import Fraction
 from math import comb, factorial, log
 from typing import Iterator, Sequence
 
-from sepmac.bounds import Distribution, multinomial
+import numpy as np
+from scipy.optimize import minimize
+
+from sepmac import bounds as bnd
+from sepmac.bounds import BoundReport, Distribution, multinomial
 from sepmac.channels import ChannelSpec, OutputSymbol
 from sepmac.core import (
     Code,
@@ -413,6 +419,40 @@ def entropy_output(channel: ChannelSpec, p: Distribution) -> float:
         if pr > 0:
             h -= pr * log(pr)
     return h
+
+
+def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
+    """The entropy bound's multi-start SLSQP with finite-difference gradients:
+    every step evaluates ``sepmac.bounds.entropy_output`` q + 1 times."""
+    q = channel.q
+    rng = np.random.default_rng(seed)
+
+    def neg_entropy(x):
+        x = np.clip(x, 0.0, None)
+        total = x.sum()
+        if total <= 0:
+            return 0.0
+        return -bnd.entropy_output(channel, Distribution(tuple(x / total)))
+
+    starts = [np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)]
+    hmax, pstar, converged = -math.inf, None, False
+    constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0}]
+    for x0 in starts:
+        res = minimize(neg_entropy, x0, method="SLSQP", bounds=[(0.0, 1.0)] * q,
+                       constraints=constraints, options={"maxiter": 500, "ftol": 1e-12})
+        x = np.clip(res.x, 0.0, None)
+        x /= x.sum()
+        val = -neg_entropy(x)
+        if val > hmax:
+            hmax, pstar = val, Distribution(tuple(float(v) for v in x))
+            converged = bool(res.success)
+    return BoundReport(
+        name="entropy-capacity",
+        value=hmax / channel.s,
+        params={"channel": channel.name(), "s": channel.s, "q": channel.q},
+        witness=pstar,
+        approximate=not converged,
+    )
 
 
 def P_term(q: int, s: int, L: int) -> Fraction:

@@ -1,13 +1,17 @@
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from reference import P_term_enumerate, proof_probability_estimates, reference_asymptotics
 from sepmac.core import InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.bounds import (
     BoundReport,
+    _neg_entropy,
     Distribution,
     P_term,
     capacity_B_closed_form,
@@ -55,6 +59,21 @@ def test_disjunctive_capacity():
         rep = capacity_entropy_bound(ch)
         assert abs(rep.value - LN2 / s) < 1e-9
         assert abs(rep.witness.probs[0] - 2 ** (-1 / s)) < 1e-4
+
+
+def test_entropy_slsqp_from_a_vertex():
+    # at e_0 every output that another symbol reaches has probability 0: its
+    # log term is finite, so SLSQP neither warns nor stalls on a zero slope
+    for name, s, q in (("A", 2, 3), ("B", 3, 3), ("eras", 3, 4)):
+        ch = make_channel(name, s, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize(_neg_entropy, np.eye(q)[0], args=(ch,), jac=True, method="SLSQP",
+                           bounds=[(0.0, 1.0)] * q,
+                           constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0}],
+                           options={"maxiter": 500, "ftol": 1e-12})
+        assert math.isfinite(res.fun)
+        assert -res.fun / s >= capacity_entropy_bound(ch).value - 1e-9, name
 
 
 def test_b_capacity_closed_form():

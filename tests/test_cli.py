@@ -362,6 +362,18 @@ def test_bad_value_names_option(capsys, tmp_path, monkeypatch, option, argv):
     assert err.startswith(f"usage error: {option}")
 
 
+def test_entropy_accepts_any_integer_seed(capsys, monkeypatch):
+    # like gen and greedy search, the entropy bound reduces its seed to 64 bits
+    argv = ["bound", "--kind", "entropy", "--channel", "A", "--s", "2", "--q", "3"]
+    payloads = []
+    for seed in ("-1", str(2 ** 64 - 1)):
+        monkeypatch.setenv("SEPMAC_SEED", seed)
+        rc, rec = run_json(capsys, argv)
+        assert rc == 0
+        payloads.append(rec["payload"])
+    assert payloads[0] == payloads[1]
+
+
 def test_decode_symbol_outside_alphabet(capsys, tmp_path, code_file):
     code_path = code_file(SEP_CODE)
     z = tmp_path / "z.txt"

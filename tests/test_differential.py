@@ -1,6 +1,8 @@
 """Differential tests: the integer channel kernel, its output law, the
-row-mask cover tests, the incremental exhaustive and greedy search and the
-integer P_term against the pure-Python reference in ``reference.py``."""
+row-mask cover tests, the incremental exhaustive and greedy search, the
+integer P_term and the entropy bound's exact-gradient SLSQP against the
+pure-Python reference and the finite-difference solver in ``reference.py``;
+and that gradient against central differences."""
 
 import itertools
 import random
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from sepmac.bounds import Distribution, P_term, entropy_output
+from sepmac import bounds
+from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_output
 from sepmac.channels import ChannelSpec, OutputSymbol, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
@@ -92,6 +95,48 @@ def channel_laws(draw):
 def test_entropy_output_matches_reference(case):
     ch, p = case
     assert abs(entropy_output(ch, p) - ref.entropy_output(ch, p)) <= 1e-12
+
+
+@st.composite
+def entropy_channels(draw):
+    """A custom channel (q, s <= 4, 2-5 labels), A, B or eras with q <= 5, or
+    thr:l with s <= 6."""
+    kind = draw(st.sampled_from(("A", "B", "eras", "thr", "custom")))
+    if kind == "thr":
+        s = draw(st.integers(1, 6))
+        return make_channel(f"thr:{draw(st.integers(1, s))}", s, 2)
+    if kind == "custom":
+        q, s = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        labels = "uvwxy"[:draw(st.integers(2, 5))]
+        return ChannelSpec("custom", q, s, {c: rng.choice(labels) for c in compositions(s, q)})
+    return make_channel(kind, draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entropy_channels(), st.integers(0, 2 ** 63))
+def test_entropy_bound_not_below_reference(ch, seed):
+    got, want = capacity_entropy_bound(ch, seed), ref.capacity_entropy_bound(ch, seed)
+    assert got.value >= want.value - 1e-9
+
+
+@pytest.mark.parametrize("name,s,q", [("B", 5, 5), ("A", 4, 4), ("A", 3, 5), ("eras", 3, 4)])
+def test_entropy_bound_matches_reference_on_benchmark(name, s, q):
+    ch = make_channel(name, s, q)
+    assert abs(capacity_entropy_bound(ch).value - ref.capacity_entropy_bound(ch).value) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(entropy_channels(), st.data())
+def test_entropy_gradient_matches_central_differences(ch, data):
+    x = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=ch.q, max_size=ch.q)))
+    value, grad = bounds._neg_entropy(x, ch)
+    assert abs(value + entropy_output(ch, Distribution(tuple(x / x.sum())))) <= 1e-12
+    h = 1e-6
+    for a, step in enumerate(np.eye(ch.q) * h):
+        up, down = bounds._neg_entropy(x + step, ch)[0], bounds._neg_entropy(x - step, ch)[0]
+        slope = (up - down) / (2 * h)
+        assert abs(grad[a] - slope) <= 1e-6 * (1 + abs(slope)), (a, grad, slope)
 
 
 @settings(max_examples=300, deadline=None)
