@@ -2,9 +2,10 @@
 
 A symmetric MAC is a deterministic function of the multiset of the s input
 symbols, so a channel, ``ChannelSpec(name, q, s, table)``, is one total
-table from the C(q+s-1, s) compositions (count tuples) to outputs. Outputs
-carry the channel kind as a tag so that outputs of different channels never
-compare equal accidentally. ``make_channel`` alone knows the built-in rules.
+table from the C(q+s-1, s) compositions (count tuples) to outputs. An
+output is its printed label, the ``str`` of the table's value: the A-MAC
+prints the set of inputs as ``{0,1}``, the B-MAC the composition as
+``(1,1)``. ``make_channel`` alone knows the built-in rules.
 Each channel also carries an integer kernel (``_kernel``): ``output_ids``
 maps s-words to output ids and ``output_law`` gives the output law of
 i.i.d. inputs.
@@ -12,7 +13,8 @@ i.i.d. inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import itertools
 from math import comb
 
 import numpy as np
@@ -35,42 +37,22 @@ def _check_shape(q: int, s: int) -> None:
                              f"exceed guard {KERNEL_GUARD} (q={q}, s={s})")
 
 
-@dataclass(frozen=True)
-class OutputSymbol:
-    """A channel output value tagged with the channel kind.
-
-    ``value`` is hashable and canonical: a sorted tuple of symbols for the
-    A-MAC, a count tuple for the B-MAC, an int or '*' for the scalar channels,
-    an opaque string label for custom channels.
-    """
-
-    kind: str
-    value: object
-
-    def label(self) -> str:
-        if self.kind == "A":
-            return "{" + ",".join(str(a) for a in self.value) + "}"
-        if self.kind == "B":
-            return "(" + ",".join(str(c) for c in self.value) + ")"
-        return str(self.value)
-
-
 class ChannelSpec:
     """A symmetric f-MAC named ``name``: a total table from the weight-s
-    compositions over A_q (count tuples) to raw output values, and its
-    kernel. The kind is the name up to its first ':'; it tags every output
-    value as an OutputSymbol."""
+    compositions over A_q (count tuples) to outputs, and its kernel. An
+    output is the label it prints, ``str(value)``, so values with equal
+    labels are one output."""
 
     def __init__(self, name: str, q: int, s: int, table: dict):
         _check_shape(q, s)
-        self.kind = name.partition(":")[0]
-        need, have = set(compositions(s, q)), set(table)
+        comps = list(compositions(s, q))
+        need, have = set(comps), set(table)
         if have != need:
-            raise InvalidParametersError(f"{self.kind} table not total on compositions: missing "
+            raise InvalidParametersError(f"{name} table not total on compositions: missing "
                                          f"{sorted(need - have)}, extra {sorted(have - need)}")
         self._name, self.q, self.s = name, q, s
-        self._table = {c: OutputSymbol(self.kind, v) for c, v in table.items()}
-        self.trans, self.out, self.outputs = _kernel(q, s, self._table)
+        self._table = {c: str(v) for c, v in table.items()}
+        self.trans, self.out, self.outputs = _kernel(q, s, [self._table[c] for c in comps])
 
     def __repr__(self):
         return f"ChannelSpec({self._name}, q={self.q}, s={self.s})"
@@ -79,16 +61,26 @@ class ChannelSpec:
         return self._name
 
 
-def _kernel(q: int, s: int, table: dict) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(trans, out, outputs) over the compositions of weight <= s (state 0 is
-    empty): trans[state, a] adds symbol a below weight s, out[state] is the
-    output id of a weight-s state, outputs[id] its symbol; equal ones share it."""
-    states = [c for w in range(s + 1) for c in compositions(w, q)]
-    index = {c: i for i, c in enumerate(states)}
-    trans = np.array([[index.get(c[:a] + (c[a] + 1,) + c[a + 1:], 0) for a in range(q)]
-                      for c in states], dtype=np.intp)
+def _kernel(q: int, s: int, labels: list) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(trans, out, outputs) over the compositions of weight <= s, by weight
+    and then in count order (state 0 is empty): trans[state, a] adds symbol a
+    below weight s, out[state] is the output id of a weight-s state, whose
+    label ``labels`` gives in count order, and outputs[id] is that label;
+    equal labels share an id. A state is kept as its sorted word, so adding
+    a symbol is an insertion; count order is reverse word order."""
+    words = [w for k in range(s + 1)
+             for w in reversed(list(itertools.combinations_with_replacement(range(q), k)))]
+    index = {w: i for i, w in enumerate(words)}
+
+    def grown(w: tuple, a: int) -> int:
+        k = bisect.bisect_right(w, a)
+        return index[w[:k] + (a,) + w[k:]]
+
+    below = len(words) - len(labels)
+    trans = np.zeros((len(words), q), dtype=np.intp)
+    trans[:below] = [[grown(w, a) for a in range(q)] for w in words[:below]]
     ids: dict = {}
-    out = [ids.setdefault(table[c], len(ids)) if sum(c) == s else 0 for c in states]
+    out = [0] * below + [ids.setdefault(z, len(ids)) for z in labels]
     return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
 
 
@@ -120,11 +112,11 @@ def output_law(channel: ChannelSpec, p) -> np.ndarray:
     return np.bincount(channel.out, law, len(channel.outputs))
 
 
-# the built-in rules: the output of a composition c, given the level l of a
-# threshold channel (disj is thr with l = 1)
+# the built-in rules: the output label of a composition c, given the level l
+# of a threshold channel (disj is thr with l = 1)
 _RULES = {
-    "A": lambda c, l: tuple(a for a, n in enumerate(c) if n > 0),
-    "B": lambda c, l: c,
+    "A": lambda c, l: "{" + ",".join(str(a) for a, n in enumerate(c) if n > 0) + "}",
+    "B": lambda c, l: "(" + ",".join(map(str, c)) + ")",
     "eras": lambda c, l: c.index(max(c)) if max(c) == sum(c) else "*",
     "thr": lambda c, l: int(c[1] >= l),
     "disj": lambda c, l: int(c[1] >= l),

@@ -198,26 +198,36 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
 
     best: list[int] = []
     nodes = 0
+    # one entry per open node: its code, kernel states, output rows and the
+    # candidates it has not tried yet
+    stack: list = []
 
-    def extend(chosen: list[int], states: list, seen: frozenset, start: int):
+    def visit(chosen: list[int], states: list, seen: frozenset, start: int):
         nonlocal best, nodes
         nodes += 1
         if nodes > NODE_GUARD:
             raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
                                  f"(q^N = {n_cand}, s = {s})")
         if len(chosen) > len(best):
-            best = list(chosen)
+            best = chosen
         # no candidate from stop on can pass the bound, and best only grows
         stop = n_cand - len(best) + len(chosen)
         keys = _output_keys(channel, states[-1], columns[start:stop])
-        for idx, new in zip(range(start, stop), keys):
+        stack.append((chosen, states, seen, zip(range(start, stop), keys)))
+
+    visit([], states, frozenset(), 0)
+    while stack:
+        chosen, states, seen, untried = stack[-1]
+        for idx, new in untried:
             # bound: even taking every remaining candidate cannot beat best
             if len(chosen) + (n_cand - idx) <= len(best):
+                stack.pop()
                 break
             if _accepts(seen, new):
-                extend(chosen + [idx], _grow(channel, states, columns[idx]),
-                       seen.union(new), idx + 1)
-
-    extend([], states, frozenset(), 0)
+                visit(chosen + [idx], _grow(channel, states, columns[idx]),
+                      seen.union(new), idx + 1)
+                break
+        else:
+            stack.pop()
     code = Code.from_columns(q, columns[best].tolist())
     return SearchResult(len(best), code, nodes, "exhaustive")

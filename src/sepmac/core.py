@@ -8,6 +8,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -97,19 +98,12 @@ def type_of(word: Sequence[int], q: int) -> tuple[int, ...]:
 
 def compositions(s: int, q: int) -> Iterator[tuple[int, ...]]:
     """All C(q+s-1, s) compositions of weight s over q symbols,
-    in lexicographic order of the count vector."""
+    in lexicographic order of the count vector: stars and bars, the counts
+    being the gaps between q-1 bars among s+q-1 places."""
     if s < 0 or q < 1:
         raise InvalidParametersError(f"bad composition parameters s={s}, q={q}")
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for c in range(remaining + 1):
-            for rest in rec(remaining - c, slots - 1):
-                yield (c,) + rest
-
-    yield from rec(s, q)
+    for bars in itertools.combinations(range(s + q - 1), q - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (s + q - 1,)))
 
 
 # --- code matrix file format -------------------------------------------------

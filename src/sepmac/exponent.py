@@ -1,9 +1,10 @@
 """Random-coding error exponents of almost separable codes.
 
-A joint distribution tau on A_q^s x Z is supported on the channel graph
-{(x, f(x))}, so it is one weight per input word. H and I_m are convex in
-tau, so by Sion's theorem min_tau H + [I_m - mR]^+ equals the dual
-max over lam in [0, 1] and mu of E0(lam, mu, m) - <mu, p> - lam m R. With
+A joint distribution tau on A_q^s x Z (Z the channel's output labels) is
+supported on the channel graph {(x, f(x))}, so it is one weight per input
+word. H and I_m are convex in tau, so by Sion's theorem
+min_tau H + [I_m - mR]^+ equals the dual max over lam in [0, 1] and mu of
+E0(lam, mu, m) - <mu, p> - lam m R. With
 w = (h, u) split after its first m symbols, P the product law and
 P~(w) = P(w) exp(-sum_k mu[k, w_k]),
 
@@ -45,7 +46,7 @@ def _check_desk_scale(channel: ChannelSpec) -> None:
 @dataclass(frozen=True)
 class ExponentReport:
     """`value` is the dual value, a lower bound on the exponent; `primal` is
-    H + [I_m - mR]^+ at `tau_star`, a map (word, output symbol) -> weight,
+    H + [I_m - mR]^+ at `tau_star`, a map (word, output label) -> weight,
     and `gap` = primal - value."""
 
     value: float

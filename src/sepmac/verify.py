@@ -133,7 +133,7 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     colliding output is the word's tuple of output labels."""
     msgs, rows = _output_rows(code, s, channel)
     return _collision_verdict(msgs, rows, lambda row: tuple(
-        channel.outputs[z].label() for z in row.tolist()))
+        channel.outputs[z] for z in row.tolist()))
 
 
 def _masks(code: Code) -> np.ndarray:

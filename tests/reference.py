@@ -4,10 +4,11 @@ These are the object-by-object verifiers, the branch-and-bound search and
 the output entropy that the integer channel kernel replaced: every message
 builds its output word from column multisets, types and channel table
 lookups, every search node recomputes the outputs of all messages of its
-code, and the output law sums composition probabilities per output symbol.
+code, and the output law sums composition probabilities per output label.
 The list-decoding P_term adds one Fraction per inclusion-exclusion term,
-and ``builtin_output`` reads each built-in channel's output off the s-word
-itself, apart from the composition tables the channels are built from;
+``builtin_output`` reads each built-in channel's output label off the
+s-word itself, apart from the composition tables the channels are built
+from, and ``kernel`` builds a channel's kernel cell by cell on count tuples;
 ``validate_symmetric`` folds a table keyed by s-words into a channel.
 The greedy search keeps a column iff the reference separability check
 holds on the grown code. The entropy bound's multi-start SLSQP here
@@ -16,7 +17,7 @@ takes finite-difference gradients, each step evaluating
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
-a joint distribution tau, a map (word, output symbol) -> weight.
+a joint distribution tau, a map (word, output label) -> weight.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
@@ -35,7 +36,7 @@ from scipy.optimize import minimize
 
 from sepmac import bounds as bnd
 from sepmac.bounds import BoundReport, Distribution, multinomial
-from sepmac.channels import ChannelSpec, OutputSymbol
+from sepmac.channels import ChannelSpec
 from sepmac.core import (
     Code,
     InvalidParametersError,
@@ -87,25 +88,40 @@ def enumerate_messages(t: int, s: int) -> Iterator[Message]:
         yield Message(combo)
 
 
-def builtin_output(name: str, word: tuple[int, ...], q: int):
-    """The raw output of a built-in channel on an s-word, read off the word
-    as the README's channel table defines it."""
+def builtin_output(name: str, word: tuple[int, ...], q: int) -> str:
+    """The output label of a built-in channel on an s-word, read off the
+    word as the README's channel table defines it and printed as the README
+    prints it."""
     kind, _, level = name.partition(":")
-    if kind == "A":  # the set of distinct input symbols
-        return tuple(sorted(set(word)))
-    if kind == "B":  # the full composition of the inputs
-        return tuple(word.count(a) for a in range(q))
+    if kind == "A":  # the set of distinct input symbols, as {0,1}
+        return "{" + ",".join(str(a) for a in sorted(set(word))) + "}"
+    if kind == "B":  # the full composition of the inputs, as (1,1)
+        return "(" + ",".join(str(word.count(a)) for a in range(q)) + ")"
     if kind == "eras":  # the common symbol, or * if the inputs differ
-        return word[0] if len(set(word)) == 1 else "*"
+        return str(word[0]) if len(set(word)) == 1 else "*"
     if kind == "thr":  # 1 iff at least L inputs are 1
-        return 1 if word.count(1) >= int(level) else 0
+        return "1" if word.count(1) >= int(level) else "0"
     if kind == "disj":  # the logical OR of the inputs
-        return 1 if any(word) else 0
+        return "1" if any(word) else "0"
     raise ValueError(f"not a built-in channel: {name!r}")
 
 
-def eval_channel(channel: ChannelSpec, comp: tuple[int, ...]) -> OutputSymbol:
-    """Channel output for one composition (count tuple) of weight s."""
+def kernel(q: int, s: int, table: dict) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A channel's (trans, out, outputs) built cell by cell on count tuples,
+    as ``sepmac.channels._kernel`` defines them: states are the compositions
+    of weight <= s by weight and then in count order, and ``table`` maps the
+    weight-s ones to labels."""
+    states = [c for w in range(s + 1) for c in compositions(w, q)]
+    index = {c: i for i, c in enumerate(states)}
+    trans = np.array([[index.get(c[:a] + (c[a] + 1,) + c[a + 1:], 0) for a in range(q)]
+                      for c in states], dtype=np.intp)
+    ids: dict = {}
+    out = [ids.setdefault(table[c], len(ids)) if sum(c) == s else 0 for c in states]
+    return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
+
+
+def eval_channel(channel: ChannelSpec, comp: tuple[int, ...]) -> str:
+    """Channel output label for one composition (count tuple) of weight s."""
     if len(comp) != channel.q:
         raise InvalidParametersError(
             f"composition alphabet {len(comp)} != channel alphabet {channel.q}")
@@ -143,20 +159,10 @@ def validate_symmetric(table: dict, s: int, q: int) -> ChannelSpec:
     return ChannelSpec("custom", q, s, comp_table)
 
 
-@dataclass(frozen=True)
-class OutputWord:
-    """The output symbols of one message, row by row."""
-
-    symbols: tuple[OutputSymbol, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(z.label() for z in self.symbols)
-
-
-def output_word(channel: ChannelSpec, code: Code, message: Message) -> OutputWord:
-    return OutputWord(tuple(
-        eval_channel(channel, type_of(column_multiset(code, message, i), code.q))
-        for i in range(1, code.N + 1)))
+def output_word(channel: ChannelSpec, code: Code, message: Message) -> tuple[str, ...]:
+    """The output word of one message: its output labels, row by row."""
+    return tuple(eval_channel(channel, type_of(column_multiset(code, message, i), code.q))
+                 for i in range(1, code.N + 1))
 
 
 def _best_collision_pair(groups: dict):
@@ -178,7 +184,7 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     bad = _best_collision_pair(groups)
     if bad is None:
         return Verdict(True)
-    return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2].labels(),))
+    return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
 
 
 def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionReport:

@@ -217,7 +217,7 @@ def test_exponent_identities():
         make_channel("disj", 3, 2), make_channel("thr:2", 3, 2),
     ]
     for ch in channels:
-        rng = random.Random(f"{ch.kind}-{ch.s}-{ch.q}")
+        rng = random.Random(f"{ch.name().partition(':')[0]}-{ch.s}-{ch.q}")
         for _ in range(50):
             p = _random_distribution(rng, ch.q)
             tau = canonical_tau(p, ch)

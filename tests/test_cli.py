@@ -426,3 +426,44 @@ def test_custom_channel_shape_mismatch(capsys, tmp_path, code_file):
         "verify", "--code", code_file(SEP_CODE), "--s", "2",
         "--channel", f"custom:{ch}", "--separable"])
     assert rc == 2
+
+
+# (code, channel, colliding output, witness) of failing separability checks,
+# taken from the release before outputs became their labels
+A_B_CODE = "3 2 6\n0 2 1 1 2 0\n1 2 0 2 0 1\n"
+BIN_CODE = "2 3 5\n0 0 1 1 1\n0 1 0 1 1\n1 1 0 0 1\n"
+COLLISIONS = [
+    (A_B_CODE, "A", '[["{0,2}", "{1,2}"]]', "[[1, 2], [2, 6]]"),
+    (A_B_CODE, "B", '[["(1,0,1)", "(0,1,1)"]]', "[[1, 2], [2, 6]]"),
+    ("3 2 4\n0 0 1 0\n1 2 1 0\n", "eras", '[["0", "*"]]', "[[1, 2], [1, 4]]"),
+    (BIN_CODE, "disj", '[["1", "1", "1"]]', "[[1, 4], [1, 5]]"),
+    (BIN_CODE, "thr:2", '[["0", "0", "1"]]', "[[1, 2], [1, 5]]"),
+    (BIN_CODE, "custom", '[["v", "v", "v"]]', "[[1, 4], [1, 5]]"),
+]
+
+
+@pytest.mark.parametrize("code,channel,output,witness", COLLISIONS,
+                         ids=[c[1] for c in COLLISIONS])
+def test_separable_colliding_output_bytes(capsys, tmp_path, code_file, code, channel,
+                                          output, witness):
+    if channel == "custom":
+        chan = tmp_path / "chan.txt"
+        chan.write_text("2 2 2\n2 0 -> u\n1 1 -> v\n0 2 -> v\n")
+        channel = f"custom:{chan}"
+    rc, out = run(capsys, ["verify", "--code", code_file(code), "--s", "2",
+                           "--channel", channel, "--separable"])
+    assert rc == 1
+    assert f'"colliding_output": {output}, "holds": false' in out
+    assert f'"witness": {witness}' in out
+
+
+@pytest.mark.parametrize("argv,t_star,nodes", [
+    # a search tree 1,025 nodes deep and a channel of 1,000 symbols
+    (["--s", "1", "--q", "2", "--N", "10"], 1024, 1025),
+    (["--s", "1", "--q", "1000", "--N", "1"], 1000, 1001),
+    (["--s", "1", "--q", "1000", "--N", "1", "--mode", "greedy"], 1000, 1000),
+], ids=["deep", "wide", "wide-greedy"])
+def test_search_deep_and_wide(capsys, argv, t_star, nodes):
+    rc, rec = run_json(capsys, ["search", "--channel", "B"] + argv)
+    assert rc == 0
+    assert (rec["payload"]["t_star"], rec["payload"]["nodes"]) == (t_star, nodes)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -211,6 +212,14 @@ def test_search_trees_pinned(name, N):
     t_star, nodes, witness = SEARCH_TREES[name, N]
     res = max_code_search(make_channel(name, 2, 2), N)
     assert (res.t_star, res.nodes, res.code) == (t_star, nodes, Code.from_columns(2, witness))
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # the B-MAC with s = 1 separates every code: the tree is one path
+    res = max_code_search(make_channel("B", 1, 2), 10)
+    assert (res.t_star, res.nodes) == (1024, 1025)
+    assert res.nodes > sys.getrecursionlimit()
+    assert res.code == Code.from_columns(2, list(itertools.product(range(2), repeat=10)))
 
 
 def test_node_budget(monkeypatch):

@@ -83,6 +83,7 @@ def test_compositions_count():
     assert len(comps) == math.comb(3 + 4 - 1, 4)
     assert all(sum(c) == 4 for c in comps)
     assert len(set(comps)) == len(comps)
+    assert comps == sorted(comps)  # lexicographic order of the count vector
 
 
 def test_message_validation():

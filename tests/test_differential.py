@@ -1,7 +1,7 @@
-"""Differential tests: the integer channel kernel, its output law, the
-row-mask cover tests, the incremental exhaustive and greedy search, the
-integer P_term and the entropy bound's exact-gradient SLSQP against the
-pure-Python reference and the finite-difference solver in ``reference.py``;
+"""Differential tests: the integer channel kernel and its construction, its
+output law, the row-mask cover tests, the incremental exhaustive and greedy
+search, the integer P_term and the entropy bound's exact-gradient SLSQP
+against the pure-Python reference and the finite-difference solver in ``reference.py``;
 and that gradient against central differences."""
 
 import itertools
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import reference as ref
 from sepmac import bounds
 from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_output
-from sepmac.channels import ChannelSpec, OutputSymbol, make_channel, output_ids
+from sepmac.channels import ChannelSpec, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
 from sepmac.verify import (
@@ -61,13 +61,20 @@ def test_separable_matches_reference(case):
     x = code.symbols()
     for e in ref.enumerate_messages(code.t, s):
         ids = output_ids(ch, x[np.array(e.indices) - 1])
-        assert [ch.outputs[z] for z in ids.tolist()] == list(ref.output_word(ch, code, e).symbols)
+        assert tuple(ch.outputs[z] for z in ids.tolist()) == ref.output_word(ch, code, e)
+
+
+def _assert_kernel_matches_reference(ch):
+    want = ref.kernel(ch.q, ch.s, ch._table)
+    for got, exp in zip((ch.trans, ch.out), want):
+        assert got.dtype == exp.dtype and np.array_equal(got, exp), ch
+    assert ch.outputs == want[2], ch
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "eras", "thr", "disj"])
 def test_builtin_rules_match_reference(kind):
     # every s-word, s <= 4 and q <= 4, through the kernel against the rule
-    # read off the word
+    # read off the word; the kernel against its construction on count tuples
     for s in range(1, 5):
         names = [f"thr:{l}" for l in range(1, s + 1)] if kind == "thr" else [kind]
         for q in [2] if kind in ("thr", "disj") else range(2, 5):
@@ -76,7 +83,16 @@ def test_builtin_rules_match_reference(kind):
                 ch = make_channel(name, s, q)
                 ids = output_ids(ch, np.array(words).T).tolist()
                 assert [ch.outputs[z] for z in ids] == [
-                    OutputSymbol(kind, ref.builtin_output(name, w, q)) for w in words], (name, s, q)
+                    ref.builtin_output(name, w, q) for w in words], (name, s, q)
+                _assert_kernel_matches_reference(ch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_custom_kernel_matches_reference(q, s, n_labels, seed):
+    rng = random.Random(seed)
+    table = {c: rng.choice("uvwxyz"[:n_labels]) for c in compositions(s, q)}
+    _assert_kernel_matches_reference(ChannelSpec("custom", q, s, table))
 
 
 @st.composite

@@ -135,7 +135,8 @@ def test_factor_decode_contains_message():
         ch = make_channel("A", 2, 2)
         for e in enumerate_messages(code.t, 2):
             z = output_word(ch, code, e)
-            decoded = factor_decode(code, [sym.value for sym in z.symbols])
+            # each A-MAC label {a,b} prints the union of the row's symbols
+            decoded = factor_decode(code, [tuple(map(int, label[1:-1].split(","))) for label in z])
             assert set(e.indices) <= decoded
 
 
