@@ -1,4 +1,4 @@
-"""Fundamental value types: codes, compositions and their types.
+"""Fundamental value types: codes and compositions.
 
 Conventions used throughout the toolkit:
   * codeword indices are 1-based in every external interface;
@@ -59,14 +59,9 @@ class Code:
     def t(self) -> int:
         return len(self.entries[0])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Codeword j, 1-based."""
-        if not 1 <= j <= self.t:
-            raise InvalidParametersError(f"codeword index {j} outside 1..{self.t}")
-        return tuple(row[j - 1] for row in self.entries)
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(1, self.t + 1)]
+        """The codewords, codeword j at place j-1."""
+        return list(zip(*self.entries))
 
     def symbols(self) -> np.ndarray:
         """The (t, N) symbol array: row j-1 is codeword j."""
@@ -85,15 +80,6 @@ def _check_word(word: Sequence[int], q: int) -> None:
     for a in word:
         if not 0 <= a < q:
             raise InvalidSymbolError(f"symbol {a} outside alphabet of size {q}")
-
-
-def type_of(word: Sequence[int], q: int) -> tuple[int, ...]:
-    """The type of a word: its composition, the per-symbol occurrence counts."""
-    _check_word(word, q)
-    counts = [0] * q
-    for a in word:
-        counts[a] += 1
-    return tuple(counts)
 
 
 def compositions(s: int, q: int) -> Iterator[tuple[int, ...]]:

@@ -4,20 +4,24 @@ All verifiers are exhaustive over the relevant message/tuple space and
 deterministic: a failing verdict carries the lexicographically smallest
 witness so that fixtures are stable. Channel-free properties test covers
 on q-bit row masks: a union word is the OR of the rows' 1 << x.
+
+Every verifier walks the index sets by prefix (``_walk``): a set of size
+k + 1 is a set of size k extended by one larger index, so its kernel state
+is one gather from its prefix's state, trans[state, x[b]], and its union
+word one OR with its prefix's union. The sets of the last size come in
+bounded blocks; only the collision verdicts hold all of them.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Code, InvalidParametersError, SizeLimitError, _check_word
-from .channels import ChannelSpec, output_ids
+from .channels import ChannelSpec
 
 
 @dataclass(frozen=True)
@@ -47,44 +51,59 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class ErrorFractionReport:
-    """Count and fraction of bad messages (colliding channel outputs)."""
-
-    bad_count: int
-    total: int
-    epsilon: Fraction = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.bad_count, self.total))
-
-    def to_dict(self) -> dict:
-        return {
-            "bad_count": self.bad_count,
-            "total": self.total,
-            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
-        }
-
-
 MESSAGE_GUARD = 10 ** 6  # index sets a verifier may enumerate
-_BLOCK_CELLS = 1 << 18   # array cells per block of gathered index sets
+_BLOCK_CELLS = 1 << 18   # array cells per block of walked index sets
 
 
-def _index_sets(t: int, sizes) -> np.ndarray:
-    """All 0-based index sets of the given sizes, by size and then
-    lexicographically, one per row padded with -1."""
-    if sum(comb(t, k) for k in sizes) > MESSAGE_GUARD:
+def _count(t: int, sizes) -> int:
+    """The number of index sets of the given sizes, refused above MESSAGE_GUARD."""
+    n = sum(comb(t, k) for k in sizes)
+    if n > MESSAGE_GUARD:
         raise SizeLimitError(f"instance too large: more than {MESSAGE_GUARD} index sets")
-    width = max(sizes)
-    sets = (c + (-1,) * (width - k) for k in sizes for c in itertools.combinations(range(t), k))
-    return np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp).reshape(-1, width)
+    return n
 
 
-def _blocks(sets: np.ndarray, cells: int):
-    """``sets`` in consecutive blocks of about _BLOCK_CELLS / cells rows."""
-    step = max(1, _BLOCK_CELLS // cells)
-    for lo in range(0, len(sets), step):
-        yield sets[lo:lo + step]
+def _walk(t: int, s: int, zero: np.ndarray, step, cells: int, every: bool = False):
+    """Yield (sets, folds) in blocks of about _BLOCK_CELLS / cells rows: the
+    0-based index sets of size s (of sizes 1..s if ``every``), by size and
+    then lexicographically, each with its fold. A set is its prefix plus one
+    larger index b, folded as step(prefix folds, b) from the empty set's row
+    ``zero``. Unless ``every``, prefixes that cannot reach size s are dropped."""
+    rows, sets, folds = max(1, _BLOCK_CELLS // cells), np.empty((1, 0), np.intp), zero[None]
+    for k in range(1, s + 1):
+        last = sets[:, -1] if k > 1 else np.array([-1])
+        counts = (t if every else t - s + k) - 1 - last
+        ends = np.cumsum(counts)
+        first = last + 1 - ends + counts  # the child at place m, of prefix p, adds first[p] + m
+        if k < s:
+            level = np.empty((ends[-1], k), np.intp), np.empty((ends[-1], len(zero)), zero.dtype)
+        for lo in range(0, ends[-1], rows):
+            m = np.arange(lo, min(lo + rows, ends[-1]))
+            p = np.searchsorted(ends, m, side="right")
+            b = first[p] + m
+            block = np.column_stack([sets[p], b]), step(folds[p], b)
+            if k < s:
+                level[0][lo:lo + len(m)], level[1][lo:lo + len(m)] = block
+            if every or k == s:
+                yield block
+        if k < s:
+            sets, folds = level
+
+
+def _held(walk, n: int, s: int, N: int, dtype, row) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's n sets in an (n, s) array, padded with -1, and ``row`` of
+    their folds in an (n, N) array, both filled block by block."""
+    sets, rows, lo = np.full((n, s), -1, dtype=np.intp), np.empty((n, N), dtype), 0
+    for block, folds in walk:
+        sets[lo:lo + len(block), :block.shape[1]] = block
+        rows[lo:lo + len(block)] = row(folds)
+        lo += len(block)
+    return sets, rows
+
+
+def _union_walk(code: Code, masks: np.ndarray, s: int, cells: int, every: bool = False):
+    """_walk whose folds are union words: the OR of the members' row masks."""
+    return _walk(code.t, s, np.zeros(code.N, masks.dtype), lambda u, b: u | masks[b], cells, every)
 
 
 def _as_tuple(index_set: np.ndarray) -> tuple[int, ...]:
@@ -116,23 +135,22 @@ def _collision_verdict(sets: np.ndarray, rows: np.ndarray, word) -> Verdict:
                    colliding_output=(word(rows[a]),))
 
 
-def _output_rows(code: Code, s: int, channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All s-messages and their output id rows."""
+def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
+    """All channel output words over s-messages are pairwise distinct; the
+    colliding output is the word's tuple of output labels."""
     if not 1 <= s < code.t:
         raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
     if channel.s != s or channel.q != code.q:
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
-    x, msgs = code.symbols(), _index_sets(code.t, [s])
-    return msgs, np.concatenate([output_ids(channel, (x[c] for c in b.T))
-                                 for b in _blocks(msgs, s * code.N)])
-
-
-def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
-    """All channel output words over s-messages are pairwise distinct; the
-    colliding output is the word's tuple of output labels."""
-    msgs, rows = _output_rows(code, s, channel)
-    return _collision_verdict(msgs, rows, lambda row: tuple(
+    n, dtype = _count(code.t, [s]), np.min_scalar_type(len(channel.trans) - 1)
+    # states and symbols in their smallest dtypes; a step reads trans[state, x[b]]
+    trans = channel.trans.ravel().astype(dtype)
+    x = code.symbols().astype(np.min_scalar_type(code.q - 1))
+    step = lambda u, b: trans[np.multiply(u, code.q, dtype=np.intp) + x[b]]
+    sets, rows = _held(_walk(code.t, s, np.zeros(code.N, dtype), step, s * code.N), n, s, code.N,
+                       channel.out.dtype, lambda states: channel.out[states])
+    return _collision_verdict(sets, rows, lambda row: tuple(
         channel.outputs[z] for z in row.tolist()))
 
 
@@ -142,11 +160,6 @@ def _masks(code: Code) -> np.ndarray:
         raise SizeLimitError(f"alphabet size {code.q} exceeds the 64-bit row masks")
     bits = np.uint64(1) << np.arange(code.q, dtype=np.uint64)
     return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols()]
-
-
-def _unions(masks: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """(M, N) union words, as row masks, of M index sets (-1 is padding)."""
-    return np.bitwise_or.reduce(np.where(sets[:, :, None] >= 0, masks[sets], 0), axis=1)
 
 
 def _covered(masks: np.ndarray, unions: np.ndarray) -> np.ndarray:
@@ -163,9 +176,9 @@ def is_at_most_s_separable(code: Code, s: int) -> Verdict:
     of sizes 1..s (the A-MAC, tuples of unequal size included)."""
     if not 1 <= s < code.t:
         raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
-    sets = _index_sets(code.t, range(1, s + 1))
-    masks = _masks(code)
-    rows = np.concatenate([_unions(masks, b) for b in _blocks(sets, s * code.N)])
+    n, masks = _count(code.t, range(1, s + 1)), _masks(code)
+    sets, rows = _held(_union_walk(code, masks, s, s * code.N, every=True),
+                       n, s, code.N, masks.dtype, lambda u: u)
     return _collision_verdict(sets, rows, lambda row: _subsets_of(row, code.q))
 
 
@@ -174,8 +187,8 @@ def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
     than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
     codewords into the witness's second entry."""
     masks = _masks(code)
-    for block in _blocks(_index_sets(code.t, [s]), code.N * code.t):
-        unions = _unions(masks, block)
+    _count(code.t, [s])
+    for block, unions in _union_walk(code, masks, s, code.N * code.t):
         covered = _covered(masks, unions)
         covered[np.arange(len(block))[:, None], block] = False
         bad = np.flatnonzero(covered.sum(axis=1) > limit)
@@ -205,8 +218,9 @@ def is_hash(code: Code, s: int) -> Verdict:
     if not 1 <= s <= code.t:
         raise InvalidParametersError(f"need 1 <= s <= t, got s={s}, t={code.t}")
     masks = _masks(code)
-    for block in _blocks(_index_sets(code.t, [s]), s * code.N):
-        distinct = np.bitwise_count(_unions(masks, block)) == s
+    _count(code.t, [s])
+    for block, unions in _union_walk(code, masks, s, s * code.N):
+        distinct = np.bitwise_count(unions) == s
         bad = np.flatnonzero(~distinct.any(axis=1))
         if bad.size:
             return Verdict(False, witness=(_as_tuple(block[bad[0]]),))
@@ -232,11 +246,4 @@ def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
         _check_word(zi, code.q)
     union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=masks.dtype)
     return set((np.flatnonzero(_covered(masks, union)[0]) + 1).tolist())
-
-
-def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionReport:
-    """Fraction of messages whose output word collides with another's."""
-    msgs, rows = _output_rows(code, s, channel)
-    _, counts = _groups(rows)
-    return ErrorFractionReport(int(counts[counts >= 2].sum()), len(msgs))
 

@@ -18,6 +18,8 @@ Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
 a joint distribution tau, a map (word, output label) -> weight.
+``column`` and ``type_of`` read one codeword and the type of one word,
+and ``error_fraction`` counts the messages whose output word collides.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, log
 from typing import Iterator, Sequence
@@ -40,12 +42,12 @@ from sepmac.channels import ChannelSpec
 from sepmac.core import (
     Code,
     InvalidParametersError,
+    InvalidSymbolError,
     SizeLimitError,
     compositions,
-    type_of,
 )
 from sepmac.construct import SearchResult
-from sepmac.verify import ErrorFractionReport, Verdict
+from sepmac.verify import Verdict
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,23 @@ class Message:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
+
+
+def column(code: Code, j: int) -> tuple[int, ...]:
+    """Codeword j, 1-based."""
+    if not 1 <= j <= code.t:
+        raise InvalidParametersError(f"codeword index {j} outside 1..{code.t}")
+    return tuple(row[j - 1] for row in code.entries)
+
+
+def type_of(word: Sequence[int], q: int) -> tuple[int, ...]:
+    """The type of a word: its composition, the per-symbol occurrence counts."""
+    counts = [0] * q
+    for a in word:
+        if not 0 <= a < q:
+            raise InvalidSymbolError(f"symbol {a} outside alphabet of size {q}")
+        counts[a] += 1
+    return tuple(counts)
 
 
 def column_multiset(code: Code, message: Message, row: int) -> tuple[int, ...]:
@@ -187,6 +206,25 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
 
 
+@dataclass(frozen=True)
+class ErrorFractionReport:
+    """Count and fraction of bad messages (colliding channel outputs)."""
+
+    bad_count: int
+    total: int
+    epsilon: Fraction = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", Fraction(self.bad_count, self.total))
+
+    def to_dict(self) -> dict:
+        return {
+            "bad_count": self.bad_count,
+            "total": self.total,
+            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
+        }
+
+
 def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionReport:
     groups: dict = {}
     for e in enumerate_messages(code.t, s):
@@ -196,7 +234,7 @@ def error_fraction(code: Code, s: int, channel: ChannelSpec) -> ErrorFractionRep
 
 
 def union_word(code: Code, indices: Sequence[int]) -> tuple:
-    cols = [code.column(j) for j in indices]
+    cols = [column(code, j) for j in indices]
     return tuple(tuple(sorted({c[i] for c in cols})) for i in range(code.N))
 
 
@@ -221,14 +259,14 @@ def is_frameproof(code: Code, s: int) -> Verdict:
     for idx in itertools.combinations(range(1, code.t + 1), s):
         uw = union_word(code, idx)
         for j in range(1, code.t + 1):
-            if j not in idx and _covers(uw, code.column(j)):
+            if j not in idx and _covers(uw, column(code, j)):
                 return Verdict(False, witness=(idx, j), colliding_output=(uw,))
     return Verdict(True)
 
 
 def is_hash(code: Code, s: int) -> Verdict:
     for idx in itertools.combinations(range(1, code.t + 1), s):
-        cols = [code.column(j) for j in idx]
+        cols = [column(code, j) for j in idx]
         if not any(len({c[i] for c in cols}) == s for i in range(code.N)):
             return Verdict(False, witness=(idx,))
     return Verdict(True)
@@ -238,7 +276,7 @@ def is_list_decoding(code: Code, s: int, L: int) -> Verdict:
     for idx in itertools.combinations(range(1, code.t + 1), s):
         uw = union_word(code, idx)
         covered = [j for j in range(1, code.t + 1)
-                   if j not in idx and _covers(uw, code.column(j))]
+                   if j not in idx and _covers(uw, column(code, j))]
         if len(covered) > L - 1:
             return Verdict(False, witness=(idx, tuple(covered)), colliding_output=(uw,))
     return Verdict(True)
@@ -247,7 +285,7 @@ def is_list_decoding(code: Code, s: int, L: int) -> Verdict:
 def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     sets = [frozenset(zi) for zi in z]
     return {j for j in range(1, code.t + 1)
-            if all(a in sets[i] for i, a in enumerate(code.column(j)))}
+            if all(a in sets[i] for i, a in enumerate(column(code, j)))}
 
 
 def _extension_ok(channel: ChannelSpec, columns: list, s: int) -> bool:

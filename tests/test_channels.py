@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import NotSymmetricError, eval_channel, validate_symmetric
-from sepmac.core import Code, InvalidParametersError, compositions, type_of
+from reference import NotSymmetricError, eval_channel, type_of, validate_symmetric
+from sepmac.core import Code, InvalidParametersError, compositions
 from sepmac.channels import (
     ChannelFileError,
     ChannelSpec,

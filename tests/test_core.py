@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import Message, column_multiset, enumerate_messages
+from reference import Message, column_multiset, enumerate_messages, type_of
 from sepmac.core import (
     Code,
     CodeFileError,
@@ -13,9 +12,8 @@ from sepmac.core import (
     compositions,
     format_code,
     parse_code,
-    type_of,
 )
-from sepmac.verify import _masks, _subsets_of, _unions
+from sepmac.verify import _masks, _subsets_of, _union_walk
 
 
 def test_type_of_examples():
@@ -37,9 +35,11 @@ def test_type_union_permutation_invariant(qw):
     assert type_of(word, q) == type_of(rev, q)
 
     def union(w):
-        # the union word of a one-row code whose codewords are w's symbols
+        # the union word of a one-row code whose codewords are w's symbols:
+        # the fold of the walk's one set of all of them
         code = Code.from_columns(q, [(a,) for a in w])
-        return _subsets_of(_unions(_masks(code), np.arange(len(w))[None, :])[0], q)
+        (_, unions), = _union_walk(code, _masks(code), len(w), 1)
+        return _subsets_of(unions[0], q)
 
     assert union(word) == union(rev)
     comp = type_of(word, q)

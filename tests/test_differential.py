@@ -1,24 +1,26 @@
 """Differential tests: the integer channel kernel and its construction, its
-output law, the row-mask cover tests, the incremental exhaustive and greedy
+output law, the verifiers at several walk block sizes (verdicts, witnesses
+and outputs byte for byte), the incremental exhaustive and greedy
 search, the integer P_term and the entropy bound's exact-gradient SLSQP
 against the pure-Python reference and the finite-difference solver in ``reference.py``;
 and that gradient against central differences."""
 
 import itertools
+import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from sepmac import bounds
+from sepmac import bounds, verify
 from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_output
 from sepmac.channels import ChannelSpec, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
 from sepmac.verify import (
-    error_fraction,
     factor_decode,
     is_at_most_s_separable,
     is_frameproof,
@@ -45,19 +47,31 @@ def codes(draw, kinds=KINDS):
     kind = draw(st.sampled_from(kinds))
     q = 2 if kind in ("thr", "disj") else draw(st.integers(2, 4))
     t = draw(st.integers(2, 7))
-    s = draw(st.integers(1, min(3, t - 1)))
+    s = draw(st.integers(1, t - 1))
     n = draw(st.integers(1, 4))
     cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     return Code.from_columns(q, cols), s, _channel(kind, s, q, rng)
 
 
+# walk blocks of one set, of a few sets that split prefixes, and of all sets
+BLOCK_CELLS = st.sampled_from([1, 7, 1 << 18])
+
+
+def _assert_same_verdict(got, want):
+    # equal fields, and equal JSON bytes, so no numpy scalar passes for an int
+    assert got == want
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
 @settings(max_examples=300, deadline=None)
-@given(codes())
-def test_separable_matches_reference(case):
+@given(codes(), BLOCK_CELLS)
+def test_separable_matches_reference(case, cells):
     code, s, ch = case
-    assert is_separable(code, s, ch) == ref.is_separable(code, s, ch)
-    assert error_fraction(code, s, ch) == ref.error_fraction(code, s, ch)
+    with mock.patch.object(verify, "_BLOCK_CELLS", cells):
+        got = is_separable(code, s, ch)
+    _assert_same_verdict(got, ref.is_separable(code, s, ch))
+    assert (ref.error_fraction(code, s, ch).epsilon == 0) == got.holds
     x = code.symbols()
     for e in ref.enumerate_messages(code.t, s):
         ids = output_ids(ch, x[np.array(e.indices) - 1])
@@ -156,14 +170,17 @@ def test_entropy_gradient_matches_central_differences(ch, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(codes(kinds=("A",)), st.integers(1, 3), st.data())
-def test_cover_tests_match_reference(case, L, data):
+@given(codes(kinds=("A",)), st.integers(1, 3), BLOCK_CELLS, st.data())
+def test_cover_tests_match_reference(case, L, cells, data):
     code, s, _ = case
-    assert is_at_most_s_separable(code, s) == ref.is_at_most_s_separable(code, s)
-    assert is_frameproof(code, s) == ref.is_frameproof(code, s)
-    assert is_list_decoding(code, s, L) == ref.is_list_decoding(code, s, L)
-    if code.q >= s:
-        assert is_hash(code, s) == ref.is_hash(code, s)
+    h = data.draw(st.integers(1, min(code.q, code.t)))
+    with mock.patch.object(verify, "_BLOCK_CELLS", cells):
+        got = (is_at_most_s_separable(code, s), is_frameproof(code, s),
+               is_list_decoding(code, s, L), is_hash(code, h))
+    want = (ref.is_at_most_s_separable(code, s), ref.is_frameproof(code, s),
+            ref.is_list_decoding(code, s, L), ref.is_hash(code, h))
+    for g, w in zip(got, want):
+        _assert_same_verdict(g, w)
     # a union word of some codewords, widened by random symbols
     members = data.draw(st.lists(st.integers(1, code.t), min_size=1, max_size=3))
     extra = data.draw(st.lists(st.sets(st.integers(0, code.q - 1), max_size=2),

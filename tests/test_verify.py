@@ -1,14 +1,21 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from reference import count_L_rare, enumerate_messages, output_word, split_graph_girth_check
+from reference import (
+    count_L_rare,
+    enumerate_messages,
+    error_fraction,
+    output_word,
+    split_graph_girth_check,
+)
 from sepmac.core import Code, InvalidParametersError, InvalidSymbolError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.construct import EnsembleSpec, random_code
 from sepmac.verify import (
-    error_fraction,
     factor_decode,
     is_at_most_s_separable,
     is_frameproof,
@@ -58,6 +65,21 @@ def test_separable_oracle_equivalence():
             brute = all(words[i] != words[j]
                         for i in range(len(words)) for j in range(i + 1, len(words)))
             assert is_separable(code, s, ch).holds == brute
+
+
+def test_separable_peak_memory_per_message():
+    # one index set and one output row per message are held for the grouping,
+    # and the walk adds nothing that lasts; np.unique's grouping sets the
+    # peak, about 185 bytes per message at N=30
+    code = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1))
+    channel = make_channel("B", 3, 3)
+    tracemalloc.start()
+    try:
+        assert is_separable(code, 3, channel).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * comb(80, 3), peak / comb(80, 3)
 
 
 def test_at_most_s_separable():
