@@ -20,6 +20,11 @@ from .core import InvalidParametersError, SizeLimitError, compositions
 from .channels import ChannelSpec, _state_laws, output_law
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
+# work units capacity_entropy_bound may spend, ~9 s: q^3 for each SLSQP
+# step's dense linear algebra plus 10 (s + 1) per kernel cell for the folds
+# of its objective; a unit is 0.8-1.9 us of the 17 starts on a Xeon core
+# under CPython 3.11 (measured from q = 20 to 200, 0.6 to 30 s)
+ENTROPY_WORK_GUARD = 6 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,11 @@ def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
     bits, so seeds 0 <= seed < 2^64 draw as numpy's ``default_rng(seed)``).
     Each start's end point is re-evaluated with ``entropy_output``."""
     q = channel.q
+    work = q ** 3 + 10 * (channel.s + 1) * channel.trans.size
+    if work > ENTROPY_WORK_GUARD:
+        raise SizeLimitError(f"instance too large: the entropy bound's {work} work units "
+                             f"exceed the guard of {ENTROPY_WORK_GUARD} work units "
+                             f"(s={channel.s}, q={q})")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     starts = [np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)]
     hmax, pstar, converged = -math.inf, None, False

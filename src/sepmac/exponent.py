@@ -12,7 +12,8 @@ P~(w) = P(w) exp(-sum_k mu[k, w_k]),
 
 is the closed-form minimum over tau of H + lam I_m + <mu, input marginals>.
 The cr ensemble has mu = 0 (Gallager's E0); fc keeps mu as multipliers on
-the fixed input marginals. Desk scale only: the dimension is q^s.
+the fixed input marginals. The dimension is q^s: WORD_GUARD caps the
+s * q^s cells of the word table.
 """
 
 from __future__ import annotations
@@ -29,18 +30,10 @@ from .core import InvalidParametersError, SizeLimitError
 from .channels import ChannelSpec, output_ids
 from .bounds import Distribution
 
-DESK_S = 3
-DESK_Q = 3
+WORD_GUARD = 2 ** 17  # word-table cells s * q^s an exponent may build
 # A report is converged when the primal value at tau* is this close to the
 # dual value and, under fc, tau* meets the input marginals this closely.
 CERTIFICATE_TOL = 1e-7
-
-
-def _check_desk_scale(channel: ChannelSpec) -> None:
-    if channel.s > DESK_S or channel.q > DESK_Q:
-        raise SizeLimitError(
-            f"exponent evaluation is desk scale only (s <= {DESK_S}, q <= {DESK_Q}), "
-            f"got s={channel.s}, q={channel.q}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +61,11 @@ class ExponentReport:
         }
 
 
-def _input_words(channel: ChannelSpec) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(channel.q), repeat=channel.s))
-
-
 def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
-    _check_desk_scale(channel)
+    cells = channel.s * channel.q ** channel.s
+    if cells > WORD_GUARD:
+        raise SizeLimitError(f"instance too large: s*q^s = {cells} word-table cells exceed "
+                             f"guard {WORD_GUARD} (s={channel.s}, q={channel.q})")
     if p.q != channel.q:
         raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
     ensemble = ensemble.lower()
@@ -95,43 +87,44 @@ class _Point(NamedTuple):
 
 class _Split:
     """The words of positive product probability, each split at coordinate m
-    into head h and tail u and grouped by (u, f(w)); ``ids`` are the output
-    ids f(w). mu[k * q + a] is the multiplier of symbol a at coordinate k."""
+    into head h and tail u, sorted by their group (u, f(w)) so that each
+    group is one run from its index in ``starts``; ``ids`` are the output
+    ids f(w). mu[k * q + a] is the multiplier of symbol a at coordinate k,
+    and ``cols`` holds each word's multiplier indices k * q + w_k."""
 
     def __init__(self, channel: ChannelSpec, p: Distribution, m: int):
         s, q = channel.s, channel.q
         pf = np.array(p.as_floats())
-        self.m, self.mq, self.p_flat = m, m * q, np.tile(pf, s)
-        self.words = [w for w in _input_words(channel) if all(pf[a] > 0 for a in w)]
-        W = np.array(self.words)
-        self.ids = output_ids(channel, W.T).tolist()
-        log_p = np.log(np.where(pf > 0, pf, 1.0))[W]  # no kept word has a zero symbol
+        self.m, self.p_flat = m, np.tile(pf, s)
+        W = np.array(list(itertools.product(np.flatnonzero(pf > 0), repeat=s)))
+        ids = output_ids(channel, W.T)
+        key = (W[:, m:] @ q ** np.arange(s - m - 1, -1, -1)) * len(channel.outputs) + ids
+        order = np.argsort(key, kind="stable")
+        self.words, self.ids, key = W[order], ids[order], key[order]
+        new = np.r_[True, key[1:] != key[:-1]]
+        self.starts, self.group = np.flatnonzero(new), np.cumsum(new) - 1
+        log_p = np.log(pf[self.words])  # no kept word has a zero symbol
         self.lp, self.lp_h = log_p.sum(axis=1), log_p[:, :m].sum(axis=1)
-        self.X = np.zeros((len(W), s * q))
-        self.X[np.arange(len(W))[:, None], np.arange(s) * q + W] = 1.0
-        index: dict = {}
-        self.group = np.array([index.setdefault((w[m:], z), len(index))
-                               for w, z in zip(self.words, self.ids)])
-        self.members = self.group == np.arange(len(index))[:, None]
-        self.first = np.unique(self.group, return_index=True)[1]
+        self.cols = np.arange(s) * q + self.words
         # mu is defined up to a shift per coordinate, so the last supported
         # symbol's multiplier is pinned to 0; zero-probability symbols get none
         support = np.flatnonzero(pf > 0)[:-1]
         self.free = (np.arange(s)[:, None] * q + support).ravel()
 
     def solve(self, lam: float, mu: np.ndarray) -> _Point:
-        mq = self.mq
-        a = self.lp_h - self.X[:, :mq] @ mu[:mq] / (1 + lam)
-        peak = np.max(np.where(self.members, a, -np.inf), axis=1)
-        log_S = peak + np.log(self.members @ np.exp(a - peak[self.group]))
-        tail = (self.lp - self.lp_h - self.X[:, mq:] @ mu[mq:])[self.first]
+        m, cols, starts, group = self.m, self.cols, self.starts, self.group
+        a = self.lp_h - mu[cols[:, :m]].sum(axis=1) / (1 + lam)
+        peak = np.maximum.reduceat(a, starts)
+        log_S = peak + np.log(np.add.reduceat(np.exp(a - peak[group]), starts))
+        tail = (self.lp - self.lp_h)[starts] - mu[cols[starts, m:]].sum(axis=1)
         b = tail + (1 + lam) * log_S
         e0 = -(b.max() + math.log(np.exp(b - b.max()).sum()))
-        log_pi = a - log_S[self.group]
-        log_tau = b[self.group] + e0 + log_pi
+        log_pi = a - log_S[group]
+        log_tau = b[group] + e0 + log_pi
         tau = np.exp(log_tau)
+        marg = np.bincount(cols.ravel(), np.repeat(tau, cols.shape[1]), len(mu))
         return _Point(e0, tau, float(tau @ (log_tau - self.lp)),
-                      float(tau @ (log_pi - self.lp_h)), tau @ self.X)
+                      float(tau @ (log_pi - self.lp_h)), marg)
 
     def dual(self, lam: float, mu: np.ndarray, R: float) -> float:
         return self.solve(lam, mu).e0 - float(mu @ self.p_flat) - lam * self.m * R
@@ -185,8 +178,8 @@ def exponent(channel: ChannelSpec, p: Distribution, R: float,
     primal = pt.H + max(pt.I - split.m * R, 0.0)
     residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value
-    tau_star = {(w, channel.outputs[z]): float(t)
-                for w, z, t in zip(split.words, split.ids, pt.tau)}
+    tau_star = {(tuple(w), channel.outputs[z]): float(t)
+                for w, z, t in zip(split.words.tolist(), split.ids.tolist(), pt.tau)}
     return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
                           tau_star=tau_star,
                           converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,

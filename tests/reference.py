@@ -17,7 +17,9 @@ takes finite-difference gradients, each step evaluating
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
-a joint distribution tau, a map (word, output label) -> weight.
+a joint distribution tau, a map (word, output label) -> weight. ``DenseSplit``
+is the exponent's closed-form E0 solver on a one-hot (words x s*q) matrix
+and a boolean (groups x words) membership matrix, in word order.
 ``column`` and ``type_of`` read one codeword and the type of one word,
 and ``error_fraction`` counts the messages whose output word collides.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
@@ -629,3 +631,41 @@ def eval_I(p: Distribution, tau: dict, m: int) -> float:
             return math.inf
         total += weight * math.log(cond / denom)
     return total
+
+
+class DenseSplit:
+    """The exponent's E0 at one (lam, mu) on dense matrices: the kept words
+    in lexicographic order, X their one-hot (words x s*q) symbol matrix and
+    ``members`` the (groups x words) membership of the groups (w[m:], f(w))."""
+
+    def __init__(self, channel: ChannelSpec, p: Distribution, m: int):
+        s, q = channel.s, channel.q
+        pf = np.array(p.as_floats())
+        self.m, self.mq = m, m * q
+        self.words = [w for w in itertools.product(range(q), repeat=s)
+                      if all(pf[a] > 0 for a in w)]
+        W = np.array(self.words)
+        log_p = np.log(np.where(pf > 0, pf, 1.0))[W]
+        self.lp, self.lp_h = log_p.sum(axis=1), log_p[:, :m].sum(axis=1)
+        self.X = np.zeros((len(W), s * q))
+        self.X[np.arange(len(W))[:, None], np.arange(s) * q + W] = 1.0
+        index: dict = {}
+        self.group = np.array([index.setdefault((w[m:], eval_channel(channel, type_of(w, q))),
+                                                len(index)) for w in self.words])
+        self.members = self.group == np.arange(len(index))[:, None]
+        self.first = np.unique(self.group, return_index=True)[1]
+
+    def solve(self, lam: float, mu: np.ndarray) -> tuple[float, dict, float, float, np.ndarray]:
+        """(E0, tau keyed by word, H(tau), I_m(tau), input marginals)."""
+        mq = self.mq
+        a = self.lp_h - self.X[:, :mq] @ mu[:mq] / (1 + lam)
+        peak = np.max(np.where(self.members, a, -np.inf), axis=1)
+        log_S = peak + np.log(self.members @ np.exp(a - peak[self.group]))
+        tail = (self.lp - self.lp_h - self.X[:, mq:] @ mu[mq:])[self.first]
+        b = tail + (1 + lam) * log_S
+        e0 = -(b.max() + math.log(np.exp(b - b.max()).sum()))
+        log_pi = a - log_S[self.group]
+        log_tau = b[self.group] + e0 + log_pi
+        tau = np.exp(log_tau)
+        return (e0, dict(zip(self.words, tau.tolist())), float(tau @ (log_tau - self.lp)),
+                float(tau @ (log_pi - self.lp_h)), tau @ self.X)

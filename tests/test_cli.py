@@ -117,6 +117,16 @@ def test_b_capacity_limit_exit_code(capsys):
         assert rc == 3 and out == ""
 
 
+@pytest.mark.parametrize("channel,s,q", [("B", 1, 200), ("A", 3, 40)])
+def test_entropy_work_limit_exit_code(capsys, channel, s, q):
+    # 8.8 and 19.8 million work units, 13 s and 30 s of SLSQP on a Xeon core: refused at once
+    start = time.monotonic()
+    rc, out, err = run_err(capsys, ["bound", "--kind", "entropy", "--channel", channel,
+                                    "--s", str(s), "--q", str(q)])
+    assert rc == 3 and out == "" and "work units" in err
+    assert time.monotonic() - start < 1
+
+
 LD_LOWER = ["bound", "--kind", "ld-lower", "--q", "2"]
 
 
@@ -403,9 +413,10 @@ def test_exponent_distribution_size_mismatch(capsys, q, probs):
 
 
 def test_exponent_limit_exit_code(capsys):
-    rc, _ = run(capsys, ["exponent", "--channel", "B", "--s", "4", "--q", "2",
-                         "--R", "0.1"])
-    assert rc == 3
+    # 14 * 2^14 = 229,376 word-table cells, past WORD_GUARD
+    rc, out, err = run_err(capsys, ["exponent", "--channel", "disj", "--s", "14", "--q", "2",
+                                    "--R", "0.1"])
+    assert rc == 3 and out == "" and "instance too large" in err
 
 
 def test_custom_channel(capsys, tmp_path, code_file):

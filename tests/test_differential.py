@@ -1,8 +1,9 @@
 """Differential tests: the integer channel kernel and its construction, its
 output law, the verifiers at several walk block sizes (verdicts, witnesses
 and outputs byte for byte), the incremental exhaustive and greedy
-search, the integer P_term and the entropy bound's exact-gradient SLSQP
-against the pure-Python reference and the finite-difference solver in ``reference.py``;
+search, the integer P_term, the entropy bound's exact-gradient SLSQP and the
+exponent's E0 solver on index arrays against the pure-Python reference, the
+finite-difference solver and the dense E0 solver in ``reference.py``;
 and that gradient against central differences."""
 
 import itertools
@@ -20,6 +21,7 @@ from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_
 from sepmac.channels import ChannelSpec, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
+from sepmac.exponent import _Split
 from sepmac.verify import (
     factor_decode,
     is_at_most_s_separable,
@@ -125,6 +127,29 @@ def channel_laws(draw):
 def test_entropy_output_matches_reference(case):
     ch, p = case
     assert abs(entropy_output(ch, p) - ref.entropy_output(ch, p)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(2, 3), st.data())
+def test_split_matches_dense_reference(kind, s, q, data):
+    # every m, p often with zero entries, lam in [0, 1] and mu free
+    q = 2 if kind in ("thr", "disj") else q
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    ch = _channel(kind, s, q, rng)
+    w = data.draw(st.lists(st.integers(0, 5), min_size=q, max_size=q).filter(any))
+    p = Distribution(tuple(x / sum(w) for x in w))
+    m = data.draw(st.integers(1, s))
+    lam = data.draw(st.floats(0.0, 1.0))
+    mu = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=s * q, max_size=s * q)))
+    split = _Split(ch, p, m)
+    got = split.solve(lam, mu)
+    e0, tau, H, I, marg = ref.DenseSplit(ch, p, m).solve(lam, mu)
+    for x, y in ((got.e0, e0), (got.H, H), (got.I, I)):
+        assert abs(x - y) <= 1e-12
+    assert np.max(np.abs(got.marg - marg)) <= 1e-12
+    got_tau = dict(zip(map(tuple, split.words.tolist()), got.tau.tolist()))
+    assert got_tau.keys() == tau.keys()
+    assert max(abs(got_tau[w] - t) for w, t in tau.items()) <= 1e-12
 
 
 @st.composite

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import canonical_tau, eval_H, eval_I
-from sepmac.core import InvalidParametersError
+from sepmac.core import InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.bounds import Distribution, capacity_B_closed_form, entropy_output
 from sepmac.exponent import ExponentReport, exponent, rate_lower_bound_general
@@ -108,12 +109,27 @@ def test_exponent_param_checks():
             exponent(B22, UNIF2, R)
     with pytest.raises(InvalidParametersError):
         exponent(B22, UNIF2, 0.1, ensemble="xx")
-    big = make_channel("B", 4, 2)
-    with pytest.raises(InvalidParametersError):
+    # s*q^s = 229,376 and 139,968 word-table cells, past WORD_GUARD
+    big = make_channel("disj", 14, 2)
+    with pytest.raises(SizeLimitError):
         exponent(big, UNIF2, 0.1)
-    bigq = make_channel("B", 2, 4)
-    with pytest.raises(InvalidParametersError):
-        exponent(bigq, Distribution.uniform(4), 0.1)
+    bigq = make_channel("B", 3, 36)
+    with pytest.raises(SizeLimitError):
+        exponent(bigq, Distribution.uniform(36), 0.1)
+
+
+def test_split_peak_memory():
+    # 6,561 words in as many groups at m = 1: a (groups x words) matrix
+    # would hold 43 million cells
+    ch, p = make_channel("B", 8, 3), Distribution.uniform(3)
+    tracemalloc.start()
+    try:
+        rep = exponent(ch, p, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.value > 0
+    assert peak <= 16 * 2 ** 20, peak
 
 
 def test_rate_lower_bound_below_capacity():
