@@ -4,8 +4,9 @@ Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 0 success / property holds, 1 property fails, 2 usage error (a bad option
 or value, an unreadable or malformed file, a decode symbol outside the
 alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
-bounds and exponent). `main` parses, starts the clock, runs the command and maps
-its errors to these codes; commands call the library and `_emit` the result.
+gen, reduce, bounds and exponent). `main` parses, starts the clock, runs the
+command and maps its errors to these codes; commands call the library and
+`_emit` the result.
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
 """
@@ -121,6 +122,10 @@ def cmd_bound(args) -> int:
     kind, s, q, L = args.kind, args.s, args.q, args.L
     if kind.startswith("ld-") and L is None:
         raise UsageError(f"--L is required for {kind}")
+    if L is not None and not kind.startswith("ld-"):
+        raise UsageError(f"--L applies to ld-lower and ld-upper only; drop it for {kind}")
+    if args.channel is not None and kind != "entropy":
+        raise UsageError(f"--channel applies to entropy only; drop it for {kind}")
 
     if kind == "entropy":
         report = bnd.capacity_entropy_bound(_channel_from_args(args, s, q), seed=_default_seed())
@@ -171,9 +176,13 @@ def cmd_search(args) -> int:
 def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.ensemble == "cr":
+        if args.composition is not None:
+            raise UsageError("--composition applies to the fc ensemble only; drop it for cr")
         spec = cst.EnsembleSpec("cr", args.q, args.N, args.t,
                                 p=_distribution_from_args(args).probs, seed=seed)
     else:
+        if args.p is not None:
+            raise UsageError("--p applies to the cr ensemble only; drop it for fc")
         if not args.composition:
             raise UsageError("--composition is required for the fc ensemble")
         spec = cst.EnsembleSpec("fc", args.q, args.N, args.t,

@@ -47,6 +47,15 @@ class EnsembleSpec:
                     f"fc ensemble needs a length-q composition summing to N, got {c}")
 
 
+CODE_GUARD = 10 ** 7  # cells N * t of a code that gen or reduce may write
+
+
+def _check_cells(N: int, t: int) -> None:
+    if N * t > CODE_GUARD:
+        raise SizeLimitError(f"instance too large: N*t = {N * t} code cells exceed "
+                             f"guard {CODE_GUARD} (N={N}, t={t})")
+
+
 def _entry_rng(seed: int, column: int, extra: int = 0) -> random.Random:
     # counter-based stream: the state depends only on (seed, column, extra),
     # so parallel generation is order-independent
@@ -56,6 +65,7 @@ def _entry_rng(seed: int, column: int, extra: int = 0) -> random.Random:
 
 def random_code(spec: EnsembleSpec) -> Code:
     """Draw one code from the ensemble, deterministically given the seed."""
+    _check_cells(spec.N, spec.t)
     columns = []
     if spec.kind == "cr":
         cum = []
@@ -102,6 +112,7 @@ def reduce_alphabet(code: Code, q: int) -> Code:
     if not 2 <= q < qprime:
         raise InvalidParametersError(f"need 2 <= q < q', got q={q}, q'={qprime}")
     l = k_factor(q, qprime)
+    _check_cells(code.N * l, code.t)
     columns = []
     for col in code.columns():
         new_col: list[int] = []

@@ -92,6 +92,14 @@ def compositions(s: int, q: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (s + q - 1,)))
 
 
+def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of a non-empty 1-D key array, and for each sorted
+    key whether it starts a run of equal keys: one sort groups equal keys."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, np.r_[True, keys[1:] != keys[:-1]]
+
+
 # --- code matrix file format -------------------------------------------------
 # line 1: "q N t"; then N lines of t whitespace-separated symbols.
 # Lines starting with '#' are comments. Parsing is strict.

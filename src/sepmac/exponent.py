@@ -18,15 +18,14 @@ s * q^s cells of the word table.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .core import InvalidParametersError, SizeLimitError
+from .core import InvalidParametersError, SizeLimitError, runs
 from .channels import ChannelSpec, output_ids
 from .bounds import Distribution
 
@@ -86,24 +85,20 @@ class _Point(NamedTuple):
 
 
 class _Split:
-    """The words of positive product probability, each split at coordinate m
-    into head h and tail u, sorted by their group (u, f(w)) so that each
-    group is one run from its index in ``starts``; ``ids`` are the output
-    ids f(w). mu[k * q + a] is the multiplier of symbol a at coordinate k,
-    and ``cols`` holds each word's multiplier indices k * q + w_k."""
+    """The words of one word table, each split at coordinate m into head h
+    and tail u, sorted by their group (u, f(w)) so that each group is one
+    run from its index in ``starts``; ``ids`` are the output ids f(w).
+    mu[k * q + a] is the multiplier of symbol a at coordinate k, and
+    ``cols`` holds each word's multiplier indices k * q + w_k."""
 
-    def __init__(self, channel: ChannelSpec, p: Distribution, m: int):
+    def __init__(self, channel: ChannelSpec, pf: np.ndarray, words: np.ndarray,
+                 ids: np.ndarray, log_p: np.ndarray, m: int):
         s, q = channel.s, channel.q
-        pf = np.array(p.as_floats())
         self.m, self.p_flat = m, np.tile(pf, s)
-        W = np.array(list(itertools.product(np.flatnonzero(pf > 0), repeat=s)))
-        ids = output_ids(channel, W.T)
-        key = (W[:, m:] @ q ** np.arange(s - m - 1, -1, -1)) * len(channel.outputs) + ids
-        order = np.argsort(key, kind="stable")
-        self.words, self.ids, key = W[order], ids[order], key[order]
-        new = np.r_[True, key[1:] != key[:-1]]
+        order, new = runs((words[:, m:] @ q ** np.arange(s - m - 1, -1, -1))
+                          * len(channel.outputs) + ids)
+        self.words, self.ids, log_p = words[order], ids[order], log_p[order]
         self.starts, self.group = np.flatnonzero(new), np.cumsum(new) - 1
-        log_p = np.log(pf[self.words])  # no kept word has a zero symbol
         self.lp, self.lp_h = log_p.sum(axis=1), log_p[:, :m].sum(axis=1)
         self.cols = np.arange(s) * q + self.words
         # mu is defined up to a shift per coordinate, so the last supported
@@ -126,15 +121,15 @@ class _Split:
         return _Point(e0, tau, float(tau @ (log_tau - self.lp)),
                       float(tau @ (log_pi - self.lp_h)), marg)
 
-    def dual(self, lam: float, mu: np.ndarray, R: float) -> float:
-        return self.solve(lam, mu).e0 - float(mu @ self.p_flat) - lam * self.m * R
-
     def maximize(self, R: float, ensemble: str) -> tuple[float, float, np.ndarray]:
         """E_m(R), the maximum of the dual, with its (lam, mu). The dual is
         concave in lam with slope I_m(tau) - mR at the tau attaining E0, so
         at mu = 0 (cr) lam is a root find; fc then solves over (lam, mu) from
         there, with gradient (I_m - mR, marginals - p)."""
         mu = np.zeros_like(self.p_flat)
+
+        def dual(pt, lam):
+            return pt.e0 - float(mu @ self.p_flat) - lam * self.m * R
 
         def slope(lam):
             return self.solve(lam, mu).I - self.m * R
@@ -150,14 +145,24 @@ class _Split:
                 mu[self.free] = x[1:]
                 pt = self.solve(x[0], mu)
                 grad = np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
-                return -(pt.e0 - mu @ self.p_flat - x[0] * self.m * R), -grad
+                return -dual(pt, x[0]), -grad
 
             res = minimize(neg_dual, np.r_[lam, np.zeros(len(self.free))], jac=True,
                            method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(self.free),
                            options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
             lam = float(res.x[0])
             mu[self.free] = res.x[1:]
-        return self.dual(lam, mu, R), lam, mu
+        return dual(self.solve(lam, mu), lam), lam, mu
+
+
+def _splits(channel: ChannelSpec, p: Distribution) -> Iterator[_Split]:
+    """The s splits, one at a time, of one word table: the words of positive
+    product probability in lexicographic order, their output ids and log P."""
+    pf = np.array(p.as_floats())
+    support = np.flatnonzero(pf > 0)
+    words = support[np.indices((len(support),) * channel.s).reshape(channel.s, -1).T]
+    ids, log_p = output_ids(channel, words.T), np.log(pf[words])  # no kept word has a zero symbol
+    return (_Split(channel, pf, words, ids, log_p, m) for m in range(1, channel.s + 1))
 
 
 def exponent(channel: ChannelSpec, p: Distribution, R: float,
@@ -167,19 +172,15 @@ def exponent(channel: ChannelSpec, p: Distribution, R: float,
     ensemble = _check_args(channel, p, ensemble)
     if not (math.isfinite(R) and R >= 0):
         raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")
-
-    def solved(m):
-        split = _Split(channel, p, m)
-        return (*split.maximize(R, ensemble), split)
-
-    value, lam, mu, split = min(map(solved, range(1, channel.s + 1)), key=lambda c: c[0])
+    value, lam, mu, split = min(((*split.maximize(R, ensemble), split)
+                                 for split in _splits(channel, p)), key=lambda c: c[0])
     value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
     pt = split.solve(lam, mu)
     primal = pt.H + max(pt.I - split.m * R, 0.0)
     residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value
-    tau_star = {(tuple(w), channel.outputs[z]): float(t)
-                for w, z, t in zip(split.words.tolist(), split.ids.tolist(), pt.tau)}
+    tau_star = {(w, channel.outputs[z]): t for w, z, t in
+                zip(zip(*split.words.T.tolist()), split.ids.tolist(), pt.tau.tolist())}
     return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
                           tau_star=tau_star,
                           converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,
@@ -192,6 +193,5 @@ def rate_lower_bound_general(channel: ChannelSpec, p: Distribution,
     min over m of min_tau (H + I_m) / (s + m - 1), the inner minimum being
     E_m(0); the dual's slope in lam is I_m >= 0 there, so lam* = 1."""
     ensemble = _check_args(channel, p, ensemble)
-    s = channel.s
-    return min(max(0.0, _Split(channel, p, m).maximize(0.0, ensemble)[0]) / (s + m - 1)
-               for m in range(1, s + 1))
+    return min(max(0.0, split.maximize(0.0, ensemble)[0]) / (channel.s + split.m - 1)
+               for split in _splits(channel, p))

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Code, InvalidParametersError, SizeLimitError, _check_word
+from .core import Code, InvalidParametersError, SizeLimitError, _check_word, runs
 from .channels import ChannelSpec
 
 
@@ -110,22 +110,14 @@ def _as_tuple(index_set: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in index_set if j >= 0)
 
 
-def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique over whole rows: the group of each row and each group's size."""
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return inverse, counts
-
-
 def _collision_verdict(sets: np.ndarray, rows: np.ndarray, word) -> Verdict:
     """Holds when the rows (the words of ``sets``) are distinct; else the
     witness is the first two sets of the group of equal words whose 1-based
     pair is lexicographically smallest, and ``word`` gives their output."""
-    inverse, counts = _groups(rows)
-    starts = (np.cumsum(counts) - counts)[counts >= 2]
+    order, new = runs(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    starts = np.flatnonzero(new[:-1] & ~new[1:])  # the runs of two or more equal rows
     if not starts.size:
         return Verdict(True)
-    order = np.argsort(inverse, kind="stable")
     first, second = order[starts], order[starts + 1]
     # 1-based and padded with 0, the order of rows is the order of tuples
     pairs = np.concatenate([sets[first], sets[second]], axis=1) + 1

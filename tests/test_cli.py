@@ -250,6 +250,38 @@ def test_gen_fc_needs_composition(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--p", ["gen", "--ensemble", "fc", "--q", "2", "--N", "2", "--t", "2",
+             "--composition", "1,1", "--p", "0.2,0.8", "--out", "{dir}/code.txt"]),
+    ("--composition", ["gen", "--ensemble", "cr", "--q", "2", "--N", "2", "--t", "2",
+                       "--composition", "1,1", "--out", "{dir}/code.txt"]),
+    ("--L", ["bound", "--kind", "a-upper", "--s", "2", "--q", "2", "--L", "3"]),
+    ("--channel", ["bound", "--kind", "comb-upper", "--s", "2", "--q", "2",
+                   "--channel", "B"])])
+def test_ignored_option_refused(capsys, tmp_path, option, argv):
+    rc, out, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"usage error: {option} ")
+    assert not (tmp_path / "code.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--ensemble", "cr", "--q", "2", "--N", "100000", "--t", "100000"],
+    ["gen", "--ensemble", "fc", "--q", "2", "--N", "10001", "--t", "1000",
+     "--composition", "5000,5001"],
+    ["reduce", "--code", "{dir}/big.txt", "--q", "2"]])
+def test_code_cell_limit_exit_code(capsys, tmp_path, argv):
+    # 10^10 and 10,001,000 cells drawn, and 64 * 160,000 cells reduced from a
+    # q=64 code, are refused before any is written
+    if argv[0] == "reduce":
+        (tmp_path / "big.txt").write_text(format_code(Code.from_columns(64, [(0,) * 400] * 400)))
+    out_file = tmp_path / "out.txt"
+    rc, out, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv]
+                           + ["--out", str(out_file)])
+    assert rc == 3 and out == "" and "code cells" in err
+    assert not out_file.exists()
+
+
 def test_reduce_roundtrip(capsys, tmp_path, code_file):
     src = tmp_path / "src.txt"
     src.write_text(format_code(Code.from_columns(4, [(0, 3), (2, 1)])))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from sepmac.core import (
     compositions,
     format_code,
     parse_code,
+    runs,
 )
 from sepmac.verify import _masks, _subsets_of, _union_walk
 
@@ -120,3 +122,29 @@ def test_code_file_roundtrip():
 def test_code_file_strict(bad):
     with pytest.raises(CodeFileError):
         parse_code(bad)
+
+
+@st.composite
+def run_keys(draw):
+    """A 1-D key array with many ties: int64 keys, or whole uint8 or uint16
+    rows as void keys (uint16 symbols that differ in either byte)."""
+    dtype = draw(st.sampled_from(["int64", "uint8", "uint16"]))
+    symbols = {"int64": [-2 ** 63, -1, 0, 1, 2 ** 63 - 1], "uint8": [0, 1, 255],
+               "uint16": [0, 1, 255, 256, 257, 65535]}[dtype]
+    width = 1 if dtype == "int64" else draw(st.integers(1, 3))
+    rows = np.array(draw(st.lists(st.lists(st.sampled_from(symbols), min_size=width,
+                                           max_size=width), min_size=1, max_size=60)), dtype)
+    if dtype == "int64":
+        return rows.ravel()
+    return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+
+
+@given(run_keys())
+def test_runs_match_stable_sort(keys):
+    # Python's sort is stable; a void key orders as its bytes
+    value = (lambda k: k.tobytes()) if keys.dtype.kind == "V" else int
+    want = sorted(range(len(keys)), key=lambda i: value(keys[i]))
+    order, new = runs(keys)
+    assert order.tolist() == want
+    assert new.tolist() == [i == 0 or value(keys[want[i]]) != value(keys[want[i - 1]])
+                            for i in range(len(want))]

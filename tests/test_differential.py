@@ -21,7 +21,7 @@ from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_
 from sepmac.channels import ChannelSpec, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
-from sepmac.exponent import _Split
+from sepmac.exponent import _splits
 from sepmac.verify import (
     factor_decode,
     is_at_most_s_separable,
@@ -78,6 +78,19 @@ def test_separable_matches_reference(case, cells):
     for e in ref.enumerate_messages(code.t, s):
         ids = output_ids(ch, x[np.array(e.indices) - 1])
         assert tuple(ch.outputs[z] for z in ids.tolist()) == ref.output_word(ch, code, e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_separable_wide_output_ids_match_reference(n, data):
+    # B s=3 q=12 has 364 outputs, so its output rows are uint16, which
+    # codes() never draws
+    ch = make_channel("B", 3, 12)
+    t = data.draw(st.integers(4, 9))
+    cols = data.draw(st.lists(st.tuples(*[st.integers(0, 11)] * n), min_size=t, max_size=t))
+    code = Code.from_columns(12, cols)
+    assert ch.out.dtype == np.uint16
+    _assert_same_verdict(is_separable(code, 3, ch), ref.is_separable(code, 3, ch))
 
 
 def _assert_kernel_matches_reference(ch):
@@ -141,7 +154,7 @@ def test_split_matches_dense_reference(kind, s, q, data):
     m = data.draw(st.integers(1, s))
     lam = data.draw(st.floats(0.0, 1.0))
     mu = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=s * q, max_size=s * q)))
-    split = _Split(ch, p, m)
+    split = list(_splits(ch, p))[m - 1]
     got = split.solve(lam, mu)
     e0, tau, H, I, marg = ref.DenseSplit(ch, p, m).solve(lam, mu)
     for x, y in ((got.e0, e0), (got.H, H), (got.I, I)):

@@ -69,8 +69,8 @@ def test_separable_oracle_equivalence():
 
 def test_separable_peak_memory_per_message():
     # one index set and one output row per message are held for the grouping,
-    # and the walk adds nothing that lasts; np.unique's grouping sets the
-    # peak, about 185 bytes per message at N=30
+    # and the walk adds nothing that lasts; core.runs adds the stable order
+    # and one sorted copy of the rows, about 94 bytes per message at N=30
     code = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1))
     channel = make_channel("B", 3, 3)
     tracemalloc.start()
@@ -79,7 +79,21 @@ def test_separable_peak_memory_per_message():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * comb(80, 3), peak / comb(80, 3)
+    assert peak <= 120 * comb(80, 3), peak / comb(80, 3)
+
+
+def test_at_most_s_separable_peak_memory_per_set():
+    # the same grouping over union words of sets of sizes 1 and 2 at N=12,
+    # about 54 bytes per set
+    code = random_code(EnsembleSpec("cr", 3, 12, 300, p=(1 / 3,) * 3, seed=1))
+    sets = comb(300, 1) + comb(300, 2)
+    tracemalloc.start()
+    try:
+        is_at_most_s_separable(code, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * sets, peak / sets
 
 
 def test_at_most_s_separable():
