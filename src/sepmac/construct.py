@@ -3,6 +3,7 @@ construction, and desk-scale maximal-code search."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -10,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import Distribution, k_factor
-from .core import Code, InvalidParametersError, SizeLimitError
+from .core import Code, InvalidParametersError, SizeLimitError, _dtype
 from .channels import ChannelSpec
 
 
@@ -66,60 +67,36 @@ def _entry_rng(seed: int, column: int, extra: int = 0) -> random.Random:
 def random_code(spec: EnsembleSpec) -> Code:
     """Draw one code from the ensemble, deterministically given the seed."""
     _check_cells(spec.N, spec.t)
-    columns = []
+    symbols = np.empty((spec.t, spec.N), dtype=_dtype(spec.q))
     if spec.kind == "cr":
-        cum = []
-        acc = 0.0
-        for x in spec.p:
-            acc += x
-            cum.append(acc)
+        cum = list(itertools.accumulate(spec.p, initial=0.0))[1:]
         cum[-1] = 1.0
         for j in range(spec.t):
             rng = _entry_rng(spec.seed, j)
-            col = []
-            for _ in range(spec.N):
-                u = rng.random()
-                a = 0
-                while cum[a] < u:
-                    a += 1
-                col.append(a)
-            columns.append(tuple(col))
+            # the first symbol a with cum[a] >= u
+            symbols[j] = np.searchsorted(cum, [rng.random() for _ in range(spec.N)])
     else:
-        base = []
-        for a, c in enumerate(spec.composition):
-            base.extend([a] * c)
+        base = [a for a, c in enumerate(spec.composition) for _ in range(c)]
         for j in range(spec.t):
-            rng = _entry_rng(spec.seed, j)
             col = list(base)
-            rng.shuffle(col)
-            columns.append(tuple(col))
-    return Code.from_columns(spec.q, columns)
-
-
-def inner_code_word(symbol: int, l: int, q: int) -> tuple[int, ...]:
-    """The weight-one word replacing one q'-ary symbol: value symbol//l + 1
-    at position symbol % l (position-major, then value enumeration)."""
-    word = [0] * l
-    word[symbol % l] = symbol // l + 1
-    return tuple(word)
+            _entry_rng(spec.seed, j).shuffle(col)
+            symbols[j] = col
+    return Code(spec.q, symbols)
 
 
 def reduce_alphabet(code: Code, q: int) -> Code:
-    """Alphabet reduction: map each q'-ary symbol to a length-l q-ary word
-    with a single nonzero symbol, l = ceil(q'/(q-1)). Preserves the
-    list-decoding property."""
+    """Alphabet reduction: map each q'-ary symbol a to the length-l q-ary word
+    with the single nonzero symbol a//l + 1 at place a % l, l =
+    ceil(q'/(q-1)). Preserves the list-decoding property."""
     qprime = code.q
     if not 2 <= q < qprime:
         raise InvalidParametersError(f"need 2 <= q < q', got q={q}, q'={qprime}")
     l = k_factor(q, qprime)
     _check_cells(code.N * l, code.t)
-    columns = []
-    for col in code.columns():
-        new_col: list[int] = []
-        for a in col:
-            new_col.extend(inner_code_word(a, l, q))
-        columns.append(tuple(new_col))
-    return Code.from_columns(q, columns)
+    x = code.symbols.astype(np.min_scalar_type(qprime), copy=False)[..., None]  # holds l too
+    words = np.zeros((code.t, code.N, l), dtype=_dtype(q))
+    np.put_along_axis(words, x % l, x // l + 1, axis=2)
+    return Code(q, words.reshape(code.t, code.N * l))
 
 
 EXHAUSTIVE_GUARD = 2 ** 20
@@ -201,7 +178,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             if _accepts(seen, new):
                 states, seen = _grow(channel, states, columns[idx]), seen.union(new)
                 chosen.append(idx)
-        code = Code.from_columns(q, columns[sorted(chosen)].tolist())
+        code = Code(q, columns[sorted(chosen)])
         return SearchResult(len(chosen), code, n_cand, "greedy")
 
     if mode != "exhaustive":
@@ -240,5 +217,5 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 break
         else:
             stack.pop()
-    code = Code.from_columns(q, columns[best].tolist())
+    code = Code(q, columns[best])
     return SearchResult(len(best), code, nodes, "exhaustive")

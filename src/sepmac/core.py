@@ -1,16 +1,14 @@
-"""Fundamental value types: codes and compositions.
+"""Codes and the code file format, the compositions that index a channel's
+table, the grouping of equal keys, and the toolkit's error types.
 
-Conventions used throughout the toolkit:
-  * codeword indices are 1-based in every external interface;
-  * multisets are canonically represented as sorted tuples;
-  * a composition is a length-q tuple of counts summing to s.
+A code is one read-only (t, N) symbol array; codeword indices are 1-based
+in every external interface.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -27,59 +25,50 @@ class SizeLimitError(InvalidParametersError):
     """The instance exceeds a size guard set to keep work at desk scale."""
 
 
-@dataclass(frozen=True)
+def _dtype(q: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the symbols 0..q-1."""
+    if q > 2 ** 63:
+        raise InvalidParametersError(f"alphabet size must be <= 2^63, got {q}")
+    return np.min_scalar_type(max(q - 1, 0))
+
+
 class Code:
-    """A q-ary code of length N and size t.
+    """A q-ary code of length N and size t: ``symbols`` is a read-only (t, N)
+    array, row j-1 being codeword j (1-based externally), in the smallest
+    unsigned dtype that holds q-1. Codes are equal when q and the arrays are."""
 
-    ``entries`` is stored row-major: entries[i][j] is the symbol of codeword
-    j+1 at row i+1 (both 1-based externally).
-    """
-
-    q: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise InvalidParametersError(f"alphabet size must be >= 2, got {self.q}")
-        if not self.entries or not self.entries[0]:
+    def __init__(self, q: int, codewords):
+        if q < 2:
+            raise InvalidParametersError(f"alphabet size must be >= 2, got {q}")
+        try:
+            x = np.asarray(codewords)
+        except ValueError:
+            raise InvalidParametersError("ragged code matrix") from None
+        if x.ndim != 2 or not x.size:
             raise InvalidParametersError("code must have N >= 1 rows and t >= 1 columns")
-        t = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != t:
-                raise InvalidParametersError("ragged code matrix")
-            for a in row:
-                if not 0 <= a < self.q:
-                    raise InvalidSymbolError(f"symbol {a} outside alphabet of size {self.q}")
-
-    @property
-    def N(self) -> int:
-        return len(self.entries)
+        if x.dtype.kind not in "iu":
+            raise InvalidParametersError(f"code symbols must be integers, got {x.dtype}")
+        if x.min() < 0 or x.max() >= q:
+            bad = (x < 0) | (x >= q)
+            raise InvalidSymbolError(f"symbol {x.flat[bad.argmax()]} outside alphabet of size {q}")
+        self.q, self.symbols = q, np.ascontiguousarray(x, dtype=_dtype(q)).view()
+        self.symbols.flags.writeable = False
 
     @property
     def t(self) -> int:
-        return len(self.entries[0])
+        return self.symbols.shape[0]
 
-    def columns(self) -> list[tuple[int, ...]]:
-        """The codewords, codeword j at place j-1."""
-        return list(zip(*self.entries))
+    @property
+    def N(self) -> int:
+        return self.symbols.shape[1]
 
-    def symbols(self) -> np.ndarray:
-        """The (t, N) symbol array: row j-1 is codeword j."""
-        return np.ascontiguousarray(np.array(self.entries, dtype=np.intp).T)
+    def __eq__(self, other):
+        if not isinstance(other, Code):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.symbols, other.symbols)
 
-    @classmethod
-    def from_columns(cls, q: int, columns: Sequence[Sequence[int]]) -> "Code":
-        if not columns:
-            raise InvalidParametersError("at least one codeword required")
-        n = len(columns[0])
-        entries = tuple(tuple(col[i] for col in columns) for i in range(n))
-        return cls(q, entries)
-
-
-def _check_word(word: Sequence[int], q: int) -> None:
-    for a in word:
-        if not 0 <= a < q:
-            raise InvalidSymbolError(f"symbol {a} outside alphabet of size {q}")
+    def __repr__(self) -> str:
+        return f"Code(q={self.q}, symbols={self.symbols!r})"
 
 
 def compositions(s: int, q: int) -> Iterator[tuple[int, ...]]:
@@ -123,27 +112,30 @@ def parse_code(text: str) -> Code:
         raise CodeFileError(f"non-integer header {lines[0]!r}") from exc
     if len(lines) - 1 != n:
         raise CodeFileError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+    symbols = np.empty((0, 0), _dtype(q))
+    for i, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != t:
             raise CodeFileError(f"expected {t} symbols per row, got {len(parts)} in {ln!r}")
+        if not i:  # a row of t symbols bounds t
+            symbols = np.empty((t, n), symbols.dtype)
         try:
-            row = tuple(int(x) for x in parts)
+            try:
+                row = np.array(parts, dtype=np.int64)
+            except OverflowError:  # past int64, so outside every alphabet a Code admits
+                row = np.array([int(x) for x in parts], dtype=object)
         except ValueError as exc:
             raise CodeFileError(f"non-integer symbol in {ln!r}") from exc
-        for a in row:
-            if not 0 <= a < q:
-                raise CodeFileError(f"symbol {a} outside alphabet of size {q}")
-        rows.append(row)
-    return Code(q, tuple(rows))
+        bad = (row < 0) | (row >= q)
+        if bad.any():
+            raise CodeFileError(f"symbol {row[bad.argmax()]} outside alphabet of size {q}")
+        symbols[:, i] = row
+    return Code(q, symbols)
 
 
 def format_code(code: Code) -> str:
-    out = [f"{code.q} {code.N} {code.t}"]
-    for row in code.entries:
-        out.append(" ".join(str(a) for a in row))
-    return "\n".join(out) + "\n"
+    rows = (" ".join(map(str, row.tolist())) for row in code.symbols.T)
+    return "\n".join([f"{code.q} {code.N} {code.t}", *rows]) + "\n"
 
 
 def load_code(path) -> Code:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Code, InvalidParametersError, SizeLimitError, _check_word, runs
+from .core import Code, InvalidParametersError, InvalidSymbolError, SizeLimitError, runs
 from .channels import ChannelSpec
 
 
@@ -136,10 +136,9 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
     n, dtype = _count(code.t, [s]), np.min_scalar_type(len(channel.trans) - 1)
-    # states and symbols in their smallest dtypes; a step reads trans[state, x[b]]
+    # states in their smallest dtype, as the symbols are; a step reads trans[state, x[b]]
     trans = channel.trans.ravel().astype(dtype)
-    x = code.symbols().astype(np.min_scalar_type(code.q - 1))
-    step = lambda u, b: trans[np.multiply(u, code.q, dtype=np.intp) + x[b]]
+    step = lambda u, b: trans[np.multiply(u, code.q, dtype=np.intp) + code.symbols[b]]
     sets, rows = _held(_walk(code.t, s, np.zeros(code.N, dtype), step, s * code.N), n, s, code.N,
                        channel.out.dtype, lambda states: channel.out[states])
     return _collision_verdict(sets, rows, lambda row: tuple(
@@ -151,7 +150,7 @@ def _masks(code: Code) -> np.ndarray:
     if code.q > 64:
         raise SizeLimitError(f"alphabet size {code.q} exceeds the 64-bit row masks")
     bits = np.uint64(1) << np.arange(code.q, dtype=np.uint64)
-    return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols()]
+    return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols]
 
 
 def _covered(masks: np.ndarray, unions: np.ndarray) -> np.ndarray:
@@ -234,8 +233,10 @@ def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     if len(z) != code.N:
         raise InvalidParametersError(f"output word length {len(z)} != code length {code.N}")
     masks = _masks(code)
-    for zi in z:
-        _check_word(zi, code.q)
+    given = np.array([a for zi in z for a in zi], dtype=object)
+    bad = (given < 0) | (given >= code.q)
+    if bad.any():
+        raise InvalidSymbolError(f"symbol {given[bad.argmax()]} outside alphabet of size {code.q}")
     union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=masks.dtype)
     return set((np.flatnonzero(_covered(masks, union)[0]) + 1).tolist())
 

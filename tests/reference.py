@@ -22,6 +22,8 @@ is the exponent's closed-form E0 solver on a one-hot (words x s*q) matrix
 and a boolean (groups x words) membership matrix, in word order.
 ``column`` and ``type_of`` read one codeword and the type of one word,
 and ``error_fraction`` counts the messages whose output word collides.
+``parse_code`` reads a code file into tuples of Python ints, cell by cell,
+and ``reduce_alphabet`` concatenates one ``inner_code_word`` per symbol.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
@@ -43,6 +45,7 @@ from sepmac.bounds import BoundReport, Distribution, multinomial
 from sepmac.channels import ChannelSpec
 from sepmac.core import (
     Code,
+    CodeFileError,
     InvalidParametersError,
     InvalidSymbolError,
     SizeLimitError,
@@ -77,7 +80,7 @@ def column(code: Code, j: int) -> tuple[int, ...]:
     """Codeword j, 1-based."""
     if not 1 <= j <= code.t:
         raise InvalidParametersError(f"codeword index {j} outside 1..{code.t}")
-    return tuple(row[j - 1] for row in code.entries)
+    return tuple(code.symbols[j - 1].tolist())
 
 
 def type_of(word: Sequence[int], q: int) -> tuple[int, ...]:
@@ -97,7 +100,7 @@ def column_multiset(code: Code, message: Message, row: int) -> tuple[int, ...]:
         raise InvalidParametersError(f"row {row} outside 1..{code.N}")
     if any(j > code.t for j in message):
         raise InvalidParametersError(f"message {message.indices} outside 1..{code.t}")
-    r = code.entries[row - 1]
+    r = code.symbols[:, row - 1].tolist()
     return tuple(sorted(r[j - 1] for j in message))
 
 
@@ -296,7 +299,7 @@ def _extension_ok(channel: ChannelSpec, columns: list, s: int) -> bool:
     t = len(columns)
     if t <= s:
         return True
-    code = Code.from_columns(channel.q, columns)
+    code = Code(channel.q, columns)
     new_outputs = set()
     for rest in itertools.combinations(range(1, t), s - 1):
         z = output_word(channel, code, Message(rest + (t,)))
@@ -319,7 +322,7 @@ def max_code_search(channel: ChannelSpec, N: int) -> SearchResult:
     def girth_ok(cols: list) -> bool:
         if N < 2 or len(cols) < 2:
             return True
-        return bool(split_graph_girth_check(Code.from_columns(q, cols), s, N // 2))
+        return bool(split_graph_girth_check(Code(q, cols), s, N // 2))
 
     def extend(chosen: list, start: int):
         nonlocal best, nodes
@@ -338,7 +341,7 @@ def max_code_search(channel: ChannelSpec, N: int) -> SearchResult:
                 extend(trial, idx + 1)
 
     extend([], 0)
-    return SearchResult(len(best), Code.from_columns(q, best), nodes, "exhaustive")
+    return SearchResult(len(best), Code(q, best), nodes, "exhaustive")
 
 
 def greedy_search(channel: ChannelSpec, N: int, seed: int) -> SearchResult:
@@ -351,9 +354,62 @@ def greedy_search(channel: ChannelSpec, N: int, seed: int) -> SearchResult:
     chosen: list = []
     for idx in order:
         trial = chosen + [candidates[idx]]
-        if len(trial) < s or is_separable(Code.from_columns(q, trial), s, channel).holds:
+        if len(trial) < s or is_separable(Code(q, trial), s, channel).holds:
             chosen = trial
-    return SearchResult(len(chosen), Code.from_columns(q, sorted(chosen)), len(order), "greedy")
+    return SearchResult(len(chosen), Code(q, sorted(chosen)), len(order), "greedy")
+
+
+def parse_code(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The code file parser on tuples of Python ints: (q, rows), rows[i][j]
+    being the symbol of codeword j+1 at row i+1. It checks every cell in a
+    Python loop, then q and the shape as ``Code`` does."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise CodeFileError("empty code file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise CodeFileError(f"header must be 'q N t', got {lines[0]!r}")
+    try:
+        q, n, t = (int(x) for x in header)
+    except ValueError as exc:
+        raise CodeFileError(f"non-integer header {lines[0]!r}") from exc
+    if len(lines) - 1 != n:
+        raise CodeFileError(f"expected {n} rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != t:
+            raise CodeFileError(f"expected {t} symbols per row, got {len(parts)} in {ln!r}")
+        try:
+            row = tuple(int(x) for x in parts)
+        except ValueError as exc:
+            raise CodeFileError(f"non-integer symbol in {ln!r}") from exc
+        for a in row:
+            if not 0 <= a < q:
+                raise CodeFileError(f"symbol {a} outside alphabet of size {q}")
+        rows.append(row)
+    if q < 2:
+        raise InvalidParametersError(f"alphabet size must be >= 2, got {q}")
+    if not rows:
+        raise InvalidParametersError("code must have N >= 1 rows and t >= 1 columns")
+    return q, tuple(rows)
+
+
+def inner_code_word(symbol: int, l: int, q: int) -> tuple[int, ...]:
+    """The weight-one word replacing one q'-ary symbol: value symbol//l + 1
+    at position symbol % l (position-major, then value enumeration)."""
+    word = [0] * l
+    word[symbol % l] = symbol // l + 1
+    return tuple(word)
+
+
+def reduce_alphabet(code: Code, q: int) -> Code:
+    """Alphabet reduction symbol by symbol: each codeword's symbols replaced
+    by their inner code words, concatenated."""
+    l = bnd.k_factor(q, code.q)
+    return Code(q, [sum((inner_code_word(a, l, q) for a in col), ())
+                    for col in code.symbols.tolist()])
 
 
 def count_L_rare(code: Code, L: int) -> tuple[int, list[bool]]:
@@ -363,7 +419,7 @@ def count_L_rare(code: Code, L: int) -> tuple[int, list[bool]]:
     if L < 1:
         raise InvalidParametersError(f"need L >= 1, got L={L}")
     n, t = code.N, code.t
-    cols = code.columns()
+    cols = [tuple(col) for col in code.symbols.tolist()]
     flags = [False] * t
     for start in range(n):
         rows = [(start + d) % n for d in range(L)]
@@ -389,7 +445,7 @@ def split_graph_girth_check(code: Code, s: int, split: int) -> Verdict:
     """
     if not 1 <= split < code.N:
         raise InvalidParametersError(f"split must satisfy 1 <= n1 < N, got {split}")
-    cols = code.columns()
+    cols = [tuple(col) for col in code.symbols.tolist()]
     edges = []  # (prefix, suffix, codeword index)
     for j, col in enumerate(cols, start=1):
         edges.append((col[:split], col[split:], j))

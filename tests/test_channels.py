@@ -50,12 +50,12 @@ def test_threshold_requires_binary():
 
 def output_word(channel, code, indices):
     """The output labels of the message ``indices`` (1-based), row by row."""
-    ids = output_ids(channel, code.symbols()[np.array(indices) - 1])
+    ids = output_ids(channel, code.symbols[np.array(indices) - 1])
     return [channel.outputs[z] for z in ids.tolist()]
 
 
 def test_output_word():
-    code = Code.from_columns(2, [(0, 0), (0, 1), (1, 0)])
+    code = Code(2, [(0, 0), (0, 1), (1, 0)])
     disj = make_channel("disj", 2, 2)
     z = output_word(disj, code, (2, 3))
     assert z == ["1", "1"]
@@ -65,7 +65,7 @@ def test_output_word():
 
 
 def test_output_word_order_independent():
-    code = Code.from_columns(3, [(0, 1), (2, 0), (1, 1), (2, 2)])
+    code = Code(3, [(0, 1), (2, 0), (1, 1), (2, 2)])
     ch = make_channel("A", 2, 3)
     z1 = output_word(ch, code, (2, 4))
     z2 = output_word(ch, code, (4, 2))

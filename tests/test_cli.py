@@ -7,8 +7,8 @@ import sepmac.construct as cst
 from sepmac.cli import main
 from sepmac.core import format_code, load_code, Code
 
-SEP_CODE = format_code(Code.from_columns(2, [(0, 0), (0, 1), (1, 0)]))
-BAD_CODE = format_code(Code.from_columns(2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+SEP_CODE = format_code(Code(2, [(0, 0), (0, 1), (1, 0)]))
+BAD_CODE = format_code(Code(2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
 
 
 @pytest.fixture()
@@ -207,7 +207,7 @@ def test_search_node_budget_exit_code(capsys, monkeypatch):
     ["--list", "2"]])
 def test_verify_limit_exit_code(capsys, code_file, prop):
     # C(200, 3) = 1,313,400 messages: refused before any is enumerated
-    big = format_code(Code.from_columns(3, [(j % 3,) for j in range(200)]))
+    big = format_code(Code(3, [(j % 3,) for j in range(200)]))
     rc, out = run(capsys, ["verify", "--code", code_file(big), "--s", "3", *prop])
     assert rc == 3 and out == ""
 
@@ -219,7 +219,7 @@ def test_channel_kernel_limit_exit_code(capsys, code_file, argv):
     # C(302, 2) * 300 = 13,635,300 kernel cells: refused before any is built
     if argv[0] == "verify":
         argv = argv + ["--code", code_file(format_code(
-            Code.from_columns(300, [(0,), (1,), (299,)])))]
+            Code(300, [(0,), (1,), (299,)])))]
     rc, out = run(capsys, argv)
     assert rc == 3 and out == ""
 
@@ -274,7 +274,7 @@ def test_code_cell_limit_exit_code(capsys, tmp_path, argv):
     # 10^10 and 10,001,000 cells drawn, and 64 * 160,000 cells reduced from a
     # q=64 code, are refused before any is written
     if argv[0] == "reduce":
-        (tmp_path / "big.txt").write_text(format_code(Code.from_columns(64, [(0,) * 400] * 400)))
+        (tmp_path / "big.txt").write_text(format_code(Code(64, [(0,) * 400] * 400)))
     out_file = tmp_path / "out.txt"
     rc, out, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv]
                            + ["--out", str(out_file)])
@@ -284,7 +284,7 @@ def test_code_cell_limit_exit_code(capsys, tmp_path, argv):
 
 def test_reduce_roundtrip(capsys, tmp_path, code_file):
     src = tmp_path / "src.txt"
-    src.write_text(format_code(Code.from_columns(4, [(0, 3), (2, 1)])))
+    src.write_text(format_code(Code(4, [(0, 3), (2, 1)])))
     out = str(tmp_path / "red.txt")
     rc, rec = run_json(capsys, ["reduce", "--code", str(src), "--q", "3",
                                 "--out", out])
@@ -295,7 +295,7 @@ def test_reduce_roundtrip(capsys, tmp_path, code_file):
 
 
 def test_reduce_to_larger_alphabet(capsys, tmp_path, code_file):
-    code_path = code_file(format_code(Code.from_columns(3, [(0, 2), (1, 1)])))
+    code_path = code_file(format_code(Code(3, [(0, 2), (1, 1)])))
     for q in ("3", "4"):
         rc, out = run(capsys, ["reduce", "--code", code_path, "--q", q,
                                "--out", str(tmp_path / "red.txt")])
@@ -303,7 +303,7 @@ def test_reduce_to_larger_alphabet(capsys, tmp_path, code_file):
 
 
 def test_decode(capsys, tmp_path, code_file):
-    code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
+    code_path = code_file(format_code(Code(2, [(0, 0), (1, 1), (0, 1)])))
     z = tmp_path / "z.txt"
     z.write_text("0,1\n1\n")
     rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
@@ -312,7 +312,7 @@ def test_decode(capsys, tmp_path, code_file):
 
 
 def test_decode_indented_comment(capsys, tmp_path, code_file):
-    code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
+    code_path = code_file(format_code(Code(2, [(0, 0), (1, 1), (0, 1)])))
     z = tmp_path / "z.txt"
     z.write_text("0,1\n  # note\n1\n")
     rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
@@ -321,7 +321,7 @@ def test_decode_indented_comment(capsys, tmp_path, code_file):
 
 
 def test_decode_wrong_length(capsys, tmp_path, code_file):
-    code_path = code_file(format_code(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])))
+    code_path = code_file(format_code(Code(2, [(0, 0), (1, 1), (0, 1)])))
     z = tmp_path / "z.txt"
     z.write_text("0,1\n1\n0\n")
     rc, out = run(capsys, ["decode", "--code", code_path, "--z", str(z)])

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sepmac.construct as cst
-from reference import column
+import reference as ref
+from reference import column, inner_code_word
 from sepmac.core import Code, InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.construct import (
     EnsembleSpec,
-    inner_code_word,
     max_code_search,
     random_code,
     reduce_alphabet,
@@ -78,7 +78,7 @@ def test_inner_code_word():
 
 
 def test_reduce_alphabet_shapes():
-    code = Code.from_columns(4, [(0, 3), (2, 1)])
+    code = Code(4, [(0, 3), (2, 1)])
     reduced = reduce_alphabet(code, 3)
     assert reduced.q == 3 and reduced.N == 4 and reduced.t == 2
     assert column(reduced, 1) == (1, 0, 0, 2)
@@ -91,12 +91,22 @@ def test_reduce_alphabet_shapes():
 
 def test_reduce_alphabet_distinct_symbols_stay_distinct():
     qprime, q = 5, 2
-    code = Code.from_columns(qprime, [(a,) for a in range(qprime)])
+    code = Code(qprime, [(a,) for a in range(qprime)])
     reduced = reduce_alphabet(code, q)
     cols = [column(reduced, j) for j in range(1, qprime + 1)]
     assert len(set(cols)) == qprime
     # weight-one words: each column has exactly one nonzero entry
     assert all(sum(1 for x in c if x) == 1 for c in cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_reduce_alphabet_matches_reference(qprime, N, t, rnd):
+    """The one-scatter reduction equals one inner code word per symbol,
+    for every target q < q'."""
+    code = Code(qprime, [[rnd.randrange(qprime) for _ in range(N)] for _ in range(t)])
+    for q in range(2, qprime):
+        assert reduce_alphabet(code, q) == ref.reduce_alphabet(code, q)
 
 
 def test_reduce_alphabet_preserves_list_decoding():
@@ -134,7 +144,7 @@ def test_max_code_search_b_mac():
     ch = make_channel("B", 2, 2)
     res = max_code_search(ch, 2)
     assert res.t_star == 3
-    assert res.code == Code.from_columns(2, [(0, 0), (0, 1), (1, 0)])
+    assert res.code == Code(2, [(0, 0), (0, 1), (1, 0)])
 
 
 def test_max_code_search_returns_lex_smallest():
@@ -154,7 +164,7 @@ def test_max_code_search_matches_brute_force():
         for r in range(1, len(all_cols) + 1):
             found = False
             for subset in itertools.combinations(all_cols, r):
-                code = Code.from_columns(q, list(subset))
+                code = Code(q, list(subset))
                 if r <= s or is_separable(code, s, ch).holds:
                     found = True
                     break
@@ -180,7 +190,7 @@ def test_greedy_is_maximal():
     for col in itertools.product(range(2), repeat=3):
         if col in chosen:
             continue
-        bigger = Code.from_columns(2, sorted(chosen + [col]))
+        bigger = Code(2, sorted(chosen + [col]))
         assert not is_separable(bigger, 2, DISJ2).holds
 
 
@@ -212,7 +222,7 @@ SEARCH_TREES = {
 def test_search_trees_pinned(name, N):
     t_star, nodes, witness = SEARCH_TREES[name, N]
     res = max_code_search(make_channel(name, 2, 2), N)
-    assert (res.t_star, res.nodes, res.code) == (t_star, nodes, Code.from_columns(2, witness))
+    assert (res.t_star, res.nodes, res.code) == (t_star, nodes, Code(2, witness))
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -220,7 +230,7 @@ def test_search_deeper_than_the_recursion_limit():
     res = max_code_search(make_channel("B", 1, 2), 10)
     assert (res.t_star, res.nodes) == (1024, 1025)
     assert res.nodes > sys.getrecursionlimit()
-    assert res.code == Code.from_columns(2, list(itertools.product(range(2), repeat=10)))
+    assert res.code == Code(2, list(itertools.product(range(2), repeat=10)))
 
 
 def test_node_budget(monkeypatch):

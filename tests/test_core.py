@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from reference import Message, column_multiset, enumerate_messages, type_of
 from sepmac.core import (
     Code,
@@ -39,7 +41,7 @@ def test_type_union_permutation_invariant(qw):
     def union(w):
         # the union word of a one-row code whose codewords are w's symbols:
         # the fold of the walk's one set of all of them
-        code = Code.from_columns(q, [(a,) for a in w])
+        code = Code(q, [(a,) for a in w])
         (_, unions), = _union_walk(code, _masks(code), len(w), 1)
         return _subsets_of(unions[0], q)
 
@@ -50,7 +52,7 @@ def test_type_union_permutation_invariant(qw):
 
 
 def test_column_multiset():
-    code = Code.from_columns(2, [(0, 0), (0, 1), (1, 0)])
+    code = Code(2, [(0, 0), (0, 1), (1, 0)])
     assert column_multiset(code, Message((1, 2)), 2) == (0, 1)
     assert column_multiset(code, Message((1, 3)), 1) == (0, 1)
     assert column_multiset(code, Message((1, 2, 3)), 1) == (0, 0, 1)
@@ -100,13 +102,36 @@ def test_message_validation():
 def test_code_validation():
     with pytest.raises(InvalidSymbolError):
         Code(2, ((0, 2),))
+    with pytest.raises(InvalidSymbolError, match="symbol -1 "):
+        Code(3, np.array([[0, -1]]))
     with pytest.raises(InvalidParametersError):
         Code(2, ((0, 1), (0,)))
+    with pytest.raises(InvalidParametersError):
+        Code(2, [])
+    with pytest.raises(InvalidParametersError):
+        Code(2, [(0.5, 1)])
+    with pytest.raises(InvalidParametersError):
+        Code(2 ** 63 + 1, [(0,)])
+
+
+def test_code_is_one_read_only_array():
+    words = np.array([[0, 299], [1, 1]])
+    code = Code(300, words)
+    assert code.symbols.dtype == np.uint16 and code.symbols.shape == (code.t, code.N) == (2, 2)
+    words[0, 0] = 5  # the code keeps its own symbols
+    assert code.symbols.tolist() == [[0, 299], [1, 1]]
+    with pytest.raises(ValueError):
+        code.symbols[0, 0] = 1
+    assert Code(2 ** 63, [(2 ** 63 - 1,)]).symbols.dtype == np.uint64
+    assert code == Code(300, [(0, 299), (1, 1)]) and code != Code(301, [(0, 299), (1, 1)])
+    with pytest.raises(TypeError):
+        hash(code)
 
 
 def test_code_file_roundtrip():
-    code = Code.from_columns(3, [(0, 1), (2, 0), (1, 1)])
+    code = Code(3, [(0, 1), (2, 0), (1, 1)])
     text = format_code(code)
+    assert text == "3 2 3\n0 2 1\n1 0 1\n"
     assert parse_code(text) == code
     assert parse_code("# comment\n" + text) == code
 
@@ -122,6 +147,67 @@ def test_code_file_roundtrip():
 def test_code_file_strict(bad):
     with pytest.raises(CodeFileError):
         parse_code(bad)
+
+
+def test_code_file_refuses_huge_alphabet():
+    with pytest.raises(InvalidParametersError, match="<= 2\\^63"):
+        parse_code(f"{2 ** 63 + 1} 1 1\n0\n")
+    assert parse_code(f"{2 ** 63} 1 1\n{2 ** 63 - 1}\n").symbols.tolist() == [[2 ** 63 - 1]]
+
+
+# tokens the tuple parser reads with int(): signs, underscores, non-ASCII
+# digits and symbols past int64 included
+ODD_TOKENS = ["-1", "-0", "+1", "1_0", "0_1", "_1", "\u0661", "\u0663", "\uff10", "1.0", "x", "0x1",
+              "12345678901234567890", "-12345678901234567890", "9223372036854775807",
+              "9223372036854775808", "256", "255"]
+
+
+@st.composite
+def code_texts(draw):
+    """Code files, valid or not: odd headers, symbols and tokens, ragged,
+    missing and extra rows, comments and blank lines."""
+    q = draw(st.one_of(st.integers(-1, 12), st.sampled_from([255, 256, 257, 2 ** 63])))
+    n, t = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    rows = draw(st.integers(0, 3)) if draw(st.integers(0, 9)) == 0 else max(n, 0)
+    symbol = st.integers(0, max(q, 1) - 1).map(str)
+    lines = [draw(st.sampled_from([f"{q} {n} {t}"] * 8 + [f"{q} {n}", f"{q} {n} x", ""]))]
+    for _ in range(rows):
+        width = max(t, 0) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(" ".join(draw(st.one_of(symbol, symbol, symbol, st.sampled_from(ODD_TOKENS)))
+                              for _ in range(width)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# c", "  ", "#0 1"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(code_texts())
+def test_parse_code_matches_tuple_parser(text):
+    want = _outcome(lambda x: (lambda q, rows: (q, [list(r) for r in rows]))(*ref.parse_code(x)),
+                    text)
+    got = _outcome(lambda x: (lambda c: (c.q, c.symbols.T.tolist()))(parse_code(x)), text)
+    assert got == want
+
+
+def test_parse_code_peak_memory():
+    # the text is 2 bytes a cell; the parse holds its lines and a 1-byte array
+    x = np.random.default_rng(0).integers(0, 3, (1000, 1000))
+    text = "3 1000 1000\n" + "\n".join(" ".join(map(str, row)) for row in x.T.tolist())
+    tracemalloc.start()
+    try:
+        code = parse_code(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(code.symbols, x)
+    assert peak <= 8 * x.size
 
 
 @st.composite

@@ -53,7 +53,7 @@ def codes(draw, kinds=KINDS):
     n = draw(st.integers(1, 4))
     cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return Code.from_columns(q, cols), s, _channel(kind, s, q, rng)
+    return Code(q, cols), s, _channel(kind, s, q, rng)
 
 
 # walk blocks of one set, of a few sets that split prefixes, and of all sets
@@ -74,7 +74,7 @@ def test_separable_matches_reference(case, cells):
         got = is_separable(code, s, ch)
     _assert_same_verdict(got, ref.is_separable(code, s, ch))
     assert (ref.error_fraction(code, s, ch).epsilon == 0) == got.holds
-    x = code.symbols()
+    x = code.symbols
     for e in ref.enumerate_messages(code.t, s):
         ids = output_ids(ch, x[np.array(e.indices) - 1])
         assert tuple(ch.outputs[z] for z in ids.tolist()) == ref.output_word(ch, code, e)
@@ -88,7 +88,7 @@ def test_separable_wide_output_ids_match_reference(n, data):
     ch = make_channel("B", 3, 12)
     t = data.draw(st.integers(4, 9))
     cols = data.draw(st.lists(st.tuples(*[st.integers(0, 11)] * n), min_size=t, max_size=t))
-    code = Code.from_columns(12, cols)
+    code = Code(12, cols)
     assert ch.out.dtype == np.uint16
     _assert_same_verdict(is_separable(code, 3, ch), ref.is_separable(code, 3, ch))
 

@@ -27,8 +27,8 @@ from sepmac.verify import (
 B2 = make_channel("B", 2, 2)
 A2 = make_channel("A", 2, 2)
 
-C3 = Code.from_columns(2, [(0, 0), (0, 1), (1, 0)])
-C4 = Code.from_columns(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+C3 = Code(2, [(0, 0), (0, 1), (1, 0)])
+C4 = Code(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def test_is_separable_basic():
@@ -39,7 +39,7 @@ def test_is_separable_basic():
 
 
 def test_is_separable_duplicate_columns():
-    code = Code.from_columns(2, [(0, 1), (0, 1), (1, 0)])
+    code = Code(2, [(0, 1), (0, 1), (1, 0)])
     for ch in (B2, A2):
         v = is_separable(code, 2, ch)
         assert not v.holds
@@ -97,38 +97,38 @@ def test_at_most_s_separable_peak_memory_per_set():
 
 
 def test_at_most_s_separable():
-    assert is_at_most_s_separable(Code.from_columns(2, [(0, 0), (1, 1), (0, 1)]), 2).holds
-    v = is_at_most_s_separable(Code.from_columns(2, [(0, 0), (0, 1), (1, 1), (1, 0)]), 2)
+    assert is_at_most_s_separable(Code(2, [(0, 0), (1, 1), (0, 1)]), 2).holds
+    v = is_at_most_s_separable(Code(2, [(0, 0), (0, 1), (1, 1), (1, 0)]), 2)
     assert not v.holds
     assert v.witness == ((1, 3), (2, 4))
-    assert is_at_most_s_separable(Code.from_columns(2, [(0, 0), (1, 1)]), 1).holds
+    assert is_at_most_s_separable(Code(2, [(0, 0), (1, 1)]), 1).holds
 
 
 def test_at_most_s_separable_mixed_sizes():
     # a 1-tuple union equal to a 2-tuple union is a violation
-    code = Code.from_columns(2, [(0, 0), (0, 0)])
+    code = Code(2, [(0, 0), (0, 0)])
     v = is_at_most_s_separable(code, 1)
     assert not v.holds
 
 
 def test_frameproof():
-    assert is_frameproof(Code.from_columns(2, [(0, 0), (1, 1)]), 1).holds
-    v = is_frameproof(Code.from_columns(2, [(0, 0), (0, 1), (1, 1)]), 2)
+    assert is_frameproof(Code(2, [(0, 0), (1, 1)]), 1).holds
+    v = is_frameproof(Code(2, [(0, 0), (0, 1), (1, 1)]), 2)
     assert not v.holds
     assert v.witness == ((1, 3), 2)
     assert is_frameproof(
-        Code.from_columns(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 2).holds
+        Code(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 2).holds
 
 
 def test_frameproof_repeated_columns_fail():
-    code = Code.from_columns(2, [(0, 1), (0, 1), (1, 0)])
+    code = Code(2, [(0, 1), (0, 1), (1, 0)])
     v = is_frameproof(code, 1)
     assert not v.holds
     assert v.witness == ((1,), 2)
 
 
 def test_row_masks_refuse_wide_alphabets():
-    code = Code.from_columns(65, [(64,), (0,), (1,)])
+    code = Code(65, [(64,), (0,), (1,)])
     for check in (lambda: is_frameproof(code, 1), lambda: is_hash(code, 1),
                   lambda: factor_decode(code, [(0,)])):
         with pytest.raises(SizeLimitError):
@@ -136,16 +136,16 @@ def test_row_masks_refuse_wide_alphabets():
 
 
 def test_hash():
-    assert is_hash(Code.from_columns(3, [(0,), (1,), (2,)]), 3).holds
+    assert is_hash(Code(3, [(0,), (1,), (2,)]), 3).holds
     with pytest.raises(InvalidParametersError):
-        is_hash(Code.from_columns(2, [(0,), (1,), (0,)]), 3)
-    v = is_hash(Code.from_columns(3, [(0, 0), (0, 1), (1, 1)]), 3)
+        is_hash(Code(2, [(0,), (1,), (0,)]), 3)
+    v = is_hash(Code(3, [(0, 0), (0, 1), (1, 1)]), 3)
     assert not v.holds
 
 
 def test_list_decoding():
-    assert is_list_decoding(Code.from_columns(2, [(0, 0), (1, 1)]), 1, 1).holds
-    code = Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])
+    assert is_list_decoding(Code(2, [(0, 0), (1, 1)]), 1, 1).holds
+    code = Code(2, [(0, 0), (1, 1), (0, 1)])
     v = is_list_decoding(code, 2, 1)
     assert not v.holds
     assert v.witness == ((1, 2), (3,))
@@ -153,7 +153,7 @@ def test_list_decoding():
 
 
 def test_factor_decode():
-    code = Code.from_columns(2, [(0, 0), (1, 1), (0, 1)])
+    code = Code(2, [(0, 0), (1, 1), (0, 1)])
     assert factor_decode(code, [(0, 1), (1,)]) == {2, 3}
     assert factor_decode(code, [(0, 1), (0, 1)]) == {1, 2, 3}
     assert factor_decode(code, [(1,), (1,)]) == {2}
@@ -177,7 +177,7 @@ def test_factor_decode_contains_message():
 
 
 def test_error_fraction():
-    same = Code.from_columns(2, [(0, 1)] * 4)
+    same = Code(2, [(0, 1)] * 4)
     assert error_fraction(same, 2, B2).epsilon == 1
     assert error_fraction(C3, 2, B2).epsilon == 0
     rep = error_fraction(C4, 2, B2)
@@ -195,9 +195,9 @@ def test_error_fraction_iff_separable():
 
 
 def test_count_L_rare():
-    r, flags = count_L_rare(Code.from_columns(2, [(0,), (1,), (1,)]), 1)
+    r, flags = count_L_rare(Code(2, [(0,), (1,), (1,)]), 1)
     assert r == 1 and flags == [True, False, False]
-    same = Code.from_columns(2, [(0, 1)] * 4)
+    same = Code(2, [(0, 1)] * 4)
     r, _ = count_L_rare(same, 2)
     assert r == 0
 
@@ -216,14 +216,14 @@ def test_split_graph_girth():
     assert not v.holds
     assert v.witness == ((1, 2, 3, 4),)
     assert split_graph_girth_check(C3, 2, 1).holds
-    single = Code.from_columns(2, [(0, 1)])
+    single = Code(2, [(0, 1)])
     assert split_graph_girth_check(single, 2, 1).holds
     with pytest.raises(InvalidParametersError):
         split_graph_girth_check(C3, 2, 2)
 
 
 def test_split_graph_parallel_edges():
-    code = Code.from_columns(2, [(0, 1), (0, 1), (1, 0)])
+    code = Code(2, [(0, 1), (0, 1), (1, 0)])
     v = split_graph_girth_check(code, 2, 1)
     assert not v.holds
     assert v.witness == ((1, 2),)
