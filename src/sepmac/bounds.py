@@ -232,7 +232,7 @@ def k_factor(q: int, qprime: int) -> int:
         raise InvalidParametersError(f"need q' >= q >= 2, got q={q}, q'={qprime}")
     if qprime == q:
         return 1
-    return math.ceil(qprime / (q - 1))
+    return -(-qprime // (q - 1))  # integer ceiling: q' may be past a float's range
 
 
 def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from math import comb
 
 import numpy as np
 
 from .core import InvalidParametersError, SizeLimitError, compositions
 
 KERNEL_GUARD = 2 ** 20  # transition cells C(q+s, s) * q a channel may build
+_UNPRINTABLE = 10 ** 4300
 
 
 def _check_shape(q: int, s: int) -> None:
@@ -31,7 +31,14 @@ def _check_shape(q: int, s: int) -> None:
         raise InvalidParametersError(f"alphabet size must be >= 2, got {q}")
     if s < 1:
         raise InvalidParametersError(f"user count must be >= 1, got {s}")
-    cells = comb(q + s, s) * q
+    # q * C(q+s, i) only grows up to i = min(q, s), where it is the count: one
+    # too long to print (an int prints at most 4300 digits) is refused unprinted
+    cells = q
+    for i in range(min(q, s)):
+        cells = cells * (q + s - i) // (i + 1)
+        if cells >= _UNPRINTABLE:
+            raise SizeLimitError(f"channel too large: C(q+s, s)*q kernel cells exceed guard "
+                                 f"{KERNEL_GUARD} (q={q}, s={s})")
     if cells > KERNEL_GUARD:
         raise SizeLimitError(f"channel too large: C(q+s, s)*q = {cells} kernel cells "
                              f"exceed guard {KERNEL_GUARD} (q={q}, s={s})")

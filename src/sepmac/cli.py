@@ -6,7 +6,12 @@ or value, an unreadable or malformed file, a decode symbol outside the
 alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
 gen, reduce, bounds and exponent). `main` parses, starts the clock, runs the
 command and maps its errors to these codes; commands call the library and
-`_emit` the result.
+`_emit` the result. `verify` and `reduce` make the size refusals that a code
+file's header and the options decide before they parse its rows.
+
+The parser is built once per process and keeps no state between parses, so
+`main` is safe to call repeatedly in one process: each call prints, and
+returns, what a fresh process would.
 
 Environment variable SEPMAC_SEED overrides the default seed 0.
 """
@@ -14,6 +19,7 @@ Environment variable SEPMAC_SEED overrides the default seed 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,7 +27,7 @@ import sys
 import time
 
 from . import __version__
-from .core import InvalidParametersError, SizeLimitError, load_code, save_code
+from .core import InvalidParametersError, SizeLimitError, load_code, read_header, save_code
 from .channels import _check_shape, load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
@@ -92,17 +98,39 @@ def _distribution_from_args(args) -> bnd.Distribution:
         raise UsageError(f"--p {args.p}: {exc}") from None
 
 
+def _load_checked(path, checks):
+    """The code at ``path`` and what ``checks(q, N, t)`` returns. The checks
+    run on the header before the rows are parsed, so a size refusal they
+    make comes at once; any other error they raise waits until the rows
+    have parsed, so that a malformed row is still reported first."""
+    try:
+        result, deferred = checks(*read_header(path)), None
+    except SizeLimitError:
+        raise
+    except (UsageError, ValueError, OSError) as exc:
+        result, deferred = None, exc
+    code = load_code(path)
+    if deferred is not None:
+        raise deferred
+    return code, result
+
+
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    code = load_code(args.code)
     s, prop = args.s, args.property
-    if prop != "separable" and args.channel is not None:
-        raise UsageError(f"--{prop.replace('_', '-')} is channel-free; drop --channel")
 
+    def checks(q, N, t):
+        if prop != "separable" and args.channel is not None:
+            raise UsageError(f"--{prop.replace('_', '-')} is channel-free; drop --channel")
+        channel = _channel_from_args(args, s, q) if prop == "separable" else None
+        vfy.check_params(prop, t, q, s, args.L)
+        return channel
+
+    code, channel = _load_checked(args.code, checks)
     if prop == "separable":
-        verdict = vfy.is_separable(code, s, _channel_from_args(args, s, code.q))
+        verdict = vfy.is_separable(code, s, channel)
     elif prop == "list":
         verdict = vfy.is_list_decoding(code, s, args.L)
     else:
@@ -195,7 +223,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    reduced = cst.reduce_alphabet(load_code(args.code), args.q)
+    code, _ = _load_checked(args.code, functools.partial(cst.check_reduce, args.q))
+    reduced = cst.reduce_alphabet(code, args.q)
     save_code(reduced, args.out)
     _emit(args, {"code": args.code, "q": args.q},
           {"out": args.out, "N": reduced.N, "t": reduced.t, "q": reduced.q})
@@ -217,10 +246,8 @@ def cmd_decode(args) -> int:
 def cmd_exponent(args) -> int:
     channel = _channel_from_args(args, args.s, args.q)
     dist = _distribution_from_args(args)
-    rows = ["R,E"]
-    for r in _values("--R", args.R):
-        rep = expm.exponent(channel, dist, r, ensemble=args.ensemble)
-        rows.append(f"{r:.6f},{rep.value:.6f}")
+    rows = ["R,E"] + [f"{rep.R:.6f},{rep.value:.6f}" for rep in
+                      expm.exponent(channel, dist, _values("--R", args.R), args.ensemble)]
     sys.stdout.write("\n".join(rows) + "\n")
     print(f"exponent sweep done in {time.monotonic() - args.started:.2f}s", file=sys.stderr)
     return EXIT_OK
@@ -229,7 +256,11 @@ def cmd_exponent(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The sepmac parser, built at the first call and shared by every later
+    one. Each subcommand's `func` default is bound at that build, so a
+    `cmd_*` attribute replaced afterwards is not what `main` runs."""
     parser = argparse.ArgumentParser(
         prog="sepmac",
         description="Separable and list-decoding codes for symmetric MACs.")

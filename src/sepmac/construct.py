@@ -84,15 +84,23 @@ def random_code(spec: EnsembleSpec) -> Code:
     return Code(spec.q, symbols)
 
 
+def check_reduce(q: int, qprime: int, N: int, t: int) -> int:
+    """The checks that reducing a q'-ary N x t code to q symbols makes before
+    it reads a symbol: 2 <= q < q' and the code guard on the reduced code.
+    Returns the word length l. A code file's header decides them all."""
+    if not 2 <= q < qprime:
+        raise InvalidParametersError(f"need 2 <= q < q', got q={q}, q'={qprime}")
+    l = k_factor(q, qprime)
+    _check_cells(N * l, t)
+    return l
+
+
 def reduce_alphabet(code: Code, q: int) -> Code:
     """Alphabet reduction: map each q'-ary symbol a to the length-l q-ary word
     with the single nonzero symbol a//l + 1 at place a % l, l =
     ceil(q'/(q-1)). Preserves the list-decoding property."""
     qprime = code.q
-    if not 2 <= q < qprime:
-        raise InvalidParametersError(f"need 2 <= q < q', got q={q}, q'={qprime}")
-    l = k_factor(q, qprime)
-    _check_cells(code.N * l, code.t)
+    l = check_reduce(q, qprime, code.N, code.t)
     x = code.symbols.astype(np.min_scalar_type(qprime), copy=False)[..., None]  # holds l too
     words = np.zeros((code.t, code.N, l), dtype=_dtype(q))
     np.put_along_axis(words, x % l, x // l + 1, axis=2)

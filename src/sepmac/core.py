@@ -98,9 +98,13 @@ class CodeFileError(ValueError):
     """Malformed code matrix file."""
 
 
-def parse_code(text: str) -> Code:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+def _content(texts) -> Iterator[str]:
+    """The stripped lines of ``texts`` that are neither blank nor comments."""
+    lines = (ln.strip() for text in texts for ln in text.splitlines())
+    return (ln for ln in lines if ln and not ln.startswith("#"))
+
+
+def _header(lines: list[str]) -> tuple[int, int, int]:
     if not lines:
         raise CodeFileError("empty code file")
     header = lines[0].split()
@@ -110,6 +114,12 @@ def parse_code(text: str) -> Code:
         q, n, t = (int(x) for x in header)
     except ValueError as exc:
         raise CodeFileError(f"non-integer header {lines[0]!r}") from exc
+    return q, n, t
+
+
+def parse_code(text: str) -> Code:
+    lines = list(_content([text]))
+    q, n, t = _header(lines)
     if len(lines) - 1 != n:
         raise CodeFileError(f"expected {n} rows, found {len(lines) - 1}")
     symbols = np.empty((0, 0), _dtype(q))
@@ -136,6 +146,14 @@ def parse_code(text: str) -> Code:
 def format_code(code: Code) -> str:
     rows = (" ".join(map(str, row.tolist())) for row in code.symbols.T)
     return "\n".join([f"{code.q} {code.N} {code.t}", *rows]) + "\n"
+
+
+def read_header(path) -> tuple[int, int, int]:
+    """q, N and t from a code file's header, checked as `parse_code` checks
+    it, without reading the rows: refusals that the header decides need
+    not wait for a large file to be parsed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _header(list(itertools.islice(_content(fh), 1)))
 
 
 def load_code(path) -> Code:

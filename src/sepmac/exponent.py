@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -58,6 +58,17 @@ class ExponentReport:
             "m_star": self.m_star,
             "converged": self.converged,
         }
+
+
+class Sweep(tuple):
+    """The ExponentReports of one rate sweep, in the order of its rates; the
+    sweep is converged when every report is."""
+
+    __slots__ = ()
+
+    @property
+    def converged(self) -> bool:
+        return all(rep.converged for rep in self)
 
 
 def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
@@ -121,11 +132,12 @@ class _Split:
         return _Point(e0, tau, float(tau @ (log_tau - self.lp)),
                       float(tau @ (log_pi - self.lp_h)), marg)
 
-    def maximize(self, R: float, ensemble: str) -> tuple[float, float, np.ndarray]:
-        """E_m(R), the maximum of the dual, with its (lam, mu). The dual is
-        concave in lam with slope I_m(tau) - mR at the tau attaining E0, so
-        at mu = 0 (cr) lam is a root find; fc then solves over (lam, mu) from
-        there, with gradient (I_m - mR, marginals - p)."""
+    def maximize(self, R: float, ensemble: str) -> tuple[float, _Point]:
+        """E_m(R), the maximum of the dual, with the point solved at its
+        (lam, mu). The dual is concave in lam with slope I_m(tau) - mR at the
+        tau attaining E0, so at mu = 0 (cr) lam is a root find; fc then
+        solves over (lam, mu) from there, with gradient (I_m - mR,
+        marginals - p)."""
         mu = np.zeros_like(self.p_flat)
 
         def dual(pt, lam):
@@ -134,12 +146,12 @@ class _Split:
         def slope(lam):
             return self.solve(lam, mu).I - self.m * R
 
-        if slope(0.0) <= 0:
-            lam = 0.0
-        elif slope(1.0) >= 0:
-            lam = 1.0
-        else:
-            lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
+        lam, pt = 0.0, self.solve(0.0, mu)
+        if pt.I - self.m * R > 0:
+            lam, pt = 1.0, self.solve(1.0, mu)
+            if pt.I - self.m * R < 0:
+                lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
+                pt = self.solve(lam, mu)
         if ensemble == "fc":
             def neg_dual(x):
                 mu[self.free] = x[1:]
@@ -152,7 +164,8 @@ class _Split:
                            options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
             lam = float(res.x[0])
             mu[self.free] = res.x[1:]
-        return dual(self.solve(lam, mu), lam), lam, mu
+            pt = self.solve(lam, mu)
+        return dual(pt, lam), pt
 
 
 def _splits(channel: ChannelSpec, p: Distribution) -> Iterator[_Split]:
@@ -165,17 +178,28 @@ def _splits(channel: ChannelSpec, p: Distribution) -> Iterator[_Split]:
     return (_Split(channel, pf, words, ids, log_p, m) for m in range(1, channel.s + 1))
 
 
-def exponent(channel: ChannelSpec, p: Distribution, R: float,
-             ensemble: str = "cr") -> ExponentReport:
-    """Random-coding error exponent: min over m of the minimum over tau of
-    H + [I_m - mR]^+, evaluated as min over m of the dual E_m(R)."""
+def exponent(channel: ChannelSpec, p: Distribution, rates: Sequence[float],
+             ensemble: str = "cr") -> Sweep:
+    """Random-coding error exponent at each of ``rates``: min over m of the
+    minimum over tau of H + [I_m - mR]^+, evaluated as min over m of the
+    dual E_m(R). No split depends on R, so each is built once and solved
+    at every rate; only each rate's best split so far is kept."""
     ensemble = _check_args(channel, p, ensemble)
-    if not (math.isfinite(R) and R >= 0):
-        raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")
-    value, lam, mu, split = min(((*split.maximize(R, ensemble), split)
-                                 for split in _splits(channel, p)), key=lambda c: c[0])
+    for R in rates:
+        if not (math.isfinite(R) and R >= 0):
+            raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")
+    best = [None] * len(rates)  # (E_m(R), its point, split) of the least E_m(R) so far
+    for split in _splits(channel, p):
+        for i, R in enumerate(rates):
+            value, pt = split.maximize(R, ensemble)
+            if best[i] is None or value < best[i][0]:
+                best[i] = value, pt, split
+    return Sweep(_report(channel, R, ensemble, *b) for R, b in zip(rates, best))
+
+
+def _report(channel: ChannelSpec, R: float, ensemble: str, value: float, pt: _Point,
+            split: _Split) -> ExponentReport:
     value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
-    pt = split.solve(lam, mu)
     primal = pt.H + max(pt.I - split.m * R, 0.0)
     residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value

@@ -15,7 +15,6 @@ bounded blocks; only the collision verdicts hold all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,11 +54,36 @@ MESSAGE_GUARD = 10 ** 6  # index sets a verifier may enumerate
 _BLOCK_CELLS = 1 << 18   # array cells per block of walked index sets
 
 
-def _count(t: int, sizes) -> int:
-    """The number of index sets of the given sizes, refused above MESSAGE_GUARD."""
-    n = sum(comb(t, k) for k in sizes)
-    if n > MESSAGE_GUARD:
-        raise SizeLimitError(f"instance too large: more than {MESSAGE_GUARD} index sets")
+def check_params(prop: str, t: int, q: int, s: int, L: Optional[int] = None) -> int:
+    """The checks that verifying ``prop`` ("separable", "le_separable",
+    "frameproof", "hash" or "list" with L) on a q-ary code of size t makes
+    before it reads a symbol, in order: s and L in range, q within the row
+    masks of the channel-free properties, at most MESSAGE_GUARD index sets.
+    Returns the number of index sets. A code file's header decides them all."""
+    if prop == "hash":
+        if q < s:
+            raise InvalidParametersError(f"hash property requires q >= s, got q={q}, s={s}")
+        if not 1 <= s <= t:
+            raise InvalidParametersError(f"need 1 <= s <= t, got s={s}, t={t}")
+    elif prop == "list":
+        if s < 1 or L < 1:
+            raise InvalidParametersError(f"need s >= 1 and L >= 1, got s={s}, L={L}")
+        if s >= t:
+            raise InvalidParametersError(f"need s < t, got s={s}, t={t}")
+    elif not 1 <= s < t:
+        raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={t}")
+    if prop != "separable":
+        _check_masks(q)
+    n = 0
+    for k in range(1, s + 1) if prop == "le_separable" else [s]:
+        # C(t, k) is built up as C(t, 1), C(t, 2), ..., which grow up to t/2,
+        # so a partial count past the guard refuses without the whole count
+        c = 1
+        for i in range(min(k, t - k)):
+            c = c * (t - i) // (i + 1)
+            if n + c > MESSAGE_GUARD:
+                raise SizeLimitError(f"instance too large: more than {MESSAGE_GUARD} index sets")
+        n += c
     return n
 
 
@@ -130,12 +154,11 @@ def _collision_verdict(sets: np.ndarray, rows: np.ndarray, word) -> Verdict:
 def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     """All channel output words over s-messages are pairwise distinct; the
     colliding output is the word's tuple of output labels."""
-    if not 1 <= s < code.t:
-        raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
     if channel.s != s or channel.q != code.q:
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
-    n, dtype = _count(code.t, [s]), np.min_scalar_type(len(channel.trans) - 1)
+    n = check_params("separable", code.t, code.q, s)
+    dtype = np.min_scalar_type(len(channel.trans) - 1)
     # states in their smallest dtype, as the symbols are; a step reads trans[state, x[b]]
     trans = channel.trans.ravel().astype(dtype)
     step = lambda u, b: trans[np.multiply(u, code.q, dtype=np.intp) + code.symbols[b]]
@@ -145,10 +168,14 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
         channel.outputs[z] for z in row.tolist()))
 
 
+def _check_masks(q: int) -> None:
+    if q > 64:
+        raise SizeLimitError(f"alphabet size {q} exceeds the 64-bit row masks")
+
+
 def _masks(code: Code) -> np.ndarray:
     """(t, N) q-bit row masks 1 << x of the code's symbols."""
-    if code.q > 64:
-        raise SizeLimitError(f"alphabet size {code.q} exceeds the 64-bit row masks")
+    _check_masks(code.q)
     bits = np.uint64(1) << np.arange(code.q, dtype=np.uint64)
     return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols]
 
@@ -165,9 +192,7 @@ def _subsets_of(union: np.ndarray, q: int) -> tuple:
 def is_at_most_s_separable(code: Code, s: int) -> Verdict:
     """Coordinate-wise unions distinguish every pair of distinct index sets
     of sizes 1..s (the A-MAC, tuples of unequal size included)."""
-    if not 1 <= s < code.t:
-        raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
-    n, masks = _count(code.t, range(1, s + 1)), _masks(code)
+    n, masks = check_params("le_separable", code.t, code.q, s), _masks(code)
     sets, rows = _held(_union_walk(code, masks, s, s * code.N, every=True),
                        n, s, code.N, masks.dtype, lambda u: u)
     return _collision_verdict(sets, rows, lambda row: _subsets_of(row, code.q))
@@ -178,7 +203,6 @@ def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
     than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
     codewords into the witness's second entry."""
     masks = _masks(code)
-    _count(code.t, [s])
     for block, unions in _union_walk(code, masks, s, code.N * code.t):
         covered = _covered(masks, unions)
         covered[np.arange(len(block))[:, None], block] = False
@@ -197,19 +221,14 @@ def is_frameproof(code: Code, s: int) -> Verdict:
     Tuples are index sets; a codeword equal (as a column) to a tuple member
     but with a different index is covered and reported as a failure.
     """
-    if not 1 <= s < code.t:
-        raise InvalidParametersError(f"need 1 <= s < t, got s={s}, t={code.t}")
+    check_params("frameproof", code.t, code.q, s)
     return _cover_verdict(code, s, 0, lambda js: js[0])
 
 
 def is_hash(code: Code, s: int) -> Verdict:
     """Every s-tuple of codewords has a coordinate with all symbols distinct."""
-    if code.q < s:
-        raise InvalidParametersError(f"hash property requires q >= s, got q={code.q}, s={s}")
-    if not 1 <= s <= code.t:
-        raise InvalidParametersError(f"need 1 <= s <= t, got s={s}, t={code.t}")
+    check_params("hash", code.t, code.q, s)
     masks = _masks(code)
-    _count(code.t, [s])
     for block, unions in _union_walk(code, masks, s, s * code.N):
         distinct = np.bitwise_count(unions) == s
         bad = np.flatnonzero(~distinct.any(axis=1))
@@ -220,10 +239,7 @@ def is_hash(code: Code, s: int) -> Verdict:
 
 def is_list_decoding(code: Code, s: int, L: int) -> Verdict:
     """Every s-collection's union covers at most L-1 codewords outside it."""
-    if s < 1 or L < 1:
-        raise InvalidParametersError(f"need s >= 1 and L >= 1, got s={s}, L={L}")
-    if s >= code.t:
-        raise InvalidParametersError(f"need s < t, got s={s}, t={code.t}")
+    check_params("list", code.t, code.q, s, L)
     return _cover_verdict(code, s, L - 1, lambda js: js)
 
 

@@ -229,9 +229,9 @@ def test_exponent_identities():
     cap = bnd.entropy_output(ch, unif) / 2
     grid = [cap * i / 19 for i in range(20)]
     prev = math.inf
-    for R in grid:
-        e_cr = exponent(ch, unif, R, ensemble="cr").value
-        e_fc = exponent(ch, unif, R, ensemble="fc").value
+    for cr, fc in zip(exponent(ch, unif, grid, ensemble="cr"),
+                      exponent(ch, unif, grid, ensemble="fc")):
+        R, e_cr, e_fc = cr.R, cr.value, fc.value
         assert e_cr <= e_fc + 1e-6, (R, e_cr, e_fc)
         assert e_cr <= prev + 1e-6, (R, e_cr, prev)
         prev = e_cr

@@ -130,6 +130,7 @@ def test_k_factor():
     assert k_factor(3, 3) == 1
     assert k_factor(3, 7) == 4
     assert k_factor(2, 5) == 5
+    assert k_factor(3, 10 ** 400 + 1) == 10 ** 400 // 2 + 1
     with pytest.raises(InvalidParametersError):
         k_factor(3, 2)
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sepmac.construct as cst
-from sepmac.cli import main
-from sepmac.core import format_code, load_code, Code
+from sepmac.cli import build_parser, main
+from sepmac.channels import make_channel
+from sepmac.core import format_code, load_code, Code, InvalidParametersError
 
 SEP_CODE = format_code(Code(2, [(0, 0), (0, 1), (1, 0)]))
 BAD_CODE = format_code(Code(2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
@@ -79,6 +84,63 @@ def test_verify_list_property(capsys, code_file):
         "verify", "--code", code_file(SEP_CODE), "--s", "2", "--list", "2"])
     assert rc == 0
     assert rec["params"]["L"] == 2
+
+
+def test_parser_built_once(capsys, code_file):
+    # each call on the shared parser prints and returns what it does on a
+    # fresh one, also right after a failed parse and after --help
+    assert build_parser() is build_parser()
+    valid = ["verify", "--code", code_file(SEP_CODE), "--s", "2", "--channel", "B",
+             "--separable"]
+    calls = [valid, ["bound", "--kind", "nope", "--s", "2", "--q", "2"],
+             ["verify", "--code", valid[2], "--s", "2"], ["--help"], valid]
+
+    def outcome(argv):
+        rc, out, err = run_err(capsys, argv)
+        return rc, re.sub(r'"wall_time_s": [^}]*', "", out), err
+
+    shared = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 2, 2, 0, 0]
+    assert shared[1][2].startswith("usage: sepmac bound ")
+    assert shared[3][1].startswith("usage: sepmac ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--s", "2", "--le-separable"], "more than 1000000 index sets"),
+    (["reduce", "--q", "2", "--out", "{dir}/out.txt"], "N*t = 30000000 code cells")])
+def test_header_decides_refusal(capsys, tmp_path, argv, err):
+    # a header past both guards: the refusal comes before the rows it
+    # announces are read, so their absence is never reported
+    (tmp_path / "big.txt").write_text("3 1000 10000\n0 1 2\n")
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--code", str(tmp_path / "big.txt")]
+    rc, out, stderr = run_err(capsys, argv)
+    assert rc == 3 and out == "" and err in stderr
+    assert not (tmp_path / "out.txt").exists()
+
+
+HEADER_VALUES = [-1, 0, 1, 2, 3, 65, 10 ** 4, 2 ** 63, 2 ** 64, 10 ** 400]
+HEADER_ARGVS = [["verify", "--s", s, *prop] for s in ("1", "2", "1000000")
+                for prop in (["--channel", "B", "--separable"], ["--channel", "disj", "--separable"],
+                             ["--le-separable"], ["--frameproof"], ["--hash"], ["--list", "2"])]
+HEADER_ARGVS += [["reduce", "--q", q] for q in ("2", "3", "100")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.sampled_from(HEADER_VALUES)] * 3),
+       st.sampled_from(["", "0 1\n", "0 1\n1 0\n", "0 x\n"]), st.sampled_from(HEADER_ARGVS))
+def test_header_checks_exit_cleanly(tmp_path_factory, header, rows, argv):
+    # whatever the header claims, the checks made on it end in an exit code
+    path = tmp_path_factory.mktemp("code") / "code.txt"
+    path.write_text("{} {} {}\n".format(*header) + rows)
+    argv = argv + ["--code", str(path), *(["--out", str(path.parent / "out.txt")]
+                                         if argv[0] == "reduce" else [])]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3)
 
 
 def test_missing_code_file(capsys):
@@ -351,7 +413,11 @@ def test_search_channel_s_mismatch(capsys, tmp_path):
      "1048576 (q=3, s=2000)\n"),
     # the user count comes before the level check
     (["--channel", "thr:2", "--s", "0", "--q", "2"], 2,
-     "error: user count must be >= 1, got 0\n")])
+     "error: user count must be >= 1, got 0\n"),
+    # a count too long to print is refused unprinted, without computing it
+    (["--channel", "B", "--s", "100000", "--q", "100000"], 3,
+     "error: channel too large: C(q+s, s)*q kernel cells exceed guard 1048576 "
+     "(q=100000, s=100000)\n")])
 def test_channel_refusal_order(capsys, argv, code, err):
     assert run_err(capsys, ["search", *argv, "--N", "2"]) == (code, "", err)
 
@@ -434,6 +500,34 @@ def test_exponent_csv(capsys):
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[0] for r in rows] == ["0.000000", "0.300000"]
     assert float(rows[0][1]) >= float(rows[1][1]) >= 0.0
+
+
+def _builtin(name, s, q):
+    try:
+        return make_channel(name, s, q) is not None
+    except InvalidParametersError:
+        return False
+
+
+@pytest.mark.parametrize("name, s, q", [
+    (name, s, q) for name in ("A", "B", "eras", "disj", "thr:1", "thr:2", "thr:3")
+    for s in (1, 2, 3) for q in (2, 3) if _builtin(name, s, q)])
+def test_exponent_sweep_matches_single_rates(capsys, name, s, q):
+    # one word table serves the whole sweep; each rate's row is the bytes of
+    # its own single-rate command
+    rates = ["0", "0.1", "0.35"]
+    for ensemble in ("cr", "fc"):
+        for p in ([], ["--p", "0.7,0.3" if q == 2 else "0.5,0.3,0.2"]):
+            argv = ["exponent", "--channel", name, "--s", str(s), "--q", str(q),
+                    "--ensemble", ensemble, *p, "--R"]
+            rc, sweep = run(capsys, argv + [",".join(rates)])
+            assert rc == 0
+            rows = []
+            for r in rates:
+                rc, out = run(capsys, argv + [r])
+                assert rc == 0 and out.startswith("R,E\n")
+                rows.append(out[len("R,E\n"):])
+            assert sweep == "R,E\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("q, probs", [("3", "0.5,0.5"), ("2", "0.5,0.3,0.2")])

@@ -14,7 +14,9 @@ from sepmac.core import (
     InvalidSymbolError,
     compositions,
     format_code,
+    load_code,
     parse_code,
+    read_header,
     runs,
 )
 from sepmac.verify import _masks, _subsets_of, _union_walk
@@ -194,6 +196,21 @@ def test_parse_code_matches_tuple_parser(text):
                     text)
     got = _outcome(lambda x: (lambda c: (c.q, c.symbols.T.tolist()))(parse_code(x)), text)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_texts(), st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]))
+def test_read_header_matches_load(tmp_path_factory, text, newline):
+    # the header a file's rows are parsed under, with the same refusals
+    path = tmp_path_factory.mktemp("code") / "code.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text.replace("\n", newline))
+    header = _outcome(read_header, path)
+    code = _outcome(load_code, path)
+    if isinstance(code, Code):
+        assert header == (code.q, code.N, code.t)
+    elif not isinstance(header, tuple):
+        assert header == code
 
 
 def test_parse_code_peak_memory():

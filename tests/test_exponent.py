@@ -68,7 +68,7 @@ def test_eval_I_nonnegative_at_canonical():
 
 def test_exponent_zero_at_capacity_rate():
     cap = capacity_B_closed_form(2, 2)
-    rep = exponent(B22, UNIF2, cap)
+    rep, = exponent(B22, UNIF2, [cap])
     assert rep.value < 1e-5
     assert rep.value >= 0.0
 
@@ -76,46 +76,46 @@ def test_exponent_zero_at_capacity_rate():
 def test_exponent_positive_at_zero_rate():
     # hand check: on the output-determined support of this channel, I_1 is
     # constant ln 2, and min (H + I_2) = ln(8/3) > ln 2, so E(0) = ln 2
-    rep = exponent(B22, UNIF2, 0.0)
+    rep, = exponent(B22, UNIF2, [0.0])
     assert abs(rep.value - math.log(2)) < 1e-4
     assert rep.ensemble == "cr"
     assert 1 <= rep.m_star <= 2
 
 
 def test_exponent_monotone_in_rate():
-    values = [exponent(B22, UNIF2, R).value for R in (0.0, 0.1, 0.2, 0.3, 0.5)]
+    values = [rep.value for rep in exponent(B22, UNIF2, (0.0, 0.1, 0.2, 0.3, 0.5))]
     for lo, hi in zip(values[1:], values):
         assert lo <= hi + 1e-6
     assert all(v >= 0 for v in values)
 
 
 def test_fc_dominates_cr():
-    for R in (0.0, 0.1, 0.2):
-        cr = exponent(B22, UNIF2, R, ensemble="cr").value
-        fc = exponent(B22, UNIF2, R, ensemble="fc").value
-        assert fc >= cr - 1e-6
+    rates = (0.0, 0.1, 0.2)
+    for cr, fc in zip(exponent(B22, UNIF2, rates, ensemble="cr"),
+                      exponent(B22, UNIF2, rates, ensemble="fc")):
+        assert fc.value >= cr.value - 1e-6
 
 
 def test_fc_at_zero_rate_b_mac():
     # the marginal constraints are inactive at the zero-rate optimum here,
     # so the fixed-composition value coincides with the i.i.d. one
-    rep = exponent(B22, UNIF2, 0.0, ensemble="fc")
+    rep, = exponent(B22, UNIF2, [0.0], ensemble="fc")
     assert abs(rep.value - math.log(2)) < 1e-4
 
 
 def test_exponent_param_checks():
     for R in (-0.1, math.inf, math.nan):
         with pytest.raises(InvalidParametersError):
-            exponent(B22, UNIF2, R)
+            exponent(B22, UNIF2, [0.1, R])
     with pytest.raises(InvalidParametersError):
-        exponent(B22, UNIF2, 0.1, ensemble="xx")
+        exponent(B22, UNIF2, [0.1], ensemble="xx")
     # s*q^s = 229,376 and 139,968 word-table cells, past WORD_GUARD
     big = make_channel("disj", 14, 2)
     with pytest.raises(SizeLimitError):
-        exponent(big, UNIF2, 0.1)
+        exponent(big, UNIF2, [0.1])
     bigq = make_channel("B", 3, 36)
     with pytest.raises(SizeLimitError):
-        exponent(bigq, Distribution.uniform(36), 0.1)
+        exponent(bigq, Distribution.uniform(36), [0.1])
 
 
 def test_split_peak_memory():
@@ -124,7 +124,7 @@ def test_split_peak_memory():
     ch, p = make_channel("B", 8, 3), Distribution.uniform(3)
     tracemalloc.start()
     try:
-        rep = exponent(ch, p, 0.1)
+        rep, = exponent(ch, p, [0.1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -146,7 +146,7 @@ def test_rate_lower_bound_disjunctive():
 
 
 def test_report_json():
-    rep = exponent(B22, UNIF2, 0.1)
+    rep, = exponent(B22, UNIF2, [0.1])
     d = rep.to_dict()
     assert set(d) == {"value", "ensemble", "R", "m_star", "converged"}
     assert d["ensemble"] == "cr"
@@ -161,7 +161,7 @@ def test_report_json():
 def test_dual_matches_polytope_values(name, s, q, probs, R, cr, fc):
     ch, p = make_channel(name, s, q), Distribution(probs)
     for ensemble, want in (("cr", cr), ("fc", fc)):
-        rep = exponent(ch, p, R, ensemble=ensemble)
+        rep, = exponent(ch, p, [R], ensemble=ensemble)
         assert abs(rep.value - want) <= 1e-7, (ensemble, rep.value)
         assert rep.converged and abs(rep.gap) <= 1e-7
 
@@ -178,8 +178,8 @@ def test_zero_probability_symbol():
     ch, p = make_channel("B", 2, 3), Distribution((0.6, 0.4, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        cr = exponent(ch, p, 0.1, ensemble="cr")
-        fc = exponent(ch, p, 0.1, ensemble="fc")
+        cr, = exponent(ch, p, [0.1], ensemble="cr")
+        fc, = exponent(ch, p, [0.1], ensemble="fc")
     assert abs(fc.value - 0.573011667) <= 1e-7
     # the polytope solver reported 0.553927158 here, unconverged
     assert 0.553927158 - 1e-6 <= cr.value <= 0.553927158
@@ -188,13 +188,13 @@ def test_zero_probability_symbol():
 
 def test_degenerate_input_gives_positive_zero():
     p = Distribution((1, 0))
-    for value in (exponent(B22, p, 0.1).value, rate_lower_bound_general(B22, p)):
+    for value in (exponent(B22, p, [0.1])[0].value, rate_lower_bound_general(B22, p)):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_exponent_q_mismatch():
     with pytest.raises(InvalidParametersError):
-        exponent(make_channel("B", 2, 3), UNIF2, 0.1)
+        exponent(make_channel("B", 2, 3), UNIF2, [0.1])
     with pytest.raises(InvalidParametersError):
         rate_lower_bound_general(B22, Distribution.uniform(3))
 
@@ -208,8 +208,8 @@ def test_exponent_q_mismatch():
 def test_dual_certificate(channel, raw, R, weights):
     ch = make_channel(*channel)
     p = Distribution(tuple(w / sum(raw[:ch.q]) for w in raw[:ch.q]))
-    cr = exponent(ch, p, R, ensemble="cr")
-    fc = exponent(ch, p, R, ensemble="fc")
+    cr, = exponent(ch, p, [R], ensemble="cr")
+    fc, = exponent(ch, p, [R], ensemble="fc")
     # weak duality: the dual value is below the primal at any tau on the support
     words = list(canonical_tau(p, ch))
     total = sum(weights[:len(words)])

@@ -16,6 +16,8 @@ from sepmac.core import Code, InvalidParametersError, InvalidSymbolError, SizeLi
 from sepmac.channels import make_channel
 from sepmac.construct import EnsembleSpec, random_code
 from sepmac.verify import (
+    MESSAGE_GUARD,
+    check_params,
     factor_decode,
     is_at_most_s_separable,
     is_frameproof,
@@ -133,6 +135,30 @@ def test_row_masks_refuse_wide_alphabets():
                   lambda: factor_decode(code, [(0,)])):
         with pytest.raises(SizeLimitError):
             check()
+
+
+def test_message_count_and_guard():
+    # the exact count up to the guard, in the verifiers' order of sizes
+    for t in range(2, 45):
+        for s in range(1, t):
+            for prop, n in (("frameproof", comb(t, s)),
+                            ("le_separable", sum(comb(t, k) for k in range(1, s + 1)))):
+                if n <= MESSAGE_GUARD:
+                    assert check_params(prop, t, 2, s) == n
+                else:
+                    with pytest.raises(SizeLimitError):
+                        check_params(prop, t, 2, s)
+    assert check_params("le_separable", 1413, 3, 2) == 1413 + comb(1413, 2) <= MESSAGE_GUARD
+    assert check_params("separable", 182, 3, 3) == comb(182, 3) <= MESSAGE_GUARD
+    assert check_params("hash", 20, 20, 20) == 1
+    assert check_params("list", 21, 2, 10, 1) == comb(21, 10)
+    for prop, t, s in (("le_separable", 1414, 2), ("separable", 183, 3), ("hash", 23, 11)):
+        with pytest.raises(SizeLimitError):
+            check_params(prop, t, 64, s)
+    # C(10^7, 10^6) has millions of digits: a partial count refuses at once
+    for prop, s in (("frameproof", 10 ** 6), ("le_separable", 30000), ("list", 5 * 10 ** 6)):
+        with pytest.raises(SizeLimitError):
+            check_params(prop, 10 ** 7, 2, s, 1)
 
 
 def test_hash():
