@@ -1,12 +1,12 @@
 """Symmetric multiple-access channel models.
 
 A symmetric MAC is a deterministic function of the multiset of the s input
-symbols, so a channel, ``ChannelSpec(name, q, s, table)``, is one total
-table from the C(q+s-1, s) compositions (count tuples) to outputs. An
-output is its printed label, the ``str`` of the table's value: the A-MAC
-prints the set of inputs as ``{0,1}``, the B-MAC the composition as
-``(1,1)``. ``make_channel`` alone knows the built-in rules.
-Each channel also carries an integer kernel (``_kernel``): ``output_ids``
+symbols, so a channel, ``ChannelSpec(name, q, s, output)``, is one function
+from the C(q+s-1, s) compositions (count tuples) to outputs. An output is
+its printed label, the ``str`` of the function's value: the A-MAC prints
+the set of inputs as ``{0,1}``, the B-MAC the composition as ``(1,1)``.
+``make_channel`` alone knows the built-in rules. Building the integer
+kernel (``_kernel``) is the one walk over the compositions; ``output_ids``
 maps s-words to output ids and ``output_law`` gives the output law of
 i.i.d. inputs.
 """
@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 
 import numpy as np
 
-from .core import InvalidParametersError, SizeLimitError, compositions
+from .core import InvalidParametersError, SizeLimitError, _content
 
 KERNEL_GUARD = 2 ** 20  # transition cells C(q+s, s) * q a channel may build
 _UNPRINTABLE = 10 ** 4300
@@ -45,21 +46,15 @@ def _check_shape(q: int, s: int) -> None:
 
 
 class ChannelSpec:
-    """A symmetric f-MAC named ``name``: a total table from the weight-s
-    compositions over A_q (count tuples) to outputs, and its kernel. An
-    output is the label it prints, ``str(value)``, so values with equal
-    labels are one output."""
+    """A symmetric f-MAC named ``name``: ``output(c)`` is the output of each
+    weight-s composition c over A_q (a count tuple), and the kernel is built
+    from it. An output is the label it prints, ``str(output(c))``, so values
+    with equal labels are one output."""
 
-    def __init__(self, name: str, q: int, s: int, table: dict):
+    def __init__(self, name: str, q: int, s: int, output):
         _check_shape(q, s)
-        comps = list(compositions(s, q))
-        need, have = set(comps), set(table)
-        if have != need:
-            raise InvalidParametersError(f"{name} table not total on compositions: missing "
-                                         f"{sorted(need - have)}, extra {sorted(have - need)}")
-        self._name, self.q, self.s = name, q, s
-        self._table = {c: str(v) for c, v in table.items()}
-        self.trans, self.out, self.outputs = _kernel(q, s, [self._table[c] for c in comps])
+        self._name, self.q, self.s, self.output = name, q, s, output
+        self.trans, self.out, self.outputs = _kernel(q, s, output)
 
     def __repr__(self):
         return f"ChannelSpec({self._name}, q={self.q}, s={self.s})"
@@ -68,13 +63,14 @@ class ChannelSpec:
         return self._name
 
 
-def _kernel(q: int, s: int, labels: list) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _kernel(q: int, s: int, output) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(trans, out, outputs) over the compositions of weight <= s, by weight
     and then in count order (state 0 is empty): trans[state, a] adds symbol a
-    below weight s, out[state] is the output id of a weight-s state, whose
-    label ``labels`` gives in count order, and outputs[id] is that label;
-    equal labels share an id. A state is kept as its sorted word, so adding
-    a symbol is an insertion; count order is reverse word order."""
+    below weight s, out[state] is the output id of a weight-s state c, whose
+    label is ``str(output(c))``, and outputs[id] is that label; equal labels
+    share an id. A state is kept as its sorted word, so adding a symbol is an
+    insertion and its counts are a bincount; count order is reverse word
+    order."""
     words = [w for k in range(s + 1)
              for w in reversed(list(itertools.combinations_with_replacement(range(q), k)))]
     index = {w: i for i, w in enumerate(words)}
@@ -83,11 +79,14 @@ def _kernel(q: int, s: int, labels: list) -> tuple[np.ndarray, np.ndarray, tuple
         k = bisect.bisect_right(w, a)
         return index[w[:k] + (a,) + w[k:]]
 
-    below = len(words) - len(labels)
+    below = len(words) - math.comb(q + s - 1, s)
     trans = np.zeros((len(words), q), dtype=np.intp)
     trans[:below] = [[grown(w, a) for a in range(q)] for w in words[:below]]
+    top = np.array(words[below:], dtype=np.intp)  # the weight-s states
+    counts = np.bincount((top + q * np.arange(len(top))[:, None]).ravel(), minlength=len(top) * q)
     ids: dict = {}
-    out = [0] * below + [ids.setdefault(z, len(ids)) for z in labels]
+    out = [0] * below + [ids.setdefault(str(output(c)), len(ids))
+                         for c in map(tuple, counts.reshape(-1, q).tolist())]
     return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
 
 
@@ -131,7 +130,7 @@ _RULES = {
 
 
 def make_channel(name: str, s: int, q: int) -> ChannelSpec:
-    """Parse a channel name (A | B | eras | thr:L | disj) and tabulate its rule."""
+    """Parse a channel name (A | B | eras | thr:L | disj) and build it from its rule."""
     kind, colon, level = name.partition(":")
     if not (level.isdecimal() if kind == "thr" else kind in _RULES and not colon):
         raise InvalidParametersError(f"unknown channel name {name!r}")
@@ -142,8 +141,7 @@ def make_channel(name: str, s: int, q: int) -> ChannelSpec:
     if not 1 <= l <= s:
         raise InvalidParametersError(f"threshold must satisfy 1 <= l <= s, got {l}")
     rule = _RULES[kind]
-    return ChannelSpec(f"thr:{l}" if kind == "thr" else kind, q, s,
-                       {c: rule(c, l) for c in compositions(s, q)})
+    return ChannelSpec(f"thr:{l}" if kind == "thr" else kind, q, s, lambda c: rule(c, l))
 
 
 # --- custom channel file format ---------------------------------------------
@@ -157,8 +155,7 @@ class ChannelFileError(ValueError):
 
 
 def parse_channel(text: str) -> ChannelSpec:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = list(_content([text]))
     if not lines:
         raise ChannelFileError("empty channel file")
     header = lines[0].split()
@@ -182,10 +179,12 @@ def parse_channel(text: str) -> ChannelSpec:
         if counts in table:
             raise ChannelFileError(f"duplicate composition {counts}")
         table[counts] = parts[q + 1]
-    spec = ChannelSpec("custom", q, s, table)
-    labels = set(table.values())
-    if len(labels) != zsize:
-        raise ChannelFileError(f"header says |Z|={zsize} but table uses {len(labels)} labels")
+    try:  # the lines are distinct compositions, so the table can only lack some
+        spec = ChannelSpec("custom", q, s, table.__getitem__)
+    except KeyError as exc:
+        raise ChannelFileError(f"missing composition {exc.args[0]}") from None
+    if len(spec.outputs) != zsize:
+        raise ChannelFileError(f"header says |Z|={zsize} but table uses {len(spec.outputs)} labels")
     return spec
 
 

@@ -27,7 +27,8 @@ import sys
 import time
 
 from . import __version__
-from .core import InvalidParametersError, SizeLimitError, load_code, read_header, save_code
+from .core import (InvalidParametersError, SizeLimitError, _content, load_code, read_header,
+                   save_code)
 from .channels import _check_shape, load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
@@ -234,9 +235,7 @@ def cmd_reduce(args) -> int:
 def cmd_decode(args) -> int:
     code = load_code(args.code)
     with open(args.z, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    rows = [ln.replace("{", "").replace("}", "") for ln in lines
-            if ln and not ln.startswith("#")]
+        rows = [ln.replace("{", "").replace("}", "") for ln in _content(fh)]
     z = [_values("--z", row, int) if row else () for row in rows]
     _emit(args, {"code": args.code, "z": args.z},
           {"decoded": sorted(vfy.factor_decode(code, z))})

@@ -169,10 +169,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
     n_cand = q ** N
     # candidate column i is the base-q digits of i, so index order is lexicographic
-    columns = np.empty((n_cand, N), dtype=np.intp)
-    index = np.arange(n_cand)
-    for j in range(N):
-        index, columns[:, N - 1 - j] = np.divmod(index, q)
+    columns = np.ascontiguousarray(np.indices((q,) * N, dtype=np.intp).reshape(N, -1).T)
     # the empty code: one empty subset, no messages
     states = [np.zeros((0 if k else 1, N), dtype=np.intp) for k in range(s)]
 

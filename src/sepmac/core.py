@@ -99,7 +99,8 @@ class CodeFileError(ValueError):
 
 
 def _content(texts) -> Iterator[str]:
-    """The stripped lines of ``texts`` that are neither blank nor comments."""
+    """The stripped lines of ``texts`` that are neither blank nor comments:
+    the one rule for the code, channel and decode-word file formats."""
     lines = (ln.strip() for text in texts for ln in text.splitlines())
     return (ln for ln in lines if ln and not ln.startswith("#"))
 

@@ -35,17 +35,20 @@ WORD_GUARD = 2 ** 17  # word-table cells s * q^s an exponent may build
 CERTIFICATE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentReport:
     """`value` is the dual value, a lower bound on the exponent; `primal` is
-    H + [I_m - mR]^+ at `tau_star`, a map (word, output label) -> weight,
-    and `gap` = primal - value."""
+    H + [I_m - mR]^+ at tau*, the weight `tau[i]` of word `words[i]` with
+    output id `ids[i]` (the solved split's arrays, not copies), and `gap` =
+    primal - value."""
 
     value: float
     ensemble: str
     R: float
     m_star: int
-    tau_star: dict
+    words: np.ndarray
+    ids: np.ndarray
+    tau: np.ndarray
     converged: bool
     primal: float
     gap: float
@@ -194,19 +197,16 @@ def exponent(channel: ChannelSpec, p: Distribution, rates: Sequence[float],
             value, pt = split.maximize(R, ensemble)
             if best[i] is None or value < best[i][0]:
                 best[i] = value, pt, split
-    return Sweep(_report(channel, R, ensemble, *b) for R, b in zip(rates, best))
+    return Sweep(_report(R, ensemble, *b) for R, b in zip(rates, best))
 
 
-def _report(channel: ChannelSpec, R: float, ensemble: str, value: float, pt: _Point,
-            split: _Split) -> ExponentReport:
+def _report(R: float, ensemble: str, value: float, pt: _Point, split: _Split) -> ExponentReport:
     value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
     primal = pt.H + max(pt.I - split.m * R, 0.0)
     residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value
-    tau_star = {(w, channel.outputs[z]): t for w, z, t in
-                zip(zip(*split.words.T.tolist()), split.ids.tolist(), pt.tau.tolist())}
     return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
-                          tau_star=tau_star,
+                          words=split.words, ids=split.ids, tau=pt.tau,
                           converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,
                           primal=primal, gap=gap)
 

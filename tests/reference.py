@@ -7,9 +7,10 @@ lookups, every search node recomputes the outputs of all messages of its
 code, and the output law sums composition probabilities per output label.
 The list-decoding P_term adds one Fraction per inclusion-exclusion term,
 ``builtin_output`` reads each built-in channel's output label off the
-s-word itself, apart from the composition tables the channels are built
-from, and ``kernel`` builds a channel's kernel cell by cell on count tuples;
-``validate_symmetric`` folds a table keyed by s-words into a channel.
+s-word itself, apart from the rules the channels are built from, and
+``kernel`` builds a channel's kernel cell by cell on count tuples from its
+``output`` function; ``validate_symmetric`` folds a table keyed by s-words
+into a channel.
 The greedy search keeps a column iff the reference separability check
 holds on the grown code. The entropy bound's multi-start SLSQP here
 takes finite-difference gradients, each step evaluating
@@ -17,7 +18,8 @@ takes finite-difference gradients, each step evaluating
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
-a joint distribution tau, a map (word, output label) -> weight. ``DenseSplit``
+a joint distribution tau, a map (word, output label) -> weight, which
+``tau_star`` reads off an exponent report's arrays. ``DenseSplit``
 is the exponent's closed-form E0 solver on a one-hot (words x s*q) matrix
 and a boolean (groups x words) membership matrix, in word order.
 ``column`` and ``type_of`` read one codeword and the type of one word,
@@ -130,17 +132,19 @@ def builtin_output(name: str, word: tuple[int, ...], q: int) -> str:
     raise ValueError(f"not a built-in channel: {name!r}")
 
 
-def kernel(q: int, s: int, table: dict) -> tuple[np.ndarray, np.ndarray, tuple]:
+def kernel(channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray, tuple]:
     """A channel's (trans, out, outputs) built cell by cell on count tuples,
     as ``sepmac.channels._kernel`` defines them: states are the compositions
-    of weight <= s by weight and then in count order, and ``table`` maps the
-    weight-s ones to labels."""
+    of weight <= s by weight and then in count order, and ``eval_channel``
+    labels the weight-s ones."""
+    q, s = channel.q, channel.s
     states = [c for w in range(s + 1) for c in compositions(w, q)]
     index = {c: i for i, c in enumerate(states)}
     trans = np.array([[index.get(c[:a] + (c[a] + 1,) + c[a + 1:], 0) for a in range(q)]
                       for c in states], dtype=np.intp)
     ids: dict = {}
-    out = [ids.setdefault(table[c], len(ids)) if sum(c) == s else 0 for c in states]
+    out = [ids.setdefault(eval_channel(channel, c), len(ids)) if sum(c) == s else 0
+           for c in states]
     return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
 
 
@@ -152,7 +156,7 @@ def eval_channel(channel: ChannelSpec, comp: tuple[int, ...]) -> str:
     if sum(comp) != channel.s:
         raise InvalidParametersError(
             f"composition weight {sum(comp)} != channel user count {channel.s}")
-    return channel._table[comp]
+    return str(channel.output(comp))
 
 
 class NotSymmetricError(ValueError):
@@ -180,7 +184,7 @@ def validate_symmetric(table: dict, s: int, q: int) -> ChannelSpec:
             comp_table[counts], comp_witness[counts] = table[word], word
         elif comp_table[counts] != table[word]:
             raise NotSymmetricError(comp_witness[counts], word, comp_table[counts], table[word])
-    return ChannelSpec("custom", q, s, comp_table)
+    return ChannelSpec("custom", q, s, comp_table.__getitem__)
 
 
 def output_word(channel: ChannelSpec, code: Code, message: Message) -> tuple[str, ...]:
@@ -642,6 +646,12 @@ def canonical_tau(p: Distribution, channel: ChannelSpec) -> dict:
             weight *= float(p.probs[a])
         tau[(w, z)] = weight
     return tau
+
+
+def tau_star(channel: ChannelSpec, report) -> dict:
+    """An exponent report's tau* as a map (word, output label) -> weight."""
+    return {(tuple(w), channel.outputs[z]): t for w, z, t in
+            zip(report.words.tolist(), report.ids.tolist(), report.tau.tolist())}
 
 
 def eval_H(p: Distribution, tau: dict, channel: ChannelSpec) -> float:

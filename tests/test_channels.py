@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import sepmac.core
 from reference import NotSymmetricError, eval_channel, type_of, validate_symmetric
+from sepmac.cli import main
 from sepmac.core import Code, InvalidParametersError, compositions
 from sepmac.channels import (
     ChannelFileError,
@@ -110,7 +112,7 @@ def test_validate_symmetric_word_table():
     table = {w: str(type_of(w, q)) for w in itertools.product(range(q), repeat=s)}
     spec = validate_symmetric(table, s, q)
     assert spec.name() == "custom"
-    assert len(spec._table) == 3
+    assert spec.outputs == ("(0, 2)", "(1, 1)", "(2, 0)")
 
 
 def test_validate_symmetric_rejects_asymmetric():
@@ -122,13 +124,14 @@ def test_validate_symmetric_rejects_asymmetric():
 
 def test_validate_symmetric_composition_table():
     table = {(3, 0): "0", (2, 1): "x", (1, 2): "x", (0, 3): "1"}
-    spec = ChannelSpec("custom", 2, 3, table)
+    spec = ChannelSpec("custom", 2, 3, table.__getitem__)
     assert eval_channel(spec, type_of((0, 1, 0), 2)) == "x"
 
 
 def test_custom_table_must_be_total():
-    with pytest.raises(InvalidParametersError):
-        ChannelSpec("custom", 2, 2, {})
+    # the output function's own error: a dict lookup raises KeyError
+    with pytest.raises(KeyError):
+        ChannelSpec("custom", 2, 2, {}.__getitem__)
 
 
 def test_outputs_compare_as_labels():
@@ -140,7 +143,7 @@ def test_outputs_compare_as_labels():
     comp = type_of((0, 1), 2)
     assert eval_channel(a, comp) == eval_channel(b, comp) == "1"
     assert a.outputs == b.outputs == ("1", "0")
-    spec = ChannelSpec("custom", 2, 1, {(1, 0): 1, (0, 1): "1"})
+    spec = ChannelSpec("custom", 2, 1, {(1, 0): 1, (0, 1): "1"}.__getitem__)
     assert spec.outputs == ("1",)
 
 
@@ -172,3 +175,32 @@ def test_parse_channel_file():
 def test_parse_channel_strict(bad):
     with pytest.raises((ChannelFileError, InvalidParametersError)):
         parse_channel(bad)
+
+
+def test_channels_built_without_compositions(monkeypatch):
+    # the kernel is the one walk over the compositions
+    cases = [("A", 3, 4), ("B", 2, 3), ("eras", 3, 3), ("thr:2", 3, 2), ("disj", 2, 2)]
+    want = [make_channel(*case) for case in cases] + [parse_channel(CHANNEL_FILE)]
+
+    def refuse(*args):
+        raise AssertionError("compositions enumerated outside the kernel")
+
+    monkeypatch.setattr(sepmac.core, "compositions", refuse)
+    monkeypatch.setattr("sepmac.channels.compositions", refuse, raising=False)
+    got = [make_channel(*case) for case in cases] + [parse_channel(CHANNEL_FILE)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.trans, w.trans) and np.array_equal(g.out, w.out)
+        assert g.outputs == w.outputs
+
+
+def test_parse_channel_names_missing_composition(tmp_path, capsys):
+    text = "2 3 2\n3 0 -> 0\n2 1 -> 1\n0 3 -> 1\n"
+    with pytest.raises(ChannelFileError, match=r"missing composition \(1, 2\)"):
+        parse_channel(text)
+    chan, code = tmp_path / "chan.txt", tmp_path / "code.txt"
+    chan.write_text(text)
+    code.write_text("2 2 4\n0 0 1 1\n0 1 0 1\n")
+    argv = ["verify", "--code", str(code), "--s", "3", "--channel", f"custom:{chan}",
+            "--separable"]
+    assert main(argv) == 2
+    assert "missing composition (1, 2)" in capsys.readouterr().err

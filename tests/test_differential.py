@@ -39,7 +39,8 @@ def _channel(kind, s, q, rng):
         return make_channel(f"thr:{rng.randint(1, s)}", s, q)
     if kind == "custom":
         labels = "uvw"[:rng.randint(1, 3)]
-        return ChannelSpec("custom", q, s, {c: rng.choice(labels) for c in compositions(s, q)})
+        table = {c: rng.choice(labels) for c in compositions(s, q)}
+        return ChannelSpec("custom", q, s, table.__getitem__)
     return make_channel(kind, s, q)
 
 
@@ -94,7 +95,7 @@ def test_separable_wide_output_ids_match_reference(n, data):
 
 
 def _assert_kernel_matches_reference(ch):
-    want = ref.kernel(ch.q, ch.s, ch._table)
+    want = ref.kernel(ch)
     for got, exp in zip((ch.trans, ch.out), want):
         assert got.dtype == exp.dtype and np.array_equal(got, exp), ch
     assert ch.outputs == want[2], ch
@@ -121,7 +122,14 @@ def test_builtin_rules_match_reference(kind):
 def test_custom_kernel_matches_reference(q, s, n_labels, seed):
     rng = random.Random(seed)
     table = {c: rng.choice("uvwxyz"[:n_labels]) for c in compositions(s, q)}
-    _assert_kernel_matches_reference(ChannelSpec("custom", q, s, table))
+    _assert_kernel_matches_reference(ChannelSpec("custom", q, s, table.__getitem__))
+
+
+@pytest.mark.parametrize("kind,s,q", [("B", 3, 16), ("A", 3, 17), ("eras", 2, 20),
+                                      ("custom", 2, 16), ("custom", 3, 16)])
+def test_wide_kernel_matches_reference(kind, s, q):
+    # q >= 16, where A and B have output ids past uint8
+    _assert_kernel_matches_reference(_channel(kind, s, q, random.Random(q)))
 
 
 @st.composite
@@ -177,7 +185,8 @@ def entropy_channels(draw):
         q, s = draw(st.integers(2, 4)), draw(st.integers(1, 4))
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
         labels = "uvwxy"[:draw(st.integers(2, 5))]
-        return ChannelSpec("custom", q, s, {c: rng.choice(labels) for c in compositions(s, q)})
+        table = {c: rng.choice(labels) for c in compositions(s, q)}
+        return ChannelSpec("custom", q, s, table.__getitem__)
     return make_channel(kind, draw(st.integers(1, 4)), draw(st.integers(2, 5)))
 
 

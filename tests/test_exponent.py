@@ -5,9 +5,11 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import canonical_tau, eval_H, eval_I
+import numpy as np
+
+from reference import canonical_tau, eval_H, eval_I, tau_star
 from sepmac.core import InvalidParametersError, SizeLimitError
-from sepmac.channels import make_channel
+from sepmac.channels import make_channel, output_ids
 from sepmac.bounds import Distribution, capacity_B_closed_form, entropy_output
 from sepmac.exponent import ExponentReport, exponent, rate_lower_bound_general
 
@@ -217,7 +219,20 @@ def test_dual_certificate(channel, raw, R, weights):
     for m in range(1, ch.s + 1):
         assert cr.value <= eval_H(p, tau, ch) + max(eval_I(p, tau, m) - m * R, 0.0) + 1e-12
     for rep in (cr, fc):
-        primal = (eval_H(p, rep.tau_star, ch)
-                  + max(eval_I(p, rep.tau_star, rep.m_star) - rep.m_star * R, 0.0))
+        tau = tau_star(ch, rep)
+        primal = eval_H(p, tau, ch) + max(eval_I(p, tau, rep.m_star) - rep.m_star * R, 0.0)
         assert abs(primal - rep.value) <= 1e-7
     assert cr.value <= fc.value + 1e-9
+
+
+@pytest.mark.parametrize("name,s,q", [("A", 3, 2), ("B", 2, 3), ("eras", 2, 3),
+                                      ("thr:2", 3, 2), ("B", 3, 8)])
+def test_report_holds_split_arrays(name, s, q):
+    # tau* as the solved split's arrays: a law on the words, each with its output id
+    ch = make_channel(name, s, q)
+    for p in (Distribution.uniform(q), Distribution((0.0,) + (1 / (q - 1),) * (q - 1))):
+        for ensemble in ("cr", "fc"):
+            for rep in exponent(ch, p, [0.0, 0.2, 0.6], ensemble):
+                assert rep.words.shape == (len(rep.tau), s) and len(rep.ids) == len(rep.tau)
+                assert np.array_equal(rep.ids, output_ids(ch, rep.words.T))
+                assert (rep.tau >= 0).all() and abs(rep.tau.sum() - 1.0) <= 1e-12
