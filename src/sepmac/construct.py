@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,7 +110,8 @@ def reduce_alphabet(code: Code, q: int) -> Code:
 
 EXHAUSTIVE_GUARD = 2 ** 20
 NODE_GUARD = 2 ** 21  # branch-and-bound nodes an exhaustive search may visit
-GATHER_CELLS = 2 ** 16  # kernel cells one block of a node's output gather may hold
+GATHER_CELLS = 2 ** 12  # kernel cells one block of a subset's output keys may hold
+MEMO_CELLS = 2 ** 21  # kernel cells of key blocks one exhaustive search keeps
 
 
 @dataclass
@@ -123,27 +125,86 @@ class SearchResult:
         return {"t_star": self.t_star, "nodes": self.nodes, "mode": self.mode}
 
 
-def _output_keys(channel: ChannelSpec, subsets: np.ndarray, columns: np.ndarray):
-    """For each of ``columns``, the list of output rows (one bytes key each)
-    of the messages joining it to every (s-1)-subset of the chosen columns,
-    whose kernel states are ``subsets``. Gathered in blocks of at most
-    GATHER_CELLS cells, one block at a time as the caller iterates."""
-    step = max(1, GATHER_CELLS // max(1, subsets.size))
-    for lo in range(0, len(columns), step):
-        rows = channel.out[channel.trans[subsets[None], columns[lo:lo + step, None]]]
-        yield from rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0].tolist()
+def _digits(indices, q: int, N: int) -> np.ndarray:
+    """The candidate columns of ``indices``, an array or nested sequence of
+    them: column i is the N base-q digits of i, most significant first, so
+    index order is lexicographic. The digits are a new last axis."""
+    return np.asarray(indices, dtype=np.intp)[..., None] // q ** np.arange(N - 1, -1, -1) % q
 
 
-def _accepts(seen: frozenset, new: list) -> bool:
+def _states(channel: ChannelSpec, subsets: np.ndarray) -> np.ndarray:
+    """The kernel states of subsets of columns, ``subsets[j]`` being the
+    columns of subset j."""
+    state = np.zeros((len(subsets), subsets.shape[-1]), dtype=np.intp)
+    for k in range(subsets.shape[1]):
+        state = channel.trans[state, subsets[:, k]]
+    return state
+
+
+def _keys(channel: ChannelSpec, states: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """keys[i, j]: the output row, one void item (bytes under ``tolist``),
+    of the message joining ``columns[i]`` to the subset whose kernel states
+    are ``states[j]``: one gather."""
+    rows = channel.out[channel.trans[states, columns[:, None]]]
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+
+
+def _untried(rows: list, lo: int, start: int, stop: int):
+    """(i, new keys) for each i in [start, stop), ``rows`` holding each
+    subset's keys for the block of candidates that starts at ``lo``."""
+    news = zip(*[keys[start - lo:stop - lo] for keys in rows]) \
+        if rows else itertools.repeat((), stop - start)
+    return enumerate(news, start)
+
+
+class _KeyMemo:
+    """The keys of the messages joining an (s-1)-subset of candidates, named
+    by its tuple of candidate indices, to each candidate. They are built a
+    block of ``step`` candidates at a time, on first use, and kept while they
+    fit in MEMO_CELLS cells, the least recently used block going first; the
+    block read last always stays."""
+
+    def __init__(self, channel: ChannelSpec, N: int, step: int):
+        self.channel, self.N, self.step = channel, N, step
+        self.n_cand = channel.q ** N
+        self.blocks: OrderedDict = OrderedDict()  # (subset, first candidate) -> keys
+        self.cells = 0
+
+    def rows(self, subsets: list, lo: int) -> list:
+        """The keys of each of ``subsets`` joined to the candidates of the
+        block that starts at candidate ``lo``, gathering the missing ones
+        together, GATHER_CELLS cells at a time."""
+        blocks, q, N = self.blocks, self.channel.q, self.N
+        missing = [sub for sub in subsets if (sub, lo) not in blocks]
+        if missing:
+            columns = _digits(np.arange(lo, min(lo + self.step, self.n_cand)), q, N)
+            per = max(1, GATHER_CELLS // columns.size)  # subsets per gather
+            for at in range(0, len(missing), per):
+                part = missing[at:at + per]
+                built = _keys(self.channel, _states(self.channel, _digits(part, q, N)),
+                              columns).T.tolist()
+                blocks.update(zip([(sub, lo) for sub in part], built))
+                self.cells += len(part) * columns.size
+        rows = []
+        for sub in subsets:
+            blocks.move_to_end((sub, lo))
+            rows.append(blocks[sub, lo])
+        while self.cells > MEMO_CELLS and len(blocks) > 1:
+            self.cells -= len(blocks.popitem(last=False)[1]) * N
+        return rows
+
+
+def _accepts(seen, new) -> bool:
     """The new messages' output rows differ from each other and from ``seen``."""
     return len(set(new)) == len(new) and seen.isdisjoint(new)
 
 
-def _grow(channel: ChannelSpec, states: list, column: np.ndarray) -> list:
-    """``states[k]`` holds the kernel states of every k-subset of the chosen
-    columns, k < s; these are the states once ``column`` joins them."""
-    return states[:1] + [np.concatenate([old, channel.trans[shorter, column]])
-                         for old, shorter in zip(states[1:], states)]
+def _grow(names: list, idx: int) -> list:
+    """``names[k]`` names every k-subset of the chosen candidates, k < s;
+    these are the names once candidate ``idx`` joins them, the new subsets
+    after the old ones."""
+    return names[:1] + [old + [sub + (idx,) for sub in shorter]
+                        for old, shorter in zip(names[1:], names)]
 
 
 def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
@@ -151,76 +212,109 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     """Find a maximum (exhaustive) or maximal (greedy) s-separable code of
     length N over the channel's alphabet, s being the channel's user count.
 
-    Exhaustive mode runs a branch-and-bound over candidate columns in
-    lexicographic order; the returned witness is the lexicographically
-    smallest maximum code. Each node carries the kernel states of its code's
-    (s-1)-subsets and the output rows of its messages, so a branch checks
-    only the messages containing its column. A node gathers those rows for
-    all the candidates the bound still lets it reach in one numpy gather
-    (in blocks for large instances); the candidate loop then only compares
-    sets of row keys. A tree of more than NODE_GUARD nodes raises
-    SizeLimitError, after the search has started.
+    Candidate column i is the N base-q digits of i, so index order is
+    lexicographic; no table of the q^N columns is built. A candidate's new
+    messages join it to each (s-1)-subset of the code, so its new output
+    rows are that subset's keys (one bytes object per output row) at the
+    candidate.
+
+    Exhaustive mode runs a branch-and-bound over the candidates in index
+    order; the returned witness is the lexicographically smallest maximum
+    code. A node carries the names (index tuples) of its code's subsets,
+    their keys over one block of candidates, and the keys of its messages,
+    so a branch checks only the messages containing its column, by set
+    operations on keys alone. The keys come from a memo of each subset
+    joined to every candidate (``_KeyMemo``), filled the first time a node
+    asks for a block by numpy gathers of at most GATHER_CELLS cells and
+    bounded by MEMO_CELLS; a child reads from the memo only its new
+    subsets, so a node makes no numpy call of its own. A tree of more than
+    NODE_GUARD nodes raises SizeLimitError, after the search has started.
+
+    Greedy mode tries each candidate once, in an order shuffled by
+    ``seed``, gathering every subset's keys for a block of that order at a
+    time; no block is read twice, so it keeps no memo.
     """
     s, q = channel.s, channel.q
+    if mode not in ("exhaustive", "greedy"):
+        raise InvalidParametersError(f"unknown search mode {mode!r}")
     if N < 1:
         raise InvalidParametersError(f"code length N must be >= 1, got N={N}")
     if q ** N > EXHAUSTIVE_GUARD:
         raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
     n_cand = q ** N
-    # candidate column i is the base-q digits of i, so index order is lexicographic
-    columns = np.ascontiguousarray(np.indices((q,) * N, dtype=np.intp).reshape(N, -1).T)
     # the empty code: one empty subset, no messages
-    states = [np.zeros((0 if k else 1, N), dtype=np.intp) for k in range(s)]
+    names = [[()]] + [[] for _ in range(s - 1)]
 
     if mode == "greedy":
         order = list(range(n_cand))
         random.Random(seed).shuffle(order)
         chosen: list[int] = []
-        seen: frozenset = frozenset()
-        for idx in order:
-            new = next(_output_keys(channel, states[-1], columns[idx:idx + 1]))
-            if _accepts(seen, new):
-                states, seen = _grow(channel, states, columns[idx]), seen.union(new)
+        seen: set = set()
+        states = np.zeros((len(names[-1]), N), dtype=np.intp)  # of names[-1]
+        lo = 0
+        while lo < n_cand:
+            # every subset's keys over the next block of the order, of at
+            # most GATHER_CELLS cells, in one gather
+            block = order[lo:lo + max(1, GATHER_CELLS // (max(1, len(states)) * N))]
+            columns = _digits(block, q, N)
+            keys = _keys(channel, states, columns)
+            for i, idx in enumerate(block):
+                new = keys[i].tolist()
+                if not _accepts(seen, new):
+                    continue
                 chosen.append(idx)
-        code = Code(q, columns[sorted(chosen)])
+                seen.update(new)
+                names = _grow(names, idx)
+                fresh = names[-1][len(states):]  # the subsets idx joins
+                if fresh:
+                    fresh = _states(channel, _digits(fresh, q, N))
+                    states = np.concatenate([states, fresh])
+                    if len(states) * len(block) * N > GATHER_CELLS:
+                        break  # gather the rest of the block anew
+                    keys = np.concatenate([keys, _keys(channel, fresh, columns)], axis=1)
+            lo += i + 1
+        code = Code(q, _digits(sorted(chosen), q, N))
         return SearchResult(len(chosen), code, n_cand, "greedy")
 
-    if mode != "exhaustive":
-        raise InvalidParametersError(f"unknown search mode {mode!r}")
-
+    step = max(1, GATHER_CELLS // N)  # candidates per block of the memo
+    memo = _KeyMemo(channel, N, step)
+    keys = memo.rows(names[-1], 0)
+    # one entry per open node: its code, subset names, output keys, the block
+    # it is in, its subsets' keys there and the candidates it has not tried
+    stack = [[[], names, frozenset(), 0, keys, _untried(keys, 0, 0, min(step, n_cand))]]
     best: list[int] = []
-    nodes = 0
-    # one entry per open node: its code, kernel states, output rows and the
-    # candidates it has not tried yet
-    stack: list = []
-
-    def visit(chosen: list[int], states: list, seen: frozenset, start: int):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > NODE_GUARD:
-            raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
-                                 f"(q^N = {n_cand}, s = {s})")
-        if len(chosen) > len(best):
-            best = chosen
-        # no candidate from stop on can pass the bound, and best only grows
-        stop = n_cand - len(best) + len(chosen)
-        keys = _output_keys(channel, states[-1], columns[start:stop])
-        stack.append((chosen, states, seen, zip(range(start, stop), keys)))
-
-    visit([], states, frozenset(), 0)
+    nodes = 1
     while stack:
-        chosen, states, seen, untried = stack[-1]
+        node = stack[-1]
+        chosen, names, seen, lo, keys, untried = node
+        # bound: from stop on, even taking every remaining candidate cannot beat best
+        stop = n_cand - len(best) + len(chosen)
         for idx, new in untried:
-            # bound: even taking every remaining candidate cannot beat best
-            if len(chosen) + (n_cand - idx) <= len(best):
+            if idx >= stop:
                 stack.pop()
                 break
             if _accepts(seen, new):
-                visit(chosen + [idx], _grow(channel, states, columns[idx]),
-                      seen.union(new), idx + 1)
+                nodes += 1
+                if nodes > NODE_GUARD:
+                    raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
+                                         f"(q^N = {n_cand}, s = {s})")
+                chosen = chosen + [idx]
+                if len(chosen) > len(best):
+                    best = chosen
+                grown = _grow(names, idx)
+                # the child starts in this block (or at its end): only its
+                # new subsets' keys are not in ``keys`` already
+                keys = keys + memo.rows(grown[-1][len(keys):], lo)
+                stack.append([chosen, grown, seen.union(new), lo, keys,
+                              _untried(keys, lo, idx + 1, min(lo + step, n_cand))])
                 break
         else:
-            stack.pop()
-    code = Code(q, columns[best])
+            lo += step
+            if lo >= stop:
+                stack.pop()
+            else:
+                keys = memo.rows(names[-1], lo)
+                node[3:] = lo, keys, _untried(keys, lo, lo, min(lo + step, n_cand))
+    code = Code(q, _digits(best, q, N))
     return SearchResult(len(best), code, nodes, "exhaustive")

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -242,14 +243,66 @@ def test_node_budget(monkeypatch):
         max_code_search(DISJ2, 4)
 
 
+# searches whose candidates span several blocks once GATHER_CELLS is small
+GATHER_CASES = [(DISJ2, 4, "exhaustive"), (make_channel("eras", 2, 2), 4, "exhaustive"),
+                (make_channel("B", 3, 2), 3, "exhaustive"), (make_channel("A", 1, 3), 2, "exhaustive"),
+                (make_channel("B", 2, 3), 3, "greedy")]
+
+
+def _searches(cases):
+    return [(r.t_star, r.nodes, r.code) for r in
+            (max_code_search(ch, N, mode, 1) for ch, N, mode in cases)]
+
+
 @pytest.mark.parametrize("cells", [1, 7])
 def test_gather_blocks_leave_search_unchanged(monkeypatch, cells):
     # blocks of one candidate, and blocks that split a node's candidates
     # unevenly, against one block per node
-    cases = [(DISJ2, 4, "exhaustive"), (make_channel("eras", 2, 2), 4, "exhaustive"),
-             (make_channel("B", 3, 2), 3, "exhaustive"), (make_channel("A", 1, 3), 2, "exhaustive"),
-             (make_channel("B", 2, 3), 3, "greedy")]
-    want = [max_code_search(ch, N, mode, 1) for ch, N, mode in cases]
+    want = _searches(GATHER_CASES)
     monkeypatch.setattr(cst, "GATHER_CELLS", cells)
-    got = [max_code_search(ch, N, mode, 1) for ch, N, mode in cases]
-    assert [(r.t_star, r.nodes, r.code) for r in got] == [(r.t_star, r.nodes, r.code) for r in want]
+    assert _searches(GATHER_CASES) == want
+
+
+def _counting_gathers(monkeypatch) -> list:
+    """A list that gains an item for each key block gathered from now on."""
+    calls: list = []
+    gather = cst._keys
+    monkeypatch.setattr(cst, "_keys", lambda *args: calls.append(None) or gather(*args))
+    return calls
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+def test_memo_of_one_block_leaves_search_unchanged(monkeypatch, cells):
+    # the memo keeps only the block it read last, so a node reading any
+    # other block again rebuilds it
+    want = _searches(GATHER_CASES)
+    monkeypatch.setattr(cst, "GATHER_CELLS", cells)
+    gathers = _counting_gathers(monkeypatch)
+    assert _searches(GATHER_CASES) == want
+    full = len(gathers)
+    monkeypatch.setattr(cst, "MEMO_CELLS", 1)
+    assert _searches(GATHER_CASES) == want
+    assert len(gathers) - full > full
+
+
+def test_memo_gathers_each_subset_once(monkeypatch):
+    # disj s=2 N=5 visits 6,553 nodes but gathers one block of keys per
+    # chosen column
+    gathers = _counting_gathers(monkeypatch)
+    assert max_code_search(DISJ2, 5).nodes == 6553
+    assert len(gathers) <= 2 ** 5
+
+
+def test_search_memory_without_a_candidate_table(monkeypatch):
+    # B s=2 q=2 N=20 is inside EXHAUSTIVE_GUARD; 12 nodes must not cost a
+    # table of its 2^20 candidate columns
+    ch = make_channel("B", 2, 2)
+    monkeypatch.setattr(cst, "NODE_GUARD", 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="12 nodes"):
+            max_code_search(ch, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
