@@ -3,9 +3,9 @@ construction, and desk-scale maximal-code search."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,54 +157,15 @@ def _untried(rows: list, lo: int, start: int, stop: int):
     return enumerate(news, start)
 
 
-class _KeyMemo:
-    """The keys of the messages joining an (s-1)-subset of candidates, named
-    by its tuple of candidate indices, to each candidate. They are built a
-    block of ``step`` candidates at a time, on first use, and kept while they
-    fit in MEMO_CELLS cells, the least recently used block going first; the
-    block read last always stays."""
-
-    def __init__(self, channel: ChannelSpec, N: int, step: int):
-        self.channel, self.N, self.step = channel, N, step
-        self.n_cand = channel.q ** N
-        self.blocks: OrderedDict = OrderedDict()  # (subset, first candidate) -> keys
-        self.cells = 0
-
-    def rows(self, subsets: list, lo: int) -> list:
-        """The keys of each of ``subsets`` joined to the candidates of the
-        block that starts at candidate ``lo``, gathering the missing ones
-        together, GATHER_CELLS cells at a time."""
-        blocks, q, N = self.blocks, self.channel.q, self.N
-        missing = [sub for sub in subsets if (sub, lo) not in blocks]
-        if missing:
-            columns = _digits(np.arange(lo, min(lo + self.step, self.n_cand)), q, N)
-            per = max(1, GATHER_CELLS // columns.size)  # subsets per gather
-            for at in range(0, len(missing), per):
-                part = missing[at:at + per]
-                built = _keys(self.channel, _states(self.channel, _digits(part, q, N)),
-                              columns).T.tolist()
-                blocks.update(zip([(sub, lo) for sub in part], built))
-                self.cells += len(part) * columns.size
-        rows = []
-        for sub in subsets:
-            blocks.move_to_end((sub, lo))
-            rows.append(blocks[sub, lo])
-        while self.cells > MEMO_CELLS and len(blocks) > 1:
-            self.cells -= len(blocks.popitem(last=False)[1]) * N
-        return rows
-
-
 def _accepts(seen, new) -> bool:
     """The new messages' output rows differ from each other and from ``seen``."""
     return len(set(new)) == len(new) and seen.isdisjoint(new)
 
 
-def _grow(names: list, idx: int) -> list:
-    """``names[k]`` names every k-subset of the chosen candidates, k < s;
-    these are the names once candidate ``idx`` joins them, the new subsets
-    after the old ones."""
-    return names[:1] + [old + [sub + (idx,) for sub in shorter]
-                        for old, shorter in zip(names[1:], names)]
+def _joins(chosen: list, idx: int, s: int) -> list:
+    """The (s-1)-subsets, as index tuples, that candidate ``idx`` forms with
+    the code ``chosen``: none at s = 1, where the one subset is empty."""
+    return [sub + (idx,) for sub in itertools.combinations(chosen, s - 2)] if s > 1 else []
 
 
 def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
@@ -220,19 +181,19 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
 
     Exhaustive mode runs a branch-and-bound over the candidates in index
     order; the returned witness is the lexicographically smallest maximum
-    code. A node carries the names (index tuples) of its code's subsets,
-    their keys over one block of candidates, and the keys of its messages,
-    so a branch checks only the messages containing its column, by set
-    operations on keys alone. The keys come from a memo of each subset
-    joined to every candidate (``_KeyMemo``), filled the first time a node
-    asks for a block by numpy gathers of at most GATHER_CELLS cells and
-    bounded by MEMO_CELLS; a child reads from the memo only its new
-    subsets, so a node makes no numpy call of its own. A tree of more than
-    NODE_GUARD nodes raises SizeLimitError, after the search has started.
+    code. A node carries its code's (s-1)-subsets (index tuples), their keys
+    over one block of candidates, and the keys of its messages, so a branch
+    checks only the messages containing its column, by set operations on
+    keys alone. One subset's keys over one block are one numpy gather of at
+    most GATHER_CELLS cells, read through a per-search ``lru_cache`` that
+    keeps at most MEMO_CELLS cells; a child reads only its new subsets', so
+    a node makes no numpy call of its own. A tree of more than NODE_GUARD
+    nodes raises SizeLimitError, after the search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
-    time; no block is read twice, so it keeps no memo.
+    time, and the rest of the block anew once a candidate adds subsets; no
+    block is read twice, so it keeps no memo.
     """
     s, q = channel.s, channel.q
     if mode not in ("exhaustive", "greedy"):
@@ -243,51 +204,53 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
     n_cand = q ** N
-    # the empty code: one empty subset, no messages
-    names = [[()]] + [[] for _ in range(s - 1)]
+    # the (s-1)-subsets of the empty code: the empty subset at s = 1, else none
+    subsets = [()] if s == 1 else []
 
     if mode == "greedy":
         order = list(range(n_cand))
         random.Random(seed).shuffle(order)
         chosen: list[int] = []
         seen: set = set()
-        states = np.zeros((len(names[-1]), N), dtype=np.intp)  # of names[-1]
+        states = np.zeros((len(subsets), N), dtype=np.intp)  # of the subsets
         lo = 0
         while lo < n_cand:
             # every subset's keys over the next block of the order, of at
             # most GATHER_CELLS cells, in one gather
             block = order[lo:lo + max(1, GATHER_CELLS // (max(1, len(states)) * N))]
-            columns = _digits(block, q, N)
-            keys = _keys(channel, states, columns)
+            keys = _keys(channel, states, _digits(block, q, N))
             for i, idx in enumerate(block):
                 new = keys[i].tolist()
                 if not _accepts(seen, new):
                     continue
+                joins = _joins(chosen, idx, s)
                 chosen.append(idx)
                 seen.update(new)
-                names = _grow(names, idx)
-                fresh = names[-1][len(states):]  # the subsets idx joins
-                if fresh:
-                    fresh = _states(channel, _digits(fresh, q, N))
-                    states = np.concatenate([states, fresh])
-                    if len(states) * len(block) * N > GATHER_CELLS:
-                        break  # gather the rest of the block anew
-                    keys = np.concatenate([keys, _keys(channel, fresh, columns)], axis=1)
+                if joins:
+                    states = np.concatenate([states, _states(channel, _digits(joins, q, N))])
+                    break  # gather the rest of the block anew
             lo += i + 1
         code = Code(q, _digits(sorted(chosen), q, N))
         return SearchResult(len(chosen), code, n_cand, "greedy")
 
-    step = max(1, GATHER_CELLS // N)  # candidates per block of the memo
-    memo = _KeyMemo(channel, N, step)
-    keys = memo.rows(names[-1], 0)
-    # one entry per open node: its code, subset names, output keys, the block
-    # it is in, its subsets' keys there and the candidates it has not tried
-    stack = [[[], names, frozenset(), 0, keys, _untried(keys, 0, 0, min(step, n_cand))]]
+    step = max(1, GATHER_CELLS // N)  # candidates per block
+
+    @functools.lru_cache(maxsize=max(1, MEMO_CELLS // (min(step, n_cand) * N)))
+    def row(subset: tuple, lo: int) -> list:
+        """The keys of ``subset`` joined to each candidate of the block that
+        starts at ``lo``."""
+        columns = _digits(np.arange(lo, min(lo + step, n_cand)), q, N)
+        return _keys(channel, _states(channel, _digits([subset], q, N)), columns)[:, 0].tolist()
+
+    keys = [row(sub, 0) for sub in subsets]
+    # one entry per open node: its code, (s-1)-subsets, output keys, the
+    # block it is in, its subsets' keys there and the candidates it has not tried
+    stack = [[[], subsets, frozenset(), 0, keys, _untried(keys, 0, 0, min(step, n_cand))]]
     best: list[int] = []
     nodes = 1
     while stack:
         node = stack[-1]
-        chosen, names, seen, lo, keys, untried = node
+        chosen, subsets, seen, lo, keys, untried = node
         # bound: from stop on, even taking every remaining candidate cannot beat best
         stop = n_cand - len(best) + len(chosen)
         for idx, new in untried:
@@ -299,14 +262,14 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 if nodes > NODE_GUARD:
                     raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
                                          f"(q^N = {n_cand}, s = {s})")
+                joins = _joins(chosen, idx, s)
                 chosen = chosen + [idx]
                 if len(chosen) > len(best):
                     best = chosen
-                grown = _grow(names, idx)
                 # the child starts in this block (or at its end): only its
                 # new subsets' keys are not in ``keys`` already
-                keys = keys + memo.rows(grown[-1][len(keys):], lo)
-                stack.append([chosen, grown, seen.union(new), lo, keys,
+                keys = keys + [row(sub, lo) for sub in joins]
+                stack.append([chosen, subsets + joins, seen.union(new), lo, keys,
                               _untried(keys, lo, idx + 1, min(lo + step, n_cand))])
                 break
         else:
@@ -314,7 +277,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             if lo >= stop:
                 stack.pop()
             else:
-                keys = memo.rows(names[-1], lo)
+                keys = [row(sub, lo) for sub in subsets]
                 node[3:] = lo, keys, _untried(keys, lo, lo, min(lo + step, n_cand))
     code = Code(q, _digits(best, q, N))
     return SearchResult(len(best), code, nodes, "exhaustive")

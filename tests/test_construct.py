@@ -205,24 +205,31 @@ def test_max_code_search_guards():
         max_code_search(DISJ2, 2, mode="fast")
 
 
-# (t*, nodes, witness) of the benchmark's exhaustive search commands (s = 2,
-# q = 2): the 5-column trees lie beyond the differential tests' N <= 4
+# (t*, nodes, witness) of exhaustive trees beyond the differential tests'
+# N <= 4 or q^N <= 32, keyed by (channel, s, N) at q = 2: the benchmark's
+# commands (s = 2) and three s = 3 trees
 SEARCH_TREES = {
-    ("disj", 4): (5, 331, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
-                           (1, 0, 0, 0)]),
-    ("disj", 5): (6, 6553, [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
-                            (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
-    ("thr:2", 5): (6, 4172, [(0, 0, 1, 1, 1), (0, 1, 0, 1, 1), (1, 0, 1, 0, 1),
-                             (1, 1, 0, 1, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 1)]),
-    ("eras", 4): (7, 2554, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
-                            (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)]),
+    ("disj", 2, 4): (5, 331, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                              (1, 0, 0, 0)]),
+    ("disj", 2, 5): (6, 6553, [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
+                               (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
+    ("thr:2", 2, 5): (6, 4172, [(0, 0, 1, 1, 1), (0, 1, 0, 1, 1), (1, 0, 1, 0, 1),
+                                (1, 1, 0, 1, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 1)]),
+    ("eras", 2, 4): (7, 2554, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                               (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)]),
+    ("B", 3, 4): (6, 3643, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                            (0, 1, 1, 1), (1, 0, 0, 0)]),
+    ("disj", 3, 5): (6, 5696, [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
+                               (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
+    ("thr:2", 3, 5): (6, 21657, [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 1, 1, 0, 0),
+                                 (1, 0, 1, 0, 1), (1, 1, 0, 1, 0), (1, 1, 1, 1, 1)]),
 }
 
 
-@pytest.mark.parametrize("name,N", list(SEARCH_TREES))
-def test_search_trees_pinned(name, N):
-    t_star, nodes, witness = SEARCH_TREES[name, N]
-    res = max_code_search(make_channel(name, 2, 2), N)
+@pytest.mark.parametrize("name,s,N", list(SEARCH_TREES))
+def test_search_trees_pinned(name, s, N):
+    t_star, nodes, witness = SEARCH_TREES[name, s, N]
+    res = max_code_search(make_channel(name, s, 2), N)
     assert (res.t_star, res.nodes, res.code) == (t_star, nodes, Code(2, witness))
 
 
@@ -291,6 +298,19 @@ def test_memo_gathers_each_subset_once(monkeypatch):
     gathers = _counting_gathers(monkeypatch)
     assert max_code_search(DISJ2, 5).nodes == 6553
     assert len(gathers) <= 2 ** 5
+
+
+def test_memo_bound_counts_a_blocks_cells(monkeypatch):
+    # thr:2 s=3 N=5 has C(32, 2) = 496 pair subsets and one block of 32
+    # candidates; a memo of 2^17 cells holds 819 such blocks, so each subset
+    # is gathered at most once (a bound counting GATHER_CELLS // N = 819
+    # candidates a block would hold 32 blocks and gather about 32k)
+    monkeypatch.setattr(cst, "MEMO_CELLS", 2 ** 17)
+    gathers = _counting_gathers(monkeypatch)
+    t_star, nodes, witness = SEARCH_TREES["thr:2", 3, 5]
+    res = max_code_search(make_channel("thr:2", 3, 2), 5)
+    assert (res.t_star, res.nodes, res.code) == (t_star, nodes, Code(2, witness))
+    assert len(gathers) <= 496
 
 
 def test_search_memory_without_a_candidate_table(monkeypatch):

@@ -251,7 +251,7 @@ def _search_channel(name, s, q):
 
 
 def _search_instances():
-    for s in (1, 2, 3):
+    for s in (1, 2, 3, 4):
         for q, n in [(q, 1) for q in range(2, 16)] + [(2, 2), (2, 3), (3, 2), (2, 4)]:
             names = ["disj"] + [f"thr:{l}" for l in range(1, s + 1)] if q == 2 else []
             if n < 4:
@@ -268,7 +268,7 @@ def test_search_matches_reference(s, q, n, name):
 
 
 def _greedy_instances():
-    for s in (1, 2, 3):
+    for s in (1, 2, 3, 4):
         for q, n in [(q, n) for q in range(2, 17) for n in range(1, 6) if q ** n <= 32]:
             names = ["disj"] + [f"thr:{l}" for l in range(1, s + 1)] if q == 2 else []
             for name in names + ["A", "B", "eras", "custom"]:
