@@ -17,14 +17,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import InvalidParametersError, SizeLimitError, compositions
-from .channels import ChannelSpec, _state_laws, output_law
+from .channels import ChannelSpec, _state_laws, _weight, output_law
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
-# work units capacity_entropy_bound may spend, ~9 s: q^3 for each SLSQP
-# step's dense linear algebra plus 10 (s + 1) per kernel cell for the folds
-# of its objective; a unit is 0.8-1.9 us of the 17 starts on a Xeon core
-# under CPython 3.11 (measured from q = 20 to 200, 0.6 to 30 s)
+# work units capacity_entropy_bound may spend: q^3 per SLSQP step plus 10 (s + 1) per
+# kernel cell; a unit is 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.7 s)
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
+_CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
+_SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
+_MARGIN = 1e-6  # the ends within this (nats) of the best are polished,
+_DECIMALS = 9  # one per value rounded to this many decimals
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,9 @@ def entropy_output(channel: ChannelSpec, p: Distribution) -> float:
     return max(0.0, -float(law @ np.log(law)))  # 0.0 first: a point law gives -0.0
 
 
-def _neg_entropy(x: np.ndarray, channel: ChannelSpec) -> tuple[float, np.ndarray]:
-    """-H(output) at p = x+ / sum(x+) (x+ = max(x, 0)) and its gradient in x.
+def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
+    """-H(output) at p = x+ / sum(x+) (x+ = max(x, 0)), x one point (q,) or a
+    (K, q) batch of them, and its gradient in x.
 
     The output law is homogeneous of degree s in p and symmetric, so
     dP(z)/dp_a = s * sum_state L(state) [out[trans[state, a]] = z], L being
@@ -112,25 +115,52 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec) -> tuple[float, np.ndarray
     a can reach (then p_a = 0) has slope +inf into p_a > 0; its log is taken
     as log of the smallest normal float, so the gradient stays finite, still
     points inward, and the value, where 0 log 0 = 0, is unchanged."""
-    x_plus = np.clip(x, 0.0, None)
-    total = x_plus.sum()
-    if total <= 0:
-        return 0.0, np.zeros_like(x)
-    p = x_plus / total
+    q, s, n_out = channel.q, channel.s, len(channel.outputs)
+    rows = np.clip(x, 0.0, None).reshape(-1, q)
+    total = rows.sum(1, keepdims=True)
+    p = rows / np.where(total > 0, total, 1.0)
     *_, before, after = _state_laws(channel, p)
-    law = np.bincount(channel.out, after, len(channel.outputs))
+    top, last = _weight(q, s), _weight(q, s - 1)  # where after and before live
+    cells = (channel.out[top] + n_out * np.arange(len(p))[:, None]).ravel()
+    law = np.bincount(cells, after[:, top].ravel(), len(p) * n_out).reshape(-1, n_out)
     log = np.log(np.maximum(law, np.finfo(float).tiny))
-    dh = -channel.s * (1.0 + before @ log[channel.out[channel.trans]])
-    # through p = x+ / total; an x_a < 0 is clipped, so its slope is 0
-    return float(law @ log), -(dh - p @ dh) / total * (x >= 0)
+    dh = -s * (1.0 + (before[:, last, None] * log[:, channel.out[channel.trans[last]]]).sum(1))
+    # through p = x+ / total; a clipped x_a < 0 and an all-zero row have slope 0
+    grad = ((p * dh).sum(1, keepdims=True) - dh) * (x >= 0) / np.where(total > 0, total, np.inf)
+    value = (law * log).sum(1)
+    return (float(value[0]), grad[0]) if np.ndim(x) == 1 else (value, grad)
+
+
+def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
+    """Exponentiated-gradient ascent of H from every row of p at once, in place: a
+    row steps to p * exp(eta dH/dp), renormalised, and stops once its gap max_a
+    dH/dp_a - p . dH/dp is below _SETTLED. Returns the ends to polish, best first."""
+    value, grad = _neg_entropy(p, channel)
+    eta = np.ones(len(p))
+    active = np.arange(len(p))
+    for _ in range(_CLIMB_STEPS):
+        active = active[-grad[active].min(1) >= _SETTLED]
+        if not active.size:
+            break
+        z = -eta[active, None] * grad[active]
+        trial = p[active] * np.exp(z - z.max(1, keepdims=True))
+        trial /= trial.sum(1, keepdims=True)
+        v, g = _neg_entropy(trial, channel)
+        up = v < value[active]
+        eta[active] *= np.where(up, 1.5, 0.5)  # by 2, eta swings: 300-600 steps, not 20-50
+        gained = active[up]
+        p[gained], value[gained], grad[gained] = trial[up], v[up], g[up]
+    near = np.flatnonzero(value <= value.min() + _MARGIN)
+    return p[near[np.unique(value[near].round(_DECIMALS), return_index=True)[1]]]
 
 
 def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
-    """Entropy upper bound on the rate: max_p H(output) / s, by SLSQP over
-    the simplex with the exact gradient of H, from the uniform law and 16
-    Dirichlet starts drawn from ``seed`` (any integer; it is reduced to 64
-    bits, so seeds 0 <= seed < 2^64 draw as numpy's ``default_rng(seed)``).
-    Each start's end point is re-evaluated with ``entropy_output``."""
+    """Entropy upper bound on the rate: max_p H(output) / s. The uniform law and
+    16 Dirichlet starts drawn from ``seed`` (any integer, reduced to 64 bits:
+    seeds 0 <= seed < 2^64 draw as numpy's ``default_rng(seed)``) climb as one
+    batch (``_climb``); the ends within _MARGIN of the best, one per value, are
+    polished by SLSQP with the exact gradient of H and re-evaluated with
+    ``entropy_output``. Approximate when the best's SLSQP did not succeed."""
     q = channel.q
     work = q ** 3 + 10 * (channel.s + 1) * channel.trans.size
     if work > ENTROPY_WORK_GUARD:
@@ -138,10 +168,10 @@ def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
                              f"exceed the guard of {ENTROPY_WORK_GUARD} work units "
                              f"(s={channel.s}, q={q})")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    starts = [np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)]
+    starts = np.vstack([np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)])
     hmax, pstar, converged = -math.inf, None, False
     constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(q)}]
-    for x0 in starts:
+    for x0 in _climb(channel, starts):
         res = minimize(_neg_entropy, x0, args=(channel,), jac=True, method="SLSQP",
                        bounds=[(0.0, 1.0)] * q, constraints=constraints,
                        options={"maxiter": 500, "ftol": 1e-12})

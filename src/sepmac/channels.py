@@ -99,16 +99,26 @@ def output_ids(channel: ChannelSpec, words) -> np.ndarray:
     return channel.out[state]
 
 
+def _weight(q: int, k: int) -> slice:
+    """The states of weight k, C(q+k-1, k) of them after the lighter ones."""
+    return slice(math.comb(q + k - 1, k - 1) if k else 0, math.comb(q + k, k))
+
+
 def _state_laws(channel: ChannelSpec, p):
-    """The laws of the kernel state after 0, 1, ..., s inputs i.i.d. with the
-    law p (q probabilities), each folded once more through ``trans``."""
+    """The laws of the kernel state after 0, 1, ..., s inputs i.i.d. with the law
+    p (q probabilities, or one a row of a (K, q) batch), each folded through
+    ``trans`` from the last weight's states, in one row's order: rows equal."""
     p = np.asarray(p, dtype=float)
-    law = np.zeros(len(channel.trans))
-    law[0] = 1.0
-    yield law
-    for _ in range(channel.s):
-        law = np.bincount(channel.trans.ravel(), np.outer(law, p).ravel(), len(law))
-        yield law
+    rows, n = p.reshape(-1, channel.q), len(channel.trans)
+    law = np.zeros((len(rows), n))
+    law[:, 0] = 1.0
+    yield law.reshape(p.shape[:-1] + (n,))
+    for k in range(channel.s):
+        w = _weight(channel.q, k)
+        cells = (channel.trans[w] + n * np.arange(len(rows))[:, None, None]).ravel()
+        law = np.bincount(cells, (law[:, w, None] * rows[:, None]).ravel(), law.size)
+        law = law.reshape(len(rows), n)
+        yield law.reshape(p.shape[:-1] + (n,))
 
 
 def output_law(channel: ChannelSpec, p) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from reference import P_term_enumerate, proof_probability_estimates, reference_a
 from sepmac.core import InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel
 from sepmac.bounds import (
+    ENTROPY_WORK_GUARD,
     BoundReport,
     _neg_entropy,
     Distribution,
@@ -74,6 +76,48 @@ def test_entropy_slsqp_from_a_vertex():
                            options={"maxiter": 500, "ftol": 1e-12})
         assert math.isfinite(res.fun)
         assert -res.fun / s >= capacity_entropy_bound(ch).value - 1e-9, name
+
+
+@pytest.mark.parametrize("name,s,q", [("B", 5, 5), ("A", 4, 4), ("A", 3, 5), ("eras", 3, 4)]
+                         + [("disj", s, 2) for s in range(2, 7)])
+def test_entropy_bound_witness(name, s, q):
+    # the benchmark's four instances and disj s=2..6: the value is the
+    # witness's entropy, the witness a law, and its SLSQP polish succeeded
+    ch = make_channel(name, s, q)
+    rep = capacity_entropy_bound(ch)
+    assert rep.value == entropy_output(ch, rep.witness) / s
+    assert abs(math.fsum(rep.witness.probs) - 1) <= 1e-12
+    assert not rep.approximate
+
+
+def _largest_admitted_q(name, s):
+    """The largest q whose entropy work, q^3 + 10 (s + 1) per kernel cell,
+    is within ENTROPY_WORK_GUARD; the next q is refused."""
+    def work(q):
+        return q ** 3 + 10 * (s + 1) * make_channel(name, s, q).trans.size
+
+    q = 2
+    while work(q + 1) <= ENTROPY_WORK_GUARD:
+        q += 1
+    with pytest.raises(SizeLimitError, match="work units"):
+        capacity_entropy_bound(make_channel(name, s, q + 1))
+    return q
+
+
+@pytest.mark.parametrize("name,s,q", [("A", 3, 29), ("B", 1, 175)])
+def test_entropy_bound_memory_at_its_guard(name, s, q):
+    # the 17 starts climb as one batch: at the guard's largest A s=3 and
+    # B s=1 instances the whole bound stays within 48 MB
+    assert _largest_admitted_q(name, s) == q
+    ch = make_channel(name, s, q)
+    tracemalloc.start()
+    try:
+        rep = capacity_entropy_bound(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
+    assert not rep.approximate
 
 
 def test_b_capacity_closed_form():

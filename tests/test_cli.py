@@ -179,9 +179,13 @@ def test_b_capacity_limit_exit_code(capsys):
         assert rc == 3 and out == ""
 
 
-@pytest.mark.parametrize("channel,s,q", [("B", 1, 200), ("A", 3, 40)])
+@pytest.mark.parametrize("channel,s,q", [("B", 1, 200), ("A", 3, 30), ("A", 3, 40)])
 def test_entropy_work_limit_exit_code(capsys, channel, s, q):
-    # 8.8 and 19.8 million work units, 13 s and 30 s of SLSQP on a Xeon core: refused at once
+    # 8.8, 6.6 and 19.8 million work units: refused at once. B s=1 q=200 and
+    # A s=3 q=40 took 13 s and 30 s on a Xeon core when each of the 17 starts
+    # ran its own SLSQP, and take 0.01 s and 0.8 s since they climb as one
+    # batch; the guard is kept, so no input's exit code changed. A s=3 q=30
+    # is the first A s=3 instance past the guard
     start = time.monotonic()
     rc, out, err = run_err(capsys, ["bound", "--kind", "entropy", "--channel", channel,
                                     "--s", str(s), "--q", str(q)])

@@ -1,10 +1,12 @@
 """Differential tests: the integer channel kernel and its construction, its
 output law, the verifiers at several walk block sizes (verdicts, witnesses
 and outputs byte for byte), the incremental exhaustive and greedy
-search, the integer P_term, the entropy bound's exact-gradient SLSQP and the
+search, the integer P_term, the entropy bound (all starts climbed as one
+batch, the best end points polished by exact-gradient SLSQP) and the
 exponent's E0 solver on index arrays against the pure-Python reference, the
-finite-difference solver and the dense E0 solver in ``reference.py``;
-and that gradient against central differences."""
+finite-difference multi-start SLSQP and the dense E0 solver in
+``reference.py``; the entropy gradient against central differences, and the
+batched state laws, values and gradients against one row at a time."""
 
 import itertools
 import json
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import reference as ref
 from sepmac import bounds, verify
 from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_output
-from sepmac.channels import ChannelSpec, make_channel, output_ids
+from sepmac.channels import ChannelSpec, _state_laws, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
 from sepmac.exponent import _splits
@@ -201,6 +203,25 @@ def test_entropy_bound_not_below_reference(ch, seed):
 def test_entropy_bound_matches_reference_on_benchmark(name, s, q):
     ch = make_channel(name, s, q)
     assert abs(capacity_entropy_bound(ch).value - ref.capacity_entropy_bound(ch).value) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(entropy_channels(), st.data())
+def test_batched_entropy_matches_single_rows(ch, data):
+    # the batch the entropy bound climbs against one row at a time: rows with
+    # zero entries and the vertex e_0 among them
+    k = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=ch.q, max_size=ch.q)
+                              .filter(any), min_size=k, max_size=k))
+    x = np.vstack([np.eye(ch.q)[0], np.array(rows, dtype=float)])
+    x /= x.sum(1, keepdims=True)
+    for got, want in zip(_state_laws(ch, x), zip(*(_state_laws(ch, row) for row in x))):
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+    values, grads = bounds._neg_entropy(x, ch)
+    for row, value, grad in zip(x, values, grads):
+        want_value, want_grad = bounds._neg_entropy(row, ch)
+        assert abs(value - want_value) <= 1e-15
+        assert np.max(np.abs(grad - want_grad)) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)
