@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, log
 from typing import Optional
 
@@ -221,10 +222,15 @@ def P_term(q: int, s: int, L: int) -> Fraction:
     sum_m C(q,m) m^L sum_k (-1)^k C(m,k) (m-k)^s / q^(s+L)."""
     if q < 2 or s < 1 or L < 1:
         raise InvalidParametersError(f"need q >= 2, s >= 1, L >= 1, got {(q, s, L)}")
-    hits = sum(comb(q, m) * m ** L * sum((-1) ** k * comb(m, k) * (m - k) ** s
-                                         for k in range(m + 1))
-               for m in range(1, min(q, s) + 1))
+    hits = sum(comb(q, m) * m ** L * _onto(s, m) for m in range(1, min(q, s) + 1))
     return Fraction(hits, q ** (s + L))
+
+
+@lru_cache(maxsize=2 ** 12)
+def _onto(s: int, m: int) -> int:
+    """The maps of s inputs onto m symbols, sum_k (-1)^k C(m,k) (m-k)^s:
+    P_term's inner sum, which depends on neither q nor L."""
+    return sum((-1) ** k * comb(m, k) * (m - k) ** s for k in range(m + 1))
 
 
 def _P_term_work(q: int, s: int, L: int) -> int:

@@ -157,11 +157,6 @@ def _untried(rows: list, lo: int, start: int, stop: int):
     return enumerate(news, start)
 
 
-def _accepts(seen, new) -> bool:
-    """The new messages' output rows differ from each other and from ``seen``."""
-    return len(set(new)) == len(new) and seen.isdisjoint(new)
-
-
 def _joins(chosen: list, idx: int, s: int) -> list:
     """The (s-1)-subsets, as index tuples, that candidate ``idx`` forms with
     the code ``chosen``: none at s = 1, where the one subset is empty."""
@@ -181,13 +176,15 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
 
     Exhaustive mode runs a branch-and-bound over the candidates in index
     order; the returned witness is the lexicographically smallest maximum
-    code. A node carries its code's (s-1)-subsets (index tuples), their keys
-    over one block of candidates, and the keys of its messages, so a branch
-    checks only the messages containing its column, by set operations on
-    keys alone. One subset's keys over one block are one numpy gather of at
-    most GATHER_CELLS cells, read through a per-search ``lru_cache`` that
-    keeps at most MEMO_CELLS cells; a child reads only its new subsets', so
-    a node makes no numpy call of its own. A tree of more than NODE_GUARD
+    code. A node carries its code's (s-1)-subsets (index tuples) and their
+    keys over one block of candidates. The search keeps one path, the code
+    and its messages' keys, grown on a push and cut back on a pop, so a
+    branch checks only the messages containing its column, by set
+    operations on keys alone, and copies neither its parent's code nor its
+    keys. One subset's keys over one block are one numpy gather of at most
+    GATHER_CELLS cells, read through a per-search ``lru_cache`` that keeps
+    at most MEMO_CELLS cells; a child reads only its new subsets', so a
+    node makes no numpy call of its own. A tree of more than NODE_GUARD
     nodes raises SizeLimitError, after the search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
@@ -221,7 +218,8 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             keys = _keys(channel, states, _digits(block, q, N))
             for i, idx in enumerate(block):
                 new = keys[i].tolist()
-                if not _accepts(seen, new):
+                # the new messages' output rows differ from ``seen`` and from each other
+                if not (seen.isdisjoint(new) and len(set(new)) == len(new)):
                     continue
                 joins = _joins(chosen, idx, s)
                 chosen.append(idx)
@@ -243,41 +241,53 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         return _keys(channel, _states(channel, _digits([subset], q, N)), columns)[:, 0].tolist()
 
     keys = [row(sub, 0) for sub in subsets]
-    # one entry per open node: its code, (s-1)-subsets, output keys, the
-    # block it is in, its subsets' keys there and the candidates it has not tried
-    stack = [[[], subsets, frozenset(), 0, keys, _untried(keys, 0, 0, min(step, n_cand))]]
+    # the path to the open node: its code and its messages' output keys,
+    # grown on a push and cut back on a pop
+    chosen: list[int] = []
+    seen: set = set()
+    # one entry per open node: its (s-1)-subsets, the keys it added to
+    # ``seen``, the block it is in, its subsets' keys there and the
+    # candidates it has not tried
+    stack = [[subsets, (), 0, keys, _untried(keys, 0, 0, min(step, n_cand))]]
     best: list[int] = []
     nodes = 1
-    while stack:
+    while True:
         node = stack[-1]
-        chosen, subsets, seen, lo, keys, untried = node
+        subsets, _, lo, keys, untried = node
         # bound: from stop on, even taking every remaining candidate cannot beat best
         stop = n_cand - len(best) + len(chosen)
         for idx, new in untried:
-            if idx >= stop:
-                stack.pop()
-                break
-            if _accepts(seen, new):
-                nodes += 1
-                if nodes > NODE_GUARD:
-                    raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
-                                         f"(q^N = {n_cand}, s = {s})")
-                joins = _joins(chosen, idx, s)
-                chosen = chosen + [idx]
-                if len(chosen) > len(best):
-                    best = chosen
-                # the child starts in this block (or at its end): only its
-                # new subsets' keys are not in ``keys`` already
-                keys = keys + [row(sub, lo) for sub in joins]
-                stack.append([chosen, subsets + joins, seen.union(new), lo, keys,
-                              _untried(keys, lo, idx + 1, min(lo + step, n_cand))])
+            # past the bound, or a child: its new messages' output rows
+            # differ from ``seen`` and from each other
+            if idx >= stop or seen.isdisjoint(new) and len(set(new)) == len(new):
                 break
         else:
             lo += step
-            if lo >= stop:
-                stack.pop()
-            else:
+            if lo < stop:
                 keys = [row(sub, lo) for sub in subsets]
-                node[3:] = lo, keys, _untried(keys, lo, lo, min(lo + step, n_cand))
+                node[2:] = lo, keys, _untried(keys, lo, lo, min(lo + step, n_cand))
+                continue
+            idx = stop
+        if idx >= stop:  # the node is done
+            if not chosen:
+                break
+            stack.pop()
+            chosen.pop()
+            seen.difference_update(node[1])
+            continue
+        nodes += 1
+        if nodes > NODE_GUARD:
+            raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
+                                 f"(q^N = {n_cand}, s = {s})")
+        joins = _joins(chosen, idx, s)
+        chosen.append(idx)
+        seen.update(new)  # exact to cut back: distinct, and disjoint from ``seen``
+        if len(chosen) > len(best):
+            best = chosen.copy()
+        # the child starts in this block (or at its end): only its new
+        # subsets' keys are not in ``keys`` already
+        keys = keys + [row(sub, lo) for sub in joins]
+        stack.append([subsets + joins, new, lo, keys,
+                      _untried(keys, lo, idx + 1, min(lo + step, n_cand))])
     code = Code(q, _digits(best, q, N))
     return SearchResult(len(best), code, nodes, "exhaustive")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import tracemalloc
@@ -261,13 +262,22 @@ def _searches(cases):
             (max_code_search(ch, N, mode, 1) for ch, N, mode in cases)]
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_searches() -> list:
+    """The oracle's (t*, nodes, code) of each of GATHER_CASES."""
+    return [(r.t_star, r.nodes, r.code) for r in
+            (ref.max_code_search(ch, N) if mode == "exhaustive" else ref.greedy_search(ch, N, 1)
+             for ch, N, mode in GATHER_CASES)]
+
+
 @pytest.mark.parametrize("cells", [1, 7])
 def test_gather_blocks_leave_search_unchanged(monkeypatch, cells):
     # blocks of one candidate, and blocks that split a node's candidates
-    # unevenly, against one block per node
-    want = _searches(GATHER_CASES)
+    # unevenly, against the oracle: the path's one seen-key set, grown on a
+    # push and cut back on a pop, stays exact across block moves and pops
+    # back into an earlier block
     monkeypatch.setattr(cst, "GATHER_CELLS", cells)
-    assert _searches(GATHER_CASES) == want
+    assert _searches(GATHER_CASES) == _reference_searches()
 
 
 def _counting_gathers(monkeypatch) -> list:
@@ -313,16 +323,27 @@ def test_memo_bound_counts_a_blocks_cells(monkeypatch):
     assert len(gathers) <= 496
 
 
+def _refusal_peak(monkeypatch, channel, N: int, guard: int) -> int:
+    """The traced peak, in bytes, of an exhaustive search refused after
+    ``guard`` nodes."""
+    monkeypatch.setattr(cst, "NODE_GUARD", guard)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"{guard} nodes"):
+            max_code_search(channel, N)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_search_memory_without_a_candidate_table(monkeypatch):
     # B s=2 q=2 N=20 is inside EXHAUSTIVE_GUARD; 12 nodes must not cost a
     # table of its 2^20 candidate columns
-    ch = make_channel("B", 2, 2)
-    monkeypatch.setattr(cst, "NODE_GUARD", 12)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeLimitError, match="12 nodes"):
-            max_code_search(ch, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2 ** 20
+    assert _refusal_peak(monkeypatch, make_channel("B", 2, 2), 20, 12) <= 32 * 2 ** 20
+
+
+def test_search_memory_of_a_many_key_refusal(monkeypatch):
+    # B s=2 q=2 N=12 refused after 500 nodes holds the path's keys and the
+    # memo's bounded blocks, about 30 MB; a table that grows with the
+    # distinct keys seen (one bit per key id) reached gigabytes by then
+    assert _refusal_peak(monkeypatch, make_channel("B", 2, 2), 12, 500) <= 64 * 2 ** 20

@@ -258,11 +258,15 @@ def test_cover_tests_match_reference(case, L, cells, data):
 
 
 def test_P_term_matches_reference():
-    # the range table1 evaluates: q' <= 64, s <= 6, L <= 2
+    # the range table1 evaluates: q' <= 64, s <= 6, L <= 2; then the q' that
+    # ld-lower --qprime-max 256 reaches at s = 3, L = 2, which read the
+    # surjection counts cached at q' <= 64
     for q in range(2, 65):
         for s in range(1, 7):
             for L in (1, 2):
                 assert P_term(q, s, L) == ref.P_term(q, s, L), (q, s, L)
+    for q in range(65, 257):
+        assert P_term(q, 3, 2) == ref.P_term(q, 3, 2), q
 
 
 def _search_channel(name, s, q):
