@@ -21,13 +21,12 @@ from .core import InvalidParametersError, SizeLimitError, compositions
 from .channels import ChannelSpec, _state_laws, _weight, output_law
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
-# work units capacity_entropy_bound may spend: q^3 per SLSQP step plus 10 (s + 1) per
-# kernel cell; a unit is 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.7 s)
+# work units capacity_entropy_bound may spend: q^3 per step of its one SLSQP polish plus
+# 10 (s + 1) per kernel cell; a unit is 0.002-0.14 us on a Xeon core under CPython 3.11
+# (at most 0.7 s)
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
-_MARGIN = 1e-6  # the ends within this (nats) of the best are polished,
-_DECIMALS = 9  # one per value rounded to this many decimals
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
 def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
     """Exponentiated-gradient ascent of H from every row of p at once, in place: a
     row steps to p * exp(eta dH/dp), renormalised, and stops once its gap max_a
-    dH/dp_a - p . dH/dp is below _SETTLED. Returns the ends to polish, best first."""
+    dH/dp_a - p . dH/dp is below _SETTLED. Returns the best end, the argmin of -H."""
     value, grad = _neg_entropy(p, channel)
     eta = np.ones(len(p))
     active = np.arange(len(p))
@@ -151,43 +150,35 @@ def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
         eta[active] *= np.where(up, 1.5, 0.5)  # by 2, eta swings: 300-600 steps, not 20-50
         gained = active[up]
         p[gained], value[gained], grad[gained] = trial[up], v[up], g[up]
-    near = np.flatnonzero(value <= value.min() + _MARGIN)
-    return p[near[np.unique(value[near].round(_DECIMALS), return_index=True)[1]]]
+    return p[value.argmin()]
 
 
-def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
+def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
     """Entropy upper bound on the rate: max_p H(output) / s. The uniform law and
-    16 Dirichlet starts drawn from ``seed`` (any integer, reduced to 64 bits:
-    seeds 0 <= seed < 2^64 draw as numpy's ``default_rng(seed)``) climb as one
-    batch (``_climb``); the ends within _MARGIN of the best, one per value, are
-    polished by SLSQP with the exact gradient of H and re-evaluated with
-    ``entropy_output``. Approximate when the best's SLSQP did not succeed."""
+    the 16 Dirichlet draws of numpy's ``default_rng(0)`` climb as one batch
+    (``_climb``); SLSQP, with the exact gradient of H, polishes the best end, and
+    ``entropy_output`` re-evaluates the result. Approximate when SLSQP did not
+    succeed."""
     q = channel.q
     work = q ** 3 + 10 * (channel.s + 1) * channel.trans.size
     if work > ENTROPY_WORK_GUARD:
         raise SizeLimitError(f"instance too large: the entropy bound's {work} work units "
                              f"exceed the guard of {ENTROPY_WORK_GUARD} work units "
                              f"(s={channel.s}, q={q})")
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(0)
     starts = np.vstack([np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)])
-    hmax, pstar, converged = -math.inf, None, False
     constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(q)}]
-    for x0 in _climb(channel, starts):
-        res = minimize(_neg_entropy, x0, args=(channel,), jac=True, method="SLSQP",
-                       bounds=[(0.0, 1.0)] * q, constraints=constraints,
-                       options={"maxiter": 500, "ftol": 1e-12})
-        x = np.clip(res.x, 0.0, None)
-        p = Distribution(tuple(float(v) for v in x / x.sum()))
-        val = entropy_output(channel, p)
-        if val > hmax:
-            hmax, pstar = val, p
-            converged = bool(res.success)
+    res = minimize(_neg_entropy, _climb(channel, starts), args=(channel,), jac=True,
+                   method="SLSQP", bounds=[(0.0, 1.0)] * q, constraints=constraints,
+                   options={"maxiter": 500, "ftol": 1e-12})
+    x = np.clip(res.x, 0.0, None)
+    p = Distribution(tuple(float(v) for v in x / x.sum()))
     return BoundReport(
         name="entropy-capacity",
-        value=hmax / channel.s,
+        value=entropy_output(channel, p) / channel.s,
         params={"channel": channel.name(), "s": channel.s, "q": channel.q},
-        witness=pstar,
-        approximate=not converged,
+        witness=p,
+        approximate=not res.success,
     )
 
 

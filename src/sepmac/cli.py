@@ -13,7 +13,8 @@ The parser is built once per process and keeps no state between parses, so
 `main` is safe to call repeatedly in one process: each call prints, and
 returns, what a fresh process would.
 
-Environment variable SEPMAC_SEED overrides the default seed 0.
+Environment variable SEPMAC_SEED overrides the default seed 0 of `gen` and
+greedy `search`; the entropy bound and every other result ignore it.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def cmd_bound(args) -> int:
         raise UsageError(f"--channel applies to entropy only; drop it for {kind}")
 
     if kind == "entropy":
-        report = bnd.capacity_entropy_bound(_channel_from_args(args, s, q), seed=_default_seed())
+        report = bnd.capacity_entropy_bound(_channel_from_args(args, s, q))
     elif kind == "ld-lower":
         report = bnd.lower_bound_LD(s, L, q, qprime_max=args.qprime_max)
     elif kind == "ld-upper":

@@ -474,16 +474,20 @@ def test_bad_value_names_option(capsys, tmp_path, monkeypatch, option, argv):
     assert err.startswith(f"usage error: {option}")
 
 
-def test_entropy_accepts_any_integer_seed(capsys, monkeypatch):
-    # like gen and greedy search, the entropy bound reduces its seed to 64 bits
+def test_entropy_bound_ignores_seed(capsys, monkeypatch):
+    # SEPMAC_SEED seeds gen and greedy search only: unset, negative, past 64
+    # bits or not an integer, the entropy bound prints the same payload
     argv = ["bound", "--kind", "entropy", "--channel", "A", "--s", "2", "--q", "3"]
     payloads = []
-    for seed in ("-1", str(2 ** 64 - 1)):
-        monkeypatch.setenv("SEPMAC_SEED", seed)
+    for seed in (None, "-1", str(2 ** 64 - 1), "x"):
+        if seed is None:
+            monkeypatch.delenv("SEPMAC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SEPMAC_SEED", seed)
         rc, rec = run_json(capsys, argv)
         assert rc == 0
-        payloads.append(rec["payload"])
-    assert payloads[0] == payloads[1]
+        payloads.append({k: rec["payload"].get(k) for k in ("value", "witness", "approximate")})
+    assert all(p == payloads[0] for p in payloads)
 
 
 def test_decode_symbol_outside_alphabet(capsys, tmp_path, code_file):

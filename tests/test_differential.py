@@ -2,7 +2,7 @@
 output law, the verifiers at several walk block sizes (verdicts, witnesses
 and outputs byte for byte), the incremental exhaustive and greedy
 search, the integer P_term, the entropy bound (all starts climbed as one
-batch, the best end points polished by exact-gradient SLSQP) and the
+batch, the best end polished by exact-gradient SLSQP) and the
 exponent's E0 solver on index arrays against the pure-Python reference, the
 finite-difference multi-start SLSQP and the dense E0 solver in
 ``reference.py``; the entropy gradient against central differences, and the
@@ -10,6 +10,7 @@ batched state laws, values and gradients against one row at a time."""
 
 import itertools
 import json
+import math
 import random
 from unittest import mock
 
@@ -195,8 +196,31 @@ def entropy_channels(draw):
 @settings(max_examples=60, deadline=None)
 @given(entropy_channels(), st.integers(0, 2 ** 63))
 def test_entropy_bound_not_below_reference(ch, seed):
-    got, want = capacity_entropy_bound(ch, seed), ref.capacity_entropy_bound(ch, seed)
-    assert got.value >= want.value - 1e-9
+    # the bound's fixed starts against the reference run from any drawn starts
+    assert capacity_entropy_bound(ch).value >= ref.capacity_entropy_bound(ch, seed).value - 1e-9
+
+
+def test_entropy_bound_reaches_a_maximum_some_seeds_missed():
+    # four labels, s=4: the maximum is ln 4 / 4, all four outputs equally
+    # likely. Starts drawn from seed 5119444139340648840 ended 2.8e-7 below it
+    # and the result was not marked approximate
+    rng = random.Random(1419822192)
+    table = {c: rng.choice("uvwx") for c in compositions(4, 4)}
+    rep = capacity_entropy_bound(ChannelSpec("custom", 4, 4, table.__getitem__))
+    assert abs(rep.value - math.log(4) / 4) <= 1e-9
+    assert not rep.approximate
+
+
+@pytest.mark.xfail(strict=True, reason="known miss: every climb end lies outside the basin "
+                   "of the maximum, 1.4e-3 nats below it (ROADMAP item 5)")
+def test_entropy_bound_reaches_a_maximum_the_climb_misses():
+    # the reference's SLSQP from the same 17 starts reaches the maximum;
+    # test_entropy_bound_not_below_reference draws channels like this one
+    # in 1-2% of its runs
+    rng = random.Random(176)
+    table = {c: rng.choice("uvwx") for c in compositions(4, 4)}
+    ch = ChannelSpec("custom", 4, 4, table.__getitem__)
+    assert capacity_entropy_bound(ch).value >= ref.capacity_entropy_bound(ch).value - 1e-9
 
 
 @pytest.mark.parametrize("name,s,q", [("B", 5, 5), ("A", 4, 4), ("A", 3, 5), ("eras", 3, 4)])
