@@ -89,6 +89,18 @@ def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.r_[True, keys[1:] != keys[:-1]]
 
 
+def repeated(keys: np.ndarray) -> np.ndarray:
+    """The positions, in order, of the keys of a non-empty 1-D array that
+    occur more than once: one sort finds the repeated keys (no order of
+    positions is kept), and a binary search among them marks each position."""
+    ordered = np.sort(keys)
+    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    repeat = ordered[:-1][new[:-1] & ~new[1:]]  # one key per run of two or more
+    if not repeat.size:
+        return np.empty(0, np.intp)
+    return np.flatnonzero(repeat[np.searchsorted(repeat[:-1], keys)] == keys)
+
+
 # --- code matrix file format -------------------------------------------------
 # line 1: "q N t"; then N lines of t whitespace-separated symbols.
 # Lines starting with '#' are comments. Parsing is strict.

@@ -8,8 +8,18 @@ on q-bit row masks: a union word is the OR of the rows' 1 << x.
 Every verifier walks the index sets by prefix (``_walk``): a set of size
 k + 1 is a set of size k extended by one larger index, so its kernel state
 is one gather from its prefix's state, trans[state, x[b]], and its union
-word one OR with its prefix's union. The sets of the last size come in
-bounded blocks; only the collision verdicts hold all of them.
+word one OR with its prefix's union. The sets come in bounded blocks.
+
+The rest is one matrix product over the codewords' one-hot symbols
+(``_times_onehot``). Separability walks only to the s-1 codewords of a
+message's prefix: its output in column i is then ids[prefix state, x_b[i]]
+with ids = out[trans], so the output rows of all the prefix's messages,
+packed a few columns to an integer below 2^32, are one product with the
+one-hot codewords, exact in float64. A row of at most 64 bits is its own
+key; a longer row is hashed over every column, and only the sets whose keys
+repeat get their full rows folded and compared. The cover verdicts and
+factor decoding count the columns where a codeword lies inside a union word
+as the product of the union's one-hot bit set with the codewords.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Code, InvalidParametersError, InvalidSymbolError, SizeLimitError, runs
+from .core import (Code, InvalidParametersError, InvalidSymbolError, SizeLimitError, repeated,
+                   runs)
 from .channels import ChannelSpec
 
 
@@ -92,13 +103,13 @@ def _walk(t: int, s: int, zero: np.ndarray, step, cells: int, every: bool = Fals
     0-based index sets of size s (of sizes 1..s if ``every``), by size and
     then lexicographically, each with its fold. A set is its prefix plus one
     larger index b, folded as step(prefix folds, b) from the empty set's row
-    ``zero``. Unless ``every``, prefixes that cannot reach size s are dropped."""
+    ``zero``; with s = 0, the empty set alone. Unless ``every``, prefixes that
+    cannot reach size s are dropped."""
     rows, sets, folds = max(1, _BLOCK_CELLS // cells), np.empty((1, 0), np.intp), zero[None]
+    if not s:
+        yield sets, folds
     for k in range(1, s + 1):
-        last = sets[:, -1] if k > 1 else np.array([-1])
-        counts = (t if every else t - s + k) - 1 - last
-        ends = np.cumsum(counts)
-        first = last + 1 - ends + counts  # the child at place m, of prefix p, adds first[p] + m
+        ends, first = _children(_last(sets), t if every else t - s + k)
         if k < s:
             level = np.empty((ends[-1], k), np.intp), np.empty((ends[-1], len(zero)), zero.dtype)
         for lo in range(0, ends[-1], rows):
@@ -112,6 +123,20 @@ def _walk(t: int, s: int, zero: np.ndarray, step, cells: int, every: bool = Fals
                 yield block
         if k < s:
             sets, folds = level
+
+
+def _last(sets: np.ndarray) -> np.ndarray:
+    """The last index of each index set, -1 for the empty set."""
+    return sets[:, -1] if sets.shape[1] else np.full(len(sets), -1)
+
+
+def _children(last: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The children of prefixes whose last indices are ``last``, each prefix
+    extended by every larger index below ``stop``, in order: child m belongs
+    to prefix p = searchsorted(ends, m, side="right") and adds first[p] + m."""
+    counts = stop - 1 - last
+    ends = np.cumsum(counts)
+    return ends, last + 1 - ends + counts
 
 
 def _held(walk, n: int, s: int, N: int, dtype, row) -> tuple[np.ndarray, np.ndarray]:
@@ -144,26 +169,84 @@ def _collision_verdict(sets: np.ndarray, rows: np.ndarray, word) -> Verdict:
         return Verdict(True)
     first, second = order[starts], order[starts + 1]
     # 1-based and padded with 0, the order of rows is the order of tuples
-    pairs = np.concatenate([sets[first], sets[second]], axis=1) + 1
+    pairs = np.concatenate([sets[first], sets[second]], axis=1).astype(np.intp) + 1
     g = np.lexsort(pairs.T[::-1])[0]
     a, b = first[g], second[g]
     return Verdict(False, witness=(_as_tuple(sets[a]), _as_tuple(sets[b])),
                    colliding_output=(word(rows[a]),))
 
 
+def _times_onehot(left: np.ndarray, code: Code, lo: int, hi: int) -> np.ndarray:
+    """The (M, t) product of ``left``, (M, (hi - lo) * q), with the codewords'
+    one-hot symbols in columns lo..hi-1, in left's dtype: cell
+    (b, (i - lo) * q + a) of the one-hot matrix is 1 where x_b[i] = a. It is
+    built for a block of codewords at a time, each block within _BLOCK_CELLS."""
+    rows = max(1, _BLOCK_CELLS // left.shape[1])
+    symbols = np.arange(code.q, dtype=code.symbols.dtype)
+    parts = [left @ (x[:, :, None] == symbols).reshape(len(x), -1).T.astype(left.dtype)
+             for x in (code.symbols[b:b + rows, lo:hi] for b in range(0, code.t, rows))]
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+
+_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, so rows that differ in one slice get distinct keys
+
+
 def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     """All channel output words over s-messages are pairwise distinct; the
-    colliding output is the word's tuple of output labels."""
+    colliding output is the word's tuple of output labels.
+
+    ``per`` columns of output ids at ``bits`` bits each make a slice below
+    2^32, an integer that the float64 product computes exactly. Equal rows
+    have equal keys, and the rows of the sets whose keys repeat are read in
+    full, so verdict, witness and colliding output do not depend on the hash."""
     if channel.s != s or channel.q != code.q:
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
     n = check_params("separable", code.t, code.q, s)
+    t, N, q = code.t, code.N, code.q
     dtype = np.min_scalar_type(len(channel.trans) - 1)
     # states in their smallest dtype, as the symbols are; a step reads trans[state, x[b]]
     trans = channel.trans.ravel().astype(dtype)
-    step = lambda u, b: trans[np.multiply(u, code.q, dtype=np.intp) + code.symbols[b]]
-    sets, rows = _held(_walk(code.t, s, np.zeros(code.N, dtype), step, s * code.N), n, s, code.N,
-                       channel.out.dtype, lambda states: channel.out[states])
+    step = lambda u, b: trans[np.multiply(u, q, dtype=np.intp) + code.symbols[b]]
+    ids = channel.out[channel.trans]  # the output id of a state and one more symbol
+    values = ids.astype(float)
+    bits = max(1, (len(channel.outputs) - 1).bit_length())
+    per = 32 // bits
+    shift = (2.0 ** (bits * np.arange(per)))[:, None]
+    slices = [(lo, min(lo + per, N)) for lo in range(0, N, per)]
+    exact = N * bits <= 64  # the key is the packed row itself
+    zero = np.zeros(N, dtype)
+    keys, prefixes, done = np.empty(n, np.uint64), [], 0
+    # a block's products take at most _BLOCK_CELLS multiply-adds each
+    for prefix, states in _walk(t - 1, s - 1, zero, step, t * per * q):
+        # the prefix's messages add a larger index b, in order
+        cells = np.flatnonzero(np.arange(t) > _last(prefix)[:, None])
+        key = np.zeros(len(cells), np.uint64)
+        for lo, hi in slices:
+            key *= np.uint64(1 << bits * (hi - lo)) if exact else _HASH
+            packed = np.take(values, states[:, lo:hi], axis=0)
+            packed *= shift[:hi - lo]
+            key += _times_onehot(packed.reshape(len(prefix), -1), code, lo, hi).ravel().take(
+                cells).astype(np.uint64)
+        keys[done:done + len(cells)], done = key, done + len(cells)
+        prefixes.append((prefix, states))
+    found = repeated(keys)
+    del keys
+    if not found.size:
+        return Verdict(True)
+    # message m is child m of the held prefixes: prefix p and index first[p] + m
+    prefix, states = (np.concatenate(held) for held in zip(*prefixes))
+    ends, first = _children(_last(prefix), t)
+    sets = np.empty((len(found), s), np.min_scalar_type(t - 1))
+    prefix = prefix.astype(sets.dtype)
+    rows, block = np.empty((len(found), N), ids.dtype), max(1, _BLOCK_CELLS // (s * N))
+    for lo in range(0, len(found), block):
+        m = found[lo:lo + block]
+        p = np.searchsorted(ends, m, side="right")
+        sets[lo:lo + len(m), :-1], sets[lo:lo + len(m), -1] = prefix[p], first[p] + m
+        flat = np.multiply(states[p], q, dtype=np.min_scalar_type(ids.size - 1))
+        flat += code.symbols[sets[lo:lo + len(m), -1]]
+        rows[lo:lo + len(m)] = ids.ravel().take(flat)
     return _collision_verdict(sets, rows, lambda row: tuple(
         channel.outputs[z] for z in row.tolist()))
 
@@ -180,9 +263,23 @@ def _masks(code: Code) -> np.ndarray:
     return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols]
 
 
-def _covered(masks: np.ndarray, unions: np.ndarray) -> np.ndarray:
-    """(M, t) flags: codeword j lies inside union word m on every row."""
-    return ~np.any(masks[None, :, :] & ~unions[:, None, :], axis=2)
+def _covers(code: Code, unions: np.ndarray) -> np.ndarray:
+    """(M, t) flags: codeword j lies inside union word m (M rows of N q-bit
+    masks) on every column. Over a slice of columns, the count of columns
+    where it does is the product of the unions' one-hot bit sets with the
+    one-hot codewords, exact in float32; slices keep the bit sets within
+    _BLOCK_CELLS."""
+    w = max(1, _BLOCK_CELLS // (len(unions) * code.q))
+    # the masks' bytes, least significant first, unpack to bits 0, 1, ...
+    masks = unions.astype(unions.dtype.newbyteorder("<"), copy=False)
+    covered = True
+    for lo in range(0, code.N, w):
+        hi = min(lo + w, code.N)
+        member = np.unpackbits(masks[:, lo:hi].view(np.uint8).reshape(len(masks), hi - lo, -1),
+                               axis=2, count=code.q, bitorder="little")
+        count = _times_onehot(member.reshape(len(masks), -1).astype(np.float32), code, lo, hi)
+        covered = covered & (count == hi - lo)
+    return covered
 
 
 def _subsets_of(union: np.ndarray, q: int) -> tuple:
@@ -202,9 +299,8 @@ def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
     """Fails at the lexicographically first s-tuple whose union covers more
     than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
     codewords into the witness's second entry."""
-    masks = _masks(code)
-    for block, unions in _union_walk(code, masks, s, code.N * code.t):
-        covered = _covered(masks, unions)
+    for block, unions in _union_walk(code, _masks(code), s, code.N * code.t):
+        covered = _covers(code, unions)
         covered[np.arange(len(block))[:, None], block] = False
         bad = np.flatnonzero(covered.sum(axis=1) > limit)
         if bad.size:
@@ -248,11 +344,11 @@ def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     (a sequence of N subsets of 0..q-1; any other symbol is an error)."""
     if len(z) != code.N:
         raise InvalidParametersError(f"output word length {len(z)} != code length {code.N}")
-    masks = _masks(code)
+    _check_masks(code.q)
     given = np.array([a for zi in z for a in zi], dtype=object)
     bad = (given < 0) | (given >= code.q)
     if bad.any():
         raise InvalidSymbolError(f"symbol {given[bad.argmax()]} outside alphabet of size {code.q}")
-    union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=masks.dtype)
-    return set((np.flatnonzero(_covered(masks, union)[0]) + 1).tolist())
+    union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=np.uint64)
+    return set((np.flatnonzero(_covers(code, union)[0]) + 1).tolist())
 

@@ -17,6 +17,7 @@ from sepmac.core import (
     load_code,
     parse_code,
     read_header,
+    repeated,
     runs,
 )
 from sepmac.verify import _masks, _subsets_of, _union_walk
@@ -251,3 +252,12 @@ def test_runs_match_stable_sort(keys):
     assert order.tolist() == want
     assert new.tolist() == [i == 0 or value(keys[want[i]]) != value(keys[want[i - 1]])
                             for i in range(len(want))]
+
+
+@given(st.lists(st.sampled_from([0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+                min_size=1, max_size=60))
+def test_repeated_matches_counter(keys):
+    # uint64 keys with many ties, the ends of the range among them
+    count = {k: keys.count(k) for k in keys}
+    got = repeated(np.array(keys, dtype=np.uint64))
+    assert got.tolist() == [i for i, k in enumerate(keys) if count[k] > 1]

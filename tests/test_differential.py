@@ -97,6 +97,38 @@ def test_separable_wide_output_ids_match_reference(n, data):
     _assert_same_verdict(is_separable(code, 3, ch), ref.is_separable(code, 3, ch))
 
 
+@st.composite
+def hashed_codes(draw):
+    """A code, s and a channel whose output rows are longer than 64 bits, so
+    is_separable groups hashed keys, with equal rows forced one of three ways:
+    a duplicated codeword; two codewords that differ only in their last
+    column, whose messages' rows agree on all but that column; or B s=3 q=12,
+    whose 364 outputs are uint16 ids."""
+    case = draw(st.sampled_from(("duplicate", "last column", "uint16")))
+    _, s, ch = (None, 3, make_channel("B", 3, 12)) if case == "uint16" else draw(codes())
+    q = ch.q
+    bits = max(1, (len(ch.outputs) - 1).bit_length())
+    n = draw(st.integers(64 // bits + 1, 20 if case == "uint16" else 64 // bits + 8))
+    t = draw(st.integers(s + 1, s + 5))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
+    i, j = draw(st.lists(st.integers(0, t - 1), min_size=2, max_size=2, unique=True))
+    if case == "duplicate":
+        cols[j] = cols[i]
+    elif case == "last column":
+        cols[j] = cols[i][:-1] + ((cols[i][-1] + draw(st.integers(1, q - 1))) % q,)
+    return Code(q, cols), s, ch
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashed_codes(), BLOCK_CELLS)
+def test_separable_hashed_keys_match_reference(case, cells):
+    code, s, ch = case
+    assert code.N * max(1, (len(ch.outputs) - 1).bit_length()) > 64
+    with mock.patch.object(verify, "_BLOCK_CELLS", cells):
+        got = is_separable(code, s, ch)
+    _assert_same_verdict(got, ref.is_separable(code, s, ch))
+
+
 def _assert_kernel_matches_reference(ch):
     want = ref.kernel(ch)
     for got, exp in zip((ch.trans, ch.out), want):

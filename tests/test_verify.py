@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from reference import (
@@ -69,19 +70,53 @@ def test_separable_oracle_equivalence():
             assert is_separable(code, s, ch).holds == brute
 
 
-def test_separable_peak_memory_per_message():
-    # one index set and one output row per message are held for the grouping,
-    # and the walk adds nothing that lasts; core.runs adds the stable order
-    # and one sorted copy of the rows, about 94 bytes per message at N=30
-    code = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1))
-    channel = make_channel("B", 3, 3)
+def _separable_peak(code, channel):
     tracemalloc.start()
     try:
-        assert is_separable(code, 3, channel).holds
+        verdict = is_separable(code, 3, channel)
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_separable_peak_memory_per_message():
+    # one uint64 key per message is held, with one sorted copy; the blocks of
+    # the matrix product and the held prefixes' states add the rest, about
+    # 21 bytes per message at N=30 (94 when every message held its output row)
+    code = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1))
+    verdict, peak = _separable_peak(code, make_channel("B", 3, 3))
+    assert verdict.holds
+    assert peak <= 120 * comb(80, 3), peak / comb(80, 3)
+
+
+@pytest.mark.parametrize("constant", [16, 30])
+def test_separable_peak_memory_on_constant_columns(constant):
+    # the key hashes every column, so 16 constant leading columns add no
+    # repeated keys (about 21 bytes per message); with all 30 constant every
+    # message collides, and the rows of all of them are read and grouped
+    # (about 85 bytes per message)
+    x = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1)).symbols.copy()
+    x[:, :constant] = 0
+    verdict, peak = _separable_peak(Code(3, x), make_channel("B", 3, 3))
+    assert verdict.holds == (constant < 30)
+    assert peak <= 120 * comb(80, 3), peak / comb(80, 3)
+
+
+@pytest.mark.parametrize("check", [lambda code: is_frameproof(code, 2),
+                                   lambda code: is_list_decoding(code, 2, 2)])
+def test_cover_peak_memory_at_q64(check):
+    # 64-bit row masks: the one-hot bit sets and the product come in blocks
+    # and column slices within _BLOCK_CELLS, about 2.0 MB here (2.3 MB when
+    # covers were tested on (sets, t, N) blocks of masks); unblocked, the
+    # bit sets of the 1,770 pairs alone would take 18 MB
+    code = Code(64, np.random.default_rng(3).integers(0, 64, (60, 40)))
+    tracemalloc.start()
+    try:
+        assert check(code).holds
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 120 * comb(80, 3), peak / comb(80, 3)
+    assert peak <= 4 * 2 ** 20, peak
 
 
 def test_at_most_s_separable_peak_memory_per_set():
