@@ -149,14 +149,6 @@ def _keys(channel: ChannelSpec, states: np.ndarray, columns: np.ndarray) -> np.n
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 
-def _untried(rows: list, lo: int, start: int, stop: int):
-    """(i, new keys) for each i in [start, stop), ``rows`` holding each
-    subset's keys for the block of candidates that starts at ``lo``."""
-    news = zip(*[keys[start - lo:stop - lo] for keys in rows]) \
-        if rows else itertools.repeat((), stop - start)
-    return enumerate(news, start)
-
-
 def _joins(chosen: list, idx: int, s: int) -> list:
     """The (s-1)-subsets, as index tuples, that candidate ``idx`` forms with
     the code ``chosen``: none at s = 1, where the one subset is empty."""
@@ -176,16 +168,26 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
 
     Exhaustive mode runs a branch-and-bound over the candidates in index
     order; the returned witness is the lexicographically smallest maximum
-    code. A node carries its code's (s-1)-subsets (index tuples) and their
-    keys over one block of candidates. The search keeps one path, the code
-    and its messages' keys, grown on a push and cut back on a pop, so a
-    branch checks only the messages containing its column, by set
-    operations on keys alone, and copies neither its parent's code nor its
-    keys. One subset's keys over one block are one numpy gather of at most
+    code. The search keeps one path, the code and its messages' keys, grown
+    on a push and cut back on a pop, so no node copies its parent's code.
+    Each open node holds its surviving candidates in its current block of
+    candidates: those whose messages with its code have output keys that
+    miss the path's and differ from each other, each stored with those
+    keys, one per (s-1)-subset of the code. A child narrows its parent's
+    survivors after its column and checks only what changed: a survivor's
+    stored keys must miss the ones the push added, and its keys with the
+    child's new subsets must miss the path's and differ from each other and
+    from its stored keys (at s = 2, one new key a survivor). A node moving
+    to the next block checks that block's candidates in full. A list ends
+    where the bound rules a candidate out for every descendant. One
+    subset's keys over one block are one numpy gather of at most
     GATHER_CELLS cells, read through a per-search ``lru_cache`` that keeps
-    at most MEMO_CELLS cells; a child reads only its new subsets', so a
-    node makes no numpy call of its own. A tree of more than NODE_GUARD
-    nodes raises SizeLimitError, after the search has started.
+    at most MEMO_CELLS cells; each block's candidate columns are built once
+    and kept for the last few blocks; a child reads only its new subsets'
+    keys. A child's list is built in full when it is pushed, so where every
+    candidate survives (s = 1) or the bound ends most nodes early, the lists
+    cost more than the nodes' tries. A tree of more than NODE_GUARD nodes
+    raises SizeLimitError, after the search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
@@ -232,40 +234,96 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         return SearchResult(len(chosen), code, n_cand, "greedy")
 
     step = max(1, GATHER_CELLS // N)  # candidates per block
+    memo_blocks = max(1, MEMO_CELLS // (min(step, n_cand) * N))
 
-    @functools.lru_cache(maxsize=max(1, MEMO_CELLS // (min(step, n_cand) * N)))
+    # a node's full check and its children's reads use one block, and a few
+    # more serve pops back into earlier blocks
+    @functools.lru_cache(maxsize=8)
+    def block(lo: int) -> np.ndarray:
+        """The candidate columns of the block that starts at ``lo``."""
+        return _digits(np.arange(lo, min(lo + step, n_cand)), q, N)
+
+    @functools.lru_cache(maxsize=memo_blocks)
     def row(subset: tuple, lo: int) -> list:
         """The keys of ``subset`` joined to each candidate of the block that
         starts at ``lo``."""
-        columns = _digits(np.arange(lo, min(lo + step, n_cand)), q, N)
-        return _keys(channel, _states(channel, _digits([subset], q, N)), columns)[:, 0].tolist()
+        return _keys(channel, _states(channel, _digits([subset], q, N)), block(lo))[:, 0].tolist()
 
-    keys = [row(sub, 0) for sub in subsets]
     # the path to the open node: its code and its messages' output keys,
     # grown on a push and cut back on a pop
     chosen: list[int] = []
     seen: set = set()
-    # one entry per open node: its (s-1)-subsets, the keys it added to
-    # ``seen``, the block it is in, its subsets' keys there and the
-    # candidates it has not tried
-    stack = [[subsets, (), 0, keys, _untried(keys, 0, 0, min(step, n_cand))]]
     best: list[int] = []
+
+    def survivors(subsets: list, lo: int) -> list:
+        """(i, keys) for each candidate i of the block at ``lo`` whose
+        messages with the path's code, one per subset, have output keys
+        ``keys`` that miss ``seen`` and differ from each other."""
+        news = zip(*[row(sub, lo) for sub in subsets]) if subsets else \
+            itertools.repeat((), min(step, n_cand - lo))
+        # no descendant can take a candidate past the cut: the bound grows by
+        # one a level, and a descendant is at most one level deeper for each
+        # survivor kept before it (a cut at the node's own bound is too tight)
+        cut = n_cand - len(best) + len(chosen)
+        kept = []
+        for i, new in enumerate(news, lo):
+            if i >= cut + len(kept):
+                break
+            if seen.isdisjoint(new) and len(set(new)) == len(new):
+                kept.append((i, new))
+        return kept
+
+    def narrow(rest, joins: list, lo: int) -> list:
+        """The survivors of the node just pushed, from ``rest``, those of its
+        parent after its column: the ones whose keys miss the keys the push
+        added to ``seen`` and whose keys with the new subsets ``joins`` miss
+        ``seen`` and differ from each other and from their other keys."""
+        rows = [row(sub, lo) for sub in joins]
+        cut = n_cand - len(best) + len(chosen)
+        kept = []
+        # a survivor's stored keys missed ``seen`` before the push, so
+        # ``seen.isdisjoint(keys)`` tests them against the push's keys
+        # one new message a survivor, at s = 2 always: skipping the general
+        # loop's tuple and set cuts the search benchmark's time by a fifth
+        if len(rows) == 1:
+            r, = rows
+            for i, keys in rest:
+                if i >= cut + len(kept):
+                    break
+                new = r[i - lo]
+                if new not in seen and new not in keys and seen.isdisjoint(keys):
+                    kept.append((i, keys + (new,)))
+        else:
+            for entry in rest:
+                i, keys = entry
+                if i >= cut + len(kept):
+                    break
+                if seen.isdisjoint(keys):
+                    if rows:
+                        more = tuple([r[i - lo] for r in rows])
+                        if not (seen.isdisjoint(more) and len(fresh := set(more)) == len(more)
+                                and fresh.isdisjoint(keys)):
+                            continue
+                        entry = i, keys + more
+                    kept.append(entry)
+        return kept
+
+    # one entry per open node: its (s-1)-subsets, the keys it added to
+    # ``seen``, the block it is in, its survivors there and how many of
+    # them it has tried
+    stack = [[subsets, (), 0, survivors(subsets, 0), 0]]
     nodes = 1
     while True:
         node = stack[-1]
-        subsets, _, lo, keys, untried = node
+        subsets, _, lo, kept, tried = node
         # bound: from stop on, even taking every remaining candidate cannot beat best
         stop = n_cand - len(best) + len(chosen)
-        for idx, new in untried:
-            # past the bound, or a child: its new messages' output rows
-            # differ from ``seen`` and from each other
-            if idx >= stop or seen.isdisjoint(new) and len(set(new)) == len(new):
-                break
+        if tried < len(kept):
+            idx, new = kept[tried]
         else:
             lo += step
             if lo < stop:
-                keys = [row(sub, lo) for sub in subsets]
-                node[2:] = lo, keys, _untried(keys, lo, lo, min(lo + step, n_cand))
+                node[2:] = lo, survivors(subsets, lo), 0
                 continue
             idx = stop
         if idx >= stop:  # the node is done
@@ -275,6 +333,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             chosen.pop()
             seen.difference_update(node[1])
             continue
+        node[4] = tried + 1
         nodes += 1
         if nodes > NODE_GUARD:
             raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
@@ -284,10 +343,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         seen.update(new)  # exact to cut back: distinct, and disjoint from ``seen``
         if len(chosen) > len(best):
             best = chosen.copy()
-        # the child starts in this block (or at its end): only its new
-        # subsets' keys are not in ``keys`` already
-        keys = keys + [row(sub, lo) for sub in joins]
-        stack.append([subsets + joins, new, lo, keys,
-                      _untried(keys, lo, idx + 1, min(lo + step, n_cand))])
+        stack.append([subsets + joins, new, lo,
+                      narrow(itertools.islice(kept, tried + 1, None), joins, lo), 0])
     code = Code(q, _digits(best, q, N))
     return SearchResult(len(best), code, nodes, "exhaustive")

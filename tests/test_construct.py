@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -347,3 +348,39 @@ def test_search_memory_of_a_many_key_refusal(monkeypatch):
     # memo's bounded blocks, about 30 MB; a table that grows with the
     # distinct keys seen (one bit per key id) reached gigabytes by then
     assert _refusal_peak(monkeypatch, make_channel("B", 2, 2), 12, 500) <= 64 * 2 ** 20
+
+
+def test_search_memory_of_a_tree_where_every_candidate_survives():
+    # B s=1 q=2 N=10 keeps every candidate: each of the 1,025 nodes on the one
+    # path holds the survivors left in its block, so lists over all 2^10
+    # candidates would grow with the square of the path
+    tracemalloc.start()
+    try:
+        res = max_code_search(make_channel("B", 1, 2), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.t_star, res.nodes) == (1024, 1025)
+    assert peak <= 64 * 2 ** 20
+
+
+def test_search_memory_of_an_s3_refusal(monkeypatch):
+    # B s=3 q=2 N=11 refused after 60 nodes: a survivor carries one key per
+    # pair subset of the code, so an s=3 node's list is the widest
+    assert _refusal_peak(monkeypatch, make_channel("B", 3, 2), 11, 60) <= 64 * 2 ** 20
+
+
+def test_search_time_per_node_where_every_candidate_survives():
+    # B s=1 q=2: one path, each node copying the rest of its block's
+    # survivors, so the time per node stays flat from N=10 to N=12 (about
+    # 70 us); lists over all q^N candidates would make it grow with q^N
+    # (about 3.6 times from N=10 to N=12)
+    def per_node(N):
+        best = float("inf")
+        for _ in range(3):
+            t = time.perf_counter()
+            res = max_code_search(make_channel("B", 1, 2), N)
+            best = min(best, time.perf_counter() - t)
+        assert (res.t_star, res.nodes) == (2 ** N, 2 ** N + 1)
+        return best / res.nodes
+    assert per_node(12) <= 2 * per_node(10)

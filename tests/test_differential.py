@@ -1,9 +1,9 @@
 """Differential tests: the integer channel kernel and its construction, its
 output law, the verifiers at several walk block sizes (verdicts, witnesses
-and outputs byte for byte), the incremental exhaustive and greedy
-search, the integer P_term, the entropy bound (all starts climbed as one
-batch, the best end polished by exact-gradient SLSQP) and the
-exponent's E0 solver on index arrays against the pure-Python reference, the
+and outputs byte for byte), the incremental exhaustive search (also at
+several block sizes) and the greedy search, the integer P_term, the
+entropy bound (all starts climbed as one batch, the best end polished by
+exact-gradient SLSQP) and the exponent's E0 solver on index arrays against the pure-Python reference, the
 finite-difference multi-start SLSQP and the dense E0 solver in
 ``reference.py``; the entropy gradient against central differences, and the
 batched state laws, values and gradients against one row at a time."""
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from sepmac import bounds, verify
+from sepmac import bounds, construct, verify
 from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_output
 from sepmac.channels import ChannelSpec, _state_laws, make_channel, output_ids
 from sepmac.core import Code, compositions
@@ -341,10 +341,24 @@ def _search_instances():
                 yield s, q, n, name
 
 
-@pytest.mark.parametrize("s,q,n,name", list(_search_instances()))
-def test_search_matches_reference(s, q, n, name):
+def _search_cases():
+    # each instance at the default blocks; those of s <= 3 and q^N >= 8 also
+    # at blocks of one candidate and at blocks that split a node's survivors
+    # unevenly, so the full check a node makes on moving to a new block and
+    # the narrowing of a parent's survivors to a child's meet the oracle
+    for s, q, n, name in _search_instances():
+        yield pytest.param(s, q, n, name, None, id=f"{s}-{q}-{n}-{name}")
+        if s <= 3 and q ** n >= 8:
+            for cells in (1, 7):
+                yield pytest.param(s, q, n, name, cells, id=f"{s}-{q}-{n}-{name}-cells{cells}")
+
+
+@pytest.mark.parametrize("s,q,n,name,cells", list(_search_cases()))
+def test_search_matches_reference(s, q, n, name, cells):
     ch = _search_channel(name, s, q)
-    got, want = max_code_search(ch, n), ref.max_code_search(ch, n)
+    with mock.patch.object(construct, "GATHER_CELLS", cells or construct.GATHER_CELLS):
+        got = max_code_search(ch, n)
+    want = ref.max_code_search(ch, n)
     assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes)
 
 
