@@ -22,8 +22,8 @@ from .channels import ChannelSpec, _state_laws, _weight, output_law
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
 # work units capacity_entropy_bound may spend: q^3 per step of its one SLSQP polish plus
-# 10 (s + 1) per kernel cell; a unit is 0.002-0.14 us on a Xeon core under CPython 3.11
-# (at most 0.7 s)
+# 10 (s + 1) per composition of weight <= s, times q; a unit is 0.002-0.14 us on a Xeon
+# core under CPython 3.11 (at most 0.7 s)
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
@@ -109,22 +109,21 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
     (K, q) batch of them, and its gradient in x.
 
     The output law is homogeneous of degree s in p and symmetric, so
-    dP(z)/dp_a = s * sum_state L(state) [out[trans[state, a]] = z], L being
-    the state law after s-1 inputs; hence dH/dp_a = -s * sum_state L(state)
-    (1 + log P(out[trans[state, a]])). An output of probability 0 that symbol
-    a can reach (then p_a = 0) has slope +inf into p_a > 0; its log is taken
-    as log of the smallest normal float, so the gradient stays finite, still
-    points inward, and the value, where 0 log 0 = 0, is unchanged."""
-    q, s, n_out = channel.q, channel.s, len(channel.outputs)
+    dP(z)/dp_a = s * sum_state L(state) [trans[state, a] = z], L being the
+    state law after s-1 inputs, on the weight-(s-1) states, whose rows are
+    output ids; hence dH/dp_a = -s * sum_state L(state) (1 + log
+    P(trans[state, a])). An output of probability 0 that symbol a can reach
+    (then p_a = 0) has slope +inf into p_a > 0; its log is taken as log of
+    the smallest normal float, so the gradient stays finite, still points
+    inward, and the value, where 0 log 0 = 0, is unchanged."""
+    q, s = channel.q, channel.s
     rows = np.clip(x, 0.0, None).reshape(-1, q)
     total = rows.sum(1, keepdims=True)
     p = rows / np.where(total > 0, total, 1.0)
-    *_, before, after = _state_laws(channel, p)
-    top, last = _weight(q, s), _weight(q, s - 1)  # where after and before live
-    cells = (channel.out[top] + n_out * np.arange(len(p))[:, None]).ravel()
-    law = np.bincount(cells, after[:, top].ravel(), len(p) * n_out).reshape(-1, n_out)
+    *_, before, law = _state_laws(channel, p)
+    last = _weight(q, s - 1)
     log = np.log(np.maximum(law, np.finfo(float).tiny))
-    dh = -s * (1.0 + (before[:, last, None] * log[:, channel.out[channel.trans[last]]]).sum(1))
+    dh = -s * (1.0 + (before[:, last, None] * log[:, channel.trans[last]]).sum(1))
     # through p = x+ / total; a clipped x_a < 0 and an all-zero row have slope 0
     grad = ((p * dh).sum(1, keepdims=True) - dh) * (x >= 0) / np.where(total > 0, total, np.inf)
     value = (law * log).sum(1)
@@ -160,7 +159,7 @@ def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
     ``entropy_output`` re-evaluates the result. Approximate when SLSQP did not
     succeed."""
     q = channel.q
-    work = q ** 3 + 10 * (channel.s + 1) * channel.trans.size
+    work = q ** 3 + 10 * (channel.s + 1) * comb(q + channel.s, channel.s) * q
     if work > ENTROPY_WORK_GUARD:
         raise SizeLimitError(f"instance too large: the entropy bound's {work} work units "
                              f"exceed the guard of {ENTROPY_WORK_GUARD} work units "

@@ -6,9 +6,9 @@ from the C(q+s-1, s) compositions (count tuples) to outputs. An output is
 its printed label, the ``str`` of the function's value: the A-MAC prints
 the set of inputs as ``{0,1}``, the B-MAC the composition as ``(1,1)``.
 ``make_channel`` alone knows the built-in rules. Building the integer
-kernel (``_kernel``) is the one walk over the compositions; ``output_ids``
-maps s-words to output ids and ``output_law`` gives the output law of
-i.i.d. inputs.
+kernel (``_kernel``), one table through which s symbols fold to their output
+id, is the one walk over the compositions; ``output_ids`` maps s-words to
+output ids and ``output_law`` gives the output law of i.i.d. inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import InvalidParametersError, SizeLimitError, _content
 
-KERNEL_GUARD = 2 ** 20  # transition cells C(q+s, s) * q a channel may build
+KERNEL_GUARD = 2 ** 20  # a channel's compositions of weight <= s, C(q+s, s), times q
 _UNPRINTABLE = 10 ** 4300
 
 
@@ -54,7 +54,7 @@ class ChannelSpec:
     def __init__(self, name: str, q: int, s: int, output):
         _check_shape(q, s)
         self._name, self.q, self.s, self.output = name, q, s, output
-        self.trans, self.out, self.outputs = _kernel(q, s, output)
+        self.trans, self.outputs = _kernel(q, s, output)
 
     def __repr__(self):
         return f"ChannelSpec({self._name}, q={self.q}, s={self.s})"
@@ -63,31 +63,32 @@ class ChannelSpec:
         return self._name
 
 
-def _kernel(q: int, s: int, output) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(trans, out, outputs) over the compositions of weight <= s, by weight
-    and then in count order (state 0 is empty): trans[state, a] adds symbol a
-    below weight s, out[state] is the output id of a weight-s state c, whose
-    label is ``str(output(c))``, and outputs[id] is that label; equal labels
-    share an id. A state is kept as its sorted word, so adding a symbol is an
-    insertion and its counts are a bincount; count order is reverse word
-    order."""
+def _kernel(q: int, s: int, output) -> tuple[np.ndarray, tuple]:
+    """(trans, outputs) over the compositions of weight < s, by weight and then
+    in count order (state 0 is empty): trans[state, a] adds symbol a, giving the
+    next state below weight s-1 and at weight s-1 the output id of the weight-s
+    composition c reached, so s symbols fold from state 0 to their output id.
+    outputs[id] is c's label ``str(output(c))``; equal labels share an id, and
+    ``trans`` has the smallest dtype that holds every state and id. A state is
+    kept as its sorted word, so adding a symbol is an insertion and its counts
+    are a bincount; count order is reverse word order."""
     words = [w for k in range(s + 1)
              for w in reversed(list(itertools.combinations_with_replacement(range(q), k)))]
     index = {w: i for i, w in enumerate(words)}
+    n = math.comb(q + s - 1, s - 1)  # the states; the weight-s words follow
+    top = np.array(words[n:], dtype=np.intp)
+    counts = np.bincount((top + q * np.arange(len(top))[:, None]).ravel(), minlength=len(top) * q)
+    ids: dict = {}
+    cell = list(range(n)) + [ids.setdefault(str(output(c)), len(ids))
+                             for c in map(tuple, counts.reshape(-1, q).tolist())]
 
     def grown(w: tuple, a: int) -> int:
         k = bisect.bisect_right(w, a)
-        return index[w[:k] + (a,) + w[k:]]
+        return cell[index[w[:k] + (a,) + w[k:]]]
 
-    below = len(words) - math.comb(q + s - 1, s)
-    trans = np.zeros((len(words), q), dtype=np.intp)
-    trans[:below] = [[grown(w, a) for a in range(q)] for w in words[:below]]
-    top = np.array(words[below:], dtype=np.intp)  # the weight-s states
-    counts = np.bincount((top + q * np.arange(len(top))[:, None]).ravel(), minlength=len(top) * q)
-    ids: dict = {}
-    out = [0] * below + [ids.setdefault(str(output(c)), len(ids))
-                         for c in map(tuple, counts.reshape(-1, q).tolist())]
-    return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
+    trans = np.array([[grown(w, a) for a in range(q)] for w in words[:n]],
+                     dtype=np.min_scalar_type(max(n, len(ids)) - 1))
+    return trans, tuple(ids)
 
 
 def output_ids(channel: ChannelSpec, words) -> np.ndarray:
@@ -96,7 +97,7 @@ def output_ids(channel: ChannelSpec, words) -> np.ndarray:
     state = 0
     for symbols in words:
         state = channel.trans[state, symbols]
-    return channel.out[state]
+    return state
 
 
 def _weight(q: int, k: int) -> slice:
@@ -105,27 +106,28 @@ def _weight(q: int, k: int) -> slice:
 
 
 def _state_laws(channel: ChannelSpec, p):
-    """The laws of the kernel state after 0, 1, ..., s inputs i.i.d. with the law
-    p (q probabilities, or one a row of a (K, q) batch), each folded through
-    ``trans`` from the last weight's states, in one row's order: rows equal."""
+    """The laws of the kernel state after 0, 1, ..., s-1 inputs i.i.d. with the
+    law p (q probabilities, or one a row of a (K, q) batch), then the law of
+    the output id after s, each folded through ``trans`` from the last weight's
+    states, in one row's order: rows equal."""
     p = np.asarray(p, dtype=float)
     rows, n = p.reshape(-1, channel.q), len(channel.trans)
     law = np.zeros((len(rows), n))
     law[:, 0] = 1.0
     yield law.reshape(p.shape[:-1] + (n,))
     for k in range(channel.s):
-        w = _weight(channel.q, k)
-        cells = (channel.trans[w] + n * np.arange(len(rows))[:, None, None]).ravel()
-        law = np.bincount(cells, (law[:, w, None] * rows[:, None]).ravel(), law.size)
-        law = law.reshape(len(rows), n)
-        yield law.reshape(p.shape[:-1] + (n,))
+        w, size = _weight(channel.q, k), n if k < channel.s - 1 else len(channel.outputs)
+        cells = (channel.trans[w] + size * np.arange(len(rows))[:, None, None]).ravel()
+        law = np.bincount(cells, (law[:, w, None] * rows[:, None]).ravel(), len(rows) * size)
+        law = law.reshape(len(rows), size)
+        yield law.reshape(p.shape[:-1] + (size,))
 
 
 def output_law(channel: ChannelSpec, p) -> np.ndarray:
     """The law of the output id when the s inputs are i.i.d. with the law p
     (q probabilities): the state law folded through ``trans`` s times."""
     *_, law = _state_laws(channel, p)
-    return np.bincount(channel.out, law, len(channel.outputs))
+    return law
 
 
 # the built-in rules: the output label of a composition c, given the level l

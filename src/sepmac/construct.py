@@ -58,11 +58,11 @@ def _check_cells(N: int, t: int) -> None:
                              f"guard {CODE_GUARD} (N={N}, t={t})")
 
 
-def _entry_rng(seed: int, column: int, extra: int = 0) -> random.Random:
-    # counter-based stream: the state depends only on (seed, column, extra),
-    # so parallel generation is order-independent
+def _entry_rng(seed: int, column: int) -> random.Random:
+    # counter-based stream: the state depends only on (seed, column), so
+    # parallel generation is order-independent
     return random.Random((seed & 0xFFFFFFFFFFFFFFFF) * 0x9E3779B97F4A7C15
-                         + column * 0x100000001B3 + extra)
+                         + column * 0x100000001B3)
 
 
 def random_code(spec: EnsembleSpec) -> Code:
@@ -133,7 +133,7 @@ def _digits(indices, q: int, N: int) -> np.ndarray:
 
 
 def _states(channel: ChannelSpec, subsets: np.ndarray) -> np.ndarray:
-    """The kernel states of subsets of columns, ``subsets[j]`` being the
+    """The kernel states of subsets of s-1 columns, ``subsets[j]`` being the
     columns of subset j."""
     state = np.zeros((len(subsets), subsets.shape[-1]), dtype=np.intp)
     for k in range(subsets.shape[1]):
@@ -145,7 +145,7 @@ def _keys(channel: ChannelSpec, states: np.ndarray, columns: np.ndarray) -> np.n
     """keys[i, j]: the output row, one void item (bytes under ``tolist``),
     of the message joining ``columns[i]`` to the subset whose kernel states
     are ``states[j]``: one gather."""
-    rows = channel.out[channel.trans[states, columns[:, None]]]
+    rows = channel.trans[states, columns[:, None]]
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 

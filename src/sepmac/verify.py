@@ -12,12 +12,12 @@ word one OR with its prefix's union. The sets come in bounded blocks.
 
 The rest is one matrix product over the codewords' one-hot symbols
 (``_times_onehot``). Separability walks only to the s-1 codewords of a
-message's prefix: its output in column i is then ids[prefix state, x_b[i]]
-with ids = out[trans], so the output rows of all the prefix's messages,
-packed a few columns to an integer below 2^32, are one product with the
-one-hot codewords, exact in float64. A row of at most 64 bits is its own
-key; a longer row is hashed over every column, and only the sets whose keys
-repeat get their full rows folded and compared. The cover verdicts and
+message's prefix: its output in column i is then trans[prefix state,
+x_b[i]], the channel's output id, so the output rows of all the prefix's
+messages, packed a few columns to an integer below 2^32, are one product
+with the one-hot codewords, exact in float64. Every row is hashed over all
+its columns, and only the sets whose keys repeat get their full rows, one
+more step of the walk, and compare them. The cover verdicts and
 factor decoding count the columns where a codeword lies inside a union word
 as the product of the union's one-hot bit set with the codewords.
 """
@@ -204,26 +204,22 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
     n = check_params("separable", code.t, code.q, s)
     t, N, q = code.t, code.N, code.q
-    dtype = np.min_scalar_type(len(channel.trans) - 1)
-    # states in their smallest dtype, as the symbols are; a step reads trans[state, x[b]]
-    trans = channel.trans.ravel().astype(dtype)
+    # a step reads trans[state, x[b]]: a state, or after s symbols an output id
+    trans = channel.trans.ravel()
     step = lambda u, b: trans[np.multiply(u, q, dtype=np.intp) + code.symbols[b]]
-    ids = channel.out[channel.trans]  # the output id of a state and one more symbol
-    values = ids.astype(float)
+    values = channel.trans.astype(float)
     bits = max(1, (len(channel.outputs) - 1).bit_length())
     per = 32 // bits
     shift = (2.0 ** (bits * np.arange(per)))[:, None]
     slices = [(lo, min(lo + per, N)) for lo in range(0, N, per)]
-    exact = N * bits <= 64  # the key is the packed row itself
-    zero = np.zeros(N, dtype)
     keys, prefixes, done = np.empty(n, np.uint64), [], 0
     # a block's products take at most _BLOCK_CELLS multiply-adds each
-    for prefix, states in _walk(t - 1, s - 1, zero, step, t * per * q):
+    for prefix, states in _walk(t - 1, s - 1, np.zeros(N, trans.dtype), step, t * per * q):
         # the prefix's messages add a larger index b, in order
         cells = np.flatnonzero(np.arange(t) > _last(prefix)[:, None])
         key = np.zeros(len(cells), np.uint64)
         for lo, hi in slices:
-            key *= np.uint64(1 << bits * (hi - lo)) if exact else _HASH
+            key *= _HASH
             packed = np.take(values, states[:, lo:hi], axis=0)
             packed *= shift[:hi - lo]
             key += _times_onehot(packed.reshape(len(prefix), -1), code, lo, hi).ravel().take(
@@ -239,14 +235,12 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     ends, first = _children(_last(prefix), t)
     sets = np.empty((len(found), s), np.min_scalar_type(t - 1))
     prefix = prefix.astype(sets.dtype)
-    rows, block = np.empty((len(found), N), ids.dtype), max(1, _BLOCK_CELLS // (s * N))
+    rows, block = np.empty((len(found), N), trans.dtype), max(1, _BLOCK_CELLS // (s * N))
     for lo in range(0, len(found), block):
         m = found[lo:lo + block]
         p = np.searchsorted(ends, m, side="right")
         sets[lo:lo + len(m), :-1], sets[lo:lo + len(m), -1] = prefix[p], first[p] + m
-        flat = np.multiply(states[p], q, dtype=np.min_scalar_type(ids.size - 1))
-        flat += code.symbols[sets[lo:lo + len(m), -1]]
-        rows[lo:lo + len(m)] = ids.ravel().take(flat)
+        rows[lo:lo + len(m)] = step(states[p], first[p] + m)
     return _collision_verdict(sets, rows, lambda row: tuple(
         channel.outputs[z] for z in row.tolist()))
 

@@ -132,20 +132,27 @@ def builtin_output(name: str, word: tuple[int, ...], q: int) -> str:
     raise ValueError(f"not a built-in channel: {name!r}")
 
 
-def kernel(channel: ChannelSpec) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """A channel's (trans, out, outputs) built cell by cell on count tuples,
-    as ``sepmac.channels._kernel`` defines them: states are the compositions
-    of weight <= s by weight and then in count order, and ``eval_channel``
-    labels the weight-s ones."""
+def kernel(channel: ChannelSpec) -> tuple[np.ndarray, tuple]:
+    """A channel's (trans, outputs) built cell by cell on count tuples, as
+    ``sepmac.channels._kernel`` defines them: states are the compositions of
+    weight < s by weight and then in count order; a cell adds one symbol,
+    giving the next state, or at weight s-1 the output id of the weight-s
+    composition reached, ids being numbered as ``eval_channel`` labels the
+    weight-s compositions in count order; the table is in the smallest dtype
+    that holds every state and output id."""
     q, s = channel.q, channel.s
-    states = [c for w in range(s + 1) for c in compositions(w, q)]
+    states = [c for w in range(s) for c in compositions(w, q)]
     index = {c: i for i, c in enumerate(states)}
-    trans = np.array([[index.get(c[:a] + (c[a] + 1,) + c[a + 1:], 0) for a in range(q)]
-                      for c in states], dtype=np.intp)
     ids: dict = {}
-    out = [ids.setdefault(eval_channel(channel, c), len(ids)) if sum(c) == s else 0
-           for c in states]
-    return trans, np.array(out, dtype=np.min_scalar_type(len(ids) - 1)), tuple(ids)
+    for c in compositions(s, q):
+        ids.setdefault(eval_channel(channel, c), len(ids))
+
+    def cell(c: tuple, a: int) -> int:
+        grown = c[:a] + (c[a] + 1,) + c[a + 1:]
+        return ids[eval_channel(channel, grown)] if sum(grown) == s else index[grown]
+
+    dtype = np.min_scalar_type(max(len(states), len(ids)) - 1)
+    return np.array([[cell(c, a) for a in range(q)] for c in states], dtype=dtype), tuple(ids)
 
 
 def eval_channel(channel: ChannelSpec, comp: tuple[int, ...]) -> str:

@@ -91,10 +91,10 @@ def test_entropy_bound_witness(name, s, q):
 
 
 def _largest_admitted_q(name, s):
-    """The largest q whose entropy work, q^3 + 10 (s + 1) per kernel cell,
-    is within ENTROPY_WORK_GUARD; the next q is refused."""
+    """The largest q whose entropy work, q^3 + 10 (s + 1) per composition of
+    weight <= s, times q, is within ENTROPY_WORK_GUARD; the next q is refused."""
     def work(q):
-        return q ** 3 + 10 * (s + 1) * make_channel(name, s, q).trans.size
+        return q ** 3 + 10 * (s + 1) * math.comb(q + s, s) * q
 
     q = 2
     while work(q + 1) <= ENTROPY_WORK_GUARD:

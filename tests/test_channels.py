@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,8 +190,21 @@ def test_channels_built_without_compositions(monkeypatch):
     monkeypatch.setattr("sepmac.channels.compositions", refuse, raising=False)
     got = [make_channel(*case) for case in cases] + [parse_channel(CHANNEL_FILE)]
     for g, w in zip(got, want):
-        assert np.array_equal(g.trans, w.trans) and np.array_equal(g.out, w.out)
+        assert g.trans.dtype == w.trans.dtype and np.array_equal(g.trans, w.trans)
         assert g.outputs == w.outputs
+
+
+def test_kernel_memory_at_its_guard():
+    # B s=2 q=127 is the largest B s=2 channel inside KERNEL_GUARD; it keeps
+    # one 128 x 127 uint16 table and its 8,128 labels, within 4 MB
+    tracemalloc.start()
+    try:
+        ch = make_channel("B", 2, 127)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ch.trans.shape == (128, 127) and ch.trans.dtype == np.uint16
+    assert kept <= 4 * 2 ** 20
 
 
 def test_parse_channel_names_missing_composition(tmp_path, capsys):

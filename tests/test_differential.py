@@ -93,22 +93,22 @@ def test_separable_wide_output_ids_match_reference(n, data):
     t = data.draw(st.integers(4, 9))
     cols = data.draw(st.lists(st.tuples(*[st.integers(0, 11)] * n), min_size=t, max_size=t))
     code = Code(12, cols)
-    assert ch.out.dtype == np.uint16
+    assert ch.trans.dtype == np.uint16
     _assert_same_verdict(is_separable(code, 3, ch), ref.is_separable(code, 3, ch))
 
 
 @st.composite
 def hashed_codes(draw):
-    """A code, s and a channel whose output rows are longer than 64 bits, so
-    is_separable groups hashed keys, with equal rows forced one of three ways:
-    a duplicated codeword; two codewords that differ only in their last
-    column, whose messages' rows agree on all but that column; or B s=3 q=12,
-    whose 364 outputs are uint16 ids."""
+    """A code, s and a channel whose output rows are hashed to one key each,
+    rows of at most 64 bits and longer ones, with equal rows forced one of
+    three ways: a duplicated codeword; two codewords that differ only in their
+    last column, whose messages' rows agree on all but that column; or
+    B s=3 q=12, whose 364 outputs are uint16 ids."""
     case = draw(st.sampled_from(("duplicate", "last column", "uint16")))
     _, s, ch = (None, 3, make_channel("B", 3, 12)) if case == "uint16" else draw(codes())
     q = ch.q
     bits = max(1, (len(ch.outputs) - 1).bit_length())
-    n = draw(st.integers(64 // bits + 1, 20 if case == "uint16" else 64 // bits + 8))
+    n = draw(st.integers(1, 20 if case == "uint16" else 64 // bits + 8))
     t = draw(st.integers(s + 1, s + 5))
     cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
     i, j = draw(st.lists(st.integers(0, t - 1), min_size=2, max_size=2, unique=True))
@@ -123,17 +123,24 @@ def hashed_codes(draw):
 @given(hashed_codes(), BLOCK_CELLS)
 def test_separable_hashed_keys_match_reference(case, cells):
     code, s, ch = case
-    assert code.N * max(1, (len(ch.outputs) - 1).bit_length()) > 64
     with mock.patch.object(verify, "_BLOCK_CELLS", cells):
         got = is_separable(code, s, ch)
     _assert_same_verdict(got, ref.is_separable(code, s, ch))
 
 
 def _assert_kernel_matches_reference(ch):
-    want = ref.kernel(ch)
-    for got, exp in zip((ch.trans, ch.out), want):
-        assert got.dtype == exp.dtype and np.array_equal(got, exp), ch
-    assert ch.outputs == want[2], ch
+    # one table over the compositions of weight < s, in the smallest dtype
+    # that holds every state and output id
+    trans, outputs = ref.kernel(ch)
+    n = math.comb(ch.q + ch.s - 1, ch.s - 1)
+    assert ch.trans.shape == (n, ch.q), ch
+    assert ch.trans.dtype == trans.dtype == np.min_scalar_type(max(n, len(outputs)) - 1), ch
+    assert np.array_equal(ch.trans, trans) and ch.outputs == outputs, ch
+    # s symbols fold from state 0 to the id of their label
+    words = list(itertools.product(range(ch.q), repeat=ch.s))
+    ids = {label: z for z, label in enumerate(outputs)}
+    want = [ids[ref.eval_channel(ch, ref.type_of(w, ch.q))] for w in words]
+    assert output_ids(ch, np.array(words).T).tolist() == want, ch
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "eras", "thr", "disj"])
