@@ -10,16 +10,17 @@ k + 1 is a set of size k extended by one larger index, so its kernel state
 is one gather from its prefix's state, trans[state, x[b]], and its union
 word one OR with its prefix's union. The sets come in bounded blocks.
 
-The rest is one matrix product over the codewords' one-hot symbols
-(``_times_onehot``). Separability walks only to the s-1 codewords of a
-message's prefix: its output in column i is then trans[prefix state,
-x_b[i]], the channel's output id, so the output rows of all the prefix's
-messages, packed a few columns to an integer below 2^32, are one product
-with the one-hot codewords, exact in float64. Every row is hashed over all
-its columns, and only the sets whose keys repeat get their full rows, one
-more step of the walk, and compare them. The cover verdicts and
-factor decoding count the columns where a codeword lies inside a union word
-as the product of the union's one-hot bit set with the codewords.
+The collision verdicts take one path (``_collision``): a message, a prefix
+plus one larger index b, gets one uint64 key, equal rows equal keys, and
+only messages whose keys repeat get their sets and rows, one more step of
+the walk, so no verdict depends on the hash. Separability's prefixes have
+s-1 codewords: a message's output in column i is trans[prefix state,
+x_b[i]], so the output rows of a prefix's messages, packed a few columns to
+an integer below 2^32, are one exact float64 product with the one-hot
+codewords (``_times_onehot``). (<= s)-separability's prefixes have 0..s-1
+codewords, and a union word's key is one uint64 product. The cover verdicts
+and factor decoding count the columns where a codeword lies inside a union
+word as the product of the union's one-hot bit set with the codewords.
 """
 
 from __future__ import annotations
@@ -98,18 +99,17 @@ def check_params(prop: str, t: int, q: int, s: int, L: Optional[int] = None) -> 
     return n
 
 
-def _walk(t: int, s: int, zero: np.ndarray, step, cells: int, every: bool = False):
+def _walk(t: int, s: int, zero: np.ndarray, step, cells: int):
     """Yield (sets, folds) in blocks of about _BLOCK_CELLS / cells rows: the
-    0-based index sets of size s (of sizes 1..s if ``every``), by size and
-    then lexicographically, each with its fold. A set is its prefix plus one
-    larger index b, folded as step(prefix folds, b) from the empty set's row
-    ``zero``; with s = 0, the empty set alone. Unless ``every``, prefixes that
-    cannot reach size s are dropped."""
+    0-based index sets of size s, lexicographically, each with its fold. A set
+    is its prefix plus one larger index b, folded as step(prefix folds, b) from
+    the empty set's row ``zero``; with s = 0, the empty set alone. Prefixes
+    that cannot reach size s are dropped."""
     rows, sets, folds = max(1, _BLOCK_CELLS // cells), np.empty((1, 0), np.intp), zero[None]
     if not s:
         yield sets, folds
     for k in range(1, s + 1):
-        ends, first = _children(_last(sets), t if every else t - s + k)
+        ends, first = _children(sets, t - s + k)
         if k < s:
             level = np.empty((ends[-1], k), np.intp), np.empty((ends[-1], len(zero)), zero.dtype)
         for lo in range(0, ends[-1], rows):
@@ -119,58 +119,73 @@ def _walk(t: int, s: int, zero: np.ndarray, step, cells: int, every: bool = Fals
             block = np.column_stack([sets[p], b]), step(folds[p], b)
             if k < s:
                 level[0][lo:lo + len(m)], level[1][lo:lo + len(m)] = block
-            if every or k == s:
+            else:
                 yield block
         if k < s:
             sets, folds = level
 
 
-def _last(sets: np.ndarray) -> np.ndarray:
-    """The last index of each index set, -1 for the empty set."""
-    return sets[:, -1] if sets.shape[1] else np.full(len(sets), -1)
-
-
-def _children(last: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The children of prefixes whose last indices are ``last``, each prefix
-    extended by every larger index below ``stop``, in order: child m belongs
-    to prefix p = searchsorted(ends, m, side="right") and adds first[p] + m."""
+def _children(prefixes: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The children of ``prefixes``, each plus a larger index below ``stop``, in
+    order: child m is prefix p = searchsorted(ends, m, "right") plus first[p] + m."""
+    last = prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), -1)
     counts = stop - 1 - last
     ends = np.cumsum(counts)
     return ends, last + 1 - ends + counts
 
 
-def _held(walk, n: int, s: int, N: int, dtype, row) -> tuple[np.ndarray, np.ndarray]:
-    """The walk's n sets in an (n, s) array, padded with -1, and ``row`` of
-    their folds in an (n, N) array, both filled block by block."""
-    sets, rows, lo = np.full((n, s), -1, dtype=np.intp), np.empty((n, N), dtype), 0
-    for block, folds in walk:
-        sets[lo:lo + len(block), :block.shape[1]] = block
-        rows[lo:lo + len(block)] = row(folds)
-        lo += len(block)
-    return sets, rows
-
-
-def _union_walk(code: Code, masks: np.ndarray, s: int, cells: int, every: bool = False):
+def _union_walk(code: Code, masks: np.ndarray, s: int, cells: int):
     """_walk whose folds are union words: the OR of the members' row masks."""
-    return _walk(code.t, s, np.zeros(code.N, masks.dtype), lambda u, b: u | masks[b], cells, every)
+    return _walk(code.t, s, np.zeros(code.N, masks.dtype), lambda u, b: u | masks[b], cells)
 
 
 def _as_tuple(index_set: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(j) + 1 for j in index_set if j >= 0)
+    """A 1-based index set, padded with 0 at the end, as a tuple."""
+    return tuple(j for j in index_set.tolist() if j)
 
 
-def _collision_verdict(sets: np.ndarray, rows: np.ndarray, word) -> Verdict:
-    """Holds when the rows (the words of ``sets``) are distinct; else the
-    witness is the first two sets of the group of equal words whose 1-based
-    pair is lexicographically smallest, and ``word`` gives their output."""
+def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells: int,
+               word) -> Verdict:
+    """Holds when the n messages' rows are distinct. A message is a prefix of
+    size k in ``sizes``, from _walk(t - 1, k, zero, step, cells), plus one
+    larger index b, and its row is step(prefix's fold, b); key(folds, c) keys
+    a block's messages, c being their cells p * t + b, equal rows equal keys.
+    The messages whose keys repeat are grouped by row: the witness is the
+    first two sets of the group whose pair is lexicographically smallest, and
+    ``word`` gives their output."""
+    keys, levels, done = np.empty(n, np.uint64), [], 0
+    for k in sizes:
+        levels.append((done, k, []))
+        for prefix, folds in _walk(t - 1, k, zero, step, cells):
+            # the prefix's messages add a larger index b, in order: cells p * t + b
+            c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
+            keys[done:done + len(c)], done = key(folds, c), done + len(c)
+            levels[-1][2].append((prefix, folds))
+    found = repeated(keys)
+    del keys
+    if not found.size:
+        return Verdict(True)
+    # 1-based and padded with 0 at the end, the order of sets is that of tuples
+    sets = np.zeros((len(found), sizes.stop), np.min_scalar_type(t))
+    rows = np.empty((len(found), len(zero)), zero.dtype)
+    block = max(1, _BLOCK_CELLS // (sizes.stop * len(zero)))
+    edges = np.searchsorted(found, [level[0] for level in levels] + [n])
+    for (lo, k, held), i, j in zip(levels, edges, edges[1:]):
+        # message lo + m is child m of the level's prefixes
+        prefix, folds = (np.concatenate(h) for h in zip(*held))
+        ends, first = _children(prefix, t)
+        for a in range(i, j, block):
+            m = found[a:min(a + block, j)] - lo
+            p = np.searchsorted(ends, m, side="right")
+            b = first[p] + m
+            sets[a:a + len(m), :k], sets[a:a + len(m), k] = prefix[p] + 1, b + 1
+            rows[a:a + len(m)] = step(folds[p], b)
     order, new = runs(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
     starts = np.flatnonzero(new[:-1] & ~new[1:])  # the runs of two or more equal rows
     if not starts.size:
         return Verdict(True)
     first, second = order[starts], order[starts + 1]
-    # 1-based and padded with 0, the order of rows is the order of tuples
-    pairs = np.concatenate([sets[first], sets[second]], axis=1).astype(np.intp) + 1
-    g = np.lexsort(pairs.T[::-1])[0]
+    g = np.lexsort(np.concatenate([sets[first], sets[second]], axis=1).T[::-1])[0]
     a, b = first[g], second[g]
     return Verdict(False, witness=(_as_tuple(sets[a]), _as_tuple(sets[b])),
                    colliding_output=(word(rows[a]),))
@@ -196,9 +211,7 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     colliding output is the word's tuple of output labels.
 
     ``per`` columns of output ids at ``bits`` bits each make a slice below
-    2^32, an integer that the float64 product computes exactly. Equal rows
-    have equal keys, and the rows of the sets whose keys repeat are read in
-    full, so verdict, witness and colliding output do not depend on the hash."""
+    2^32, an integer that the float64 product computes exactly."""
     if channel.s != s or channel.q != code.q:
         raise InvalidParametersError(
             f"channel (s={channel.s}, q={channel.q}) does not match (s={s}, q={code.q})")
@@ -212,37 +225,19 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     per = 32 // bits
     shift = (2.0 ** (bits * np.arange(per)))[:, None]
     slices = [(lo, min(lo + per, N)) for lo in range(0, N, per)]
-    keys, prefixes, done = np.empty(n, np.uint64), [], 0
-    # a block's products take at most _BLOCK_CELLS multiply-adds each
-    for prefix, states in _walk(t - 1, s - 1, np.zeros(N, trans.dtype), step, t * per * q):
-        # the prefix's messages add a larger index b, in order
-        cells = np.flatnonzero(np.arange(t) > _last(prefix)[:, None])
+
+    def key(states, cells):
+        # a block's products take at most _BLOCK_CELLS multiply-adds each
         key = np.zeros(len(cells), np.uint64)
         for lo, hi in slices:
             key *= _HASH
             packed = np.take(values, states[:, lo:hi], axis=0)
             packed *= shift[:hi - lo]
-            key += _times_onehot(packed.reshape(len(prefix), -1), code, lo, hi).ravel().take(
+            key += _times_onehot(packed.reshape(len(states), -1), code, lo, hi).ravel().take(
                 cells).astype(np.uint64)
-        keys[done:done + len(cells)], done = key, done + len(cells)
-        prefixes.append((prefix, states))
-    found = repeated(keys)
-    del keys
-    if not found.size:
-        return Verdict(True)
-    # message m is child m of the held prefixes: prefix p and index first[p] + m
-    prefix, states = (np.concatenate(held) for held in zip(*prefixes))
-    ends, first = _children(_last(prefix), t)
-    sets = np.empty((len(found), s), np.min_scalar_type(t - 1))
-    prefix = prefix.astype(sets.dtype)
-    rows, block = np.empty((len(found), N), trans.dtype), max(1, _BLOCK_CELLS // (s * N))
-    for lo in range(0, len(found), block):
-        m = found[lo:lo + block]
-        p = np.searchsorted(ends, m, side="right")
-        sets[lo:lo + len(m), :-1], sets[lo:lo + len(m), -1] = prefix[p], first[p] + m
-        rows[lo:lo + len(m)] = step(states[p], first[p] + m)
-    return _collision_verdict(sets, rows, lambda row: tuple(
-        channel.outputs[z] for z in row.tolist()))
+        return key
+    return _collision(t, n, range(s - 1, s), np.zeros(N, trans.dtype), step, key, t * per * q,
+                      lambda row: tuple(channel.outputs[z] for z in row.tolist()))
 
 
 def _check_masks(q: int) -> None:
@@ -284,9 +279,14 @@ def is_at_most_s_separable(code: Code, s: int) -> Verdict:
     """Coordinate-wise unions distinguish every pair of distinct index sets
     of sizes 1..s (the A-MAC, tuples of unequal size included)."""
     n, masks = check_params("le_separable", code.t, code.q, s), _masks(code)
-    sets, rows = _held(_union_walk(code, masks, s, s * code.N, every=True),
-                       n, s, code.N, masks.dtype, lambda u: u)
-    return _collision_verdict(sets, rows, lambda row: _subsets_of(row, code.q))
+    t, N = code.t, code.N
+    # key = sum_i row[i] * _HASH^(N-1-i) mod 2^64 (Python int powers: numpy's warn)
+    powers = np.array([pow(int(_HASH), N - 1 - i, 1 << 64) for i in range(N)], np.uint64)
+    step = lambda u, b: u | masks[b]
+    key = lambda unions, c: step(unions[c // t], c % t) @ powers
+    # a block's union rows take about _BLOCK_CELLS / 2 cells, 8 bytes each in the product
+    return _collision(t, n, range(s), np.zeros(N, masks.dtype), step, key, 2 * t * N,
+                      lambda row: _subsets_of(row, code.q))
 
 
 def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
@@ -300,7 +300,7 @@ def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
         if bad.size:
             i = bad[0]
             js = tuple((np.flatnonzero(covered[i]) + 1).tolist())
-            return Verdict(False, witness=(_as_tuple(block[i]), pick(js)),
+            return Verdict(False, witness=(_as_tuple(block[i] + 1), pick(js)),
                            colliding_output=(_subsets_of(unions[i], code.q),))
     return Verdict(True)
 
@@ -323,7 +323,7 @@ def is_hash(code: Code, s: int) -> Verdict:
         distinct = np.bitwise_count(unions) == s
         bad = np.flatnonzero(~distinct.any(axis=1))
         if bad.size:
-            return Verdict(False, witness=(_as_tuple(block[bad[0]]),))
+            return Verdict(False, witness=(_as_tuple(block[bad[0]] + 1),))
     return Verdict(True)
 
 

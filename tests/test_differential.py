@@ -103,12 +103,19 @@ def hashed_codes(draw):
     rows of at most 64 bits and longer ones, with equal rows forced one of
     three ways: a duplicated codeword; two codewords that differ only in their
     last column, whose messages' rows agree on all but that column; or
-    B s=3 q=12, whose 364 outputs are uint16 ids."""
-    case = draw(st.sampled_from(("duplicate", "last column", "uint16")))
-    _, s, ch = (None, 3, make_channel("B", 3, 12)) if case == "uint16" else draw(codes())
-    q = ch.q
-    bits = max(1, (len(ch.outputs) - 1).bit_length())
-    n = draw(st.integers(1, 20 if case == "uint16" else 64 // bits + 8))
+    B s=3 q=12, whose 364 outputs are uint16 ids. A fourth draw has q=64 and
+    no channel, so that union words are full 64-bit row masks, and forces
+    equal rows one of the first two ways."""
+    case = draw(st.sampled_from(("duplicate", "last column", "uint16", "q64")))
+    if case == "q64":
+        q, s, ch = 64, draw(st.integers(1, 3)), None
+        n = draw(st.integers(1, 12))
+        case = draw(st.sampled_from(("duplicate", "last column")))
+    else:
+        _, s, ch = (None, 3, make_channel("B", 3, 12)) if case == "uint16" else draw(codes())
+        q = ch.q
+        bits = max(1, (len(ch.outputs) - 1).bit_length())
+        n = draw(st.integers(1, 20 if case == "uint16" else 64 // bits + 8))
     t = draw(st.integers(s + 1, s + 5))
     cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
     i, j = draw(st.lists(st.integers(0, t - 1), min_size=2, max_size=2, unique=True))
@@ -122,10 +129,14 @@ def hashed_codes(draw):
 @settings(max_examples=200, deadline=None)
 @given(hashed_codes(), BLOCK_CELLS)
 def test_separable_hashed_keys_match_reference(case, cells):
+    # both collision verdicts hash their rows: --separable's output rows when
+    # there is a channel, and --le-separable's union words always
     code, s, ch = case
     with mock.patch.object(verify, "_BLOCK_CELLS", cells):
-        got = is_separable(code, s, ch)
-    _assert_same_verdict(got, ref.is_separable(code, s, ch))
+        if ch is not None:
+            _assert_same_verdict(is_separable(code, s, ch), ref.is_separable(code, s, ch))
+        got = is_at_most_s_separable(code, s)
+    _assert_same_verdict(got, ref.is_at_most_s_separable(code, s))
 
 
 def _assert_kernel_matches_reference(ch):
