@@ -90,15 +90,24 @@ def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def repeated(keys: np.ndarray) -> np.ndarray:
-    """The positions, in order, of the keys of a non-empty 1-D array that
-    occur more than once: one sort finds the repeated keys (no order of
-    positions is kept), and a binary search among them marks each position."""
+    """The positions, in order, of the keys of a non-empty 1-D uint64 array
+    that occur more than once: one sort finds the repeated keys (no order of
+    positions is kept), and a binary search among them tests the keys whose
+    low bits hit theirs in a table of 16 or more slots per repeated key."""
     ordered = np.sort(keys)
     new = np.r_[True, ordered[1:] != ordered[:-1]]
     repeat = ordered[:-1][new[:-1] & ~new[1:]]  # one key per run of two or more
     if not repeat.size:
         return np.empty(0, np.intp)
-    return np.flatnonzero(repeat[np.searchsorted(repeat[:-1], keys)] == keys)
+    hit = None
+    if 2 * (np.count_nonzero(new[:-1] & new[1:]) + new[-1]) > len(keys):  # most keys are single
+        low = (16 << (len(repeat) - 1).bit_length()) - 1
+        table = np.zeros(low + 1, bool)
+        table[repeat & low] = True
+        hit = np.flatnonzero(table[keys & low])
+        keys = keys[hit]
+    found = np.flatnonzero(repeat[np.searchsorted(repeat[:-1], keys)] == keys)
+    return found if hit is None else hit[found]
 
 
 # --- code matrix file format -------------------------------------------------
@@ -131,29 +140,32 @@ def _header(lines: list[str]) -> tuple[int, int, int]:
 
 
 def parse_code(text: str) -> Code:
+    """The rows are read in one np.loadtxt call; where it refuses them or they
+    are wrong, a row-at-a-time parse with int names the first bad row."""
     lines = list(_content([text]))
     q, n, t = _header(lines)
     if len(lines) - 1 != n:
         raise CodeFileError(f"expected {n} rows, found {len(lines) - 1}")
-    symbols = np.empty((0, 0), _dtype(q))
-    for i, ln in enumerate(lines[1:]):
+    dtype = _dtype(q)
+    try:  # loadtxt warns on no rows; it holds less over a list of lines than over joined text
+        fast = np.loadtxt(lines[1:], dtype=dtype, ndmin=2, comments=None) if n else None
+    except ValueError:
+        fast = None
+    if fast is not None and fast.shape == (n, t) and fast.max() < q:
+        return Code(q, fast.T)
+    rows = []
+    for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != t:
             raise CodeFileError(f"expected {t} symbols per row, got {len(parts)} in {ln!r}")
-        if not i:  # a row of t symbols bounds t
-            symbols = np.empty((t, n), symbols.dtype)
         try:
-            try:
-                row = np.array(parts, dtype=np.int64)
-            except OverflowError:  # past int64, so outside every alphabet a Code admits
-                row = np.array([int(x) for x in parts], dtype=object)
+            rows.append([int(x) for x in parts])
         except ValueError as exc:
             raise CodeFileError(f"non-integer symbol in {ln!r}") from exc
-        bad = (row < 0) | (row >= q)
-        if bad.any():
-            raise CodeFileError(f"symbol {row[bad.argmax()]} outside alphabet of size {q}")
-        symbols[:, i] = row
-    return Code(q, symbols)
+        for a in rows[-1]:
+            if not 0 <= a < q:
+                raise CodeFileError(f"symbol {a} outside alphabet of size {q}")
+    return Code(q, np.array(rows, dtype).T)
 
 
 def format_code(code: Code) -> str:

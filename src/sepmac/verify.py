@@ -13,14 +13,15 @@ word one OR with its prefix's union. The sets come in bounded blocks.
 The collision verdicts take one path (``_collision``): a message, a prefix
 plus one larger index b, gets one uint64 key, equal rows equal keys, and
 only messages whose keys repeat get their sets and rows, one more step of
-the walk, so no verdict depends on the hash. Separability's prefixes have
-s-1 codewords: a message's output in column i is trans[prefix state,
-x_b[i]], so the output rows of a prefix's messages, packed a few columns to
-an integer below 2^32, are one exact float64 product with the one-hot
-codewords (``_times_onehot``). (<= s)-separability's prefixes have 0..s-1
-codewords, and a union word's key is one uint64 product. The cover verdicts
-and factor decoding count the columns where a codeword lies inside a union
-word as the product of the union's one-hot bit set with the codewords.
+the walk, compared by row within a key, so no verdict depends on the hash.
+Separability's prefixes have s-1 codewords: a message's output in column i
+is trans[prefix state, x_b[i]], so the output rows of a prefix's messages,
+packed a few columns to an integer below 2^32, are one exact float64
+product with the one-hot codewords (``_times_onehot``). (<= s)-separability's
+prefixes have 0..s-1 codewords, and a union word's key is one uint64
+product. The cover verdicts and factor decoding count the columns where a
+codeword lies inside a union word as the product of the union's one-hot bit
+set with the codewords.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
     size k in ``sizes``, from _walk(t - 1, k, zero, step, cells), plus one
     larger index b, and its row is step(prefix's fold, b); key(folds, c) keys
     a block's messages, c being their cells p * t + b, equal rows equal keys.
-    The messages whose keys repeat are grouped by row: the witness is the
-    first two sets of the group whose pair is lexicographically smallest, and
-    ``word`` gives their output."""
+    The messages whose keys repeat are grouped by key, and by row only in a
+    key's run whose rows differ: the witness is the first two sets of the
+    group whose pair is lexicographically smallest, and ``word`` gives their
+    output."""
     keys, levels, done = np.empty(n, np.uint64), [], 0
     for k in sizes:
         levels.append((done, k, []))
@@ -162,7 +164,7 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
             keys[done:done + len(c)], done = key(folds, c), done + len(c)
             levels[-1][2].append((prefix, folds))
     found = repeated(keys)
-    del keys
+    keys = keys[found]
     if not found.size:
         return Verdict(True)
     # 1-based and padded with 0 at the end, the order of sets is that of tuples
@@ -180,7 +182,18 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
             b = first[p] + m
             sets[a:a + len(m), :k], sets[a:a + len(m), k] = prefix[p] + 1, b + 1
             rows[a:a + len(m)] = step(folds[p], b)
-    order, new = runs(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    # a key's run is one group, in message order, if all its consecutive rows are equal
+    order, new = runs(keys)
+    del keys
+    same = np.zeros(len(order), bool)
+    for a in range(1, len(order), block):
+        r = rows[order[a - 1:a + block]]
+        same[a:a + len(r) - 1] = (eq := r[1:] == r[:-1]).all() or eq.all(axis=1)
+    if (split := ~(new | same)).any():  # a hash collision: its runs go last, grouped by row
+        split = np.isin(run := np.cumsum(new), run[split])
+        rest = order[split]
+        sub, fresh = runs(rows[rest].view(np.dtype((np.void, rows[0].nbytes))).ravel())
+        order, new = np.r_[order[~split], rest[sub]], np.r_[new[~split], fresh]
     starts = np.flatnonzero(new[:-1] & ~new[1:])  # the runs of two or more equal rows
     if not starts.size:
         return Verdict(True)

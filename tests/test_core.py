@@ -165,19 +165,28 @@ ODD_TOKENS = ["-1", "-0", "+1", "1_0", "0_1", "_1", "\u0661", "\u0663", "\uff10"
               "9223372036854775808", "256", "255"]
 
 
+# whitespace that str.split splits tokens on; \x0b and \x1c also end a line
+# for str.splitlines
+SEPARATORS = ["\t", "\xa0", "\x0b", "\x1c", "\u3000"]
+
+
 @st.composite
 def code_texts(draw):
-    """Code files, valid or not: odd headers, symbols and tokens, ragged,
-    missing and extra rows, comments and blank lines."""
+    """Code files, valid or not: odd headers, symbols and tokens, token
+    separators other than a space, ragged, missing and extra rows, comments
+    and blank lines."""
     q = draw(st.one_of(st.integers(-1, 12), st.sampled_from([255, 256, 257, 2 ** 63])))
     n, t = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
     rows = draw(st.integers(0, 3)) if draw(st.integers(0, 9)) == 0 else max(n, 0)
     symbol = st.integers(0, max(q, 1) - 1).map(str)
     lines = [draw(st.sampled_from([f"{q} {n} {t}"] * 8 + [f"{q} {n}", f"{q} {n} x", ""]))]
+    odd = draw(st.sampled_from([" "] + SEPARATORS))
     for _ in range(rows):
         width = max(t, 0) + draw(st.sampled_from([0] * 8 + [-1, 1]))
-        lines.append(" ".join(draw(st.one_of(symbol, symbol, symbol, st.sampled_from(ODD_TOKENS)))
-                              for _ in range(width)))
+        sep = st.sampled_from([" ", odd])
+        tokens = [draw(st.one_of(symbol, symbol, symbol, st.sampled_from(ODD_TOKENS)))
+                  for _ in range(width)]
+        lines.append("".join(x + draw(sep) for x in tokens)[:-1] if tokens else "")
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# c", "  ", "#0 1"])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
@@ -193,10 +202,21 @@ def _outcome(parse, text):
 @settings(max_examples=400, deadline=None)
 @given(code_texts())
 def test_parse_code_matches_tuple_parser(text):
+    _assert_parses_as_reference(text)
+
+
+def _assert_parses_as_reference(text):
     want = _outcome(lambda x: (lambda q, rows: (q, [list(r) for r in rows]))(*ref.parse_code(x)),
                     text)
     got = _outcome(lambda x: (lambda c: (c.q, c.symbols.T.tolist()))(parse_code(x)), text)
     assert got == want
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+@pytest.mark.parametrize("t", [1, 2])
+def test_parse_code_splits_tokens_as_str_split(sep, t):
+    # "0", sep, "1": a parse that did not split there would read one symbol, 1
+    _assert_parses_as_reference(f"3 1 {t}\n0{sep}1\n")
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,10 +274,26 @@ def test_runs_match_stable_sort(keys):
                             for i in range(len(want))]
 
 
-@given(st.lists(st.sampled_from([0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+@given(st.lists(st.sampled_from([0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+                | st.builds(lambda hi, lo: hi << 16 | lo, st.sampled_from([0, 1, 2 ** 47 - 1]),
+                            st.integers(0, 3)),
                 min_size=1, max_size=60))
 def test_repeated_matches_counter(keys):
-    # uint64 keys with many ties, the ends of the range among them
+    # uint64 keys with many ties, the ends of the range among them, and keys
+    # hi << 16 | lo from small pools, distinct keys that share their low bits
     count = {k: keys.count(k) for k in keys}
     got = repeated(np.array(keys, dtype=np.uint64))
     assert got.tolist() == [i for i, k in enumerate(keys) if count[k] > 1]
+
+
+@pytest.mark.parametrize("share", [0.001, 0.9])
+def test_repeated_matches_unique_counts(share):
+    # 10^5 keys, few or most of them repeated, whose low 16 bits take four
+    # values: nearly every single key passes the low-bit filter
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 2 ** 48, 10 ** 5, dtype=np.uint64) << np.uint64(16)
+    keys |= rng.integers(0, 4, len(keys), dtype=np.uint64)
+    twins = rng.random(len(keys)) < share
+    keys[twins] = keys[rng.integers(0, 100, twins.sum())]
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    assert np.array_equal(repeated(keys), np.flatnonzero(counts[inverse] > 1))

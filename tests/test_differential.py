@@ -127,12 +127,14 @@ def hashed_codes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(hashed_codes(), BLOCK_CELLS)
-def test_separable_hashed_keys_match_reference(case, cells):
+@given(hashed_codes(), BLOCK_CELLS, st.sampled_from([0, 1, int(verify._HASH)]))
+def test_separable_hashed_keys_match_reference(case, cells, factor):
     # both collision verdicts hash their rows: --separable's output rows when
-    # there is a channel, and --le-separable's union words always
+    # there is a channel, and --le-separable's union words always; with a
+    # hash factor of 0 or 1 distinct rows share keys, which must not decide
     code, s, ch = case
-    with mock.patch.object(verify, "_BLOCK_CELLS", cells):
+    with mock.patch.object(verify, "_BLOCK_CELLS", cells), \
+            mock.patch.object(verify, "_HASH", np.uint64(factor)):
         if ch is not None:
             _assert_same_verdict(is_separable(code, s, ch), ref.is_separable(code, s, ch))
         got = is_at_most_s_separable(code, s)

@@ -93,8 +93,9 @@ def test_separable_peak_memory_per_message():
 def test_separable_peak_memory_on_constant_columns(constant):
     # the key hashes every column, so 16 constant leading columns add no
     # repeated keys (about 21 bytes per message); with all 30 constant every
-    # message collides, and the rows of all of them are read and grouped
-    # (about 85 bytes per message)
+    # message collides, and the rows of all of them are read and compared
+    # within their one key's run (about 71 bytes per message; 85 when they
+    # were grouped by a sort of the rows)
     x = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1)).symbols.copy()
     x[:, :constant] = 0
     verdict, peak = _separable_peak(Code(3, x), make_channel("B", 3, 3))
