@@ -73,8 +73,8 @@ def _emit(args, params: dict, payload: dict) -> None:
         "payload": payload,
         "wall_time_s": round(time.monotonic() - args.started, 6),
     }
-    json.dump(record, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # dumps takes the C encoder; dump to a stream encodes in Python, byte for byte the same
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _channel_from_args(args, s: int, q: int):
@@ -246,9 +246,12 @@ def cmd_decode(args) -> int:
 def cmd_exponent(args) -> int:
     channel = _channel_from_args(args, args.s, args.q)
     dist = _distribution_from_args(args)
-    rows = ["R,E"] + [f"{rep.R:.6f},{rep.value:.6f}" for rep in
-                      expm.exponent(channel, dist, _values("--R", args.R), args.ensemble)]
-    sys.stdout.write("\n".join(rows) + "\n")
+    sweep = expm.exponent(channel, dist, _values("--R", args.R), args.ensemble)
+    sys.stdout.write("\n".join(["R,E"] + [f"{rep.R:.6f},{rep.value:.6f}" for rep in sweep]) + "\n")
+    for rep in sweep:
+        if not rep.converged:
+            print(f"exponent at R={rep.R:.6f} not converged: gap {rep.gap:.3e}, m* {rep.m_star}",
+                  file=sys.stderr)
     print(f"exponent sweep done in {time.monotonic() - args.started:.2f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -12,8 +12,13 @@ P~(w) = P(w) exp(-sum_k mu[k, w_k]),
 
 is the closed-form minimum over tau of H + lam I_m + <mu, input marginals>.
 The cr ensemble has mu = 0 (Gallager's E0); fc keeps mu as multipliers on
-the fixed input marginals. The dimension is q^s: WORD_GUARD caps the
-s * q^s cells of the word table.
+the fixed input marginals. fc starts L-BFGS-B from the cr point (lam*, 0)
+only when that point fails the solver's own first test, the projected
+gradient's max-norm against its gtol; where the cr point already meets the
+marginals, as at uniform p on a channel invariant under symbol
+permutations, it is fc's answer too, the x that L-BFGS-B would return
+after 0 iterations. The dimension is q^s: WORD_GUARD caps the s * q^s
+cells of the word table.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ WORD_GUARD = 2 ** 17  # word-table cells s * q^s an exponent may build
 # A report is converged when the primal value at tau* is this close to the
 # dual value and, under fc, tau* meets the input marginals this closely.
 CERTIFICATE_TOL = 1e-7
+_GTOL = 1e-11  # fc's L-BFGS-B stops where the projected gradient's max-norm is this small
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +141,28 @@ class _Split:
         return _Point(e0, tau, float(tau @ (log_tau - self.lp)),
                       float(tau @ (log_pi - self.lp_h)), marg)
 
+    def _grad(self, pt: _Point, R: float) -> np.ndarray:
+        """The dual's gradient in (lam, free mu) at a solved point:
+        (I_m - mR, marginals - p)."""
+        return np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
+
+    def _stops_at_start(self, R: float, lam: float, pt: _Point) -> bool:
+        """Whether L-BFGS-B on -dual, started at (lam, mu = 0) where `pt` was
+        solved, stops there after 0 iterations: its first test projects the
+        gradient onto the box lam in [0, 1], mu free, and compares its
+        max-norm with gtol. A non-finite value is left to the solver."""
+        g = -self._grad(pt, R)
+        if not (math.isfinite(pt.e0) and np.isfinite(g).all()):
+            return False
+        g[0] = max(lam - 1.0, g[0]) if g[0] < 0 else min(lam, g[0])
+        return float(np.max(np.abs(g))) <= _GTOL
+
     def maximize(self, R: float, ensemble: str) -> tuple[float, _Point]:
         """E_m(R), the maximum of the dual, with the point solved at its
         (lam, mu). The dual is concave in lam with slope I_m(tau) - mR at the
         tau attaining E0, so at mu = 0 (cr) lam is a root find; fc then
-        solves over (lam, mu) from there, with gradient (I_m - mR,
-        marginals - p)."""
+        solves over (lam, mu) from there, unless that cr point already
+        passes L-BFGS-B's first test."""
         mu = np.zeros_like(self.p_flat)
 
         def dual(pt, lam):
@@ -155,16 +177,15 @@ class _Split:
             if pt.I - self.m * R < 0:
                 lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
                 pt = self.solve(lam, mu)
-        if ensemble == "fc":
+        if ensemble == "fc" and not self._stops_at_start(R, lam, pt):
             def neg_dual(x):
                 mu[self.free] = x[1:]
                 pt = self.solve(x[0], mu)
-                grad = np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
-                return -dual(pt, x[0]), -grad
+                return -dual(pt, x[0]), -self._grad(pt, R)
 
             res = minimize(neg_dual, np.r_[lam, np.zeros(len(self.free))], jac=True,
                            method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(self.free),
-                           options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
+                           options={"maxiter": 500, "ftol": 0.0, "gtol": _GTOL})
             lam = float(res.x[0])
             mu[self.free] = res.x[1:]
             pt = self.solve(lam, mu)

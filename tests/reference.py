@@ -21,7 +21,9 @@ oracle), the quoted asymptotic constants, and the exponent's definitions on
 a joint distribution tau, a map (word, output label) -> weight, which
 ``tau_star`` reads off an exponent report's arrays. ``DenseSplit``
 is the exponent's closed-form E0 solver on a one-hot (words x s*q) matrix
-and a boolean (groups x words) membership matrix, in word order.
+and a boolean (groups x words) membership matrix, in word order, and
+``maximize_lbfgsb`` the exponent's dual maximiser that runs L-BFGS-B at
+every fc split, even where the cr point is already stationary.
 ``column`` and ``type_of`` read one codeword and the type of one word,
 and ``error_fraction`` counts the messages whose output word collides.
 ``parse_code`` reads a code file into tuples of Python ints, cell by cell,
@@ -40,7 +42,7 @@ from math import comb, factorial, log
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from sepmac import bounds as bnd
 from sepmac.bounds import BoundReport, Distribution, multinomial
@@ -742,3 +744,37 @@ class DenseSplit:
         tau = np.exp(log_tau)
         return (e0, dict(zip(self.words, tau.tolist())), float(tau @ (log_tau - self.lp)),
                 float(tau @ (log_pi - self.lp_h)), tau @ self.X)
+
+
+def maximize_lbfgsb(split, R: float, ensemble: str):
+    """E_m(R) and its solved point from an exponent ``_Split``, as a method of
+    it: lam by root find at mu = 0, then, under fc, L-BFGS-B over (lam, mu)
+    from that point, always."""
+    mu = np.zeros_like(split.p_flat)
+
+    def dual(pt, lam):
+        return pt.e0 - float(mu @ split.p_flat) - lam * split.m * R
+
+    def slope(lam):
+        return split.solve(lam, mu).I - split.m * R
+
+    lam, pt = 0.0, split.solve(0.0, mu)
+    if pt.I - split.m * R > 0:
+        lam, pt = 1.0, split.solve(1.0, mu)
+        if pt.I - split.m * R < 0:
+            lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
+            pt = split.solve(lam, mu)
+    if ensemble == "fc":
+        def neg_dual(x):
+            mu[split.free] = x[1:]
+            pt = split.solve(x[0], mu)
+            grad = np.concatenate(([pt.I - split.m * R], (pt.marg - split.p_flat)[split.free]))
+            return -dual(pt, x[0]), -grad
+
+        res = minimize(neg_dual, np.r_[lam, np.zeros(len(split.free))], jac=True,
+                       method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(split.free),
+                       options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
+        lam = float(res.x[0])
+        mu[split.free] = res.x[1:]
+        pt = split.solve(lam, mu)
+    return dual(pt, lam), pt

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sepmac.construct as cst
+from sepmac import __version__, cli
+from sepmac import exponent as expm
+from sepmac.bounds import Distribution
 from sepmac.cli import build_parser, main
 from sepmac.channels import make_channel
 from sepmac.core import format_code, load_code, Code, InvalidParametersError
@@ -508,6 +512,37 @@ def test_exponent_csv(capsys):
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[0] for r in rows] == ["0.000000", "0.300000"]
     assert float(rows[0][1]) >= float(rows[1][1]) >= 0.0
+
+
+def test_exponent_reports_unconverged_rates(capsys, monkeypatch):
+    # one stderr line per report whose certificate fails; stdout unchanged
+    argv = ["exponent", "--channel", "B", "--s", "2", "--q", "2", "--ensemble", "fc",
+            "--p", "0.3,0.7", "--R", "0,0.1,0.3"]
+    rc, want, err = run_err(capsys, argv)
+    assert rc == 0 and "not converged" not in err
+    monkeypatch.setattr(expm, "CERTIFICATE_TOL", 0.0)
+    reports = expm.exponent(make_channel("B", 2, 2), Distribution((0.3, 0.7)), [0, 0.1, 0.3], "fc")
+    rc, out, err = run_err(capsys, argv)
+    assert rc == 0 and out == want
+    lines = [ln for ln in err.splitlines() if "not converged" in ln]
+    assert lines and lines == [f"exponent at R={rep.R:.6f} not converged: gap {rep.gap:.3e}, "
+                               f"m* {rep.m_star}" for rep in reports if not rep.converged]
+
+
+def test_emit_matches_json_dump(capsys, monkeypatch):
+    # the one-shot C encoder writes the bytes json.dump's Python encoder wrote
+    params = {"code": "c.txt", "s": 2, "L": None}
+    payload = {"witness": ((1, 2), (3, (4, 5))), "value": 0.1 + 0.2, "tiny": 5e-324,
+               "big": 1e300, "neg": -0.0, "inf": float("inf"), "ratio": 2 / 3,
+               "nested": {"b": [1.5, (2, 3.25)], "a": True, "label": "\u00e9\u2028"}}
+    monkeypatch.setattr(cli.time, "monotonic", lambda: 12.3456789)
+    cli._emit(argparse.Namespace(command="verify", started=10.0), params, payload)
+    out = capsys.readouterr().out
+    want = io.StringIO()
+    json.dump({"schema": cli.SCHEMA, "version": __version__, "command": "verify",
+               "params": params, "payload": payload, "wall_time_s": round(12.3456789 - 10.0, 6)},
+              want, sort_keys=True)
+    assert out == want.getvalue() + "\n"
 
 
 def _builtin(name, s, q):

@@ -5,8 +5,10 @@ several block sizes) and the greedy search, the integer P_term, the
 entropy bound (all starts climbed as one batch, the best end polished by
 exact-gradient SLSQP) and the exponent's E0 solver on index arrays against the pure-Python reference, the
 finite-difference multi-start SLSQP and the dense E0 solver in
-``reference.py``; the entropy gradient against central differences, and the
-batched state laws, values and gradients against one row at a time."""
+``reference.py``; the exponent reports, bit for bit, against the dual
+maximiser there that runs L-BFGS-B at every fc split; the entropy gradient
+against central differences, and the batched state laws, values and
+gradients against one row at a time."""
 
 import itertools
 import json
@@ -24,7 +26,7 @@ from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_
 from sepmac.channels import ChannelSpec, _state_laws, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
-from sepmac.exponent import _splits
+from sepmac.exponent import _Split, _splits, exponent, rate_lower_bound_general
 from sepmac.verify import (
     factor_decode,
     is_at_most_s_separable,
@@ -226,6 +228,49 @@ def test_split_matches_dense_reference(kind, s, q, data):
     got_tau = dict(zip(map(tuple, split.words.tolist()), got.tau.tolist()))
     assert got_tau.keys() == tau.keys()
     assert max(abs(got_tau[w] - t) for w, t in tau.items()) <= 1e-12
+
+
+def _assert_exponent_matches_lbfgsb(ch, p, rates):
+    for ensemble in ("cr", "fc"):
+        got = exponent(ch, p, rates, ensemble), rate_lower_bound_general(ch, p, ensemble)
+        with mock.patch.object(_Split, "maximize", ref.maximize_lbfgsb):
+            want = exponent(ch, p, rates, ensemble), rate_lower_bound_general(ch, p, ensemble)
+        fields = ("value", "primal", "gap", "m_star", "converged")
+        for g, w in zip(got[0], want[0]):
+            # repr tells every float apart, -0.0 from 0.0 too
+            assert [repr(getattr(g, f)) for f in fields] == [repr(getattr(w, f)) for f in fields]
+            assert np.array_equal(g.tau, w.tau)
+            assert np.array_equal(g.words, w.words) and np.array_equal(g.ids, w.ids)
+        assert repr(got[1]) == repr(want[1])
+
+
+@pytest.mark.parametrize("name, s, q, probs, rates", [
+    # test_exponent's polytope values, then its split-array instances
+    ("disj", 2, 2, (0.7, 0.3), [0.1]),
+    ("thr:2", 3, 2, (0.6, 0.4), [0.05]),
+    ("A", 2, 3, (0.5, 0.3, 0.2), [0.2]),
+    *((name, s, q, probs, [0.0, 0.2, 0.6])
+      for name, s, q in (("A", 3, 2), ("B", 2, 3), ("eras", 2, 3), ("thr:2", 3, 2), ("B", 3, 8))
+      for probs in ((1 / q,) * q, (0.0,) + (1 / (q - 1),) * (q - 1))),
+    # near-uniform p: the cr point's gradient, about 1e-9 to 1e-8, fails the
+    # first-order test by little, and L-BFGS-B moves off it
+    ("B", 2, 2, (0.5 + 1e-8, 0.5 - 1e-8), [0.0, 0.1]),
+    ("A", 3, 2, (0.5 + 1e-9, 0.5 - 1e-9), [0.0, 0.1]),
+])
+def test_exponent_matches_lbfgsb_reference(name, s, q, probs, rates):
+    _assert_exponent_matches_lbfgsb(make_channel(name, s, q), Distribution(probs), rates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("A", 3, 2), ("B", 2, 2), ("B", 2, 3), ("eras", 2, 3), ("eras", 3, 2),
+                        ("disj", 3, 2), ("thr:2", 3, 2), ("A", 3, 3)]),
+       st.lists(st.integers(0, 5), min_size=3, max_size=3), st.booleans(),
+       st.lists(st.floats(0.0, 1.2), min_size=1, max_size=3))
+def test_exponent_matches_lbfgsb_reference_drawn(channel, raw, uniform, rates):
+    # uniform p, where fc keeps the cr point, or drawn weights, zeros among them
+    ch = make_channel(*channel)
+    w = [1] * ch.q if uniform or not any(raw[:ch.q]) else raw[:ch.q]
+    _assert_exponent_matches_lbfgsb(ch, Distribution(tuple(x / sum(w) for x in w)), rates)
 
 
 @st.composite

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+import reference as ref
 from reference import canonical_tau, eval_H, eval_I, tau_star
+from sepmac import exponent as expm
 from sepmac.core import InvalidParametersError, SizeLimitError
 from sepmac.channels import make_channel, output_ids
 from sepmac.bounds import Distribution, capacity_B_closed_form, entropy_output
@@ -236,3 +238,44 @@ def test_report_holds_split_arrays(name, s, q):
                 assert rep.words.shape == (len(rep.tau), s) and len(rep.ids) == len(rep.tau)
                 assert np.array_equal(rep.ids, output_ids(ch, rep.words.T))
                 assert (rep.tau >= 0).all() and abs(rep.tau.sum() - 1.0) <= 1e-12
+
+
+RATES = (0.0, 0.1, 0.2, 0.3)
+
+
+def _count_minimize(monkeypatch):
+    """The iteration count of each scipy minimize call the exponent makes."""
+    nits, real = [], expm.minimize
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+    monkeypatch.setattr(expm, "minimize", counting)
+    return nits
+
+
+@pytest.mark.parametrize("name,s,q", [("A", 3, 2), ("B", 2, 2), ("eras", 3, 2), ("B", 3, 32)])
+def test_fc_at_uniform_p_skips_lbfgsb(monkeypatch, name, s, q):
+    # the channel is invariant under symbol permutations, so at uniform p the
+    # cr point meets fc's marginals and passes L-BFGS-B's first test
+    nits = _count_minimize(monkeypatch)
+    ch, p = make_channel(name, s, q), Distribution.uniform(q)
+    fc = exponent(ch, p, RATES, "fc")
+    lb = rate_lower_bound_general(ch, p, "fc")
+    assert nits == []
+    assert [rep.value for rep in fc] == [rep.value for rep in exponent(ch, p, RATES, "cr")]
+    assert lb == rate_lower_bound_general(ch, p, "cr")
+
+
+@pytest.mark.parametrize("name,s,q,probs", [("B", 2, 2, (0.3, 0.7)),
+                                            ("A", 3, 3, (0.2, 0.3, 0.5))])
+def test_fc_off_uniform_p_runs_lbfgsb(monkeypatch, name, s, q, probs):
+    # the cr point misses the marginals: L-BFGS-B iterates, and its answer
+    # is the one every fc split got before the first-order test
+    nits = _count_minimize(monkeypatch)
+    ch, p = make_channel(name, s, q), Distribution(probs)
+    got = [rep.value for rep in exponent(ch, p, RATES, "fc")]
+    assert nits and min(nits) > 0
+    monkeypatch.setattr(expm._Split, "maximize", ref.maximize_lbfgsb)
+    assert got == [rep.value for rep in exponent(ch, p, RATES, "fc")]
