@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import InvalidParametersError, SizeLimitError, compositions
-from .channels import ChannelSpec, _state_laws, _weight, output_law
+from .core import Distribution, InvalidParametersError, SizeLimitError, compositions
+from .channels import ChannelSpec, _check_shape, _state_laws, _weight, output_law
+from .construct import k_factor
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
 # work units capacity_entropy_bound may spend: q^3 per step of its one SLSQP polish plus
@@ -27,35 +28,6 @@ LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spe
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability distribution on the alphabet A_q."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        p = self.probs
-        if not all(x >= 0 for x in p):
-            raise InvalidParametersError(f"negative or NaN probability in {p}")
-        total = sum(p)
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise InvalidParametersError(f"probabilities sum to {total}, not 1")
-        elif not abs(total - 1) <= 1e-12:
-            raise InvalidParametersError(f"probabilities sum to {total}, not 1")
-
-    @property
-    def q(self) -> int:
-        return len(self.probs)
-
-    @classmethod
-    def uniform(cls, q: int) -> "Distribution":
-        return cls(tuple(Fraction(1, q) for _ in range(q)))
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.probs)
 
 
 @dataclass(frozen=True)
@@ -183,9 +155,11 @@ def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
 
 def capacity_B_closed_form(s: int, q: int) -> float:
     """Closed-form capacity for the compositional channel: the output-entropy
-    maximum is attained at the uniform input distribution."""
+    maximum is attained at the uniform input distribution. The (s, q) that
+    the B channel's kernel refuses is refused too."""
     if s < 1 or q < 2:
         raise InvalidParametersError(f"need s >= 1, q >= 2, got s={s}, q={q}")
+    _check_shape(q, s)
     total = 0.0
     qs = q ** s
     for comp in compositions(s, q):
@@ -250,15 +224,6 @@ def check_ld_work(rows, qprime_max: int) -> None:
             raise SizeLimitError(f"instance too large: the P_term work for q' up to {qprime_max} "
                                  f"exceeds the guard of {LD_WORK_GUARD} work units at "
                                  f"(s, L, q) = {(s, L, q)}")
-
-
-def k_factor(q: int, qprime: int) -> int:
-    """Length blow-up of the alphabet-reduction construction."""
-    if qprime < q or q < 2:
-        raise InvalidParametersError(f"need q' >= q >= 2, got q={q}, q'={qprime}")
-    if qprime == q:
-        return 1
-    return -(-qprime // (q - 1))  # integer ceiling: q' may be past a float's range
 
 
 def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:

@@ -28,9 +28,9 @@ import sys
 import time
 
 from . import __version__
-from .core import (InvalidParametersError, SizeLimitError, _content, load_code, read_header,
-                   save_code)
-from .channels import _check_shape, load_channel, make_channel
+from .core import (Distribution, InvalidParametersError, SizeLimitError, _content, load_code,
+                   read_header, save_code)
+from .channels import load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
 from . import exponent as expm
@@ -90,12 +90,12 @@ def _channel_from_args(args, s: int, q: int):
     return make_channel(name, s, q)
 
 
-def _distribution_from_args(args) -> bnd.Distribution:
+def _distribution_from_args(args) -> Distribution:
     """--p as a distribution over A_q; uniform when absent."""
     if not args.p:
-        return bnd.Distribution(tuple(1.0 / args.q for _ in range(args.q)))
+        return Distribution(tuple(1.0 / args.q for _ in range(args.q)))
     try:
-        return bnd.Distribution(_values("--p", args.p))
+        return Distribution(_values("--p", args.p))
     except InvalidParametersError as exc:
         raise UsageError(f"--p {args.p}: {exc}") from None
 
@@ -164,10 +164,6 @@ def cmd_bound(args) -> int:
     elif kind == "ld-upper":
         report = bnd.BoundReport(kind, bnd.upper_bound_LD(s, L, q), {"s": s, "L": L, "q": q})
     else:
-        # b-capacity refuses the (s, q) the B channel's kernel refuses; the
-        # bound itself names an s or q out of range
-        if kind == "b-capacity" and s >= 1 and q >= 2:
-            _check_shape(q, s)
         value = {"b-capacity": bnd.capacity_B_closed_form, "comb-upper": bnd.comb_upper_bound,
                  "a-upper": bnd.upper_bound_A}[kind](s, q)
         report = bnd.BoundReport(kind, value, {"s": s, "q": q})

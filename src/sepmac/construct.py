@@ -1,5 +1,6 @@
 """Code generators and constructions: random ensembles, the alphabet-reduction
-construction, and desk-scale maximal-code search."""
+construction and its length factor ``k_factor``, and desk-scale maximal-code
+search. Built on core and channels alone, so it loads without scipy."""
 
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import Distribution, k_factor
-from .core import Code, InvalidParametersError, SizeLimitError, _dtype
-from .channels import ChannelSpec
+from .core import Code, Distribution, InvalidParametersError, SizeLimitError, _dtype
+from .channels import ChannelSpec, output_ids
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,15 @@ def random_code(spec: EnsembleSpec) -> Code:
     return Code(spec.q, symbols)
 
 
+def k_factor(q: int, qprime: int) -> int:
+    """Length blow-up of the alphabet-reduction construction."""
+    if qprime < q or q < 2:
+        raise InvalidParametersError(f"need q' >= q >= 2, got q={q}, q'={qprime}")
+    if qprime == q:
+        return 1
+    return -(-qprime // (q - 1))  # integer ceiling: q' may be past a float's range
+
+
 def check_reduce(q: int, qprime: int, N: int, t: int) -> int:
     """The checks that reducing a q'-ary N x t code to q symbols makes before
     it reads a symbol: 2 <= q < q' and the code guard on the reduced code.
@@ -130,15 +139,6 @@ def _digits(indices, q: int, N: int) -> np.ndarray:
     them: column i is the N base-q digits of i, most significant first, so
     index order is lexicographic. The digits are a new last axis."""
     return np.asarray(indices, dtype=np.intp)[..., None] // q ** np.arange(N - 1, -1, -1) % q
-
-
-def _states(channel: ChannelSpec, subsets: np.ndarray) -> np.ndarray:
-    """The kernel states of subsets of s-1 columns, ``subsets[j]`` being the
-    columns of subset j."""
-    state = np.zeros((len(subsets), subsets.shape[-1]), dtype=np.intp)
-    for k in range(subsets.shape[1]):
-        state = channel.trans[state, subsets[:, k]]
-    return state
 
 
 def _keys(channel: ChannelSpec, states: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -203,15 +203,15 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         raise SizeLimitError(
             f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
     n_cand = q ** N
-    # the (s-1)-subsets of the empty code: the empty subset at s = 1, else none
-    subsets = [()] if s == 1 else []
 
     if mode == "greedy":
         order = list(range(n_cand))
         random.Random(seed).shuffle(order)
         chosen: list[int] = []
         seen: set = set()
-        states = np.zeros((len(subsets), N), dtype=np.intp)  # of the subsets
+        # the kernel states of the (s-1)-subsets of the code: at first the
+        # empty subset's at s = 1, else none
+        states = np.zeros((int(s == 1), N), dtype=np.intp)
         lo = 0
         while lo < n_cand:
             # every subset's keys over the next block of the order, of at
@@ -227,7 +227,8 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 chosen.append(idx)
                 seen.update(new)
                 if joins:
-                    states = np.concatenate([states, _states(channel, _digits(joins, q, N))])
+                    states = np.concatenate(
+                        [states, output_ids(channel, _digits(joins, q, N).swapaxes(0, 1))])
                     break  # gather the rest of the block anew
             lo += i + 1
         code = Code(q, _digits(sorted(chosen), q, N))
@@ -247,7 +248,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     def row(subset: tuple, lo: int) -> list:
         """The keys of ``subset`` joined to each candidate of the block that
         starts at ``lo``."""
-        return _keys(channel, _states(channel, _digits([subset], q, N)), block(lo))[:, 0].tolist()
+        return _keys(channel, output_ids(channel, _digits(subset, q, N)), block(lo))[:, 0].tolist()
 
     # the path to the open node: its code and its messages' output keys,
     # grown on a push and cut back on a pop
@@ -255,12 +256,12 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     seen: set = set()
     best: list[int] = []
 
-    def survivors(subsets: list, lo: int) -> list:
+    def survivors(lo: int) -> list:
         """(i, keys) for each candidate i of the block at ``lo`` whose
-        messages with the path's code, one per subset, have output keys
-        ``keys`` that miss ``seen`` and differ from each other."""
-        news = zip(*[row(sub, lo) for sub in subsets]) if subsets else \
-            itertools.repeat((), min(step, n_cand - lo))
+        messages with the path's code, one per (s-1)-subset of it, have
+        output keys ``keys`` that miss ``seen`` and differ from each other."""
+        rows = [row(sub, lo) for sub in itertools.combinations(chosen, s - 1)]
+        news = zip(*rows) if rows else itertools.repeat((), min(step, n_cand - lo))
         # no descendant can take a candidate past the cut: the bound grows by
         # one a level, and a descendant is at most one level deeper for each
         # survivor kept before it (a cut at the node's own bound is too tight)
@@ -308,14 +309,13 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                     kept.append(entry)
         return kept
 
-    # one entry per open node: its (s-1)-subsets, the keys it added to
-    # ``seen``, the block it is in, its survivors there and how many of
-    # them it has tried
-    stack = [[subsets, (), 0, survivors(subsets, 0), 0]]
+    # one entry per open node: the keys it added to ``seen``, the block it
+    # is in, its survivors there and how many of them it has tried
+    stack = [[(), 0, survivors(0), 0]]
     nodes = 1
     while True:
         node = stack[-1]
-        subsets, _, lo, kept, tried = node
+        _, lo, kept, tried = node
         # bound: from stop on, even taking every remaining candidate cannot beat best
         stop = n_cand - len(best) + len(chosen)
         if tried < len(kept):
@@ -323,7 +323,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         else:
             lo += step
             if lo < stop:
-                node[2:] = lo, survivors(subsets, lo), 0
+                node[1:] = lo, survivors(lo), 0
                 continue
             idx = stop
         if idx >= stop:  # the node is done
@@ -331,9 +331,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 break
             stack.pop()
             chosen.pop()
-            seen.difference_update(node[1])
+            seen.difference_update(node[0])
             continue
-        node[4] = tried + 1
+        node[3] = tried + 1
         nodes += 1
         if nodes > NODE_GUARD:
             raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
@@ -343,7 +343,6 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         seen.update(new)  # exact to cut back: distinct, and disjoint from ``seen``
         if len(chosen) > len(best):
             best = chosen.copy()
-        stack.append([subsets + joins, new, lo,
-                      narrow(itertools.islice(kept, tried + 1, None), joins, lo), 0])
+        stack.append([new, lo, narrow(itertools.islice(kept, tried + 1, None), joins, lo), 0])
     code = Code(q, _digits(best, q, N))
     return SearchResult(len(best), code, nodes, "exhaustive")

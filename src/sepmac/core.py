@@ -1,5 +1,6 @@
-"""Codes and the code file format, the compositions that index a channel's
-table, the grouping of equal keys, and the toolkit's error types.
+"""Codes and the code file format, input laws on the alphabet, the
+compositions that index a channel's table, the grouping of equal keys, and
+the toolkit's error types.
 
 A code is one read-only (t, N) symbol array; codeword indices are 1-based
 in every external interface.
@@ -8,6 +9,8 @@ in every external interface.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -69,6 +72,35 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(q={self.q}, symbols={self.symbols!r})"
+
+
+@dataclass(frozen=True)
+class Distribution:
+    """A probability distribution on the alphabet A_q."""
+
+    probs: tuple
+
+    def __post_init__(self):
+        p = self.probs
+        if not all(x >= 0 for x in p):
+            raise InvalidParametersError(f"negative or NaN probability in {p}")
+        total = sum(p)
+        if isinstance(total, Fraction):
+            if total != 1:
+                raise InvalidParametersError(f"probabilities sum to {total}, not 1")
+        elif not abs(total - 1) <= 1e-12:
+            raise InvalidParametersError(f"probabilities sum to {total}, not 1")
+
+    @property
+    def q(self) -> int:
+        return len(self.probs)
+
+    @classmethod
+    def uniform(cls, q: int) -> "Distribution":
+        return cls(tuple(Fraction(1, q) for _ in range(q)))
+
+    def as_floats(self) -> tuple[float, ...]:
+        return tuple(float(x) for x in self.probs)
 
 
 def compositions(s: int, q: int) -> Iterator[tuple[int, ...]]:

@@ -19,6 +19,9 @@ marginals, as at uniform p on a channel invariant under symbol
 permutations, it is fc's answer too, the x that L-BFGS-B would return
 after 0 iterations. The dimension is q^s: WORD_GUARD caps the s * q^s
 cells of the word table.
+
+The input law p is a ``core.Distribution``. This module and ``bounds``, the
+two optimisers, are the only ones that import scipy.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .core import InvalidParametersError, SizeLimitError, runs
+from .core import Distribution, InvalidParametersError, SizeLimitError, runs
 from .channels import ChannelSpec, output_ids
-from .bounds import Distribution
 
 WORD_GUARD = 2 ** 17  # word-table cells s * q^s an exponent may build
 # A report is converged when the primal value at tau* is this close to the

@@ -123,10 +123,20 @@ def test_entropy_bound_memory_at_its_guard(name, s, q):
 def test_b_capacity_closed_form():
     assert abs(capacity_B_closed_form(1, 5) - math.log(5)) < 1e-14
     assert abs(capacity_B_closed_form(2, 2) - 0.75 * LN2) < 1e-14
-    # tends to ln q from below as q grows
+    # tends to ln q from below as q grows (s=3 q=64 is past the kernel guard)
+    r16 = capacity_B_closed_form(3, 16) / math.log(16)
     r32 = capacity_B_closed_form(3, 32) / math.log(32)
-    r64 = capacity_B_closed_form(3, 64) / math.log(64)
-    assert r32 < r64 < 1
+    assert r16 < r32 < 1
+
+
+def test_b_capacity_refuses_what_the_kernel_refuses():
+    # B s=2 q=128 has 1,073,280 kernel cells, past KERNEL_GUARD, and q=127 is
+    # the largest B s=2 inside it; q = 10^6 would walk about 5 * 10^11
+    # compositions were it not refused
+    for s, q in ((2, 128), (3, 64), (2, 10 ** 6)):
+        with pytest.raises(SizeLimitError, match="kernel cells exceed guard"):
+            capacity_B_closed_form(s, q)
+    assert capacity_B_closed_form(2, 127) == 4.500342422086725
 
 
 def test_b_capacity_matches_uniform_entropy():

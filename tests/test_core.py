@@ -1,4 +1,9 @@
+import ast
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
+import sepmac
 from reference import Message, column_multiset, enumerate_messages, type_of
 from sepmac.core import (
     Code,
@@ -297,3 +303,32 @@ def test_repeated_matches_unique_counts(share):
     keys[twins] = keys[rng.integers(0, 100, twins.sum())]
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     assert np.array_equal(repeated(keys), np.flatnonzero(counts[inverse] > 1))
+
+
+# --- package layers ------------------------------------------------------------
+# core -> channels -> {verify, construct} -> {bounds, exponent} -> cli: a
+# module imports only from layers below its own
+LAYERS = {"core": 0, "channels": 1, "verify": 2, "construct": 2, "bounds": 3, "exponent": 3,
+          "cli": 4}
+
+
+def test_imports_follow_the_layer_order():
+    src = pathlib.Path(sepmac.__file__).parent
+    assert sorted(LAYERS) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    for name, rank in LAYERS.items():
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                for target in targets:
+                    assert LAYERS.get(target, -1) < rank, f"{name} imports {target}"
+
+
+def test_library_layers_import_no_scipy():
+    # only the optimisers, bounds and exponent, need scipy; the layers below
+    # them load without it, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sepmac.__file__).parents[1]))
+    script = ("import sys, sepmac.core, sepmac.channels, sepmac.verify, sepmac.construct; "
+              "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
