@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidParametersError, SizeLimitError, _content
+from .core import InvalidParametersError, SizeLimitError, _content, _header
 
 KERNEL_GUARD = 2 ** 20  # a channel's compositions of weight <= s, C(q+s, s), times q
 _UNPRINTABLE = 10 ** 4300
@@ -168,15 +168,7 @@ class ChannelFileError(ValueError):
 
 def parse_channel(text: str) -> ChannelSpec:
     lines = list(_content([text]))
-    if not lines:
-        raise ChannelFileError("empty channel file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ChannelFileError(f"header must be 'q s |Z|', got {lines[0]!r}")
-    try:
-        q, s, zsize = (int(x) for x in header)
-    except ValueError as exc:
-        raise ChannelFileError(f"non-integer header {lines[0]!r}") from exc
+    q, s, zsize = _header(lines, "q s |Z|", ChannelFileError, "channel")
     table: dict[tuple[int, ...], str] = {}
     for ln in lines[1:]:
         parts = ln.split()

@@ -6,8 +6,9 @@ or value, an unreadable or malformed file, a decode symbol outside the
 alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
 gen, reduce, bounds and exponent). `main` parses, starts the clock, runs the
 command and maps its errors to these codes; commands call the library and
-`_emit` the result. `verify` and `reduce` make the size refusals that a code
-file's header and the options decide before they parse its rows.
+`_emit` the result. `verify` and `reduce` make every refusal that a code
+file's header and the options decide, of size or of usage, before they
+parse its rows.
 
 The parser is built once per process and keeps no state between parses, so
 `main` is safe to call repeatedly in one process: each call prints, and
@@ -102,19 +103,10 @@ def _distribution_from_args(args) -> Distribution:
 
 def _load_checked(path, checks):
     """The code at ``path`` and what ``checks(q, N, t)`` returns. The checks
-    run on the header before the rows are parsed, so a size refusal they
-    make comes at once; any other error they raise waits until the rows
-    have parsed, so that a malformed row is still reported first."""
-    try:
-        result, deferred = checks(*read_header(path)), None
-    except SizeLimitError:
-        raise
-    except (UsageError, ValueError, OSError) as exc:
-        result, deferred = None, exc
-    code = load_code(path)
-    if deferred is not None:
-        raise deferred
-    return code, result
+    run on the header before the rows are parsed, so any refusal they make
+    comes at once, before a malformed row is found."""
+    result = checks(*read_header(path))
+    return load_code(path), result
 
 
 # --- subcommands -------------------------------------------------------------

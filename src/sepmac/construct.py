@@ -173,14 +173,16 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     Each open node holds its surviving candidates in its current block of
     candidates: those whose messages with its code have output keys that
     miss the path's and differ from each other, each stored with those
-    keys, one per (s-1)-subset of the code. A child narrows its parent's
-    survivors after its column and checks only what changed: a survivor's
-    stored keys must miss the ones the push added, and its keys with the
-    child's new subsets must miss the path's and differ from each other and
-    from its stored keys (at s = 2, one new key a survivor). A node moving
-    to the next block checks that block's candidates in full. A list ends
-    where the bound rules a candidate out for every descendant. One
-    subset's keys over one block are one numpy gather of at most
+    keys, one per (s-1)-subset of the code. One routine builds every list.
+    A child narrows its parent's survivors after its column and checks only
+    what changed: a survivor's stored keys must miss the ones the push
+    added, and its keys with the child's new subsets must miss the path's
+    and differ from each other and from its stored keys (at s = 2, one new
+    key a survivor). A node entering a block, the root its first, narrows
+    the block's candidates, with no keys stored, by every (s-1)-subset of
+    the code. A list ends where the bound rules a candidate out for every
+    descendant. The record is copied once, at the deepest node of its
+    path. One subset's keys over one block are one numpy gather of at most
     GATHER_CELLS cells, read through a per-search ``lru_cache`` that keeps
     at most MEMO_CELLS cells; each block's candidate columns are built once
     and kept for the last few blocks; a child reads only its new subsets'
@@ -256,30 +258,17 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     seen: set = set()
     best: list[int] = []
 
-    def survivors(lo: int) -> list:
-        """(i, keys) for each candidate i of the block at ``lo`` whose
-        messages with the path's code, one per (s-1)-subset of it, have
-        output keys ``keys`` that miss ``seen`` and differ from each other."""
-        rows = [row(sub, lo) for sub in itertools.combinations(chosen, s - 1)]
-        news = zip(*rows) if rows else itertools.repeat((), min(step, n_cand - lo))
+    def narrow(rest, joins: list, lo: int) -> list:
+        """The open node's survivors in the block at ``lo``: the entries
+        (i, keys) of ``rest`` whose stored keys miss ``seen`` and whose keys
+        with the subsets ``joins`` miss ``seen`` and differ from each other
+        and from the stored keys. A push narrows its parent's survivors after
+        its column by its new subsets; entering a block narrows the block's
+        candidates, with no keys stored, by every (s-1)-subset of the code."""
+        rows = [row(sub, lo) for sub in joins]
         # no descendant can take a candidate past the cut: the bound grows by
         # one a level, and a descendant is at most one level deeper for each
         # survivor kept before it (a cut at the node's own bound is too tight)
-        cut = n_cand - len(best) + len(chosen)
-        kept = []
-        for i, new in enumerate(news, lo):
-            if i >= cut + len(kept):
-                break
-            if seen.isdisjoint(new) and len(set(new)) == len(new):
-                kept.append((i, new))
-        return kept
-
-    def narrow(rest, joins: list, lo: int) -> list:
-        """The survivors of the node just pushed, from ``rest``, those of its
-        parent after its column: the ones whose keys miss the keys the push
-        added to ``seen`` and whose keys with the new subsets ``joins`` miss
-        ``seen`` and differ from each other and from their other keys."""
-        rows = [row(sub, lo) for sub in joins]
         cut = n_cand - len(best) + len(chosen)
         kept = []
         # a survivor's stored keys missed ``seen`` before the push, so
@@ -310,23 +299,31 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         return kept
 
     # one entry per open node: the keys it added to ``seen``, the block it
-    # is in, its survivors there and how many of them it has tried
-    stack = [[(), 0, survivors(0), 0]]
+    # is in, its survivors there and how many of them it has tried; the root
+    # starts before the first block, so its first move enters it
+    stack = [[(), -step, [], 0]]
     nodes = 1
     while True:
         node = stack[-1]
         _, lo, kept, tried = node
-        # bound: from stop on, even taking every remaining candidate cannot beat best
+        # bound: from stop on, even taking every remaining candidate cannot
+        # beat best; a path deeper than best puts stop past n_cand
         stop = n_cand - len(best) + len(chosen)
         if tried < len(kept):
             idx, new = kept[tried]
         else:
             lo += step
-            if lo < stop:
-                node[1:] = lo, survivors(lo), 0
+            if lo < n_cand and lo < stop:
+                fresh = ((i, ()) for i in range(lo, min(lo + step, n_cand)))
+                node[1:] = lo, narrow(fresh, list(itertools.combinations(chosen, s - 1)), lo), 0
                 continue
             idx = stop
         if idx >= stop:  # the node is done
+            # the first node done on a path deeper than best is the path's
+            # deepest: copying the record here, not on each push past it,
+            # copies it once
+            if len(chosen) > len(best):
+                best = chosen.copy()
             if not chosen:
                 break
             stack.pop()
@@ -341,8 +338,6 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         joins = _joins(chosen, idx, s)
         chosen.append(idx)
         seen.update(new)  # exact to cut back: distinct, and disjoint from ``seen``
-        if len(chosen) > len(best):
-            best = chosen.copy()
         stack.append([new, lo, narrow(itertools.islice(kept, tried + 1, None), joins, lo), 0])
     code = Code(q, _digits(best, q, N))
     return SearchResult(len(best), code, nodes, "exhaustive")

@@ -158,16 +158,19 @@ def _content(texts) -> Iterator[str]:
     return (ln for ln in lines if ln and not ln.startswith("#"))
 
 
-def _header(lines: list[str]) -> tuple[int, int, int]:
+def _header(lines: list[str], form: str = "q N t", error: type = CodeFileError,
+            kind: str = "code") -> tuple[int, int, int]:
+    """The three integers of a ``kind`` file's header, the first of its
+    content ``lines``, named by ``form``; a fault raises ``error``."""
     if not lines:
-        raise CodeFileError("empty code file")
+        raise error(f"empty {kind} file")
     header = lines[0].split()
     if len(header) != 3:
-        raise CodeFileError(f"header must be 'q N t', got {lines[0]!r}")
+        raise error(f"header must be '{form}', got {lines[0]!r}")
     try:
         q, n, t = (int(x) for x in header)
     except ValueError as exc:
-        raise CodeFileError(f"non-integer header {lines[0]!r}") from exc
+        raise error(f"non-integer header {lines[0]!r}") from exc
     return q, n, t
 
 

@@ -178,6 +178,18 @@ def test_parse_channel_strict(bad):
         parse_channel(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("# no header\n", "empty channel file"),
+    ("2 3\n", "header must be 'q s |Z|', got '2 3'"),
+    ("2 3 x\n", "non-integer header '2 3 x'"),
+])
+def test_parse_channel_header_messages(bad, message):
+    # the channel header's faults, named as the code header's are
+    with pytest.raises(ChannelFileError) as exc:
+        parse_channel(bad)
+    assert str(exc.value) == message
+
+
 def test_channels_built_without_compositions(monkeypatch):
     # the kernel is the one walk over the compositions
     cases = [("A", 3, 4), ("B", 2, 3), ("eras", 3, 3), ("thr:2", 3, 2), ("disj", 2, 2)]

@@ -72,6 +72,14 @@ def test_verify_channel_free_rejects_channel(capsys, code_file):
         "verify", "--code", code_file(SEP_CODE), "--s", "2",
         "--channel", "B", "--frameproof"])
     assert rc == 2
+    # the header's checks refuse before the rows are read, so the option
+    # fault is named, not the malformed row
+    rc, out, err = run_err(capsys, [
+        "verify", "--code", code_file("2 1 4\n1 x 0 1\n"), "--s", "2",
+        "--channel", "B", "--frameproof"])
+    assert rc == 2 and out == ""
+    assert "--frameproof is channel-free; drop --channel" in err
+    assert "non-integer symbol" not in err
 
 
 def test_verify_requires_one_property(capsys, code_file):
