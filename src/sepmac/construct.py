@@ -119,6 +119,9 @@ def reduce_alphabet(code: Code, q: int) -> Code:
 
 EXHAUSTIVE_GUARD = 2 ** 20
 NODE_GUARD = 2 ** 21  # branch-and-bound nodes an exhaustive search may visit
+# key cells a greedy search may gather: about 20 s at the 10^8 cells/s of a
+# 2-CPU Xeon, so B s=2 q=2 N=17 (1.4·10^9 cells, 14 s) runs and N = 20 is refused
+GREEDY_GUARD = 2 ** 31
 GATHER_CELLS = 2 ** 12  # kernel cells one block of a subset's output keys may hold
 MEMO_CELLS = 2 ** 21  # kernel cells of key blocks one exhaustive search keeps
 
@@ -194,7 +197,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
     time, and the rest of the block anew once a candidate adds subsets; no
-    block is read twice, so it keeps no memo.
+    block is read twice, so it keeps no memo. A greedy search that would
+    gather more than GREEDY_GUARD key cells raises SizeLimitError before
+    that gather.
     """
     s, q = channel.s, channel.q
     if mode not in ("exhaustive", "greedy"):
@@ -214,11 +219,15 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         # the kernel states of the (s-1)-subsets of the code: at first the
         # empty subset's at s = 1, else none
         states = np.zeros((int(s == 1), N), dtype=np.intp)
-        lo = 0
+        lo = gathered = 0
         while lo < n_cand:
             # every subset's keys over the next block of the order, of at
             # most GATHER_CELLS cells, in one gather
             block = order[lo:lo + max(1, GATHER_CELLS // (max(1, len(states)) * N))]
+            gathered += len(block) * len(states) * N
+            if gathered > GREEDY_GUARD:
+                raise SizeLimitError(f"greedy search too large: more than {GREEDY_GUARD} key cells "
+                                     f"gathered (q^N = {n_cand}, s = {s})")
             keys = _keys(channel, states, _digits(block, q, N))
             for i, idx in enumerate(block):
                 new = keys[i].tolist()

@@ -12,13 +12,21 @@ P~(w) = P(w) exp(-sum_k mu[k, w_k]),
 
 is the closed-form minimum over tau of H + lam I_m + <mu, input marginals>.
 The cr ensemble has mu = 0 (Gallager's E0); fc keeps mu as multipliers on
-the fixed input marginals. fc starts L-BFGS-B from the cr point (lam*, 0)
-only when that point fails the solver's own first test, the projected
-gradient's max-norm against its gtol; where the cr point already meets the
-marginals, as at uniform p on a channel invariant under symbol
-permutations, it is fc's answer too, the x that L-BFGS-B would return
-after 0 iterations. The dimension is q^s: WORD_GUARD caps the s * q^s
-cells of the word table.
+the fixed input marginals.
+
+The s splits of one word table are stacked in blocks of at most WORD_GUARD
+cells, each block's rows sorted once, and one ``solve`` gives every split
+of a block its E0, tau, H, I_m and marginals by segment sums. Neither
+endpoint of lam depends on R, so a sweep solves each block at lam = 1 once
+and keeps lam* = 1 wherever the slope I_m - mR of the concave dual is still
+positive there; it solves lam = 0 once, and only if some split at some rate
+needs it, and finds lam* by a root find on the split's rows where the slope
+changes sign. fc starts L-BFGS-B from the cr point (lam*, 0) only when that
+point fails the solver's own first test, the projected gradient's max-norm
+against its gtol; where the cr point already meets the marginals, as at
+uniform p on a channel invariant under symbol permutations, it is fc's
+answer too, the x that L-BFGS-B would return after 0 iterations. The
+dimension is q^s: WORD_GUARD caps the s * q^s cells of the word table.
 
 The input law p is a ``core.Distribution``. This module and ``bounds``, the
 two optimisers, are the only ones that import scipy.
@@ -26,6 +34,7 @@ two optimisers, are the only ones that import scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -36,7 +45,9 @@ from scipy.optimize import brentq, minimize
 from .core import Distribution, InvalidParametersError, SizeLimitError, runs
 from .channels import ChannelSpec, output_ids
 
-WORD_GUARD = 2 ** 17  # word-table cells s * q^s an exponent may build
+# word-table cells s * q^s an exponent may build, and stacked cells s * q^s * splits a
+# block may hold
+WORD_GUARD = 2 ** 17
 # A report is converged when the primal value at tau* is this close to the
 # dual value and, under fc, tau* meets the input marginals this closely.
 CERTIFICATE_TOL = 1e-7
@@ -47,8 +58,8 @@ _GTOL = 1e-11  # fc's L-BFGS-B stops where the projected gradient's max-norm is 
 class ExponentReport:
     """`value` is the dual value, a lower bound on the exponent; `primal` is
     H + [I_m - mR]^+ at tau*, the weight `tau[i]` of word `words[i]` with
-    output id `ids[i]` (the solved split's arrays, not copies), and `gap` =
-    primal - value."""
+    output id `ids[i]` (views of the solved block's arrays, not copies), and
+    `gap` = primal - value."""
 
     value: float
     ensemble: str
@@ -95,9 +106,23 @@ def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
     return ensemble
 
 
+class _Table(NamedTuple):
+    """One word table: the input law, the words of positive product
+    probability in lexicographic order, their output ids, the running sums
+    of their symbols' log probabilities (``cum_lp[:, m - 1]`` is log P of a
+    word's first m symbols) and the number of output labels."""
+
+    pf: np.ndarray
+    words: np.ndarray
+    ids: np.ndarray
+    cum_lp: np.ndarray
+    labels: int
+
+
 class _Point(NamedTuple):
-    """E0 at one (lam, mu), the tau attaining it, H(tau), I_m(tau) and the
-    per-coordinate input marginals of tau, flattened like mu."""
+    """One split's E0 at one (lam, mu), the tau attaining it, H(tau),
+    I_m(tau) and the per-coordinate input marginals of tau, flattened like
+    mu."""
 
     e0: float
     tau: np.ndarray
@@ -106,130 +131,201 @@ class _Point(NamedTuple):
     marg: np.ndarray
 
 
-class _Split:
-    """The words of one word table, each split at coordinate m into head h
-    and tail u, sorted by their group (u, f(w)) so that each group is one
-    run from its index in ``starts``; ``ids`` are the output ids f(w).
-    mu[k * q + a] is the multiplier of symbol a at coordinate k, and
-    ``cols`` holds each word's multiplier indices k * q + w_k."""
+class _Block:
+    """The splits ``ms`` of one word table, stacked: split j holds every
+    word, split at coordinate ms[j] into head h and tail u, in rows
+    j * n to (j + 1) * n. One sort orders the rows by (split, u, f(w)), so
+    each group (u, f(w)) is one run from its index in ``starts`` and no group
+    crosses a split. mu[j, k * q + a] is split j's multiplier of symbol a at
+    coordinate k, and ``cols`` holds each row's indices j * s * q + k * q + w_k
+    into the flattened mu."""
 
-    def __init__(self, channel: ChannelSpec, pf: np.ndarray, words: np.ndarray,
-                 ids: np.ndarray, log_p: np.ndarray, m: int):
-        s, q = channel.s, channel.q
-        self.m, self.p_flat = m, np.tile(pf, s)
-        order, new = runs((words[:, m:] @ q ** np.arange(s - m - 1, -1, -1))
-                          * len(channel.outputs) + ids)
-        self.words, self.ids, log_p = words[order], ids[order], log_p[order]
+    def __init__(self, table: _Table, ms: Sequence[int]):
+        pf, words, ids, cum_lp, labels = table
+        (n, s), q, k = words.shape, len(pf), len(ms)
+        self.table, self.ms, self.n = table, tuple(ms), n
+        self.parts: dict[int, _Block] = {}  # split j alone, for its root find and L-BFGS-B
+        self.p_flat = np.concatenate([pf] * s)
+        # the base-q number of each word's tail w[m:], first symbol most
+        # significant, is its whole number's remainder modulo q^(s - m)
+        m = np.array(ms)
+        tails = (words @ q ** np.arange(s - 1, -1, -1))[:, None] % q ** (s - m)
+        order, new = runs(((np.arange(k) * q ** s + tails) * labels + ids[:, None]).T.ravel())
+        row = order % n  # the word of each row: split j's keys sort among themselves
+        self.words, self.ids = words[row], ids[row]
         self.starts, self.group = np.flatnonzero(new), np.cumsum(new) - 1
-        self.lp, self.lp_h = log_p.sum(axis=1), log_p[:, :m].sum(axis=1)
-        self.cols = np.arange(s) * q + self.words
-        # mu is defined up to a shift per coordinate, so the last supported
-        # symbol's multiplier is pinned to 0; zero-probability symbols get none
-        support = np.flatnonzero(pf > 0)[:-1]
-        self.free = (np.arange(s)[:, None] * q + support).ravel()
+        self.split = order // n  # each row's split
+        self.gsplit = self.split[self.starts]  # each group's split
+        # each split's first group, and the end of the last
+        self.first = np.searchsorted(self.gsplit, np.arange(k + 1))
+        self.lp, self.lp_h = cum_lp[row, -1], cum_lp[row, m[self.split] - 1]
+        self.tail = (self.lp - self.lp_h)[self.starts]
+        self.cols = (self.split * s * q)[:, None] + np.arange(s) * q + self.words
 
-    def solve(self, lam: float, mu: np.ndarray) -> _Point:
-        m, cols, starts, group = self.m, self.cols, self.starts, self.group
-        a = self.lp_h - mu[cols[:, :m]].sum(axis=1) / (1 + lam)
+    @functools.cached_property
+    def free(self) -> np.ndarray:
+        """The indices of fc's free multipliers. mu is defined up to a shift
+        per coordinate, so the last supported symbol's multiplier is pinned to
+        0; zero-probability symbols get none."""
+        pf = self.table.pf
+        support = np.flatnonzero(pf > 0)[:-1]
+        return (np.arange(self.words.shape[1])[:, None] * len(pf) + support).ravel()
+
+    def solve(self, lam: np.ndarray, mu: np.ndarray | None = None) -> list[_Point]:
+        """Every split's point at its (lam[j], mu[j]); no ``mu`` is mu = 0.
+        A split's point depends on its own rows alone: it is the same, bit
+        for bit, solved in any block."""
+        starts, group, split, k = self.starts, self.group, self.split, len(self.ms)
+        a, tail, lam1 = self.lp_h, self.tail, 1 + lam
+        if mu is not None:  # each split's head and tail multipliers, summed on its own rows
+            mu, head, tail = mu.ravel(), np.empty_like(a), tail.copy()
+            for j, m in enumerate(self.ms):
+                rows, g = self.rows(j), starts[self.first[j]:self.first[j + 1]]
+                head[rows] = mu[self.cols[rows, :m]].sum(axis=1)
+                tail[self.first[j]:self.first[j + 1]] -= mu[self.cols[g, m:]].sum(axis=1)
+            a = a - head / lam1[split]
         peak = np.maximum.reduceat(a, starts)
         log_S = peak + np.log(np.add.reduceat(np.exp(a - peak[group]), starts))
-        tail = (self.lp - self.lp_h)[starts] - mu[cols[starts, m:]].sum(axis=1)
-        b = tail + (1 + lam) * log_S
-        e0 = -(b.max() + math.log(np.exp(b - b.max()).sum()))
+        b = tail + lam1[self.gsplit] * log_S
+        top = np.maximum.reduceat(b, self.first[:-1])
+        e0 = -(top + np.log(np.add.reduceat(np.exp(b - top[self.gsplit]), self.first[:-1])))
         log_pi = a - log_S[group]
-        log_tau = b[group] + e0 + log_pi
+        log_tau = b[group] + e0[split] + log_pi
         tau = np.exp(log_tau)
-        marg = np.bincount(cols.ravel(), np.repeat(tau, cols.shape[1]), len(mu))
-        return _Point(e0, tau, float(tau @ (log_tau - self.lp)),
-                      float(tau @ (log_pi - self.lp_h)), marg)
+        ends = np.arange(k) * self.n
+        H = np.add.reduceat(tau * (log_tau - self.lp), ends)
+        I = np.add.reduceat(tau * (log_pi - self.lp_h), ends)
+        sq = len(self.p_flat)
+        marg = np.bincount(self.cols.ravel(), np.repeat(tau, self.cols.shape[1]), k * sq)
+        return [_Point(*pt) for pt in zip(e0.tolist(), tau.reshape(k, self.n), H.tolist(),
+                                          I.tolist(), marg.reshape(k, sq))]
 
-    def _grad(self, pt: _Point, R: float) -> np.ndarray:
-        """The dual's gradient in (lam, free mu) at a solved point:
-        (I_m - mR, marginals - p)."""
-        return np.concatenate(([pt.I - self.m * R], (pt.marg - self.p_flat)[self.free]))
+    def rows(self, j: int) -> slice:
+        return slice(j * self.n, (j + 1) * self.n)
 
-    def _stops_at_start(self, R: float, lam: float, pt: _Point) -> bool:
+    def _alone(self, j: int) -> _Block:
+        """Split j in a block of its own, built once."""
+        if len(self.ms) == 1:
+            return self
+        if j not in self.parts:
+            self.parts[j] = _Block(self.table, self.ms[j:j + 1])
+        return self.parts[j]
+
+    def _grad(self, m: int, pt: _Point, R: float) -> np.ndarray:
+        """The dual's gradient in (lam, free mu) at a solved point of split
+        m: (I_m - mR, marginals - p)."""
+        return np.concatenate(([pt.I - m * R], (pt.marg - self.p_flat)[self.free]))
+
+    def _stops_at_start(self, m: int, R: float, lam: float, pt: _Point) -> bool:
         """Whether L-BFGS-B on -dual, started at (lam, mu = 0) where `pt` was
         solved, stops there after 0 iterations: its first test projects the
         gradient onto the box lam in [0, 1], mu free, and compares its
         max-norm with gtol. A non-finite value is left to the solver."""
-        g = -self._grad(pt, R)
+        g = -self._grad(m, pt, R)
         if not (math.isfinite(pt.e0) and np.isfinite(g).all()):
             return False
         g[0] = max(lam - 1.0, g[0]) if g[0] < 0 else min(lam, g[0])
         return float(np.max(np.abs(g))) <= _GTOL
 
-    def maximize(self, R: float, ensemble: str) -> tuple[float, _Point]:
+    def maximize(self, rates: Sequence[float], ensemble: str) -> list[list[tuple[float, _Point]]]:
         """E_m(R), the maximum of the dual, with the point solved at its
-        (lam, mu). The dual is concave in lam with slope I_m(tau) - mR at the
-        tau attaining E0, so at mu = 0 (cr) lam is a root find; fc then
-        solves over (lam, mu) from there, unless that cr point already
+        (lam, mu), for each split m of the block (the outer list) at each
+        rate. The dual is concave in lam with slope I_m(tau) - mR at the tau
+        attaining E0, so at mu = 0 (cr) lam* is 1 where the slope at 1 is
+        positive, 0 where the slope at 0 is not, and otherwise a root find on
+        the split's rows; both endpoints are solved once for every rate. fc
+        then solves over (lam, mu) from there, unless that cr point already
         passes L-BFGS-B's first test."""
-        mu = np.zeros_like(self.p_flat)
+        k = len(self.ms)
+        top, low = self.solve(np.ones(k)), None
+        out = []
+        for j, m in enumerate(self.ms):
+            col = []
+            for R in rates:
+                lam, pt = 1.0, top[j]
+                if not pt.I - m * R > 0:
+                    if low is None:
+                        low = self.solve(np.zeros(k))
+                    if not low[j].I - m * R > 0:
+                        lam, pt = 0.0, low[j]
+                    elif pt.I - m * R < 0:
+                        one = self._alone(j)
+                        lam = brentq(lambda x: one.solve(np.full(1, x))[0].I - m * R,
+                                     0.0, 1.0, xtol=1e-15)
+                        pt = one.solve(np.full(1, lam))[0]
+                shift = 0.0  # <mu, p>
+                if ensemble == "fc" and not self._stops_at_start(m, R, lam, pt):
+                    lam, pt, shift = self._lbfgsb(j, R, lam)
+                col.append((pt.e0 - shift - lam * m * R, pt))
+            out.append(col)
+        return out
 
-        def dual(pt, lam):
-            return pt.e0 - float(mu @ self.p_flat) - lam * self.m * R
+    def _lbfgsb(self, j: int, R: float, lam: float) -> tuple[float, _Point, float]:
+        """fc's lam*, point and <mu*, p> on split j from (lam, mu = 0), by
+        L-BFGS-B over (lam, free mu) on the split's rows."""
+        one, m, free = self._alone(j), self.ms[j], self.free
+        mu = np.zeros((1, len(self.p_flat)))
 
-        def slope(lam):
-            return self.solve(lam, mu).I - self.m * R
+        def neg_dual(x):
+            mu[0, free] = x[1:]
+            pt = one.solve(x[:1], mu)[0]
+            return -(pt.e0 - float(mu[0] @ self.p_flat) - x[0] * m * R), -self._grad(m, pt, R)
 
-        lam, pt = 0.0, self.solve(0.0, mu)
-        if pt.I - self.m * R > 0:
-            lam, pt = 1.0, self.solve(1.0, mu)
-            if pt.I - self.m * R < 0:
-                lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
-                pt = self.solve(lam, mu)
-        if ensemble == "fc" and not self._stops_at_start(R, lam, pt):
-            def neg_dual(x):
-                mu[self.free] = x[1:]
-                pt = self.solve(x[0], mu)
-                return -dual(pt, x[0]), -self._grad(pt, R)
-
-            res = minimize(neg_dual, np.r_[lam, np.zeros(len(self.free))], jac=True,
-                           method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(self.free),
-                           options={"maxiter": 500, "ftol": 0.0, "gtol": _GTOL})
-            lam = float(res.x[0])
-            mu[self.free] = res.x[1:]
-            pt = self.solve(lam, mu)
-        return dual(pt, lam), pt
+        res = minimize(neg_dual, np.r_[lam, np.zeros(len(free))], jac=True,
+                       method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(free),
+                       options={"maxiter": 500, "ftol": 0.0, "gtol": _GTOL})
+        mu[0, free] = res.x[1:]
+        return float(res.x[0]), one.solve(res.x[:1], mu)[0], float(mu[0] @ self.p_flat)
 
 
-def _splits(channel: ChannelSpec, p: Distribution) -> Iterator[_Split]:
-    """The s splits, one at a time, of one word table: the words of positive
-    product probability in lexicographic order, their output ids and log P."""
+def _table(channel: ChannelSpec, p: Distribution) -> _Table:
     pf = np.array(p.as_floats())
     support = np.flatnonzero(pf > 0)
     words = support[np.indices((len(support),) * channel.s).reshape(channel.s, -1).T]
-    ids, log_p = output_ids(channel, words.T), np.log(pf[words])  # no kept word has a zero symbol
-    return (_Split(channel, pf, words, ids, log_p, m) for m in range(1, channel.s + 1))
+    # no kept word has a zero symbol
+    return _Table(pf, words, output_ids(channel, words.T), np.cumsum(np.log(pf[words]), axis=1),
+                  len(channel.outputs))
+
+
+def _blocks(channel: ChannelSpec, p: Distribution) -> Iterator[_Block]:
+    """The s splits of one word table, m in order, stacked in blocks of at
+    most WORD_GUARD cells (a split's cells are its words' s symbols), one
+    block at a time."""
+    table = _table(channel, p)
+    s = channel.s
+    per = max(1, WORD_GUARD // table.words.size)
+    return (_Block(table, tuple(range(m, min(m + per, s + 1)))) for m in range(1, s + 1, per))
 
 
 def exponent(channel: ChannelSpec, p: Distribution, rates: Sequence[float],
              ensemble: str = "cr") -> Sweep:
     """Random-coding error exponent at each of ``rates``: min over m of the
     minimum over tau of H + [I_m - mR]^+, evaluated as min over m of the
-    dual E_m(R). No split depends on R, so each is built once and solved
-    at every rate; only each rate's best split so far is kept."""
+    dual E_m(R). No split depends on R, so each block is built once and
+    solved for every rate; only each rate's best split so far is kept."""
     ensemble = _check_args(channel, p, ensemble)
+    rates = list(rates)
     for R in rates:
         if not (math.isfinite(R) and R >= 0):
             raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")
-    best = [None] * len(rates)  # (E_m(R), its point, split) of the least E_m(R) so far
-    for split in _splits(channel, p):
-        for i, R in enumerate(rates):
-            value, pt = split.maximize(R, ensemble)
-            if best[i] is None or value < best[i][0]:
-                best[i] = value, pt, split
+    best = [None] * len(rates)  # (E_m(R), its point, block, split) of the least E_m(R) so far
+    for block in _blocks(channel, p):
+        for j, col in enumerate(block.maximize(rates, ensemble)):
+            for i, (value, pt) in enumerate(col):
+                if best[i] is None or value < best[i][0]:
+                    best[i] = value, pt, block, j
     return Sweep(_report(R, ensemble, *b) for R, b in zip(rates, best))
 
 
-def _report(R: float, ensemble: str, value: float, pt: _Point, split: _Split) -> ExponentReport:
+def _report(R: float, ensemble: str, value: float, pt: _Point, block: _Block,
+            j: int) -> ExponentReport:
     value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
-    primal = pt.H + max(pt.I - split.m * R, 0.0)
-    residual = float(np.max(np.abs(pt.marg - split.p_flat))) if ensemble == "fc" else 0.0
+    m, rows = block.ms[j], block.rows(j)
+    primal = pt.H + max(pt.I - m * R, 0.0)
+    residual = float(np.max(np.abs(pt.marg - block.p_flat))) if ensemble == "fc" else 0.0
     gap = primal - value
-    return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=split.m,
-                          words=split.words, ids=split.ids, tau=pt.tau,
+    return ExponentReport(value=value, ensemble=ensemble, R=R, m_star=m,
+                          words=block.words[rows], ids=block.ids[rows], tau=pt.tau,
                           converged=abs(gap) <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL,
                           primal=primal, gap=gap)
 
@@ -240,5 +336,6 @@ def rate_lower_bound_general(channel: ChannelSpec, p: Distribution,
     min over m of min_tau (H + I_m) / (s + m - 1), the inner minimum being
     E_m(0); the dual's slope in lam is I_m >= 0 there, so lam* = 1."""
     ensemble = _check_args(channel, p, ensemble)
-    return min(max(0.0, split.maximize(0.0, ensemble)[0]) / (channel.s + split.m - 1)
-               for split in _splits(channel, p))
+    return min(max(0.0, col[0][0]) / (channel.s + m - 1)
+               for block in _blocks(channel, p)
+               for m, col in zip(block.ms, block.maximize([0.0], ensemble)))

@@ -22,8 +22,9 @@ a joint distribution tau, a map (word, output label) -> weight, which
 ``tau_star`` reads off an exponent report's arrays. ``DenseSplit``
 is the exponent's closed-form E0 solver on a one-hot (words x s*q) matrix
 and a boolean (groups x words) membership matrix, in word order, and
-``maximize_lbfgsb`` the exponent's dual maximiser that runs L-BFGS-B at
-every fc split, even where the cr point is already stationary.
+``maximize_lbfgsb`` the exponent's dual maximiser split by split: each
+split alone solves both ends of lam at every rate and runs L-BFGS-B at
+every fc point, even where the cr point is already stationary.
 ``column`` and ``type_of`` read one codeword and the type of one word,
 and ``error_fraction`` counts the messages whose output word collides.
 ``parse_code`` reads a code file into tuples of Python ints, cell by cell,
@@ -746,35 +747,45 @@ class DenseSplit:
                 float(tau @ (log_pi - self.lp_h)), tau @ self.X)
 
 
-def maximize_lbfgsb(split, R: float, ensemble: str):
-    """E_m(R) and its solved point from an exponent ``_Split``, as a method of
-    it: lam by root find at mu = 0, then, under fc, L-BFGS-B over (lam, mu)
-    from that point, always."""
-    mu = np.zeros_like(split.p_flat)
+def maximize_lbfgsb(block, rates, ensemble: str):
+    """E_m(R) and its solved point for each split of an exponent ``_Block``
+    at each rate, as a method of it (a list per split of one (value, point)
+    per rate): each split alone, at each rate, solves lam = 0 and lam = 1
+    and root-finds lam at mu = 0 on its own rows, then, under fc, runs
+    L-BFGS-B over (lam, mu) from that point, always."""
+    out = []
+    for m in block.ms:
+        one = type(block)(block.table, (m,))
+        col = []
+        for R in rates:
+            mu = np.zeros((1, len(one.p_flat)))
 
-    def dual(pt, lam):
-        return pt.e0 - float(mu @ split.p_flat) - lam * split.m * R
+            def dual(pt, lam):
+                return pt.e0 - float(mu[0] @ one.p_flat) - lam * m * R
 
-    def slope(lam):
-        return split.solve(lam, mu).I - split.m * R
+            def solve(lam):
+                return one.solve(np.full(1, lam), mu)[0]
 
-    lam, pt = 0.0, split.solve(0.0, mu)
-    if pt.I - split.m * R > 0:
-        lam, pt = 1.0, split.solve(1.0, mu)
-        if pt.I - split.m * R < 0:
-            lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
-            pt = split.solve(lam, mu)
-    if ensemble == "fc":
-        def neg_dual(x):
-            mu[split.free] = x[1:]
-            pt = split.solve(x[0], mu)
-            grad = np.concatenate(([pt.I - split.m * R], (pt.marg - split.p_flat)[split.free]))
-            return -dual(pt, x[0]), -grad
+            lam, pt = 0.0, solve(0.0)
+            if pt.I - m * R > 0:
+                lam, pt = 1.0, solve(1.0)
+                if pt.I - m * R < 0:
+                    lam = brentq(lambda x: solve(x).I - m * R, 0.0, 1.0, xtol=1e-15)
+                    pt = solve(lam)
+            if ensemble == "fc":
+                def neg_dual(x):
+                    mu[0, one.free] = x[1:]
+                    pt = one.solve(x[:1], mu)[0]
+                    grad = np.concatenate(([pt.I - m * R], (pt.marg - one.p_flat)[one.free]))
+                    return -dual(pt, x[0]), -grad
 
-        res = minimize(neg_dual, np.r_[lam, np.zeros(len(split.free))], jac=True,
-                       method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(split.free),
-                       options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
-        lam = float(res.x[0])
-        mu[split.free] = res.x[1:]
-        pt = split.solve(lam, mu)
-    return dual(pt, lam), pt
+                res = minimize(neg_dual, np.r_[lam, np.zeros(len(one.free))], jac=True,
+                               method="L-BFGS-B",
+                               bounds=[(0.0, 1.0)] + [(None, None)] * len(one.free),
+                               options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
+                lam = float(res.x[0])
+                mu[0, one.free] = res.x[1:]
+                pt = one.solve(res.x[:1], mu)[0]
+            col.append((dual(pt, lam), pt))
+        out.append(col)
+    return out

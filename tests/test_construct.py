@@ -243,6 +243,21 @@ def test_search_deeper_than_the_recursion_limit():
     assert res.code == Code(2, list(itertools.product(range(2), repeat=10)))
 
 
+def test_greedy_key_cell_budget(monkeypatch):
+    # greedy disj s=2 N=4 (seed 1) gathers exactly 448 key cells
+    monkeypatch.setattr(cst, "GREEDY_GUARD", 448)
+    assert max_code_search(DISJ2, 4, "greedy", 1).t_star == 4
+    monkeypatch.setattr(cst, "GREEDY_GUARD", 447)
+    with pytest.raises(SizeLimitError, match="447 key cells"):
+        max_code_search(DISJ2, 4, "greedy", 1)
+
+
+def test_greedy_guard_admits_the_benchmark_search():
+    # the benchmark's greedy B s=2 q=3 N=5 gathers 149,865 key cells at seed 0
+    res = max_code_search(make_channel("B", 2, 3), 5, "greedy", 0)
+    assert (res.t_star, res.nodes) == (34, 243)
+
+
 def test_node_budget(monkeypatch):
     # disj s=2 N=4 visits exactly 331 nodes
     monkeypatch.setattr(cst, "NODE_GUARD", 331)

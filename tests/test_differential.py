@@ -5,8 +5,10 @@ several block sizes) and the greedy search, the integer P_term, the
 entropy bound (all starts climbed as one batch, the best end polished by
 exact-gradient SLSQP) and the exponent's E0 solver on index arrays against the pure-Python reference, the
 finite-difference multi-start SLSQP and the dense E0 solver in
-``reference.py``; the exponent reports, bit for bit, against the dual
-maximiser there that runs L-BFGS-B at every fc split; the entropy gradient
+``reference.py``; a split's E0 solved alone, bit for bit, against the same
+split stacked in a block; the exponent reports, bit for bit, against the
+dual maximiser there that solves each split alone and runs L-BFGS-B at
+every fc point; the entropy gradient
 against central differences, and the batched state laws, values and
 gradients against one row at a time."""
 
@@ -26,7 +28,7 @@ from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_
 from sepmac.channels import ChannelSpec, _state_laws, make_channel, output_ids
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
-from sepmac.exponent import _Split, _splits, exponent, rate_lower_bound_general
+from sepmac.exponent import _Block, _table, exponent, rate_lower_bound_general
 from sepmac.verify import (
     factor_decode,
     is_at_most_s_separable,
@@ -207,33 +209,76 @@ def test_entropy_output_matches_reference(case):
     assert abs(entropy_output(ch, p) - ref.entropy_output(ch, p)) <= 1e-12
 
 
+def _drawn_law(data, q):
+    w = data.draw(st.lists(st.integers(0, 5), min_size=q, max_size=q).filter(any))
+    return Distribution(tuple(x / sum(w) for x in w))
+
+
+def _drawn_lam_mu(data, k, sq):
+    """A lam in [0, 1] and a free mu for each of k splits."""
+    lam = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    mu = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=k * sq, max_size=k * sq))
+    return lam, np.array(mu).reshape(k, sq)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(2, 3), st.data())
 def test_split_matches_dense_reference(kind, s, q, data):
-    # every m, p often with zero entries, lam in [0, 1] and mu free
+    # every m of a block of all s splits, p often with zero entries, and
+    # each split its own lam in [0, 1] and free mu
     q = 2 if kind in ("thr", "disj") else q
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     ch = _channel(kind, s, q, rng)
-    w = data.draw(st.lists(st.integers(0, 5), min_size=q, max_size=q).filter(any))
-    p = Distribution(tuple(x / sum(w) for x in w))
-    m = data.draw(st.integers(1, s))
-    lam = data.draw(st.floats(0.0, 1.0))
-    mu = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=s * q, max_size=s * q)))
-    split = list(_splits(ch, p))[m - 1]
-    got = split.solve(lam, mu)
-    e0, tau, H, I, marg = ref.DenseSplit(ch, p, m).solve(lam, mu)
-    for x, y in ((got.e0, e0), (got.H, H), (got.I, I)):
-        assert abs(x - y) <= 1e-12
-    assert np.max(np.abs(got.marg - marg)) <= 1e-12
-    got_tau = dict(zip(map(tuple, split.words.tolist()), got.tau.tolist()))
-    assert got_tau.keys() == tau.keys()
-    assert max(abs(got_tau[w] - t) for w, t in tau.items()) <= 1e-12
+    p = _drawn_law(data, q)
+    lam, mu = _drawn_lam_mu(data, s, s * q)
+    block = _Block(_table(ch, p), range(1, s + 1))
+    for j, got in enumerate(block.solve(lam, mu)):
+        e0, tau, H, I, marg = ref.DenseSplit(ch, p, block.ms[j]).solve(lam[j], mu[j])
+        for x, y in ((got.e0, e0), (got.H, H), (got.I, I)):
+            assert abs(x - y) <= 1e-12
+        assert np.max(np.abs(got.marg - marg)) <= 1e-12
+        got_tau = dict(zip(map(tuple, block.words[block.rows(j)].tolist()), got.tau.tolist()))
+        assert got_tau.keys() == tau.keys()
+        assert max(abs(got_tau[w] - t) for w, t in tau.items()) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(2, 4), st.integers(2, 3), st.booleans(), st.data())
+def test_split_alone_matches_block(kind, s, q, zero_mu, data):
+    # a split's point is the same, bit for bit, solved in a block of its own
+    # or stacked with other splits, and no mu is the same as mu = 0
+    q = 2 if kind in ("thr", "disj") else q
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    ch = _channel(kind, s, q, rng)
+    table = _table(ch, _drawn_law(data, q))
+    lo = data.draw(st.integers(1, s - 1))
+    block = _Block(table, range(lo, data.draw(st.integers(lo + 1, s)) + 1))
+    k = len(block.ms)
+    lam, mu = _drawn_lam_mu(data, k, s * q)
+    if zero_mu:
+        stacked = block.solve(lam)
+        _assert_points_equal(stacked, block.solve(lam, np.zeros_like(mu)))
+    else:
+        stacked = block.solve(lam, mu)
+    for j, m in enumerate(block.ms):
+        one = _Block(table, (m,))
+        assert np.array_equal(one.words, block.words[block.rows(j)])
+        assert np.array_equal(one.ids, block.ids[block.rows(j)])
+        _assert_points_equal(one.solve(lam[j:j + 1], None if zero_mu else mu[j:j + 1]),
+                             stacked[j:j + 1])
+
+
+def _assert_points_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        # repr tells every float apart, -0.0 from 0.0 too
+        assert [repr(g.e0), repr(g.H), repr(g.I)] == [repr(w.e0), repr(w.H), repr(w.I)]
+        assert np.array_equal(g.tau, w.tau) and np.array_equal(g.marg, w.marg)
 
 
 def _assert_exponent_matches_lbfgsb(ch, p, rates):
     for ensemble in ("cr", "fc"):
         got = exponent(ch, p, rates, ensemble), rate_lower_bound_general(ch, p, ensemble)
-        with mock.patch.object(_Split, "maximize", ref.maximize_lbfgsb):
+        with mock.patch.object(_Block, "maximize", ref.maximize_lbfgsb):
             want = exponent(ch, p, rates, ensemble), rate_lower_bound_general(ch, p, ensemble)
         fields = ("value", "primal", "gap", "m_star", "converged")
         for g, w in zip(got[0], want[0]):

@@ -136,6 +136,20 @@ def test_split_peak_memory():
     assert peak <= 16 * 2 ** 20, peak
 
 
+def test_stacked_splits_peak_memory():
+    # 8,192 words of 13 symbols: a block of all 13 splits would hold 106,496
+    # rows (26.8 MB traced); one split a block keeps the peak near 10 MB
+    ch, p = make_channel("disj", 13, 2), Distribution.uniform(2)
+    tracemalloc.start()
+    try:
+        reps = exponent(ch, p, [0.0, 0.05, 0.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps[0].value > 0
+    assert peak <= 16 * 2 ** 20, peak
+
+
 def test_rate_lower_bound_below_capacity():
     lb = rate_lower_bound_general(B22, UNIF2)
     cap = capacity_B_closed_form(2, 2)
@@ -277,5 +291,64 @@ def test_fc_off_uniform_p_runs_lbfgsb(monkeypatch, name, s, q, probs):
     ch, p = make_channel(name, s, q), Distribution(probs)
     got = [rep.value for rep in exponent(ch, p, RATES, "fc")]
     assert nits and min(nits) > 0
-    monkeypatch.setattr(expm._Split, "maximize", ref.maximize_lbfgsb)
+    monkeypatch.setattr(expm._Block, "maximize", ref.maximize_lbfgsb)
     assert got == [rep.value for rep in exponent(ch, p, RATES, "fc")]
+
+
+RATES7 = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+
+
+def _count_solves(monkeypatch):
+    """(the block's splits, their lams) of each solve the exponent makes."""
+    calls, real = [], expm._Block.solve
+
+    def counting(self, lam, mu=None):
+        calls.append((self.ms, tuple(np.asarray(lam).tolist())))
+        return real(self, lam, mu)
+    monkeypatch.setattr(expm._Block, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ensemble", ["cr", "fc"])
+def test_one_rate_is_one_stacked_solve(monkeypatch, ensemble):
+    # both splits of B s=2 q=2 land at lam* = 1, where one solve finds them
+    calls = _count_solves(monkeypatch)
+    exponent(B22, UNIF2, [0.1], ensemble)
+    assert calls == [((1, 2), (1.0, 1.0))]
+
+
+@pytest.mark.parametrize("name,s,q", [("A", 3, 2), ("B", 8, 3), ("disj", 3, 2)])
+def test_sweep_solves_each_endpoint_once_per_block(monkeypatch, name, s, q):
+    # whatever lam* each rate needs, a block's lam = 1 and lam = 0 solves are
+    # made once for the whole sweep; only root finds solve one split alone
+    ch, p = make_channel(name, s, q), Distribution.uniform(q)
+    blocks = [block.ms for block in expm._blocks(ch, p)]
+    assert min(map(len, blocks)) > 1
+    calls = _count_solves(monkeypatch)
+    exponent(ch, p, RATES7)
+    for ms in blocks:
+        lams = [lam for b, lam in calls if b == ms]
+        assert lams in ([(1.0,) * len(ms)], [(1.0,) * len(ms), (0.0,) * len(ms)])
+    assert all(len(ms) == 1 for ms, _ in calls if ms not in blocks)
+    if name == "A":  # lam* = 0 at the highest rates, and a root find below them
+        assert len(calls) > 2 and calls[1] == ((1, 2, 3), (0.0,) * 3)
+
+
+def test_root_find_solves_as_the_reference(monkeypatch):
+    # A s=3 q=2 from R = 0.15 to 0.3, where every rate root-finds on some
+    # split: each split whose slope changes sign in lam makes brentq's
+    # solves, both ends among them, and one at the root on its own rows (8
+    # to 11 here), as the split-by-split reference does after its own
+    # lam = 0 and lam = 1 solves
+    ch = make_channel("A", 3, 2)
+    calls = _count_solves(monkeypatch)
+    for R in (0.15, 0.2, 0.25, 0.3):
+        calls.clear()
+        exponent(ch, UNIF2, [R])
+        got = {ms[0]: sum(1 for c in calls if c[0] == ms) for ms, _ in calls if len(ms) == 1}
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(expm._Block, "maximize", ref.maximize_lbfgsb)
+            exponent(ch, UNIF2, [R])
+        want = {ms[0]: sum(1 for c in calls if c[0] == ms) for ms, _ in calls}
+        assert got and got == {m: n - 2 for m, n in want.items() if n > 2}
