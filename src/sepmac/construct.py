@@ -164,10 +164,11 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     length N over the channel's alphabet, s being the channel's user count.
 
     Candidate column i is the N base-q digits of i, so index order is
-    lexicographic; no table of the q^N columns is built. A candidate's new
-    messages join it to each (s-1)-subset of the code, so its new output
-    rows are that subset's keys (one bytes object per output row) at the
-    candidate.
+    lexicographic; no table of the q^N columns is built, nor q^N itself
+    past EXHAUSTIVE_GUARD, where both modes raise SizeLimitError. A
+    candidate's new messages join it to each (s-1)-subset of the code, so
+    its new output rows are that subset's keys (one bytes object per output
+    row) at the candidate.
 
     Exhaustive mode runs a branch-and-bound over the candidates in index
     order; the returned witness is the lexicographically smallest maximum
@@ -180,19 +181,21 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     A child narrows its parent's survivors after its column and checks only
     what changed: a survivor's stored keys must miss the ones the push
     added, and its keys with the child's new subsets must miss the path's
-    and differ from each other and from its stored keys (at s = 2, one new
-    key a survivor). A node entering a block, the root its first, narrows
-    the block's candidates, with no keys stored, by every (s-1)-subset of
-    the code. A list ends where the bound rules a candidate out for every
-    descendant. The record is copied once, at the deepest node of its
-    path. One subset's keys over one block are one numpy gather of at most
-    GATHER_CELLS cells, read through a per-search ``lru_cache`` that keeps
-    at most MEMO_CELLS cells; each block's candidate columns are built once
-    and kept for the last few blocks; a child reads only its new subsets'
-    keys. A child's list is built in full when it is pushed, so where every
-    candidate survives (s = 1) or the bound ends most nodes early, the lists
-    cost more than the nodes' tries. A tree of more than NODE_GUARD nodes
-    raises SizeLimitError, after the search has started.
+    and differ from each other and from its stored keys. At s = 2 a push
+    passes its column as its one new subset, and a survivor gains one key
+    from that subset's row. A node entering a block, the root its first,
+    narrows the block's candidates, with no keys stored, by every
+    (s-1)-subset of the code. A list ends at a cut that its caller passes
+    from its bound and each survivor kept raises by one: no descendant can
+    take a candidate past it. The record is copied once, at the deepest
+    node of its path. One subset's keys over one block are one numpy gather
+    of at most GATHER_CELLS cells, read through a per-search ``lru_cache``
+    that keeps at most MEMO_CELLS cells; each block's candidate columns are
+    built once and kept for the last few blocks. A child's list is built in
+    full when it is pushed, so where every candidate survives (s = 1) or
+    the bound ends most nodes early, the lists cost more than the nodes'
+    tries. A tree of more than NODE_GUARD nodes raises SizeLimitError,
+    after the search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
@@ -206,10 +209,10 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         raise InvalidParametersError(f"unknown search mode {mode!r}")
     if N < 1:
         raise InvalidParametersError(f"code length N must be >= 1, got N={N}")
-    if q ** N > EXHAUSTIVE_GUARD:
-        raise SizeLimitError(
-            f"instance too large: q^N = {q ** N} exceeds guard {EXHAUSTIVE_GUARD}")
-    n_cand = q ** N
+    # q >= 2 puts q^k past the guard at its bit length k, so no q^N past it is built
+    if (n_cand := q ** min(N, EXHAUSTIVE_GUARD.bit_length())) > EXHAUSTIVE_GUARD:
+        raise SizeLimitError(f"instance too large: q^N exceeds guard {EXHAUSTIVE_GUARD} "
+                             f"(q={q}, N={N})")
 
     if mode == "greedy":
         order = list(range(n_cand))
@@ -242,8 +245,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                         [states, output_ids(channel, _digits(joins, q, N).swapaxes(0, 1))])
                     break  # gather the rest of the block anew
             lo += i + 1
-        code = Code(q, _digits(sorted(chosen), q, N))
-        return SearchResult(len(chosen), code, n_cand, "greedy")
+        return SearchResult(len(chosen), Code(q, _digits(sorted(chosen), q, N)), n_cand, "greedy")
 
     step = max(1, GATHER_CELLS // N)  # candidates per block
     memo_blocks = max(1, MEMO_CELLS // (min(step, n_cand) * N))
@@ -267,44 +269,43 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     seen: set = set()
     best: list[int] = []
 
-    def narrow(rest, joins: list, lo: int) -> list:
+    def narrow(rest, joins: list, lo: int, cut: int) -> list:
         """The open node's survivors in the block at ``lo``: the entries
-        (i, keys) of ``rest`` whose stored keys miss ``seen`` and whose keys
-        with the subsets ``joins`` miss ``seen`` and differ from each other
-        and from the stored keys. A push narrows its parent's survivors after
-        its column by its new subsets; entering a block narrows the block's
-        candidates, with no keys stored, by every (s-1)-subset of the code."""
-        rows = [row(sub, lo) for sub in joins]
-        # no descendant can take a candidate past the cut: the bound grows by
-        # one a level, and a descendant is at most one level deeper for each
-        # survivor kept before it (a cut at the node's own bound is too tight)
-        cut = n_cand - len(best) + len(chosen)
+        (i, keys) of ``rest`` before ``cut`` whose stored keys miss ``seen``
+        and whose keys with the subsets ``joins`` miss ``seen`` and differ
+        from each other and from the stored keys. A push passes its parent's
+        survivors after its column and its new subsets; a block entry, the
+        block's candidates with no keys and every (s-1)-subset of the code."""
         kept = []
-        # a survivor's stored keys missed ``seen`` before the push, so
-        # ``seen.isdisjoint(keys)`` tests them against the push's keys
-        # one new message a survivor, at s = 2 always: skipping the general
-        # loop's tuple and set cuts the search benchmark's time by a fifth
-        if len(rows) == 1:
-            r, = rows
+        # a descendant is at most one level deeper for each survivor kept
+        # before its candidate, and the bound grows by one a level, so each
+        # survivor kept raises the cut by one; a survivor's stored keys
+        # missed ``seen`` before the push, so ``seen.isdisjoint(keys)``
+        # tests them against the push's keys
+        if len(joins) == 1:  # one new message a survivor, every push at s = 2
+            r = row(joins[0], lo)
             for i, keys in rest:
-                if i >= cut + len(kept):
+                if i >= cut:
                     break
                 new = r[i - lo]
                 if new not in seen and new not in keys and seen.isdisjoint(keys):
                     kept.append((i, keys + (new,)))
-        else:
-            for entry in rest:
-                i, keys = entry
-                if i >= cut + len(kept):
-                    break
-                if seen.isdisjoint(keys):
-                    if rows:
-                        more = tuple([r[i - lo] for r in rows])
-                        if not (seen.isdisjoint(more) and len(fresh := set(more)) == len(more)
-                                and fresh.isdisjoint(keys)):
-                            continue
-                        entry = i, keys + more
-                    kept.append(entry)
+                    cut += 1
+            return kept
+        rows = [row(sub, lo) for sub in joins]
+        for entry in rest:
+            i, keys = entry
+            if i >= cut:
+                break
+            if seen.isdisjoint(keys):
+                if rows:
+                    more = tuple([r[i - lo] for r in rows])
+                    if not (seen.isdisjoint(more) and len(fresh := set(more)) == len(more)
+                            and fresh.isdisjoint(keys)):
+                        continue
+                    entry = i, keys + more
+                kept.append(entry)
+                cut += 1
         return kept
 
     # one entry per open node: the keys it added to ``seen``, the block it
@@ -324,13 +325,12 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             lo += step
             if lo < n_cand and lo < stop:
                 fresh = ((i, ()) for i in range(lo, min(lo + step, n_cand)))
-                node[1:] = lo, narrow(fresh, list(itertools.combinations(chosen, s - 1)), lo), 0
+                node[1:] = lo, narrow(fresh, [*itertools.combinations(chosen, s - 1)], lo, stop), 0
                 continue
             idx = stop
         if idx >= stop:  # the node is done
-            # the first node done on a path deeper than best is the path's
-            # deepest: copying the record here, not on each push past it,
-            # copies it once
+            # the first node done on a path deeper than best is its deepest:
+            # the record is copied here, once, not on each push past best
             if len(chosen) > len(best):
                 best = chosen.copy()
             if not chosen:
@@ -344,9 +344,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         if nodes > NODE_GUARD:
             raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
                                  f"(q^N = {n_cand}, s = {s})")
-        joins = _joins(chosen, idx, s)
+        rest = itertools.islice(kept, tried + 1, None)
+        joins = [(idx,)] if s == 2 else _joins(chosen, idx, s)  # at s = 2, the column
         chosen.append(idx)
         seen.update(new)  # exact to cut back: distinct, and disjoint from ``seen``
-        stack.append([new, lo, narrow(itertools.islice(kept, tried + 1, None), joins, lo), 0])
-    code = Code(q, _digits(best, q, N))
-    return SearchResult(len(best), code, nodes, "exhaustive")
+        stack.append([new, lo, narrow(rest, joins, lo, stop + 1), 0])
+    return SearchResult(len(best), Code(q, _digits(best, q, N)), nodes, "exhaustive")

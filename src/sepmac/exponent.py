@@ -51,15 +51,20 @@ WORD_GUARD = 2 ** 17
 # A report is converged when the primal value at tau* is this close to the
 # dual value and, under fc, tau* meets the input marginals this closely.
 CERTIFICATE_TOL = 1e-7
+# m* is the smallest m whose E_m(R) is this close to the least, so splits
+# that tie up to rounding (those at 0 where the exponent is 0) give the same
+# m* under any order of the sums or of the symbols
+M_STAR_TIE = 1e-12
 _GTOL = 1e-11  # fc's L-BFGS-B stops where the projected gradient's max-norm is this small
 
 
 @dataclass(frozen=True, eq=False)
 class ExponentReport:
-    """`value` is the dual value, a lower bound on the exponent; `primal` is
-    H + [I_m - mR]^+ at tau*, the weight `tau[i]` of word `words[i]` with
-    output id `ids[i]` (views of the solved block's arrays, not copies), and
-    `gap` = primal - value."""
+    """`value` is the dual value, a lower bound on the exponent, the least
+    E_m(R) clamped at 0; `m_star` is the smallest m whose E_m(R) is within
+    M_STAR_TIE of the least; `primal` is H + [I_m - mR]^+ at m*'s tau*, the
+    weight `tau[i]` of word `words[i]` with output id `ids[i]` (views of the
+    solved block's arrays, not copies), and `gap` = primal - value."""
 
     value: float
     ensemble: str
@@ -302,23 +307,30 @@ def exponent(channel: ChannelSpec, p: Distribution, rates: Sequence[float],
     """Random-coding error exponent at each of ``rates``: min over m of the
     minimum over tau of H + [I_m - mR]^+, evaluated as min over m of the
     dual E_m(R). No split depends on R, so each block is built once and
-    solved for every rate; only each rate's best split so far is kept."""
+    solved for every rate; only the splits that may yet be a rate's m* are
+    kept."""
     ensemble = _check_args(channel, p, ensemble)
     rates = list(rates)
     for R in rates:
         if not (math.isfinite(R) and R >= 0):
             raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")
-    best = [None] * len(rates)  # (E_m(R), its point, block, split) of the least E_m(R) so far
+    # per rate, the (E_m(R), point, block, split) of each m that lowered the
+    # least E_m(R) so far and is still within M_STAR_TIE of it; an m that
+    # lowers nothing has a smaller m at or below it, so the first entry is m*
+    ties = [[] for _ in rates]
     for block in _blocks(channel, p):
         for j, col in enumerate(block.maximize(rates, ensemble)):
             for i, (value, pt) in enumerate(col):
-                if best[i] is None or value < best[i][0]:
-                    best[i] = value, pt, block, j
-    return Sweep(_report(R, ensemble, *b) for R, b in zip(rates, best))
+                if not ties[i] or value < ties[i][-1][0]:
+                    ties[i] = [t for t in ties[i] if t[0] <= value + M_STAR_TIE]
+                    ties[i].append((value, pt, block, j))
+    return Sweep(_report(R, ensemble, t[-1][0], *t[0][1:]) for R, t in zip(rates, ties))
 
 
 def _report(R: float, ensemble: str, value: float, pt: _Point, block: _Block,
             j: int) -> ExponentReport:
+    """The report of the least E_m(R), ``value``, at m*, split j of the
+    block, solved at ``pt``."""
     value = max(0.0, value)  # 0.0 first: max keeps its first argument on a tie with -0.0
     m, rows = block.ms[j], block.rows(j)
     primal = pt.H + max(pt.I - m * R, 0.0)

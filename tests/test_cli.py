@@ -272,6 +272,20 @@ def test_search_limit_exit_code(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+@pytest.mark.parametrize("N", [10 ** 4, 10 ** 8])
+def test_search_guard_refuses_a_huge_N_at_once(capsys, mode, N):
+    # 3^N past the guard is never built: 3^10000 has 4,772 digits, past the
+    # 4,300 an int may print (that raised ValueError, exit 2), and 3^(10^8)
+    # did not finish within 100 s
+    started = time.perf_counter()
+    rc, out, err = run_err(capsys, ["search", "--channel", "B", "--s", "2", "--q", "3",
+                                    "--N", str(N), "--mode", mode])
+    assert time.perf_counter() - started < 0.5
+    assert rc == 3 and out == ""
+    assert f"q^N exceeds guard {cst.EXHAUSTIVE_GUARD} (q=3, N={N})" in err
+
+
 def test_search_node_budget_exit_code(capsys, monkeypatch):
     # disj s=2 N=5 visits 6,553 nodes: the budget stops it after work started
     monkeypatch.setattr(cst, "NODE_GUARD", 1000)

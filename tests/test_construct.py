@@ -207,6 +207,21 @@ def test_max_code_search_guards():
         max_code_search(DISJ2, 2, mode="fast")
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_max_code_search_guard_builds_no_huge_count(mode):
+    # q^N is built only up to EXHAUSTIVE_GUARD: at N = 10^8 the count alone
+    # would take minutes, and one past 4,300 digits cannot be printed
+    B23 = make_channel("B", 2, 3)
+    for N in (13, 10 ** 4, 10 ** 8):  # 3^12 = 531,441 is inside the guard, 3^13 past it
+        started = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=rf"q\^N exceeds guard 1048576 \(q=3, N={N}\)"):
+            max_code_search(B23, N, mode)
+        assert time.perf_counter() - started < 0.1
+    # 2^21 is the first power of two past the guard
+    with pytest.raises(SizeLimitError, match="N=21"):
+        max_code_search(DISJ2, 21, mode)
+
+
 # (t*, nodes, witness) of exhaustive trees beyond the differential tests'
 # N <= 4 or q^N <= 32, keyed by (channel, s, N) at q = 2: the benchmark's
 # commands (s = 2) and three s = 3 trees
@@ -267,10 +282,11 @@ def test_node_budget(monkeypatch):
         max_code_search(DISJ2, 4)
 
 
-# searches whose candidates span several blocks once GATHER_CELLS is small
+# searches whose candidates span several blocks once GATHER_CELLS is small;
+# B s=2 q=3 N=2 (52 nodes) pushes at s = 2 across block boundaries at q = 3
 GATHER_CASES = [(DISJ2, 4, "exhaustive"), (make_channel("eras", 2, 2), 4, "exhaustive"),
                 (make_channel("B", 3, 2), 3, "exhaustive"), (make_channel("A", 1, 3), 2, "exhaustive"),
-                (make_channel("B", 2, 3), 3, "greedy")]
+                (make_channel("B", 2, 3), 2, "exhaustive"), (make_channel("B", 2, 3), 3, "greedy")]
 
 
 def _searches(cases):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -168,6 +169,48 @@ def test_report_json():
     d = rep.to_dict()
     assert set(d) == {"value", "ensemble", "R", "m_star", "converged"}
     assert d["ensemble"] == "cr"
+
+
+ERAS3 = make_channel("eras", 3, 3)
+
+
+@pytest.mark.parametrize("ensemble", ["cr", "fc"])
+@pytest.mark.parametrize("R, m_star", [(0.25, 3), (0.3, 2), (0.5, 1)])
+def test_m_star_same_under_symbol_permutations(ensemble, R, m_star):
+    # eras is invariant under symbol permutations, so each E_m(R) is too up
+    # to rounding; where splits tie at 0 the least of them moved with the
+    # order of the symbols (m* 1 for (0.4, 0.6, 0) and 2 for (0.6, 0.4, 0) at
+    # R = 0.5) until m* became the smallest m within M_STAR_TIE of the least
+    for probs in itertools.permutations((0.6, 0.4, 0.0)):
+        rep, = exponent(ERAS3, Distribution(probs), [R], ensemble)
+        assert (rep.m_star, rep.value) == (m_star, 0.0), probs
+
+
+def test_m_star_is_the_smallest_tying_split():
+    # at uniform p and R = 0.2, E_1 = 6.0e-4 while E_2 = +2.2e-16 and
+    # E_3 = -2.8e-16 tie at 0: the least is E_3, m* the smaller m = 2
+    rep, = exponent(ERAS3, Distribution.uniform(3), [0.2])
+    assert (rep.m_star, rep.value) == (2, 0.0)
+
+
+@pytest.mark.parametrize("values, m_star", [
+    ((0.0, -0.8e-12, -1.6e-12), 2),  # m = 1 is within the tie of m = 2 but not of the least
+    ((1e-13, 0.0, 5e-13), 1),
+    ((2e-12, 0.0, 0.0), 2),
+    ((0.0, -2e-12, -1.5e-12), 2),
+])
+def test_m_star_tie_rule(monkeypatch, values, m_star):
+    # each split's E_m(R) replaced: m* is the smallest m within M_STAR_TIE of
+    # the least, and the value printed is the least, clamped at 0
+    maximize = expm._Block.maximize
+
+    def shifted(self, rates, ensemble):
+        return [[(values[m - 1], pt) for _, pt in col]
+                for m, col in zip(self.ms, maximize(self, rates, ensemble))]
+
+    monkeypatch.setattr(expm._Block, "maximize", shifted)
+    rep, = exponent(ERAS3, Distribution.uniform(3), [0.5])
+    assert (rep.m_star, rep.value) == (m_star, 0.0)
 
 
 # values of the multi-start polytope solver this dual replaced
