@@ -122,24 +122,11 @@ def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def repeated(keys: np.ndarray) -> np.ndarray:
-    """The positions, in order, of the keys of a non-empty 1-D uint64 array
-    that occur more than once: one sort finds the repeated keys (no order of
-    positions is kept), and a binary search among them tests the keys whose
-    low bits hit theirs in a table of 16 or more slots per repeated key."""
+    """The values of a non-empty 1-D key array that occur more than once,
+    sorted and each once, from one sort of the keys."""
     ordered = np.sort(keys)
     new = np.r_[True, ordered[1:] != ordered[:-1]]
-    repeat = ordered[:-1][new[:-1] & ~new[1:]]  # one key per run of two or more
-    if not repeat.size:
-        return np.empty(0, np.intp)
-    hit = None
-    if 2 * (np.count_nonzero(new[:-1] & new[1:]) + new[-1]) > len(keys):  # most keys are single
-        low = (16 << (len(repeat) - 1).bit_length()) - 1
-        table = np.zeros(low + 1, bool)
-        table[repeat & low] = True
-        hit = np.flatnonzero(table[keys & low])
-        keys = keys[hit]
-    found = np.flatnonzero(repeat[np.searchsorted(repeat[:-1], keys)] == keys)
-    return found if hit is None else hit[found]
+    return ordered[:-1][new[:-1] & ~new[1:]]  # one key per run of two or more
 
 
 # --- code matrix file format -------------------------------------------------

@@ -11,13 +11,14 @@ is one gather from its prefix's state, trans[state, x[b]], and its union
 word one OR with its prefix's union. The sets come in bounded blocks.
 
 The collision verdicts take one path (``_collision``): a message, a prefix
-plus one larger index b, gets one uint64 key, equal rows equal keys, and
-only messages whose keys repeat get their sets and rows, one more step of
-the walk, compared by row within a key, so no verdict depends on the hash.
+plus one larger index b, gets one uint64 key, equal rows equal keys. Only
+candidates for the witness, found from each size's first repeated key, and
+their keys' messages get their sets and rows, one more step of the walk.
 Separability's prefixes have s-1 codewords: a message's output in column i
 is trans[prefix state, x_b[i]], so the output rows of a prefix's messages,
 packed a few columns to an integer below 2^32, are one exact float64
-product with the one-hot codewords (``_times_onehot``). (<= s)-separability's
+product with the one-hot codewords (``_times_onehot``, built once a verdict
+while it fits in _BLOCK_CELLS cells). (<= s)-separability's
 prefixes have 0..s-1 codewords, and a union word's key is one uint64
 product. The cover verdicts and factor decoding count the columns where a
 codeword lies inside a union word as the product of the union's one-hot bit
@@ -27,12 +28,12 @@ set with the codewords.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Code, InvalidParametersError, InvalidSymbolError, SizeLimitError, repeated,
-                   runs)
+from .core import Code, InvalidParametersError, InvalidSymbolError, SizeLimitError, repeated
 from .channels import ChannelSpec
 
 
@@ -151,69 +152,102 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
     size k in ``sizes``, from _walk(t - 1, k, zero, step, cells), plus one
     larger index b, and its row is step(prefix's fold, b); key(folds, c) keys
     a block's messages, c being their cells p * t + b, equal rows equal keys.
-    The messages whose keys repeat are grouped by key, and by row only in a
-    key's run whose rows differ: the witness is the first two sets of the
-    group whose pair is lexicographically smallest, and ``word`` gives their
-    output."""
+    The witness is the first two messages, by size and then in order, of the
+    group of equal rows whose first is least in tuple order, the order of
+    each size's messages: the least candidate (a message whose key repeats,
+    unless the key's first message in a smaller size has its row) that is
+    its group's first and has a second, so no verdict depends on the hash.
+    ``word`` gives the witness's output."""
     keys, levels, done = np.empty(n, np.uint64), [], 0
     for k in sizes:
-        levels.append((done, k, []))
+        lo, held = done, []
         for prefix, folds in _walk(t - 1, k, zero, step, cells):
             # the prefix's messages add a larger index b, in order: cells p * t + b
             c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
             keys[done:done + len(c)], done = key(folds, c), done + len(c)
-            levels[-1][2].append((prefix, folds))
-    found = repeated(keys)
-    keys = keys[found]
-    if not found.size:
+            held.append((prefix, folds))
+        levels.append((lo, done, k, held))
+    if not (repeat := repeated(keys)).size:
         return Verdict(True)
-    # 1-based and padded with 0 at the end, the order of sets is that of tuples
-    sets = np.zeros((len(found), sizes.stop), np.min_scalar_type(t))
-    rows = np.empty((len(found), len(zero)), zero.dtype)
-    block = max(1, _BLOCK_CELLS // (sizes.stop * len(zero)))
-    edges = np.searchsorted(found, [level[0] for level in levels] + [n])
-    for (lo, k, held), i, j in zip(levels, edges, edges[1:]):
-        # message lo + m is child m of the level's prefixes
+    for i, (lo, hi, k, held) in enumerate(levels):
         prefix, folds = (np.concatenate(h) for h in zip(*held))
-        ends, first = _children(prefix, t)
-        for a in range(i, j, block):
-            m = found[a:min(a + block, j)] - lo
-            p = np.searchsorted(ends, m, side="right")
-            b = first[p] + m
-            sets[a:a + len(m), :k], sets[a:a + len(m), k] = prefix[p] + 1, b + 1
-            rows[a:a + len(m)] = step(folds[p], b)
-    # a key's run is one group, in message order, if all its consecutive rows are equal
-    order, new = runs(keys)
-    del keys
-    same = np.zeros(len(order), bool)
-    for a in range(1, len(order), block):
-        r = rows[order[a - 1:a + block]]
-        same[a:a + len(r) - 1] = (eq := r[1:] == r[:-1]).all() or eq.all(axis=1)
-    if (split := ~(new | same)).any():  # a hash collision: its runs go last, grouped by row
-        split = np.isin(run := np.cumsum(new), run[split])
-        rest = order[split]
-        sub, fresh = runs(rows[rest].view(np.dtype((np.void, rows[0].nbytes))).ravel())
-        order, new = np.r_[order[~split], rest[sub]], np.r_[new[~split], fresh]
-    starts = np.flatnonzero(new[:-1] & ~new[1:])  # the runs of two or more equal rows
-    if not starts.size:
-        return Verdict(True)
-    first, second = order[starts], order[starts + 1]
-    g = np.lexsort(np.concatenate([sets[first], sets[second]], axis=1).T[::-1])[0]
-    a, b = first[g], second[g]
-    return Verdict(False, witness=(_as_tuple(sets[a]), _as_tuple(sets[b])),
-                   colliding_output=(word(rows[a]),))
+        # with the keys of lower sizes, sorted, and the first message of each
+        low = np.unique(keys[:lo], return_index=True)
+        levels[i] = lo, hi, k, prefix, folds, low, *_children(prefix, t)
+    block = max(1, _BLOCK_CELLS // (sizes.stop * len(zero)))
+    among = lambda values, k: values[np.searchsorted(values[:-1], k)] == k  # values sorted
+    # the k-subsets of 1..t before the set x in tuple order: those first less at p, and x[:k]
+    rank = lambda x, k: (len(x) > k) + sum(comb(t - a, k - p) - comb(t - v + 1, k - p)
+                                           for p, (a, v) in enumerate(zip((0,) + x, x[:k])))
+
+    def build(m):
+        """The sets (1-based, padded with 0 at the end: in tuple order) and rows of messages m."""
+        sets = np.zeros((len(m), sizes.stop), np.min_scalar_type(t))
+        rows = np.empty((len(m), len(zero)), zero.dtype)
+        for lo, hi, k, prefix, folds, _, ends, first in levels:
+            at = (lo <= m) & (m < hi)
+            r = m[at] - lo  # message lo + r is child r of the level's prefixes
+            p = np.searchsorted(ends, r, side="right")
+            sets[at, :k], sets[at, k] = prefix[p] + 1, first[p] + r + 1
+            rows[at] = step(folds[p], first[p] + r)
+        return sets, rows
+
+    def candidate(i, lo, stop):
+        """Size i's first candidate in lo..stop-1, or stop: one at lo + d in O(d)."""
+        (low, first), size = levels[i][5], 1
+        while lo < stop:
+            m = np.arange(lo, min(lo + size, stop))
+            m = m[among(repeat, keys[m])]
+            if low.size and (hit := among(low, keys[m])).any():
+                j = np.searchsorted(low, keys[m[hit]])
+                hit[hit] = (build(m[hit])[1] == build(first[j])[1]).all(axis=1)
+                m = m[~hit]
+            if m.size:
+                return m[0]
+            lo, size = lo + size, min(2 * size, block)
+        return stop
+
+    heads = [level[0] for level in levels]  # no candidate before heads[i]
+    while True:
+        best = None  # a size is searched only before the least candidate below it
+        for i, (lo, hi, k, *_) in enumerate(levels):
+            stop = hi if best is None else min(hi, lo + rank(_as_tuple(best[1]), k + 1))
+            if (c := candidate(i, heads[i], stop)) < stop:
+                best = i, *(a[0] for a in build(np.array([c])))
+            heads[i] = max(heads[i], c)
+        if best is None:
+            return Verdict(True)
+        i, first, row = best
+        # the first two messages of the candidate's key that have its row
+        same, pair = np.flatnonzero(keys == keys[heads[i]]), []
+        for a in range(0, len(same), block):
+            sets, rows = build(m := same[a:a + block])
+            pair += [(m[j], sets[j]) for j in np.flatnonzero((rows == row).all(axis=1))[:2]]
+            if len(pair) > 1:
+                break
+        if pair[0][0] == heads[i] and len(pair) > 1:
+            return Verdict(False, witness=(_as_tuple(first), _as_tuple(pair[1][1])),
+                           colliding_output=(word(row),))
+        heads[i] += 1
 
 
-def _times_onehot(left: np.ndarray, code: Code, lo: int, hi: int) -> np.ndarray:
-    """The (M, t) product of ``left``, (M, (hi - lo) * q), with the codewords'
-    one-hot symbols in columns lo..hi-1, in left's dtype: cell
-    (b, (i - lo) * q + a) of the one-hot matrix is 1 where x_b[i] = a. It is
-    built for a block of codewords at a time, each block within _BLOCK_CELLS."""
-    rows = max(1, _BLOCK_CELLS // left.shape[1])
-    symbols = np.arange(code.q, dtype=code.symbols.dtype)
-    parts = [left @ (x[:, :, None] == symbols).reshape(len(x), -1).T.astype(left.dtype)
-             for x in (code.symbols[b:b + rows, lo:hi] for b in range(0, code.t, rows))]
-    return parts[0] if len(parts) == 1 else np.hstack(parts)
+def _times_onehot(code: Code, dtype):
+    """times(left, lo, hi): the (M, t) product of ``left``, (M, (hi - lo) * q)
+    in ``dtype``, with the codewords' one-hot symbols in columns lo..hi-1, cell
+    (b, (i - lo) * q + a) being 1 where x_b[i] = a. The one-hot matrix is built
+    once if it fits in _BLOCK_CELLS cells, else for every product, in blocks
+    of codewords within _BLOCK_CELLS."""
+    symbols, q = np.arange(code.q, dtype=code.symbols.dtype), code.q
+    onehot = lambda x: (x[:, :, None] == symbols).reshape(len(x), -1).T.astype(dtype)
+    if code.t * code.N * q <= _BLOCK_CELLS:
+        whole = onehot(code.symbols)
+        return lambda left, lo, hi: left @ whole[lo * q:hi * q]
+
+    def times(left, lo, hi):
+        rows = max(1, _BLOCK_CELLS // left.shape[1])
+        parts = [left @ onehot(code.symbols[b:b + rows, lo:hi]) for b in range(0, code.t, rows)]
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
+    return times
 
 
 _HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, so rows that differ in one slice get distinct keys
@@ -238,6 +272,7 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     per = 32 // bits
     shift = (2.0 ** (bits * np.arange(per)))[:, None]
     slices = [(lo, min(lo + per, N)) for lo in range(0, N, per)]
+    times = _times_onehot(code, values.dtype)
 
     def key(states, cells):
         # a block's products take at most _BLOCK_CELLS multiply-adds each
@@ -246,8 +281,8 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
             key *= _HASH
             packed = np.take(values, states[:, lo:hi], axis=0)
             packed *= shift[:hi - lo]
-            key += _times_onehot(packed.reshape(len(states), -1), code, lo, hi).ravel().take(
-                cells).astype(np.uint64)
+            key += times(packed.reshape(len(states), -1), lo, hi).ravel().take(cells).astype(
+                np.uint64)
         return key
     return _collision(t, n, range(s - 1, s), np.zeros(N, trans.dtype), step, key, t * per * q,
                       lambda row: tuple(channel.outputs[z] for z in row.tolist()))
@@ -265,12 +300,12 @@ def _masks(code: Code) -> np.ndarray:
     return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols]
 
 
-def _covers(code: Code, unions: np.ndarray) -> np.ndarray:
+def _covers(code: Code, unions: np.ndarray, times) -> np.ndarray:
     """(M, t) flags: codeword j lies inside union word m (M rows of N q-bit
     masks) on every column. Over a slice of columns, the count of columns
     where it does is the product of the unions' one-hot bit sets with the
-    one-hot codewords, exact in float32; slices keep the bit sets within
-    _BLOCK_CELLS."""
+    one-hot codewords, exact in float32, by ``times`` (_times_onehot); slices
+    keep the bit sets within _BLOCK_CELLS."""
     w = max(1, _BLOCK_CELLS // (len(unions) * code.q))
     # the masks' bytes, least significant first, unpack to bits 0, 1, ...
     masks = unions.astype(unions.dtype.newbyteorder("<"), copy=False)
@@ -279,7 +314,7 @@ def _covers(code: Code, unions: np.ndarray) -> np.ndarray:
         hi = min(lo + w, code.N)
         member = np.unpackbits(masks[:, lo:hi].view(np.uint8).reshape(len(masks), hi - lo, -1),
                                axis=2, count=code.q, bitorder="little")
-        count = _times_onehot(member.reshape(len(masks), -1).astype(np.float32), code, lo, hi)
+        count = times(member.reshape(len(masks), -1).astype(np.float32), lo, hi)
         covered = covered & (count == hi - lo)
     return covered
 
@@ -306,8 +341,9 @@ def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
     """Fails at the lexicographically first s-tuple whose union covers more
     than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
     codewords into the witness's second entry."""
+    times = _times_onehot(code, np.float32)
     for block, unions in _union_walk(code, _masks(code), s, code.N * code.t):
-        covered = _covers(code, unions)
+        covered = _covers(code, unions, times)
         covered[np.arange(len(block))[:, None], block] = False
         bad = np.flatnonzero(covered.sum(axis=1) > limit)
         if bad.size:
@@ -357,5 +393,6 @@ def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     if bad.any():
         raise InvalidSymbolError(f"symbol {given[bad.argmax()]} outside alphabet of size {code.q}")
     union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=np.uint64)
-    return set((np.flatnonzero(_covers(code, union)[0]) + 1).tolist())
+    covered = _covers(code, union, _times_onehot(code, np.float32))[0]
+    return set((np.flatnonzero(covered) + 1).tolist())
 

@@ -25,6 +25,8 @@ and a boolean (groups x words) membership matrix, in word order, and
 ``maximize_lbfgsb`` the exponent's dual maximiser split by split: each
 split alone solves both ends of lam at every rate and runs L-BFGS-B at
 every fc point, even where the cr point is already stationary.
+``grouped_collision`` is the collision verdicts' grouping of every message
+whose key repeats, which the search for the first repeated key replaced.
 ``column`` and ``type_of`` read one codeword and the type of one word,
 and ``error_fraction`` counts the messages whose output word collides.
 ``parse_code`` reads a code file into tuples of Python ints, cell by cell,
@@ -46,6 +48,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from sepmac import bounds as bnd
+from sepmac import verify as vfy
 from sepmac.bounds import BoundReport, Distribution, multinomial
 from sepmac.channels import ChannelSpec
 from sepmac.core import (
@@ -55,6 +58,7 @@ from sepmac.core import (
     InvalidSymbolError,
     SizeLimitError,
     compositions,
+    runs,
 )
 from sepmac.construct import SearchResult
 from sepmac.verify import Verdict
@@ -223,6 +227,53 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     if bad is None:
         return Verdict(True)
     return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
+
+
+def grouped_collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells: int,
+                      word) -> Verdict:
+    """``sepmac.verify._collision`` by grouping: the sets and rows of every
+    message whose key repeats are rebuilt, sorted stably by key, and compared
+    within a key's run, a run whose rows differ being regrouped by its rows;
+    the witness is the first two sets of the group whose pair is smallest.
+    It takes _collision's arguments, so a test can put it in its place."""
+    keys, levels, done = np.empty(n, np.uint64), [], 0
+    for k in sizes:
+        levels.append((done, k, []))
+        for prefix, folds in vfy._walk(t - 1, k, zero, step, cells):
+            c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
+            keys[done:done + len(c)], done = key(folds, c), done + len(c)
+            levels[-1][2].append((prefix, folds))
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    found = np.flatnonzero(counts[inverse] > 1)
+    keys = keys[found]
+    if not found.size:
+        return Verdict(True)
+    sets = np.zeros((len(found), sizes.stop), np.min_scalar_type(t))
+    rows = np.empty((len(found), len(zero)), zero.dtype)
+    edges = np.searchsorted(found, [level[0] for level in levels] + [n])
+    for (lo, k, held), i, j in zip(levels, edges, edges[1:]):
+        prefix, folds = (np.concatenate(h) for h in zip(*held))
+        ends, first = vfy._children(prefix, t)
+        m = found[i:j] - lo
+        p = np.searchsorted(ends, m, side="right")
+        b = first[p] + m
+        sets[i:j, :k], sets[i:j, k] = prefix[p] + 1, b + 1
+        rows[i:j] = step(folds[p], b)
+    order, new = runs(keys)
+    same = np.r_[False, (rows[order[1:]] == rows[order[:-1]]).all(axis=1)]
+    if (split := ~(new | same)).any():
+        split = np.isin(run := np.cumsum(new), run[split])
+        rest = order[split]
+        sub, fresh = runs(rows[rest].view(np.dtype((np.void, rows[0].nbytes))).ravel())
+        order, new = np.r_[order[~split], rest[sub]], np.r_[new[~split], fresh]
+    starts = np.flatnonzero(new[:-1] & ~new[1:])
+    if not starts.size:
+        return Verdict(True)
+    first, second = order[starts], order[starts + 1]
+    g = np.lexsort(np.concatenate([sets[first], sets[second]], axis=1).T[::-1])[0]
+    a, b = first[g], second[g]
+    return Verdict(False, witness=(vfy._as_tuple(sets[a]), vfy._as_tuple(sets[b])),
+                   colliding_output=(word(rows[a]),))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Differential tests: the integer channel kernel and its construction, its
 output law, the verifiers at several walk block sizes (verdicts, witnesses
-and outputs byte for byte), the incremental exhaustive search (also at
-several block sizes) and the greedy search, the integer P_term, the
-entropy bound (all starts climbed as one batch, the best end polished by
+and outputs byte for byte), the collision verdicts' witness search against
+the grouping of every repeated message it replaced, the incremental
+exhaustive search (also at several block sizes) and the greedy search, the
+integer P_term, the entropy bound (all starts climbed as one batch, the best end polished by
 exact-gradient SLSQP) and the exponent's E0 solver on index arrays against the pure-Python reference, the
 finite-difference multi-start SLSQP and the dense E0 solver in
 ``reference.py``; a split's E0 solved alone, bit for bit, against the same
@@ -143,6 +144,49 @@ def test_separable_hashed_keys_match_reference(case, cells, factor):
             _assert_same_verdict(is_separable(code, s, ch), ref.is_separable(code, s, ch))
         got = is_at_most_s_separable(code, s)
     _assert_same_verdict(got, ref.is_at_most_s_separable(code, s))
+
+
+@st.composite
+def colliding_codes(draw):
+    """A code, s and a channel whose messages collide one of three ways: a
+    duplicated codeword; constant leading columns; or a codeword
+    lying inside the union of two others, whose union words then repeat
+    across sizes (a pair's and a triple's). Codes run past one slice of
+    output ids, so that a hash factor of 0 or 1 makes distinct rows share
+    keys for both collision verdicts."""
+    _, s, ch = draw(codes())
+    q, bits = ch.q, max(1, (len(ch.outputs) - 1).bit_length())
+    n = draw(st.integers(1, 32 // bits + 4))
+    t = draw(st.integers(s + 1, s + 5))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=t, max_size=t))
+    i, j, *rest = draw(st.permutations(range(t)))
+    case = draw(st.sampled_from(("duplicate", "constant", "union")))
+    if case == "duplicate":
+        cols[j] = cols[i]
+    elif case == "constant":
+        free = draw(st.integers(0, n))
+        cols = [(0,) * (n - free) + c[n - free:] for c in cols]
+    else:
+        k = rest[0] if rest else j
+        cols[k] = tuple(draw(st.sampled_from(pair)) for pair in zip(cols[i], cols[j]))
+    return Code(q, cols), s, ch
+
+
+@settings(max_examples=300, deadline=None)
+@given(colliding_codes(), BLOCK_CELLS, st.sampled_from([0, 1, int(verify._HASH)]))
+def test_collision_witness_matches_grouping(case, cells, factor):
+    # the search from the first repeated key against the grouping of every
+    # message whose key repeats, for both collision verdicts; a hash factor
+    # of 0 or 1 makes candidates whose key's rows differ
+    code, s, ch = case
+    verdicts = lambda: (is_separable(code, s, ch), is_at_most_s_separable(code, s))
+    with mock.patch.object(verify, "_BLOCK_CELLS", cells), \
+            mock.patch.object(verify, "_HASH", np.uint64(factor)):
+        got = verdicts()
+        with mock.patch.object(verify, "_collision", ref.grouped_collision):
+            want = verdicts()
+    for g, w in zip(got, want):
+        _assert_same_verdict(g, w)
 
 
 def _assert_kernel_matches_reference(ch):

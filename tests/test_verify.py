@@ -92,15 +92,37 @@ def test_separable_peak_memory_per_message():
 @pytest.mark.parametrize("constant", [16, 30])
 def test_separable_peak_memory_on_constant_columns(constant):
     # the key hashes every column, so 16 constant leading columns add no
-    # repeated keys (about 21 bytes per message); with all 30 constant every
-    # message collides, and the rows of all of them are read and compared
-    # within their one key's run (about 71 bytes per message; 85 when they
-    # were grouped by a sort of the rows)
+    # repeated keys (about 22 bytes per message); with all 30 constant every
+    # message collides, and only the first rows of the witness's key are
+    # built (about 34 bytes per message; 71 when the rows of every message
+    # whose key repeats were built and compared)
     x = random_code(EnsembleSpec("cr", 3, 30, 80, p=(1 / 3,) * 3, seed=1)).symbols.copy()
     x[:, :constant] = 0
     verdict, peak = _separable_peak(Code(3, x), make_channel("B", 3, 3))
     assert verdict.holds == (constant < 30)
     assert peak <= 120 * comb(80, 3), peak / comb(80, 3)
+
+
+@pytest.mark.parametrize("verdict, t, sets, witness, bound", [
+    (lambda code: is_separable(code, 3, make_channel("B", 3, 3)), 120, comb(120, 3),
+     ((1, 2, 3), (1, 2, 4)), 35),
+    (lambda code: is_at_most_s_separable(code, 2), 600, 600 + comb(600, 2), ((1,), (2,)), 30)])
+def test_peak_memory_when_every_message_collides(verdict, t, sets, witness, bound):
+    # t copies of one codeword: every message has one row and one key, and
+    # the witness is the first two sets. The keys, their sorted copy and the
+    # messages of the witness's key take about 17 bytes per message, the
+    # blocks the rest: about 23 bytes per message for --separable and 20 per
+    # set for --le-separable (70 and 69 when the set and row of every message
+    # whose key repeats were built and sorted)
+    code = Code(3, np.tile(np.random.default_rng(1).integers(0, 3, 30), (t, 1)))
+    tracemalloc.start()
+    try:
+        result = verdict(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.witness == witness
+    assert peak <= bound * sets, peak / sets
 
 
 @pytest.mark.parametrize("check", [lambda code: is_frameproof(code, 2),
