@@ -22,12 +22,13 @@ from .channels import ChannelSpec, _check_shape, _state_laws, _weight, output_la
 from .construct import k_factor
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
-# work units capacity_entropy_bound may spend: q^3 per step of its one SLSQP polish plus
-# 10 (s + 1) per composition of weight <= s, times q; a unit is 0.002-0.14 us on a Xeon
-# core under CPython 3.11 (at most 0.7 s)
+# work units capacity_entropy_bound may spend: q^3 per step of its SLSQP polish, where
+# one runs, plus 10 (s + 1) per composition of weight <= s, times q; a unit is
+# 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.7 s)
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
+_FTOL = 1e-12  # SLSQP's ftol for the entropy bound's polish
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,28 @@ def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
     return p[value.argmin()]
 
 
+def _stops_at_start(x: np.ndarray, channel: ChannelSpec) -> bool:
+    """Whether SLSQP on -H, started at the law x, would stop there at its first
+    iterate. With B = I its step is d = y - x, y the projection of x - g onto
+    the simplex (g the gradient), found exactly from the sorted x - g, and its
+    multiplier r the shift onto it; SLSQP stops when |g.d| + |r c| and |c|,
+    c = sum x - 1, are below ftol, here tested with a 10x margin."""
+    g = _neg_entropy(x, channel)[1]
+    v = x - g
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0  # of the k + 1 largest entries over 1
+    k = np.flatnonzero(u - excess / np.arange(1, len(u) + 1) > 0)[-1]
+    r = -excess[k] / (k + 1)
+    d = np.maximum(v + r, 0.0) - x
+    c = x.sum() - 1.0
+    return abs(g @ d) + abs(r * c) < _FTOL / 10 and abs(c) < _FTOL / 10
+
+
 def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
     """Entropy upper bound on the rate: max_p H(output) / s. The uniform law and
     the 16 Dirichlet draws of numpy's ``default_rng(0)`` climb as one batch
-    (``_climb``); SLSQP, with the exact gradient of H, polishes the best end, and
+    (``_climb``); SLSQP, with the exact gradient of H, polishes the best end
+    unless it would stop there at once (``_stops_at_start``), and
     ``entropy_output`` re-evaluates the result. Approximate when SLSQP did not
     succeed."""
     q = channel.q
@@ -138,18 +157,20 @@ def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
                              f"(s={channel.s}, q={q})")
     rng = np.random.default_rng(0)
     starts = np.vstack([np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)])
-    constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(q)}]
-    res = minimize(_neg_entropy, _climb(channel, starts), args=(channel,), jac=True,
-                   method="SLSQP", bounds=[(0.0, 1.0)] * q, constraints=constraints,
-                   options={"maxiter": 500, "ftol": 1e-12})
-    x = np.clip(res.x, 0.0, None)
+    x, success = _climb(channel, starts), True
+    if not _stops_at_start(x, channel):
+        constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(q)}]
+        res = minimize(_neg_entropy, x, args=(channel,), jac=True,
+                       method="SLSQP", bounds=[(0.0, 1.0)] * q, constraints=constraints,
+                       options={"maxiter": 500, "ftol": _FTOL})
+        x, success = np.clip(res.x, 0.0, None), res.success
     p = Distribution(tuple(float(v) for v in x / x.sum()))
     return BoundReport(
         name="entropy-capacity",
         value=entropy_output(channel, p) / channel.s,
         params={"channel": channel.name(), "s": channel.s, "q": channel.q},
         witness=p,
-        approximate=not res.success,
+        approximate=not success,
     )
 
 
@@ -186,8 +207,12 @@ def P_term(q: int, s: int, L: int) -> Fraction:
     sum_m C(q,m) m^L sum_k (-1)^k C(m,k) (m-k)^s / q^(s+L)."""
     if q < 2 or s < 1 or L < 1:
         raise InvalidParametersError(f"need q >= 2, s >= 1, L >= 1, got {(q, s, L)}")
-    hits = sum(comb(q, m) * m ** L * _onto(s, m) for m in range(1, min(q, s) + 1))
-    return Fraction(hits, q ** (s + L))
+    return Fraction(_hits(q, s, L), q ** (s + L))
+
+
+def _hits(q: int, s: int, L: int) -> int:
+    """P_term's numerator over q^(s+L), unreduced."""
+    return sum(comb(q, m) * m ** L * _onto(s, m) for m in range(1, min(q, s) + 1))
 
 
 @lru_cache(maxsize=2 ** 12)
@@ -234,19 +259,20 @@ def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:
     if qprime_max < q:
         raise InvalidParametersError(f"empty search range: qprime_max={qprime_max} < q={q}")
     check_ld_work([(s, L, q)], qprime_max)
-    best_val, best_qp, best_p = -math.inf, None, None
-    for qp in range(q, qprime_max + 1):
-        pr = P_term(qp, s, L)
-        val = (log(pr.denominator) - log(pr.numerator)) / ((s + L - 1) * k_factor(q, qp))
+    best_val, best_qp = -math.inf, None
+    for qp in range(q, qprime_max + 1):  # P_term(qp, s, L), reduced by one gcd
+        hits, total = _hits(qp, s, L), qp ** (s + L)
+        g = math.gcd(hits, total)
+        val = (log(total // g) - log(hits // g)) / ((s + L - 1) * k_factor(q, qp))
         if val > best_val + 1e-15:
-            best_val, best_qp, best_p = val, qp, pr
+            best_val, best_qp = val, qp
     return BoundReport(
         name="ld-lower",
         value=best_val,
         params={"s": s, "L": L, "q": q, "qprime_max": qprime_max,
                 "at_cap": best_qp == qprime_max},
         witness=best_qp,
-        exact=best_p,
+        exact=P_term(best_qp, s, L),
     )
 
 

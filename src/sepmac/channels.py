@@ -55,6 +55,7 @@ class ChannelSpec:
         _check_shape(q, s)
         self._name, self.q, self.s, self.output = name, q, s, output
         self.trans, self.outputs = _kernel(q, s, output)
+        self._folds: tuple = (0, [])  # _fold_index's batch size and its folds
 
     def __repr__(self):
         return f"ChannelSpec({self._name}, q={self.q}, s={self.s})"
@@ -105,6 +106,21 @@ def _weight(q: int, k: int) -> slice:
     return slice(math.comb(q + k - 1, k - 1) if k else 0, math.comb(q + k, k))
 
 
+def _fold_index(channel: ChannelSpec, rows: int) -> list:
+    """Per fold step, the states it reads, the size of the law it writes and its
+    ``np.bincount`` index for the largest batch seen, at least ``rows`` rows: row
+    r's cells are offset by r * size, so a smaller batch reads a prefix."""
+    held, folds = channel._folds
+    if held < rows:
+        n, folds = len(channel.trans), []
+        for k in range(channel.s):
+            w, size = _weight(channel.q, k), n if k < channel.s - 1 else len(channel.outputs)
+            cells = channel.trans[w] + size * np.arange(rows)[:, None, None]
+            folds.append((w, size, cells.ravel()))
+        channel._folds = rows, folds
+    return folds
+
+
 def _state_laws(channel: ChannelSpec, p):
     """The laws of the kernel state after 0, 1, ..., s-1 inputs i.i.d. with the
     law p (q probabilities, or one a row of a (K, q) batch), then the law of
@@ -115,11 +131,9 @@ def _state_laws(channel: ChannelSpec, p):
     law = np.zeros((len(rows), n))
     law[:, 0] = 1.0
     yield law.reshape(p.shape[:-1] + (n,))
-    for k in range(channel.s):
-        w, size = _weight(channel.q, k), n if k < channel.s - 1 else len(channel.outputs)
-        cells = (channel.trans[w] + size * np.arange(len(rows))[:, None, None]).ravel()
-        law = np.bincount(cells, (law[:, w, None] * rows[:, None]).ravel(), len(rows) * size)
-        law = law.reshape(len(rows), size)
+    for w, size, cells in _fold_index(channel, len(rows)):
+        weights = (law[:, w, None] * rows[:, None]).ravel()
+        law = np.bincount(cells[:len(weights)], weights, len(rows) * size).reshape(len(rows), size)
         yield law.reshape(p.shape[:-1] + (size,))
 
 

@@ -6,6 +6,7 @@ builds its output word from column multisets, types and channel table
 lookups, every search node recomputes the outputs of all messages of its
 code, and the output law sums composition probabilities per output label.
 The list-decoding P_term adds one Fraction per inclusion-exclusion term,
+``lower_bound_LD`` takes one ``sepmac.bounds.P_term`` Fraction per q',
 ``builtin_output`` reads each built-in channel's output label off the
 s-word itself, apart from the rules the channels are built from, and
 ``kernel`` builds a channel's kernel cell by cell on count tuples from its
@@ -60,7 +61,7 @@ from sepmac.core import (
     compositions,
     runs,
 )
-from sepmac.construct import SearchResult
+from sepmac.construct import SearchResult, k_factor
 from sepmac.verify import Verdict
 
 
@@ -631,6 +632,25 @@ def P_term(q: int, s: int, L: int) -> Fraction:
             inner += (-1) ** k * comb(m, k) * Fraction((m - k) ** s, q ** s)
         total += comb(q, m) * Fraction(m, q) ** L * inner
     return total
+
+
+def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:
+    """The list-decoding lower bound maximized over q' with one P_term
+    Fraction per q'; ties break toward the smallest q'."""
+    best_val, best_qp, best_p = -math.inf, None, None
+    for qp in range(q, qprime_max + 1):
+        pr = bnd.P_term(qp, s, L)
+        val = (log(pr.denominator) - log(pr.numerator)) / ((s + L - 1) * k_factor(q, qp))
+        if val > best_val + 1e-15:
+            best_val, best_qp, best_p = val, qp, pr
+    return BoundReport(
+        name="ld-lower",
+        value=best_val,
+        params={"s": s, "L": L, "q": q, "qprime_max": qprime_max,
+                "at_cap": best_qp == qprime_max},
+        witness=best_qp,
+        exact=best_p,
+    )
 
 
 def P_term_enumerate(q: int, s: int, L: int) -> Fraction:

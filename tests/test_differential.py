@@ -3,15 +3,18 @@ output law, the verifiers at several walk block sizes (verdicts, witnesses
 and outputs byte for byte), the collision verdicts' witness search against
 the grouping of every repeated message it replaced, the incremental
 exhaustive search (also at several block sizes) and the greedy search, the
-integer P_term, the entropy bound (all starts climbed as one batch, the best end polished by
-exact-gradient SLSQP) and the exponent's E0 solver on index arrays against the pure-Python reference, the
+integer P_term, the list-decoding lower bound (one gcd per q'), the entropy bound (all starts
+climbed as one batch, the best end polished by exact-gradient SLSQP) and the exponent's E0 solver
+on index arrays against the pure-Python reference, the one-Fraction-per-q' bound, the
 finite-difference multi-start SLSQP and the dense E0 solver in
-``reference.py``; a split's E0 solved alone, bit for bit, against the same
+``reference.py``; the entropy bound where it skips SLSQP against SLSQP from
+the same point; a split's E0 solved alone, bit for bit, against the same
 split stacked in a block; the exponent reports, bit for bit, against the
 dual maximiser there that solves each split alone and runs L-BFGS-B at
 every fc point; the entropy gradient
 against central differences, and the batched state laws, values and
-gradients against one row at a time."""
+gradients against one row at a time, also on a channel whose fold index a
+larger batch built, and against a freshly built channel."""
 
 import itertools
 import json
@@ -25,8 +28,14 @@ from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from sepmac import bounds, construct, verify
-from sepmac.bounds import Distribution, P_term, capacity_entropy_bound, entropy_output
-from sepmac.channels import ChannelSpec, _state_laws, make_channel, output_ids
+from sepmac.bounds import (
+    Distribution,
+    P_term,
+    capacity_entropy_bound,
+    entropy_output,
+    lower_bound_LD,
+)
+from sepmac.channels import ChannelSpec, _state_laws, make_channel, output_ids, output_law
 from sepmac.core import Code, compositions
 from sepmac.construct import max_code_search
 from sepmac.exponent import _Block, _table, exponent, rate_lower_bound_general
@@ -398,7 +407,7 @@ def test_entropy_bound_reaches_a_maximum_some_seeds_missed():
 
 
 @pytest.mark.xfail(strict=True, reason="known miss: every climb end lies outside the basin "
-                   "of the maximum, 1.4e-3 nats below it (ROADMAP item 5)")
+                   "of the maximum, 1.4e-3 nats below it (ROADMAP item 7)")
 def test_entropy_bound_reaches_a_maximum_the_climb_misses():
     # the reference's SLSQP from the same 17 starts reaches the maximum;
     # test_entropy_bound_not_below_reference draws channels like this one
@@ -415,16 +424,84 @@ def test_entropy_bound_matches_reference_on_benchmark(name, s, q):
     assert abs(capacity_entropy_bound(ch).value - ref.capacity_entropy_bound(ch).value) <= 1e-9
 
 
+def _skip_matches_slsqp(ch) -> bool:
+    """Checks the entropy bound on ch against its run with SLSQP always called,
+    and, where it skipped SLSQP, SLSQP from the climb's end: it succeeds and
+    returns that end bit for bit. Returns whether the skip fired."""
+    seen, stops = [], bounds._stops_at_start
+
+    def spy(x, channel):
+        seen.append((x.copy(), stops(x, channel)))
+        return seen[-1][1]
+
+    with mock.patch.object(bounds, "_stops_at_start", spy):
+        got = capacity_entropy_bound(ch)
+    with mock.patch.object(bounds, "_stops_at_start", lambda x, channel: False):
+        want = capacity_entropy_bound(ch)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.approximate == want.approximate
+    (x0, fired), = seen
+    if fired:
+        q = ch.q
+        res = bounds.minimize(bounds._neg_entropy, x0, args=(ch,), jac=True, method="SLSQP",
+                              bounds=[(0.0, 1.0)] * q,
+                              constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
+                                            "jac": lambda x: np.ones(q)}],
+                              options={"maxiter": 500, "ftol": bounds._FTOL})
+        assert res.success
+        assert np.clip(res.x, 0.0, None).tobytes() == x0.tobytes()
+    return fired
+
+
+@settings(max_examples=150, deadline=None)
+@given(entropy_channels())
+def test_entropy_skip_matches_slsqp(ch):
+    _skip_matches_slsqp(ch)
+
+
+@pytest.mark.parametrize("name,s,q", [("B", 5, 5), ("A", 4, 4), ("A", 3, 5), ("eras", 3, 4)]
+                         + [("disj", s, 2) for s in range(2, 7)])
+def test_entropy_skip_matches_slsqp_on_benchmark(name, s, q):
+    # SLSQP stops at the climb's end on each of the benchmark's four instances
+    # and on disj s=2..5; on disj s=6 it runs
+    assert _skip_matches_slsqp(make_channel(name, s, q)) == ((name, s) != ("disj", 6))
+
+
+@pytest.mark.parametrize("name,s,q", [("A", 3, 4), ("B", 4, 3), ("eras", 2, 5), ("thr:2", 5, 2)])
+def test_fold_index_serves_smaller_batches(name, s, q):
+    # a channel that has folded 17 rows folds 1 and then 5 rows from a prefix
+    # of that index, bit for bit as a freshly built channel folds them
+    rng = np.random.default_rng(7)
+    warm = make_channel(name, s, q)
+
+    def fresh():
+        return make_channel(name, s, q)
+
+    list(_state_laws(warm, rng.dirichlet(np.ones(q), 17)))
+    for k in (1, 5):
+        x = rng.dirichlet(np.ones(q), k)
+        for got, want in zip(_state_laws(warm, x), _state_laws(fresh(), x)):
+            assert got.tobytes() == want.tobytes()
+        assert output_law(warm, x[0]).tobytes() == output_law(fresh(), x[0]).tobytes()
+        for point in (x, x[0]):
+            got, want = bounds._neg_entropy(point, warm), bounds._neg_entropy(point, fresh())
+            assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+    assert warm._folds[0] == 17
+
+
 @settings(max_examples=200, deadline=None)
 @given(entropy_channels(), st.data())
 def test_batched_entropy_matches_single_rows(ch, data):
     # the batch the entropy bound climbs against one row at a time: rows with
-    # zero entries and the vertex e_0 among them
+    # zero entries and the vertex e_0 among them, on a channel whose fold
+    # index a larger batch built first
     k = data.draw(st.integers(1, 5))
     rows = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=ch.q, max_size=ch.q)
                               .filter(any), min_size=k, max_size=k))
     x = np.vstack([np.eye(ch.q)[0], np.array(rows, dtype=float)])
     x /= x.sum(1, keepdims=True)
+    list(_state_laws(ch, np.full((k + 1 + data.draw(st.integers(1, 16)), ch.q), 1.0 / ch.q)))
     for got, want in zip(_state_laws(ch, x), zip(*(_state_laws(ch, row) for row in x))):
         assert np.max(np.abs(got - np.array(want))) <= 1e-15
     values, grads = bounds._neg_entropy(x, ch)
@@ -477,6 +554,28 @@ def test_P_term_matches_reference():
                 assert P_term(q, s, L) == ref.P_term(q, s, L), (q, s, L)
     for q in range(65, 257):
         assert P_term(q, 3, 2) == ref.P_term(q, 3, 2), q
+
+
+def _assert_same_ld(s, L, q, qprime_max):
+    got, want = lower_bound_LD(s, L, q, qprime_max), ref.lower_bound_LD(s, L, q, qprime_max)
+    assert repr(got.value) == repr(want.value), (s, L, q, qprime_max)
+    assert (got.witness, got.exact, got.params["at_cap"]) == \
+        (want.witness, want.exact, want.params["at_cap"]), (s, L, q, qprime_max)
+
+
+def test_lower_bound_LD_matches_reference_on_table1():
+    # every table1 row, up to q' = q, q + 3, 64 and 256
+    for q in (2, 3):
+        for L in (1, 2):
+            for s in range(2, 7):
+                for qprime_max in (q, q + 3, 64, 256):
+                    _assert_same_ld(s, L, q, qprime_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(2, 5), st.integers(0, 60))
+def test_lower_bound_LD_matches_reference_drawn(s, L, q, extra):
+    _assert_same_ld(s, L, q, q + extra)
 
 
 def _search_channel(name, s, q):
