@@ -24,7 +24,7 @@ from .construct import k_factor
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
 # work units capacity_entropy_bound may spend: q^3 per step of its SLSQP polish, where
 # one runs, plus 10 (s + 1) per composition of weight <= s, times q; a unit is
-# 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.7 s)
+# 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.45 s)
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
@@ -96,7 +96,7 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
     *_, before, law = _state_laws(channel, p)
     last = _weight(q, s - 1)
     log = np.log(np.maximum(law, np.finfo(float).tiny))
-    dh = -s * (1.0 + (before[:, last, None] * log[:, channel.trans[last]]).sum(1))
+    dh = -s * (1.0 + np.einsum("rs,rsa->ra", before[:, last], log[:, channel.trans[last]]))
     # through p = x+ / total; a clipped x_a < 0 and an all-zero row have slope 0
     grad = ((p * dh).sum(1, keepdims=True) - dh) * (x >= 0) / np.where(total > 0, total, np.inf)
     value = (law * log).sum(1)
@@ -254,26 +254,32 @@ def check_ld_work(rows, qprime_max: int) -> None:
 def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:
     """Random-coding lower bound on the list-decoding rate, maximized over
     the auxiliary alphabet size q'. Ties break toward the smallest q'."""
-    if s < 2 or L < 1 or q < 2:
-        raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")
-    if qprime_max < q:
-        raise InvalidParametersError(f"empty search range: qprime_max={qprime_max} < q={q}")
-    check_ld_work([(s, L, q)], qprime_max)
-    best_val, best_qp = -math.inf, None
-    for qp in range(q, qprime_max + 1):  # P_term(qp, s, L), reduced by one gcd
-        hits, total = _hits(qp, s, L), qp ** (s + L)
-        g = math.gcd(hits, total)
-        val = (log(total // g) - log(hits // g)) / ((s + L - 1) * k_factor(q, qp))
-        if val > best_val + 1e-15:
-            best_val, best_qp = val, qp
-    return BoundReport(
-        name="ld-lower",
-        value=best_val,
-        params={"s": s, "L": L, "q": q, "qprime_max": qprime_max,
-                "at_cap": best_qp == qprime_max},
-        witness=best_qp,
-        exact=P_term(best_qp, s, L),
-    )
+    return lower_bound_LD_rows([(s, L, q)], qprime_max)[0]
+
+
+def lower_bound_LD_rows(rows, qprime_max: int = 64) -> list:
+    """lower_bound_LD of each (s, L, q) row, their work checked together before
+    the first: rows that share (s, L) share the P_term of each q'."""
+    for s, L, q in rows:
+        if s < 2 or L < 1 or q < 2:
+            raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")
+        if qprime_max < q:
+            raise InvalidParametersError(f"empty search range: qprime_max={qprime_max} < q={q}")
+    check_ld_work(rows, qprime_max)
+    logs, reports = {}, []  # logs[s, L, q'] = log(1 / P_term(q', s, L))
+    for s, L, q in rows:
+        best_val, best_qp = -math.inf, None
+        for qp in range(q, qprime_max + 1):
+            if (s, L, qp) not in logs:  # P_term(qp, s, L), reduced by one gcd
+                hits, total = _hits(qp, s, L), qp ** (s + L)
+                g = math.gcd(hits, total)
+                logs[s, L, qp] = log(total // g) - log(hits // g)
+            val = logs[s, L, qp] / ((s + L - 1) * k_factor(q, qp))
+            if val > best_val + 1e-15:
+                best_val, best_qp = val, qp
+        params = {"s": s, "L": L, "q": q, "qprime_max": qprime_max, "at_cap": best_qp == qprime_max}
+        reports.append(BoundReport("ld-lower", best_val, params, best_qp, P_term(best_qp, s, L)))
+    return reports
 
 
 def upper_bound_LD(s: int, L: int, q: int) -> float:

@@ -132,7 +132,8 @@ def _state_laws(channel: ChannelSpec, p):
     law[:, 0] = 1.0
     yield law.reshape(p.shape[:-1] + (n,))
     for w, size, cells in _fold_index(channel, len(rows)):
-        weights = (law[:, w, None] * rows[:, None]).ravel()
+        # each cell's one product, in the order bincount sums it: broadcasting is slower
+        weights = np.einsum("rs,ra->rsa", law[:, w], rows).ravel()
         law = np.bincount(cells[:len(weights)], weights, len(rows) * size).reshape(len(rows), size)
         yield law.reshape(p.shape[:-1] + (size,))
 

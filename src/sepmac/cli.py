@@ -10,9 +10,14 @@ command and maps its errors to these codes; commands call the library and
 file's header and the options decide, of size or of usage, before they
 parse its rows.
 
-The parser is built once per process and keeps no state between parses, so
-`main` is safe to call repeatedly in one process: each call prints, and
-returns, what a fresh process would.
+A command that starts with a subcommand is parsed by that subcommand's own
+parser (`subcommand_parser`); anything else, `sepmac -h` or an unknown word,
+by the full parser (`build_parser`). Both are built from `_add_options`, so
+usage, help, errors and the parsed namespace are the same whichever parses.
+Each parser is built at its first use, keeps no state between parses, and
+binds its `func` default then: a `cmd_*` attribute replaced afterwards is not
+what `main` runs. So `main` is safe to call repeatedly in one process: each
+call prints, and returns, what a fresh process would.
 
 Environment variable SEPMAC_SEED overrides the default seed 0 of `gen` and
 greedy `search`; the entropy bound and every other result ignore it.
@@ -170,10 +175,8 @@ def cmd_bound(args) -> int:
 
 def cmd_table1(args) -> int:
     table = [(s, L, q) for q in (2, 3) for L in (1, 2) for s in range(2, 7)]
-    bnd.check_ld_work(table, args.qprime_max)  # the whole table, before its first row
     rows = ["s,L,q,lower_bound,qprime_argmax,upper_bound"]
-    for s, L, q in table:
-        rep = bnd.lower_bound_LD(s, L, q, qprime_max=args.qprime_max)
+    for (s, L, q), rep in zip(table, bnd.lower_bound_LD_rows(table, args.qprime_max)):
         up = bnd.upper_bound_LD(s, L, q)
         rows.append(f"{s},{L},{q},{rep.value:.4f},{rep.witness},{up:.4f}")
     sys.stdout.write("\n".join(rows) + "\n")
@@ -247,91 +250,115 @@ def cmd_exponent(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+SUBCOMMANDS = {  # name: its line in `sepmac --help`
+    "verify": "verify a code property", "bound": "compute a rate/capacity bound",
+    "table1": "list-decoding lower bound table (CSV)", "search": "maximal separable code search",
+    "gen": "generate a random code", "reduce": "alphabet-reduction construction",
+    "decode": "factor decoding of a union output word", "exponent": "error-exponent sweep (CSV)"}
+
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """Give `p` the options and defaults of subcommand `name`: both the full
+    parser's subparser and the subcommand's own parser are built here."""
+    if name == "verify":
+        p.add_argument("--code", required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--channel")
+        prop = p.add_mutually_exclusive_group(required=True)
+        for flag in ("separable", "le-separable", "frameproof", "hash"):
+            prop.add_argument(f"--{flag}", dest="property", action="store_const",
+                              const=flag.replace("-", "_"))
+        prop.add_argument("--list", dest="L", type=int, metavar="L")
+        # the required group leaves the property at this default only for --list
+        p.set_defaults(func=cmd_verify, property="list")
+    elif name == "bound":
+        p.add_argument("--kind", required=True,
+                       choices=["entropy", "b-capacity", "comb-upper",
+                                "ld-lower", "ld-upper", "a-upper"])
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--L", type=int)
+        p.add_argument("--channel")
+        p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
+        p.add_argument("--bits", action="store_true")
+        p.set_defaults(func=cmd_bound)
+    elif name == "table1":
+        p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
+        p.set_defaults(func=cmd_table1)
+    elif name == "search":
+        p.add_argument("--channel", required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_search)
+    elif name == "gen":
+        p.add_argument("--ensemble", choices=["cr", "fc"], required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--p", help="comma-separated distribution for cr")
+        p.add_argument("--composition", help="comma-separated per-symbol counts for fc")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_gen)
+    elif name == "reduce":
+        p.add_argument("--code", required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_reduce)
+    elif name == "decode":
+        p.add_argument("--code", required=True)
+        p.add_argument("--z", required=True,
+                       help="file with one subset per row, e.g. '0,1' per line")
+        p.set_defaults(func=cmd_decode)
+    elif name == "exponent":
+        p.add_argument("--channel", required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--R", required=True, help="comma-separated rate grid")
+        p.add_argument("--ensemble", choices=["cr", "fc"], default="cr")
+        p.add_argument("--p", help="comma-separated input distribution")
+        p.set_defaults(func=cmd_exponent)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The sepmac parser, built at the first call and shared by every later
-    one. Each subcommand's `func` default is bound at that build, so a
-    `cmd_*` attribute replaced afterwards is not what `main` runs."""
+    """The full sepmac parser, with every subcommand, built at the first call
+    and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="sepmac",
         description="Separable and list-decoding codes for symmetric MACs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="verify a code property")
-    p.add_argument("--code", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--channel")
-    prop = p.add_mutually_exclusive_group(required=True)
-    for flag in ("separable", "le-separable", "frameproof", "hash"):
-        prop.add_argument(f"--{flag}", dest="property", action="store_const",
-                          const=flag.replace("-", "_"))
-    prop.add_argument("--list", dest="L", type=int, metavar="L")
-    # the required group leaves the property at this default only for --list
-    p.set_defaults(func=cmd_verify, property="list")
-
-    p = sub.add_parser("bound", help="compute a rate/capacity bound")
-    p.add_argument("--kind", required=True,
-                   choices=["entropy", "b-capacity", "comb-upper",
-                            "ld-lower", "ld-upper", "a-upper"])
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--L", type=int)
-    p.add_argument("--channel")
-    p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
-    p.add_argument("--bits", action="store_true")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("table1", help="list-decoding lower bound table (CSV)")
-    p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("search", help="maximal separable code search")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("gen", help="generate a random code")
-    p.add_argument("--ensemble", choices=["cr", "fc"], required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--p", help="comma-separated distribution for cr")
-    p.add_argument("--composition", help="comma-separated per-symbol counts for fc")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("reduce", help="alphabet-reduction construction")
-    p.add_argument("--code", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("decode", help="factor decoding of a union output word")
-    p.add_argument("--code", required=True)
-    p.add_argument("--z", required=True,
-                   help="file with one subset per row, e.g. '0,1' per line")
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("exponent", help="error-exponent sweep (CSV)")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--R", required=True, help="comma-separated rate grid")
-    p.add_argument("--ensemble", choices=["cr", "fc"], default="cr")
-    p.add_argument("--p", help="comma-separated input distribution")
-    p.set_defaults(func=cmd_exponent)
-
+    for name, text in SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
     return parser
+
+
+@functools.cache
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s own parser, built at the first call for `name`: the
+    full parser's subparser for `name`, with `command` set as a default."""
+    parser = argparse.ArgumentParser(prog=f"sepmac {name}")
+    _add_options(parser, name)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, by the subcommand's own parser when argv
+    starts with one; the full parser names any argument that one leaves over."""
+    if argv and argv[0] in SUBCOMMANDS:
+        args, extras = subcommand_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     args.started = time.monotonic()

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import sepmac.construct as cst
 from sepmac import __version__, cli
 from sepmac import exponent as expm
-from sepmac.bounds import Distribution
+from sepmac.bounds import Distribution, lower_bound_LD, lower_bound_LD_rows, upper_bound_LD
 from sepmac.cli import build_parser, main
 from sepmac.channels import make_channel
 from sepmac.core import format_code, load_code, Code, InvalidParametersError
@@ -102,6 +102,7 @@ def test_parser_built_once(capsys, code_file):
     # each call on the shared parser prints and returns what it does on a
     # fresh one, also right after a failed parse and after --help
     assert build_parser() is build_parser()
+    assert cli.subcommand_parser("verify") is cli.subcommand_parser("verify")
     valid = ["verify", "--code", code_file(SEP_CODE), "--s", "2", "--channel", "B",
              "--separable"]
     calls = [valid, ["bound", "--kind", "nope", "--s", "2", "--q", "2"],
@@ -115,11 +116,91 @@ def test_parser_built_once(capsys, code_file):
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
+        cli.subcommand_parser.cache_clear()
         fresh.append(outcome(argv))
     assert shared == fresh
     assert [rc for rc, _, _ in shared] == [0, 2, 2, 0, 0]
     assert shared[1][2].startswith("usage: sepmac bound ")
     assert shared[3][1].startswith("usage: sepmac ")
+
+
+# valid arguments of every subcommand, long forms, `--opt=value` forms and abbreviations
+VALID_ARGVS = {
+    "verify": [["--code", "c.txt", "--s", "2", "--channel", "B", "--separable"],
+               ["--s=2", "--code", "c.txt", "--list", "3"],
+               ["--co", "c.txt", "--s", "2", "--frame"],
+               ["--code", "c.txt", "--s", "2", "--le-separable"],
+               ["--code", "c", "--s", "1", "--hash"]],
+    "bound": [["--kind", "ld-lower", "--s", "2", "--L", "1", "--q", "3", "--qprime", "10"],
+              ["--kind=entropy", "--s", "2", "--q", "2", "--channel", "A", "--bits"]],
+    "table1": [[], ["--qprime-max", "4"], ["--qprime-max=4"], ["--qp", "4"]],
+    "search": [["--channel", "B", "--s", "2", "--q", "2", "--N", "3"],
+               ["--channel", "B", "--s", "2", "--q", "2", "--N", "3", "--mode", "greedy", "--out",
+                "o.txt"]],
+    "gen": [["--ensemble", "cr", "--q", "2", "--N", "3", "--t", "4", "--out", "o.txt"],
+            ["--ensemble", "fc", "--q", "2", "--N", "3", "--t", "4", "--out", "o.txt",
+             "--composition", "1,2", "--seed", "-3", "--p", "0.5,0.5"]],
+    "reduce": [["--code", "c.txt", "--q", "2", "--out", "o.txt"]],
+    "decode": [["--code", "c.txt", "--z", "z.txt"]],
+    "exponent": [["--channel", "B", "--s", "2", "--q", "2", "--R", "0.1"],
+                 ["--channel", "B", "--s", "2", "--q", "2", "--R=0,0.1", "--ensemble", "fc",
+                  "--p", "0.5,0.5"]],
+}
+# failing arguments: missing required, bad int, bad choice, excluded or
+# ambiguous options, unknown or leftover arguments, missing values, help
+FAILING_ARGVS = [[name, *tail] for name in VALID_ARGVS for tail in (
+    [], ["-h"], ["--help"], ["--h"], [*VALID_ARGVS[name][0], "--bogus"],
+    [*VALID_ARGVS[name][0], "extra"], [*VALID_ARGVS[name][0], "--", "x"],
+    [*VALID_ARGVS[name][0], "-h"], [*VALID_ARGVS[name][0][:-1]])] + [
+    ["verify", "--code", "c", "--s", "x", "--hash"], ["verify", "--code", "c", "--s", "2"],
+    ["verify", "--code", "c", "--s", "2", "--separable", "--frameproof"],
+    ["verify", "--code", "c", "--s", "2", "--l"],
+    ["verify", "--code", "c", "--s", "2", "--list", "x"],
+    ["bound", "--kind", "nope", "--s", "2", "--q", "2"], ["bound", "--s", "2", "--q", "2"],
+    ["bound", "--kind", "ld-lower", "--s", "2", "--q", "2", "--L"],
+    ["table1", "--qprime-max", "x"], ["table1", "--qprime", "4", "--qprime-max"],
+    ["search", "--channel", "B", "--s", "2", "--q", "2", "--N", "3", "--mode", "nope"],
+    ["gen", "--ensemble", "xx", "--q", "2", "--N", "3", "--t", "4", "--out", "o"],
+    ["exponent", "--channel", "B", "--s", "2", "--q", "2"],
+    ["exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.1", "--ensemble", "x"]]
+
+
+def parse_outcome(parse, argv):
+    """The parsed namespace's attributes, or the exit code, stdout and stderr
+    of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [[name, *tail] for name, tails in VALID_ARGVS.items()
+                                  for tail in tails] + FAILING_ARGVS, ids=" ".join)
+def test_subcommand_parser_matches_full_parser(argv):
+    # a command parsed by its subcommand's own parser gets the namespace, or
+    # the exit code, usage, help and error text, that the full parser gives
+    assert VALID_ARGVS.keys() == cli.SUBCOMMANDS.keys()
+    own, full = parse_outcome(cli._parse_args, argv), parse_outcome(build_parser().parse_args, argv)
+    assert own == full
+    if isinstance(full, dict):
+        assert full["command"] == argv[0] and full == vars(
+            cli.subcommand_parser(argv[0]).parse_args(argv[1:]))
+    elif "-h" in argv[1:] or "--help" in argv[1:]:
+        assert full[0] == 0 and full[1].startswith(f"usage: sepmac {argv[0]} ")
+
+
+def test_subcommand_builds_only_its_parser(capsys):
+    build_parser.cache_clear()
+    cli.subcommand_parser.cache_clear()
+    assert main(["exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.1"]) == 0
+    assert build_parser.cache_info().currsize == 0
+    assert cli.subcommand_parser.cache_info().currsize == 1
+    capsys.readouterr()
+    # a command without a subcommand builds the full parser
+    assert main([]) == 2 and capsys.readouterr().err.startswith("usage: sepmac [-h] {verify,")
+    assert build_parser.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -253,6 +334,20 @@ def test_table1_csv(capsys):
     for ln in lines[1:]:
         parts = ln.split(",")
         assert float(parts[3]) <= float(parts[5]) + 1e-9
+
+
+@pytest.mark.parametrize("qprime_max", [3, 4, 64, 256])
+def test_table1_matches_rows_one_by_one(capsys, qprime_max):
+    # the table's q = 2 and q = 3 rows share each (s, L)'s P_term sums; built
+    # one row at a time, the reports and the CSV are the same
+    table = [(s, L, q) for q in (2, 3) for L in (1, 2) for s in range(2, 7)]
+    reports = [lower_bound_LD(s, L, q, qprime_max) for s, L, q in table]
+    assert lower_bound_LD_rows(table, qprime_max) == reports
+    rows = [f"{s},{L},{q},{rep.value:.4f},{rep.witness},{upper_bound_LD(s, L, q):.4f}"
+            for (s, L, q), rep in zip(table, reports)]
+    rc, out = run(capsys, ["table1", "--qprime-max", str(qprime_max)])
+    assert rc == 0
+    assert out == "\n".join(["s,L,q,lower_bound,qprime_argmax,upper_bound", *rows]) + "\n"
 
 
 def test_search_json_and_out(capsys, tmp_path):
