@@ -10,14 +10,15 @@ command and maps its errors to these codes; commands call the library and
 file's header and the options decide, of size or of usage, before they
 parse its rows.
 
-A command that starts with a subcommand is parsed by that subcommand's own
-parser (`subcommand_parser`); anything else, `sepmac -h` or an unknown word,
-by the full parser (`build_parser`). Both are built from `_add_options`, so
-usage, help, errors and the parsed namespace are the same whichever parses.
-Each parser is built at its first use, keeps no state between parses, and
-binds its `func` default then: a `cmd_*` attribute replaced afterwards is not
-what `main` runs. So `main` is safe to call repeatedly in one process: each
-call prints, and returns, what a fresh process would.
+Each subcommand's options live in one parser, `subcommand_parser(name)`, the
+only parser of a command that starts with `name`. The top-level parser,
+`build_parser()`, lists the subcommands and holds none of their options: it
+answers `sepmac -h` and a missing or unknown subcommand, and names an
+argument that a subcommand's parser leaves over. Each parser is built at its
+first use, keeps no state between parses, and binds its `func` default then:
+a `cmd_*` attribute replaced afterwards is not what `main` runs. So `main` is
+safe to call repeatedly in one process: each call prints, and returns, what a
+fresh process would.
 
 Environment variable SEPMAC_SEED overrides the default seed 0 of `gen` and
 greedy `search`; the entropy bound and every other result ignore it.
@@ -98,7 +99,7 @@ def _channel_from_args(args, s: int, q: int):
 
 def _distribution_from_args(args) -> Distribution:
     """--p as a distribution over A_q; uniform when absent."""
-    if not args.p:
+    if args.p is None:
         return Distribution(tuple(1.0 / args.q for _ in range(args.q)))
     try:
         return Distribution(_values("--p", args.p))
@@ -257,9 +258,12 @@ SUBCOMMANDS = {  # name: its line in `sepmac --help`
     "decode": "factor decoding of a union output word", "exponent": "error-exponent sweep (CSV)"}
 
 
-def _add_options(p: argparse.ArgumentParser, name: str) -> None:
-    """Give `p` the options and defaults of subcommand `name`: both the full
-    parser's subparser and the subcommand's own parser are built here."""
+@functools.cache
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand `name`'s parser, the only one that holds its options, built
+    at the first call for `name`, with `command` set as a default."""
+    p = argparse.ArgumentParser(prog=f"sepmac {name}")
+    p.set_defaults(command=name)
     if name == "verify":
         p.add_argument("--code", required=True)
         p.add_argument("--s", type=int, required=True)
@@ -321,39 +325,32 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--ensemble", choices=["cr", "fc"], default="cr")
         p.add_argument("--p", help="comma-separated input distribution")
         p.set_defaults(func=cmd_exponent)
+    return p
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full sepmac parser, with every subcommand, built at the first call
-    and shared by every later one."""
+    """The top-level parser, built at the first call: each subcommand takes
+    the rest of argv as it is, for its own parser."""
     parser = argparse.ArgumentParser(
-        prog="sepmac",
-        description="Separable and list-decoding codes for symmetric MACs.")
+        prog="sepmac", description="Separable and list-decoding codes for symmetric MACs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in SUBCOMMANDS.items():
-        _add_options(sub.add_parser(name, help=text), name)
-    return parser
-
-
-@functools.cache
-def subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """Subcommand `name`'s own parser, built at the first call for `name`: the
-    full parser's subparser for `name`, with `command` set as a default."""
-    parser = argparse.ArgumentParser(prog=f"sepmac {name}")
-    _add_options(parser, name)
-    parser.set_defaults(command=name)
+        sub.add_parser(name, help=text).add_argument("rest", nargs=argparse.REMAINDER)
     return parser
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, by the subcommand's own parser when argv
-    starts with one; the full parser names any argument that one leaves over."""
-    if argv and argv[0] in SUBCOMMANDS:
-        args, extras = subcommand_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    """argv parsed by the parser of the subcommand it names, after a leading `--`."""
+    if argv[:1] == ["--"]:  # Python 3.11's argparse takes it for the subcommand's name
+        argv = argv[1:]
+    if not argv or argv[0] not in SUBCOMMANDS:
+        top = build_parser().parse_args(argv)  # help, a missing or unknown subcommand exit
+        argv = [top.command, *top.rest]
+    args, extras = subcommand_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:

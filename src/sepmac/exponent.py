@@ -310,7 +310,7 @@ def exponent(channel: ChannelSpec, p: Distribution, rates: Sequence[float],
     solved for every rate; only the splits that may yet be a rate's m* are
     kept."""
     ensemble = _check_args(channel, p, ensemble)
-    rates = list(rates)
+    rates = [R + 0.0 for R in rates]  # a rate of -0.0 reports as 0.0
     for R in rates:
         if not (math.isfinite(R) and R >= 0):
             raise InvalidParametersError(f"rate must be finite and nonnegative, got {R}")

@@ -32,11 +32,14 @@ whose key repeats, which the search for the first repeated key replaced.
 and ``error_fraction`` counts the messages whose output word collides.
 ``parse_code`` reads a code file into tuples of Python ints, cell by cell,
 and ``reduce_alphabet`` concatenates one ``inner_code_word`` per symbol.
+``full_parser`` is the sepmac parser with every subcommand's options under
+the top level, the one parser that once parsed every command.
 They are slow and simple on purpose; nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import random
@@ -49,6 +52,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from sepmac import bounds as bnd
+from sepmac import cli
 from sepmac import verify as vfy
 from sepmac.bounds import BoundReport, Distribution, multinomial
 from sepmac.channels import ChannelSpec
@@ -860,3 +864,13 @@ def maximize_lbfgsb(block, rates, ensemble: str):
             col.append((dual(pt, lam), pt))
         out.append(col)
     return out
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """The top-level parser with each subcommand's parser as its subparser,
+    options, defaults and help included."""
+    parser = argparse.ArgumentParser(prog="sepmac", description=cli.build_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in cli.SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, parents=[cli.subcommand_parser(name)], add_help=False)
+    return parser

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sepmac.construct as cst
+import reference as ref
 from sepmac import __version__, cli
 from sepmac import exponent as expm
 from sepmac.bounds import Distribution, lower_bound_LD, lower_bound_LD_rows, upper_bound_LD
@@ -176,19 +177,52 @@ def parse_outcome(parse, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
+# no subcommand, help, an unknown word, an option the top level does not take,
+# a `--` inside a command
+EDGE_ARGVS = [[], ["-h"], ["--help"], ["frobnicate"], ["-h", "verify"], ["--"], ["VERIFY"],
+              ["-", "verify"], ["--version"], ["verify", "--", "--code", "c"]]
+
+
 @pytest.mark.parametrize("argv", [[name, *tail] for name, tails in VALID_ARGVS.items()
-                                  for tail in tails] + FAILING_ARGVS, ids=" ".join)
+                                  for tail in tails] + FAILING_ARGVS + EDGE_ARGVS, ids=" ".join)
 def test_subcommand_parser_matches_full_parser(argv):
-    # a command parsed by its subcommand's own parser gets the namespace, or
-    # the exit code, usage, help and error text, that the full parser gives
+    # a command parsed by its subcommand's parser alone gets the namespace, or
+    # the exit code, usage, help and error text, that the reference full
+    # parser, with every subcommand's options under the top level, gives
     assert VALID_ARGVS.keys() == cli.SUBCOMMANDS.keys()
-    own, full = parse_outcome(cli._parse_args, argv), parse_outcome(build_parser().parse_args, argv)
+    own = parse_outcome(cli._parse_args, argv)
+    full = parse_outcome(ref.full_parser().parse_args, argv)
     assert own == full
     if isinstance(full, dict):
         assert full["command"] == argv[0] and full == vars(
             cli.subcommand_parser(argv[0]).parse_args(argv[1:]))
-    elif "-h" in argv[1:] or "--help" in argv[1:]:
-        assert full[0] == 0 and full[1].startswith(f"usage: sepmac {argv[0]} ")
+    elif "-h" in argv or "--help" in argv:
+        name = argv[0] if argv[0] in cli.SUBCOMMANDS else "[-h]"
+        assert full[0] == 0 and full[1].startswith(f"usage: sepmac {name} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--code", "c", "--s", "2", "--hash"], ["verify", "--code", "c", "--s", "2"],
+    ["verify", "-h"], ["exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.1", "x"],
+    ["table1", "--", "x"], ["table1"], ["frobnicate"], []], ids=" ".join)
+def test_leading_double_dash(argv):
+    # a `--` before the subcommand changes nothing
+    assert parse_outcome(cli._parse_args, ["--", *argv]) == parse_outcome(cli._parse_args, argv)
+
+
+def test_option_before_subcommand():
+    # an option before the subcommand is refused under the top-level usage
+    rc, out, err = parse_outcome(cli._parse_args, ["-x", "verify", "--code", "c", "--s", "2",
+                                                   "--hash"])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage: sepmac [-h] {verify,") and "unrecognized arguments: -x" in err
+
+
+def test_top_level_parser_holds_no_subcommand_option():
+    sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.choices.keys() == cli.SUBCOMMANDS.keys()
+    for parser in sub.choices.values():
+        assert [a.dest for a in parser._actions] == ["help", "rest"]
 
 
 def test_subcommand_builds_only_its_parser(capsys):
@@ -198,9 +232,21 @@ def test_subcommand_builds_only_its_parser(capsys):
     assert build_parser.cache_info().currsize == 0
     assert cli.subcommand_parser.cache_info().currsize == 1
     capsys.readouterr()
-    # a command without a subcommand builds the full parser
+    # a command without a subcommand builds the top-level parser
     assert main([]) == 2 and capsys.readouterr().err.startswith("usage: sepmac [-h] {verify,")
     assert build_parser.cache_info().currsize == 1
+    # a leftover argument is named under the top-level usage, without a second parse
+    parses = []
+    real = argparse.ArgumentParser.parse_known_args
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "parse_known_args",
+                   lambda self, *a, **k: parses.append(self.prog) or real(self, *a, **k))
+        assert main(["exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.1",
+                     "extra"]) == 2
+    assert parses == ["sepmac exponent"]
+    assert capsys.readouterr().err == (
+        "usage: sepmac [-h] {verify,bound,table1,search,gen,reduce,decode,exponent} ...\n"
+        "sepmac: error: unrecognized arguments: extra\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -554,7 +600,7 @@ def test_unknown_threshold_channel(capsys):
     assert "unknown channel name 'thr:x'" in err
 
 
-@pytest.mark.parametrize("probs", ["0.5,0.5000000001", "0.5,x", "nan,0.5"])
+@pytest.mark.parametrize("probs", ["0.5,0.5000000001", "0.5,x", "nan,0.5", ""])
 @pytest.mark.parametrize("command", [
     ["gen", "--ensemble", "cr", "--N", "2", "--t", "2", "--out"],
     ["exponent", "--channel", "B", "--s", "2", "--R", "0.1"]])
@@ -629,6 +675,10 @@ def test_exponent_csv(capsys):
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[0] for r in rows] == ["0.000000", "0.300000"]
     assert float(rows[0][1]) >= float(rows[1][1]) >= 0.0
+    # a rate of -0 is the rate 0
+    rc, neg = run(capsys, [
+        "exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "-0"])
+    assert rc == 0 and neg.splitlines() == ["R,E", ",".join(rows[0])]
 
 
 def test_exponent_reports_unconverged_rates(capsys, monkeypatch):

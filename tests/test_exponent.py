@@ -253,6 +253,12 @@ def test_degenerate_input_gives_positive_zero():
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+def test_negative_zero_rate_reports_positive_zero():
+    rep, = exponent(B22, UNIF2, [-0.0])
+    assert rep.R == 0.0 and math.copysign(1.0, rep.R) == 1.0
+    assert rep.value == exponent(B22, UNIF2, [0.0])[0].value
+
+
 def test_exponent_q_mismatch():
     with pytest.raises(InvalidParametersError):
         exponent(make_channel("B", 2, 3), UNIF2, [0.1])
