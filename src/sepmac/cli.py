@@ -5,20 +5,19 @@ Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 or value, an unreadable or malformed file, a decode symbol outside the
 alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
 gen, reduce, bounds and exponent). `main` parses, starts the clock, runs the
-command and maps its errors to these codes; commands call the library and
-`_emit` the result. `verify` and `reduce` make every refusal that a code
-file's header and the options decide, of size or of usage, before they
-parse its rows.
+command's handler, named in `SUBCOMMANDS`, and maps its errors to these
+codes; commands call the library and `_emit` the result. A command that
+reads a code file makes every refusal that its header and the options
+decide, of size or of usage, before it parses the rows.
 
 Each subcommand's options live in one parser, `subcommand_parser(name)`, the
 only parser of a command that starts with `name`. The top-level parser,
 `build_parser()`, lists the subcommands and holds none of their options: it
 answers `sepmac -h` and a missing or unknown subcommand, and names an
 argument that a subcommand's parser leaves over. Each parser is built at its
-first use, keeps no state between parses, and binds its `func` default then:
-a `cmd_*` attribute replaced afterwards is not what `main` runs. So `main` is
-safe to call repeatedly in one process: each call prints, and returns, what a
-fresh process would.
+first use and keeps no state between parses, so `main` is safe to call
+repeatedly in one process: each call prints, and returns, what a fresh
+process would.
 
 Environment variable SEPMAC_SEED overrides the default seed 0 of `gen` and
 greedy `search`; the entropy bound and every other result ignore it.
@@ -36,7 +35,7 @@ import time
 
 from . import __version__
 from .core import (Distribution, InvalidParametersError, SizeLimitError, _content, load_code,
-                   read_header, save_code)
+                   save_code)
 from .channels import load_channel, make_channel
 from . import bounds as bnd
 from . import construct as cst
@@ -107,28 +106,21 @@ def _distribution_from_args(args) -> Distribution:
         raise UsageError(f"--p {args.p}: {exc}") from None
 
 
-def _load_checked(path, checks):
-    """The code at ``path`` and what ``checks(q, N, t)`` returns. The checks
-    run on the header before the rows are parsed, so any refusal they make
-    comes at once, before a malformed row is found."""
-    result = checks(*read_header(path))
-    return load_code(path), result
-
-
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    s, prop = args.s, args.property
+    s, prop, channel = args.s, args.property, None
 
-    def checks(q, N, t):
+    def check(q, N, t):
+        nonlocal channel
         if prop != "separable" and args.channel is not None:
             raise UsageError(f"--{prop.replace('_', '-')} is channel-free; drop --channel")
-        channel = _channel_from_args(args, s, q) if prop == "separable" else None
+        if prop == "separable":
+            channel = _channel_from_args(args, s, q)
         vfy.check_params(prop, t, q, s, args.L)
-        return channel
 
-    code, channel = _load_checked(args.code, checks)
+    code = load_code(args.code, check)
     if prop == "separable":
         verdict = vfy.is_separable(code, s, channel)
     elif prop == "list":
@@ -154,11 +146,13 @@ def cmd_bound(args) -> int:
         raise UsageError(f"--L applies to ld-lower and ld-upper only; drop it for {kind}")
     if args.channel is not None and kind != "entropy":
         raise UsageError(f"--channel applies to entropy only; drop it for {kind}")
+    if args.qprime_max is not None and kind != "ld-lower":
+        raise UsageError(f"--qprime-max applies to ld-lower only; drop it for {kind}")
 
     if kind == "entropy":
         report = bnd.capacity_entropy_bound(_channel_from_args(args, s, q))
     elif kind == "ld-lower":
-        report = bnd.lower_bound_LD(s, L, q, qprime_max=args.qprime_max)
+        report = bnd.lower_bound_LD(s, L, q, 64 if args.qprime_max is None else args.qprime_max)
     elif kind == "ld-upper":
         report = bnd.BoundReport(kind, bnd.upper_bound_LD(s, L, q), {"s": s, "L": L, "q": q})
     else:
@@ -205,7 +199,7 @@ def cmd_gen(args) -> int:
     else:
         if args.p is not None:
             raise UsageError("--p applies to the cr ensemble only; drop it for fc")
-        if not args.composition:
+        if args.composition is None:
             raise UsageError("--composition is required for the fc ensemble")
         spec = cst.EnsembleSpec("fc", args.q, args.N, args.t,
                                 composition=_values("--composition", args.composition, int),
@@ -217,7 +211,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    code, _ = _load_checked(args.code, functools.partial(cst.check_reduce, args.q))
+    code = load_code(args.code, functools.partial(cst.check_reduce, args.q))
     reduced = cst.reduce_alphabet(code, args.q)
     save_code(reduced, args.out)
     _emit(args, {"code": args.code, "q": args.q},
@@ -226,7 +220,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    code = load_code(args.code)
+    code = load_code(args.code, lambda q, N, t: vfy._check_masks(q))
     with open(args.z, "r", encoding="utf-8") as fh:
         rows = [ln.replace("{", "").replace("}", "") for ln in _content(fh)]
     z = [_values("--z", row, int) if row else () for row in rows]
@@ -251,11 +245,15 @@ def cmd_exponent(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
-SUBCOMMANDS = {  # name: its line in `sepmac --help`
-    "verify": "verify a code property", "bound": "compute a rate/capacity bound",
-    "table1": "list-decoding lower bound table (CSV)", "search": "maximal separable code search",
-    "gen": "generate a random code", "reduce": "alphabet-reduction construction",
-    "decode": "factor decoding of a union output word", "exponent": "error-exponent sweep (CSV)"}
+SUBCOMMANDS = {  # name: (its handler, its line in `sepmac --help`)
+    "verify": (cmd_verify, "verify a code property"),
+    "bound": (cmd_bound, "compute a rate/capacity bound"),
+    "table1": (cmd_table1, "list-decoding lower bound table (CSV)"),
+    "search": (cmd_search, "maximal separable code search"),
+    "gen": (cmd_gen, "generate a random code"),
+    "reduce": (cmd_reduce, "alphabet-reduction construction"),
+    "decode": (cmd_decode, "factor decoding of a union output word"),
+    "exponent": (cmd_exponent, "error-exponent sweep (CSV)")}
 
 
 @functools.cache
@@ -274,7 +272,7 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
                               const=flag.replace("-", "_"))
         prop.add_argument("--list", dest="L", type=int, metavar="L")
         # the required group leaves the property at this default only for --list
-        p.set_defaults(func=cmd_verify, property="list")
+        p.set_defaults(property="list")
     elif name == "bound":
         p.add_argument("--kind", required=True,
                        choices=["entropy", "b-capacity", "comb-upper",
@@ -283,12 +281,10 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--L", type=int)
         p.add_argument("--channel")
-        p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
+        p.add_argument("--qprime-max", dest="qprime_max", type=int)
         p.add_argument("--bits", action="store_true")
-        p.set_defaults(func=cmd_bound)
     elif name == "table1":
         p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
-        p.set_defaults(func=cmd_table1)
     elif name == "search":
         p.add_argument("--channel", required=True)
         p.add_argument("--s", type=int, required=True)
@@ -296,7 +292,6 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--mode", choices=["exhaustive", "greedy"], default="exhaustive")
         p.add_argument("--out")
-        p.set_defaults(func=cmd_search)
     elif name == "gen":
         p.add_argument("--ensemble", choices=["cr", "fc"], required=True)
         p.add_argument("--q", type=int, required=True)
@@ -306,17 +301,14 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
         p.add_argument("--composition", help="comma-separated per-symbol counts for fc")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_gen)
     elif name == "reduce":
         p.add_argument("--code", required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_reduce)
     elif name == "decode":
         p.add_argument("--code", required=True)
         p.add_argument("--z", required=True,
                        help="file with one subset per row, e.g. '0,1' per line")
-        p.set_defaults(func=cmd_decode)
     elif name == "exponent":
         p.add_argument("--channel", required=True)
         p.add_argument("--s", type=int, required=True)
@@ -324,7 +316,6 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
         p.add_argument("--R", required=True, help="comma-separated rate grid")
         p.add_argument("--ensemble", choices=["cr", "fc"], default="cr")
         p.add_argument("--p", help="comma-separated input distribution")
-        p.set_defaults(func=cmd_exponent)
     return p
 
 
@@ -335,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepmac", description="Separable and list-decoding codes for symmetric MACs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in SUBCOMMANDS.items():
+    for name, (_, text) in SUBCOMMANDS.items():
         sub.add_parser(name, help=text).add_argument("rest", nargs=argparse.REMAINDER)
     return parser
 
@@ -360,7 +351,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     args.started = time.monotonic()
     try:
-        return args.func(args)
+        return SUBCOMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

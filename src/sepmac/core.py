@@ -161,11 +161,22 @@ def _header(lines: list[str], form: str = "q N t", error: type = CodeFileError,
     return q, n, t
 
 
-def parse_code(text: str) -> Code:
-    """The rows are read in one np.loadtxt call; where it refuses them or they
-    are wrong, a row-at-a-time parse with int names the first bad row."""
-    lines = list(_content([text]))
+def parse_code(text: str, check=None) -> Code:
+    """``check(q, N, t)``, when given, runs on the header before any row is
+    parsed, so a refusal that the header decides comes first. The rows are
+    read in one np.loadtxt call; where it refuses them or they are wrong, a
+    row-at-a-time parse with int names the first bad row."""
+    return _read_code(_content([text]), check)
+
+
+def _read_code(content: Iterator[str], check) -> Code:
+    """`parse_code` of the ``content`` lines of a text or an open file, read
+    past the header only after ``check``: a file it refuses is not read on."""
+    lines = list(itertools.islice(content, 1))
     q, n, t = _header(lines)
+    if check is not None:
+        check(q, n, t)
+    lines += content
     if len(lines) - 1 != n:
         raise CodeFileError(f"expected {n} rows, found {len(lines) - 1}")
     dtype = _dtype(q)
@@ -195,17 +206,9 @@ def format_code(code: Code) -> str:
     return "\n".join([f"{code.q} {code.N} {code.t}", *rows]) + "\n"
 
 
-def read_header(path) -> tuple[int, int, int]:
-    """q, N and t from a code file's header, checked as `parse_code` checks
-    it, without reading the rows: refusals that the header decides need
-    not wait for a large file to be parsed."""
+def load_code(path, check=None) -> Code:
     with open(path, "r", encoding="utf-8") as fh:
-        return _header(list(itertools.islice(_content(fh), 1)))
-
-
-def load_code(path) -> Code:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read())
+        return _read_code(_content(fh), check)
 
 
 def save_code(code: Code, path) -> None:

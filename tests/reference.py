@@ -871,6 +871,6 @@ def full_parser() -> argparse.ArgumentParser:
     options, defaults and help included."""
     parser = argparse.ArgumentParser(prog="sepmac", description=cli.build_parser().description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in cli.SUBCOMMANDS.items():
+    for name, (_, text) in cli.SUBCOMMANDS.items():
         sub.add_parser(name, help=text, parents=[cli.subcommand_parser(name)], add_help=False)
     return parser

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import io
 import json
@@ -251,11 +252,14 @@ def test_subcommand_builds_only_its_parser(capsys):
 
 @pytest.mark.parametrize("argv, err", [
     (["verify", "--s", "2", "--le-separable"], "more than 1000000 index sets"),
-    (["reduce", "--q", "2", "--out", "{dir}/out.txt"], "N*t = 30000000 code cells")])
+    (["reduce", "--q", "2", "--out", "{dir}/out.txt"], "N*t = 30000000 code cells"),
+    (["decode", "--z", "{dir}/z.txt"], "alphabet size 65 exceeds the 64-bit row masks")])
 def test_header_decides_refusal(capsys, tmp_path, argv, err):
-    # a header past both guards: the refusal comes before the rows it
-    # announces are read, so their absence is never reported
-    (tmp_path / "big.txt").write_text("3 1000 10000\n0 1 2\n")
+    # a header past a guard: the refusal comes before the rows it announces
+    # are read, so their absence is never reported
+    header = "65 2 3" if argv[0] == "decode" else "3 1000 10000"
+    (tmp_path / "big.txt").write_text(header + "\n0 1 2\n")
+    (tmp_path / "z.txt").write_text("0\n0\n")
     argv = [a.format(dir=tmp_path) for a in argv] + ["--code", str(tmp_path / "big.txt")]
     rc, out, stderr = run_err(capsys, argv)
     assert rc == 3 and out == "" and err in stderr
@@ -266,7 +270,7 @@ HEADER_VALUES = [-1, 0, 1, 2, 3, 65, 10 ** 4, 2 ** 63, 2 ** 64, 10 ** 400]
 HEADER_ARGVS = [["verify", "--s", s, *prop] for s in ("1", "2", "1000000")
                 for prop in (["--channel", "B", "--separable"], ["--channel", "disj", "--separable"],
                              ["--le-separable"], ["--frameproof"], ["--hash"], ["--list", "2"])]
-HEADER_ARGVS += [["reduce", "--q", q] for q in ("2", "3", "100")]
+HEADER_ARGVS += [["reduce", "--q", q] for q in ("2", "3", "100")] + [["decode"]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -276,10 +280,29 @@ def test_header_checks_exit_cleanly(tmp_path_factory, header, rows, argv):
     # whatever the header claims, the checks made on it end in an exit code
     path = tmp_path_factory.mktemp("code") / "code.txt"
     path.write_text("{} {} {}\n".format(*header) + rows)
-    argv = argv + ["--code", str(path), *(["--out", str(path.parent / "out.txt")]
-                                         if argv[0] == "reduce" else [])]
+    (path.parent / "z.txt").write_text("0\n1\n")
+    files = {"reduce": ["--out", str(path.parent / "out.txt")],
+             "decode": ["--z", str(path.parent / "z.txt")]}
+    argv = argv + ["--code", str(path), *files.get(argv[0], [])]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--s", "2", "--channel", "B", "--separable"], ["verify", "--s", "2", "--hash"],
+    ["reduce", "--q", "2", "--out", "{dir}/out.txt"], ["decode", "--z", "{dir}/z.txt"]],
+    ids=" ".join)
+def test_code_file_opened_once(capsys, tmp_path, monkeypatch, argv):
+    # the header checks and the rows are read from one open of the file
+    path = tmp_path / "code.txt"
+    path.write_text(format_code(Code(3, [(0, 1), (2, 0), (1, 1)])))
+    (tmp_path / "z.txt").write_text("0,1\n1\n")
+    opened, real = [], builtins.open
+    monkeypatch.setattr(builtins, "open",
+                        lambda file, *a, **k: opened.append(str(file)) or real(file, *a, **k))
+    rc, _, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv] + ["--code", str(path)])
+    assert rc in (0, 1) and err == ""
+    assert opened.count(str(path)) == 1
 
 
 def test_missing_code_file(capsys):
@@ -299,6 +322,13 @@ def test_bound_ld_lower(capsys):
     assert abs(rec["payload"]["value"] - 0.2939) < 1e-4
     assert rec["payload"]["witness"] == 3
     assert rec["payload"]["unit"] == "nats"
+
+
+def test_ld_lower_qprime_max_default(capsys):
+    argv = ["bound", "--kind", "ld-lower", "--s", "3", "--L", "2", "--q", "2"]
+    payloads = [run_json(capsys, argv + extra)[1]["payload"] for extra in
+                ([], ["--qprime-max", "64"], ["--qprime-max", "5"])]
+    assert payloads[0] == payloads[1] != payloads[2]
 
 
 def test_bound_bits_flag(capsys):
@@ -490,7 +520,9 @@ def test_gen_fc_needs_composition(capsys, tmp_path):
                        "--composition", "1,1", "--out", "{dir}/code.txt"]),
     ("--L", ["bound", "--kind", "a-upper", "--s", "2", "--q", "2", "--L", "3"]),
     ("--channel", ["bound", "--kind", "comb-upper", "--s", "2", "--q", "2",
-                   "--channel", "B"])])
+                   "--channel", "B"]),
+    ("--qprime-max", ["bound", "--kind", "entropy", "--channel", "A", "--s", "2", "--q", "2",
+                      "--qprime-max", "3"])])
 def test_ignored_option_refused(capsys, tmp_path, option, argv):
     rc, out, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv])
     assert rc == 2 and out == ""
@@ -630,7 +662,9 @@ def test_directory_path_exit_code(capsys, tmp_path, argv):
                        "--composition", "a,b", "--out", "{dir}/code.txt"]),
     ("--z", ["decode", "--code", "{dir}/code.txt", "--z", "{dir}/z.txt"]),
     ("SEPMAC_SEED", ["gen", "--ensemble", "cr", "--q", "2", "--N", "2", "--t", "2",
-                     "--out", "{dir}/code.txt"])])
+                     "--out", "{dir}/code.txt"]),
+    ("--composition", ["gen", "--ensemble", "fc", "--q", "2", "--N", "2", "--t", "2",
+                       "--composition", "", "--out", "{dir}/code.txt"])])
 def test_bad_value_names_option(capsys, tmp_path, monkeypatch, option, argv):
     (tmp_path / "code.txt").write_text(SEP_CODE)
     (tmp_path / "z.txt").write_text("0,1\n0,x\n")
@@ -638,7 +672,8 @@ def test_bad_value_names_option(capsys, tmp_path, monkeypatch, option, argv):
         monkeypatch.setenv("SEPMAC_SEED", "x")
     rc, out, err = run_err(capsys, [a.format(dir=tmp_path) for a in argv])
     assert rc == 2 and out == ""
-    assert err.startswith(f"usage error: {option}")
+    # the value is named, not the option reported missing
+    assert err.startswith(f"usage error: {option}") and "required" not in err
 
 
 def test_entropy_bound_ignores_seed(capsys, monkeypatch):

@@ -22,7 +22,6 @@ from sepmac.core import (
     format_code,
     load_code,
     parse_code,
-    read_header,
     repeated,
     runs,
 )
@@ -227,17 +226,26 @@ def test_parse_code_splits_tokens_as_str_split(sep, t):
 
 @settings(max_examples=200, deadline=None)
 @given(code_texts(), st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]))
-def test_read_header_matches_load(tmp_path_factory, text, newline):
-    # the header a file's rows are parsed under, with the same refusals
+def test_load_code_check_sees_header(tmp_path_factory, text, newline):
+    # the check is called once, on the header the rows are parsed under, and
+    # a refusal it makes comes before any fault of the rows
     path = tmp_path_factory.mktemp("code") / "code.txt"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text.replace("\n", newline))
-    header = _outcome(read_header, path)
-    code = _outcome(load_code, path)
+    headers = []
+    code = _outcome(lambda p: load_code(p, lambda *header: headers.append(header)), path)
+    assert code == _outcome(parse_code, text.replace("\n", newline))
     if isinstance(code, Code):
-        assert header == (code.q, code.N, code.t)
-    elif not isinstance(header, tuple):
-        assert header == code
+        assert headers == [(code.q, code.N, code.t)]
+
+    class Refused(Exception):
+        pass
+
+    def refuse(q, N, t):
+        raise Refused
+
+    refused = _outcome(lambda p: load_code(p, refuse), path)
+    assert refused == ((Refused, "") if headers else code)
 
 
 def test_parse_code_peak_memory():
