@@ -2,13 +2,13 @@
 
 All verifiers are exhaustive over the relevant message/tuple space and
 deterministic: a failing verdict carries the lexicographically smallest
-witness so that fixtures are stable. Channel-free properties test covers
-on q-bit row masks: a union word is the OR of the rows' 1 << x.
+witness so that fixtures are stable. Channel-free properties test q-bit row
+masks 1 << x, in the smallest unsigned dtype; a union is the OR of the rows'.
 
 Every verifier walks the index sets by prefix (``_walk``): a set of size
 k + 1 is a set of size k extended by one larger index, so its kernel state
 is one gather from its prefix's state, trans[state, x[b]], and its union
-word one OR with its prefix's union. The sets come in bounded blocks.
+one OR with its prefix's union. The sets come in bounded blocks.
 
 The collision verdicts take one path (``_collision``): a message, a prefix
 plus one larger index b, gets one uint64 key, equal rows equal keys. Only
@@ -18,16 +18,19 @@ Separability's prefixes have s-1 codewords: a message's output in column i
 is trans[prefix state, x_b[i]], so the output rows of a prefix's messages,
 packed a few columns to an integer below 2^32, are one exact float64
 product with the one-hot codewords (``_times_onehot``, built once a verdict
-while it fits in _BLOCK_CELLS cells). (<= s)-separability's
-prefixes have 0..s-1 codewords, and a union word's key is one uint64
-product. The cover verdicts and factor decoding count the columns where a
-codeword lies inside a union word as the product of the union's one-hot bit
-set with the codewords.
+while it fits in _BLOCK_CELLS cells).
+
+The other channel-free verdicts but --hash, and factor decoding, lay a
+codeword's masks end to end in W uint64 words (``_words``), zero-padded.
+Codeword j lies inside a union u when every word of words[j] & ~u is 0
+(``_covers``); (<= s)-separability, whose prefixes have 0..s-1 codewords,
+keys a union by its words as base-_HASH digits mod 2^64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from typing import Optional, Sequence
 
@@ -136,9 +139,9 @@ def _children(prefixes: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
     return ends, last + 1 - ends + counts
 
 
-def _union_walk(code: Code, masks: np.ndarray, s: int, cells: int):
-    """_walk whose folds are union words: the OR of the members' row masks."""
-    return _walk(code.t, s, np.zeros(code.N, masks.dtype), lambda u, b: u | masks[b], cells)
+def _union_walk(code: Code, rows: np.ndarray, s: int, cells: int):
+    """_walk whose folds are unions: the OR of the members' rows, masks or words."""
+    return _walk(code.t, s, np.zeros(rows.shape[1], rows.dtype), lambda u, b: u | rows[b], cells)
 
 
 def _as_tuple(index_set: np.ndarray) -> tuple[int, ...]:
@@ -174,7 +177,7 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
         # with the keys of lower sizes, sorted, and the first message of each
         low = np.unique(keys[:lo], return_index=True)
         levels[i] = lo, hi, k, prefix, folds, low, *_children(prefix, t)
-    block = max(1, _BLOCK_CELLS // (sizes.stop * len(zero)))
+    block = max(1, _BLOCK_CELLS // (sizes.stop * zero.nbytes))
     among = lambda values, k: values[np.searchsorted(values[:-1], k)] == k  # values sorted
     # the k-subsets of 1..t before the set x in tuple order: those first less at p, and x[:k]
     rank = lambda x, k: (len(x) > k) + sum(comb(t - a, k - p) - comb(t - v + 1, k - p)
@@ -231,14 +234,13 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
         heads[i] += 1
 
 
-def _times_onehot(code: Code, dtype):
-    """times(left, lo, hi): the (M, t) product of ``left``, (M, (hi - lo) * q)
-    in ``dtype``, with the codewords' one-hot symbols in columns lo..hi-1, cell
-    (b, (i - lo) * q + a) being 1 where x_b[i] = a. The one-hot matrix is built
-    once if it fits in _BLOCK_CELLS cells, else for every product, in blocks
-    of codewords within _BLOCK_CELLS."""
+def _times_onehot(code: Code):
+    """times(left, lo, hi): the (M, t) float64 product of ``left``, (M, (hi - lo) * q),
+    with the codewords' one-hot symbols in columns lo..hi-1, cell (b, (i - lo) * q + a)
+    being 1 where x_b[i] = a. The one-hot matrix is built once if it fits in
+    _BLOCK_CELLS cells, else for every product, in blocks of codewords within it."""
     symbols, q = np.arange(code.q, dtype=code.symbols.dtype), code.q
-    onehot = lambda x: (x[:, :, None] == symbols).reshape(len(x), -1).T.astype(dtype)
+    onehot = lambda x: (x[:, :, None] == symbols).reshape(len(x), -1).T.astype(np.float64)
     if code.t * code.N * q <= _BLOCK_CELLS:
         whole = onehot(code.symbols)
         return lambda left, lo, hi: left @ whole[lo * q:hi * q]
@@ -272,7 +274,7 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     per = 32 // bits
     shift = (2.0 ** (bits * np.arange(per)))[:, None]
     slices = [(lo, min(lo + per, N)) for lo in range(0, N, per)]
-    times = _times_onehot(code, values.dtype)
+    times = _times_onehot(code)
 
     def key(states, cells):
         # a block's products take at most _BLOCK_CELLS multiply-adds each
@@ -288,69 +290,68 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
                       lambda row: tuple(channel.outputs[z] for z in row.tolist()))
 
 
-def _check_masks(q: int) -> None:
+def _check_masks(q: int) -> np.dtype:
+    """The dtype of q-bit row masks, the smallest unsigned one; q > 64 is refused."""
     if q > 64:
         raise SizeLimitError(f"alphabet size {q} exceeds the 64-bit row masks")
+    return np.min_scalar_type((1 << q) - 1)
 
 
 def _masks(code: Code) -> np.ndarray:
     """(t, N) q-bit row masks 1 << x of the code's symbols."""
-    _check_masks(code.q)
-    bits = np.uint64(1) << np.arange(code.q, dtype=np.uint64)
-    return bits.astype(np.min_scalar_type((1 << code.q) - 1))[code.symbols]
+    dtype = _check_masks(code.q)
+    return (np.uint64(1) << np.arange(code.q, dtype=np.uint64)).astype(dtype)[code.symbols]
 
 
-def _covers(code: Code, unions: np.ndarray, times) -> np.ndarray:
-    """(M, t) flags: codeword j lies inside union word m (M rows of N q-bit
-    masks) on every column. Over a slice of columns, the count of columns
-    where it does is the product of the unions' one-hot bit sets with the
-    one-hot codewords, exact in float32, by ``times`` (_times_onehot); slices
-    keep the bit sets within _BLOCK_CELLS."""
-    w = max(1, _BLOCK_CELLS // (len(unions) * code.q))
-    # the masks' bytes, least significant first, unpack to bits 0, 1, ...
-    masks = unions.astype(unions.dtype.newbyteorder("<"), copy=False)
-    covered = True
-    for lo in range(0, code.N, w):
-        hi = min(lo + w, code.N)
-        member = np.unpackbits(masks[:, lo:hi].view(np.uint8).reshape(len(masks), hi - lo, -1),
-                               axis=2, count=code.q, bitorder="little")
-        count = times(member.reshape(len(masks), -1).astype(np.float32), lo, hi)
-        covered = covered & (count == hi - lo)
+def _words(masks: np.ndarray) -> np.ndarray:
+    """(len(masks), W) uint64: each row's masks end to end, zero-padded to whole words."""
+    b = masks.view(np.uint8).reshape(len(masks), -1)
+    return np.hstack([b, np.zeros((len(b), -b.shape[1] % 8), np.uint8)]).view(np.uint64)
+
+
+def _subsets_of(words: np.ndarray, code: Code) -> tuple:
+    """The N symbol sets of a union, one row of its words."""
+    masks = words.view(np.uint8)[:code.N * (dtype := _check_masks(code.q)).itemsize].view(dtype)
+    return tuple(tuple(a for a in range(code.q) if m >> a & 1) for m in masks.tolist())
+
+
+def _covers(unions: np.ndarray, words: np.ndarray, members: int) -> np.ndarray:
+    """(M, t) flags: codeword j lies inside union m, every word of words[j] &
+    ~unions[m] being 0; ``words`` holds the codewords' words transposed, (W, t).
+    A union's ``members`` lie inside it, so a row down to that many flags is
+    settled, and each next word is tested on the unsettled rows only."""
+    covered, w = (~unions[:, :1] & words[0]) == 0, 1
+    rows = np.flatnonzero(covered.sum(axis=1) > members)
+    while rows.size and w < len(words):
+        covered[rows] &= (~unions[rows, w:w + 1] & words[w]) == 0
+        rows, w = rows[covered[rows].sum(axis=1) > members], w + 1
     return covered
-
-
-def _subsets_of(union: np.ndarray, q: int) -> tuple:
-    return tuple(tuple(a for a in range(q) if m >> a & 1) for m in union.tolist())
 
 
 def is_at_most_s_separable(code: Code, s: int) -> Verdict:
     """Coordinate-wise unions distinguish every pair of distinct index sets
     of sizes 1..s (the A-MAC, tuples of unequal size included)."""
-    n, masks = check_params("le_separable", code.t, code.q, s), _masks(code)
-    t, N = code.t, code.N
-    # key = sum_i row[i] * _HASH^(N-1-i) mod 2^64 (Python int powers: numpy's warn)
-    powers = np.array([pow(int(_HASH), N - 1 - i, 1 << 64) for i in range(N)], np.uint64)
-    step = lambda u, b: u | masks[b]
-    key = lambda unions, c: step(unions[c // t], c % t) @ powers
-    # a block's union rows take about _BLOCK_CELLS / 2 cells, 8 bytes each in the product
-    return _collision(t, n, range(s), np.zeros(N, masks.dtype), step, key, 2 * t * N,
-                      lambda row: _subsets_of(row, code.q))
+    n, words = check_params("le_separable", code.t, code.q, s), _words(_masks(code))
+    t, step = code.t, lambda u, b: u | words[b]
+    # a union's words u key as sum_w u_w * _HASH^(W-1-w) mod 2^64, by Horner's rule
+    key = lambda unions, c: reduce(lambda k, u: k * _HASH + u, step(unions[c // t], c % t).T)
+    # a block's messages take about _BLOCK_CELLS / 8 bytes of words
+    return _collision(t, n, range(s), np.zeros(words.shape[1], np.uint64), step, key,
+                      8 * t * words.shape[1], lambda row: _subsets_of(row, code))
 
 
 def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
     """Fails at the lexicographically first s-tuple whose union covers more
     than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
     codewords into the witness's second entry."""
-    times = _times_onehot(code, np.float32)
-    for block, unions in _union_walk(code, _masks(code), s, code.N * code.t):
-        covered = _covers(code, unions, times)
-        covered[np.arange(len(block))[:, None], block] = False
-        bad = np.flatnonzero(covered.sum(axis=1) > limit)
-        if bad.size:
+    columns = np.ascontiguousarray((words := _words(_masks(code))).T)
+    for block, unions in _union_walk(code, words, s, code.t * len(columns)):
+        covered = _covers(unions, columns, s)  # each row's s members among its flags
+        if (bad := np.flatnonzero(covered.sum(axis=1) > s + limit)).size:
             i = bad[0]
-            js = tuple((np.flatnonzero(covered[i]) + 1).tolist())
+            js = tuple(j + 1 for j in np.flatnonzero(covered[i]).tolist() if j not in block[i])
             return Verdict(False, witness=(_as_tuple(block[i] + 1), pick(js)),
-                           colliding_output=(_subsets_of(unions[i], code.q),))
+                           colliding_output=(_subsets_of(unions[i], code),))
     return Verdict(True)
 
 
@@ -387,12 +388,11 @@ def factor_decode(code: Code, z: Sequence[Sequence[int]]) -> set[int]:
     (a sequence of N subsets of 0..q-1; any other symbol is an error)."""
     if len(z) != code.N:
         raise InvalidParametersError(f"output word length {len(z)} != code length {code.N}")
-    _check_masks(code.q)
+    dtype = _check_masks(code.q)
     given = np.array([a for zi in z for a in zi], dtype=object)
     bad = (given < 0) | (given >= code.q)
     if bad.any():
         raise InvalidSymbolError(f"symbol {given[bad.argmax()]} outside alphabet of size {code.q}")
-    union = np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=np.uint64)
-    covered = _covers(code, union, _times_onehot(code, np.float32))[0]
+    union = _words(np.array([[sum(1 << a for a in set(zi)) for zi in z]], dtype=dtype))
+    covered = ~(_words(_masks(code)) & ~union).any(axis=1)
     return set((np.flatnonzero(covered) + 1).tolist())
-

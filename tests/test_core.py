@@ -25,7 +25,7 @@ from sepmac.core import (
     repeated,
     runs,
 )
-from sepmac.verify import _masks, _subsets_of, _union_walk
+from sepmac.verify import _masks, _subsets_of, _union_walk, _words
 
 
 def test_type_of_examples():
@@ -50,8 +50,8 @@ def test_type_union_permutation_invariant(qw):
         # the union word of a one-row code whose codewords are w's symbols:
         # the fold of the walk's one set of all of them
         code = Code(q, [(a,) for a in w])
-        (_, unions), = _union_walk(code, _masks(code), len(w), 1)
-        return _subsets_of(unions[0], q)
+        (_, unions), = _union_walk(code, _words(_masks(code)), len(w), 1)
+        return _subsets_of(unions[0], code)
 
     assert union(word) == union(rev)
     comp = type_of(word, q)

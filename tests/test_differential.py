@@ -524,8 +524,23 @@ def test_entropy_gradient_matches_central_differences(ch, data):
         assert abs(grad[a] - slope) <= 1e-6 * (1 + abs(slope)), (a, grad, slope)
 
 
-@settings(max_examples=300, deadline=None)
-@given(codes(kinds=("A",)), st.integers(1, 3), BLOCK_CELLS, st.data())
+@st.composite
+def wide_codes(draw):
+    """A code whose q lies in a drawn mask width (uint8, 16, 32 or 64) and
+    whose rows of up to 20 masks span several uint64 words, N * itemsize a
+    multiple of 8 or not; its symbols come from a few of the q, the largest
+    among them, so that covers and equal unions occur."""
+    q = draw(st.sampled_from([(2, 8), (9, 16), (17, 32), (33, 64)]).flatmap(
+        lambda band: st.integers(*band)))
+    t = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 20))
+    some = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3)) + [q - 1]
+    cols = draw(st.lists(st.tuples(*[st.sampled_from(some)] * n), min_size=t, max_size=t))
+    return Code(q, cols), draw(st.integers(1, t - 1)), None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(codes(kinds=("A",)), wide_codes()), st.integers(1, 3), BLOCK_CELLS, st.data())
 def test_cover_tests_match_reference(case, L, cells, data):
     code, s, _ = case
     h = data.draw(st.integers(1, min(code.q, code.t)))

@@ -128,10 +128,11 @@ def test_peak_memory_when_every_message_collides(verdict, t, sets, witness, boun
 @pytest.mark.parametrize("check", [lambda code: is_frameproof(code, 2),
                                    lambda code: is_list_decoding(code, 2, 2)])
 def test_cover_peak_memory_at_q64(check):
-    # 64-bit row masks: the one-hot bit sets and the product come in blocks
-    # and column slices within _BLOCK_CELLS, about 2.0 MB here (2.3 MB when
-    # covers were tested on (sets, t, N) blocks of masks); unblocked, the
-    # bit sets of the 1,770 pairs alone would take 18 MB
+    # 64-bit row masks, one word a column (W = 40): the pairs' unions come in
+    # blocks of _BLOCK_CELLS // (t * W) = 109, whose (pairs, t) uint64 AND-NOT
+    # and OR temporaries take about 52 KB; the check peaks at about 0.3 MB
+    # (2.0 MB with float32 products of one-hot bit sets, 2.3 MB when covers
+    # were tested on (sets, t, N) blocks of masks)
     code = Code(64, np.random.default_rng(3).integers(0, 64, (60, 40)))
     tracemalloc.start()
     try:
@@ -145,9 +146,9 @@ def test_cover_peak_memory_at_q64(check):
 @pytest.mark.parametrize("N, t, bound", [(12, 300, 70), (30, 600, 50)])
 def test_at_most_s_separable_peak_memory_per_set(N, t, bound):
     # one uint64 key per set of sizes 1 and 2 with one sorted copy, and a
-    # block of union rows with its uint64 copy for the key product: about 36
-    # bytes per set at N=12, where the block weighs most, and 19 at N=30 (54
-    # and 86 when every set held its union row)
+    # block of union words with their keys: about 29 bytes per set at N=12,
+    # where the block weighs most, and 19 at N=30 (36 and 19 with a uint64
+    # key product over the masks; 54 and 86 when every set held its union row)
     code = random_code(EnsembleSpec("cr", 3, N, t, p=(1 / 3,) * 3, seed=1))
     sets = comb(t, 1) + comb(t, 2)
     tracemalloc.start()
