@@ -162,7 +162,7 @@ def cmd_bound(args) -> int:
 
     payload = report.to_dict()
     if args.bits:
-        payload["value"] *= 1.0 / math.log(2)
+        payload["value"] /= math.log(2)
     payload["unit"] = "bits" if args.bits else "nats"
     _emit(args, {"kind": kind, "s": s, "q": q, "L": L, "bits": args.bits}, payload)
     return EXIT_OK

@@ -5,15 +5,15 @@ deterministic: a failing verdict carries the lexicographically smallest
 witness so that fixtures are stable. Channel-free properties test q-bit row
 masks 1 << x, in the smallest unsigned dtype; a union is the OR of the rows'.
 
-Every verifier walks the index sets by prefix (``_walk``): a set of size
-k + 1 is a set of size k extended by one larger index, so its kernel state
-is one gather from its prefix's state, trans[state, x[b]], and its union
-one OR with its prefix's union. The sets come in bounded blocks.
+Every verifier walks the index sets by prefix (``_walk``), in bounded blocks:
+a set of size k + 1 is a set of size k plus one larger index b, so its kernel
+state is one gather from its prefix's, trans[state, x[b]], and its union one
+OR. A set is its position in tuple order; only a witness is unranked (``_unrank``).
 
 The collision verdicts take one path (``_collision``): a message, a prefix
 plus one larger index b, gets one uint64 key, equal rows equal keys. Only
 candidates for the witness, found from each size's first repeated key, and
-their keys' messages get their sets and rows, one more step of the walk.
+their keys' messages get their rows, one more step of the walk.
 Separability's prefixes have s-1 codewords: a message's output in column i
 is trans[prefix state, x_b[i]], so the output rows of a prefix's messages,
 packed a few columns to an integer below 2^32, are one exact float64
@@ -105,48 +105,52 @@ def check_params(prop: str, t: int, q: int, s: int, L: Optional[int] = None) -> 
 
 
 def _walk(t: int, s: int, zero: np.ndarray, step, cells: int):
-    """Yield (sets, folds) in blocks of about _BLOCK_CELLS / cells rows: the
-    0-based index sets of size s, lexicographically, each with its fold. A set
-    is its prefix plus one larger index b, folded as step(prefix folds, b) from
-    the empty set's row ``zero``; with s = 0, the empty set alone. Prefixes
-    that cannot reach size s are dropped."""
-    rows, sets, folds = max(1, _BLOCK_CELLS // cells), np.empty((1, 0), np.intp), zero[None]
+    """Yield (lo, last, folds) in blocks of about _BLOCK_CELLS / cells rows, row i
+    for the (lo + i)-th index set of size s in order (``_unrank``): its largest
+    0-based index (-1 for the empty set) and its fold, step(prefix folds, b) for
+    its prefix plus one larger index b, from the empty set's row ``zero``. With
+    s = 0, the empty set alone; prefixes that cannot reach size s are dropped."""
+    rows, last, folds = max(1, _BLOCK_CELLS // cells), np.full(1, -1), zero[None]
     if not s:
-        yield sets, folds
+        yield 0, last, folds
     for k in range(1, s + 1):
-        ends, first = _children(sets, t - s + k)
+        ends, first = _children(last, t - s + k)
         if k < s:
-            level = np.empty((ends[-1], k), np.intp), np.empty((ends[-1], len(zero)), zero.dtype)
+            level = np.empty(ends[-1], np.intp), np.empty((ends[-1], len(zero)), zero.dtype)
         for lo in range(0, ends[-1], rows):
             m = np.arange(lo, min(lo + rows, ends[-1]))
             p = np.searchsorted(ends, m, side="right")
             b = first[p] + m
-            block = np.column_stack([sets[p], b]), step(folds[p], b)
+            block = b, step(folds[p], b)
             if k < s:
                 level[0][lo:lo + len(m)], level[1][lo:lo + len(m)] = block
             else:
-                yield block
+                yield lo, *block
         if k < s:
-            sets, folds = level
+            last, folds = level
 
 
-def _children(prefixes: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The children of ``prefixes``, each plus a larger index below ``stop``, in
-    order: child m is prefix p = searchsorted(ends, m, "right") plus first[p] + m."""
-    last = prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), -1)
+def _children(last: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Child m of the prefixes ending at ``last``, each plus a larger index below
+    ``stop``, in order, is prefix p = searchsorted(ends, m, "right") plus first[p] + m."""
     counts = stop - 1 - last
     ends = np.cumsum(counts)
     return ends, last + 1 - ends + counts
 
 
+def _unrank(t: int, k: int, r) -> tuple[int, ...]:
+    """The k-subset of 1..t at position r in tuple order, of Python ints."""
+    x, a, r = [], 1, int(r)
+    for i in range(k, 1, -1):
+        while r >= (c := comb(t - a, i - 1)):
+            r, a = r - c, a + 1
+        x, a = x + [a], a + 1
+    return (*x, a + r)
+
+
 def _union_walk(code: Code, rows: np.ndarray, s: int, cells: int):
     """_walk whose folds are unions: the OR of the members' rows, masks or words."""
     return _walk(code.t, s, np.zeros(rows.shape[1], rows.dtype), lambda u, b: u | rows[b], cells)
-
-
-def _as_tuple(index_set: np.ndarray) -> tuple[int, ...]:
-    """A 1-based index set, padded with 0 at the end, as a tuple."""
-    return tuple(j for j in index_set.tolist() if j)
 
 
 def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells: int,
@@ -164,46 +168,46 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
     keys, levels, done = np.empty(n, np.uint64), [], 0
     for k in sizes:
         lo, held = done, []
-        for prefix, folds in _walk(t - 1, k, zero, step, cells):
+        for _, last, folds in _walk(t - 1, k, zero, step, cells):
             # the prefix's messages add a larger index b, in order: cells p * t + b
-            c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
+            c = np.flatnonzero(np.arange(t) > last[:, None])
             keys[done:done + len(c)], done = key(folds, c), done + len(c)
-            held.append((prefix, folds))
+            held.append((last, folds))
         levels.append((lo, done, k, held))
     if not (repeat := repeated(keys)).size:
         return Verdict(True)
     for i, (lo, hi, k, held) in enumerate(levels):
-        prefix, folds = (np.concatenate(h) for h in zip(*held))
+        last, folds = (np.concatenate(h) for h in zip(*held))
         # with the keys of lower sizes, sorted, and the first message of each
         low = np.unique(keys[:lo], return_index=True)
-        levels[i] = lo, hi, k, prefix, folds, low, *_children(prefix, t)
+        levels[i] = lo, hi, k, folds, low, *_children(last, t)
     block = max(1, _BLOCK_CELLS // (sizes.stop * zero.nbytes))
     among = lambda values, k: values[np.searchsorted(values[:-1], k)] == k  # values sorted
-    # the k-subsets of 1..t before the set x in tuple order: those first less at p, and x[:k]
-    rank = lambda x, k: (len(x) > k) + sum(comb(t - a, k - p) - comb(t - v + 1, k - p)
-                                           for p, (a, v) in enumerate(zip((0,) + x, x[:k])))
+    # the k-subsets of 1..t before a shorter set x in tuple order: those first less at p
+    rank = lambda x, k: sum(comb(t - a, k - p) - comb(t - v + 1, k - p)
+                            for p, (a, v) in enumerate(zip((0,) + x, x)))
+    # a message's set, from its position among its size's messages
+    unrank = lambda m: next(_unrank(t, k + 1, m - lo) for lo, hi, k, *_ in levels if m < hi)
 
     def build(m):
-        """The sets (1-based, padded with 0 at the end: in tuple order) and rows of messages m."""
-        sets = np.zeros((len(m), sizes.stop), np.min_scalar_type(t))
+        """The rows of messages m."""
         rows = np.empty((len(m), len(zero)), zero.dtype)
-        for lo, hi, k, prefix, folds, _, ends, first in levels:
+        for lo, hi, k, folds, _, ends, first in levels:
             at = (lo <= m) & (m < hi)
             r = m[at] - lo  # message lo + r is child r of the level's prefixes
             p = np.searchsorted(ends, r, side="right")
-            sets[at, :k], sets[at, k] = prefix[p] + 1, first[p] + r + 1
             rows[at] = step(folds[p], first[p] + r)
-        return sets, rows
+        return rows
 
     def candidate(i, lo, stop):
         """Size i's first candidate in lo..stop-1, or stop: one at lo + d in O(d)."""
-        (low, first), size = levels[i][5], 1
+        (low, first), size = levels[i][4], 1
         while lo < stop:
             m = np.arange(lo, min(lo + size, stop))
             m = m[among(repeat, keys[m])]
             if low.size and (hit := among(low, keys[m])).any():
                 j = np.searchsorted(low, keys[m[hit]])
-                hit[hit] = (build(m[hit])[1] == build(first[j])[1]).all(axis=1)
+                hit[hit] = (build(m[hit]) == build(first[j])).all(axis=1)
                 m = m[~hit]
             if m.size:
                 return m[0]
@@ -214,9 +218,9 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
     while True:
         best = None  # a size is searched only before the least candidate below it
         for i, (lo, hi, k, *_) in enumerate(levels):
-            stop = hi if best is None else min(hi, lo + rank(_as_tuple(best[1]), k + 1))
+            stop = hi if best is None else min(hi, lo + rank(best[1], k + 1))
             if (c := candidate(i, heads[i], stop)) < stop:
-                best = i, *(a[0] for a in build(np.array([c])))
+                best = i, unrank(c), build(np.array([c]))[0]
             heads[i] = max(heads[i], c)
         if best is None:
             return Verdict(True)
@@ -224,12 +228,12 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
         # the first two messages of the candidate's key that have its row
         same, pair = np.flatnonzero(keys == keys[heads[i]]), []
         for a in range(0, len(same), block):
-            sets, rows = build(m := same[a:a + block])
-            pair += [(m[j], sets[j]) for j in np.flatnonzero((rows == row).all(axis=1))[:2]]
+            m = same[a:a + block]
+            pair += m[np.flatnonzero((build(m) == row).all(axis=1))[:2]].tolist()
             if len(pair) > 1:
                 break
-        if pair[0][0] == heads[i] and len(pair) > 1:
-            return Verdict(False, witness=(_as_tuple(first), _as_tuple(pair[1][1])),
+        if pair[0] == heads[i] and len(pair) > 1:
+            return Verdict(False, witness=(first, unrank(pair[1])),
                            colliding_output=(word(row),))
         heads[i] += 1
 
@@ -345,12 +349,12 @@ def _cover_verdict(code: Code, s: int, limit: int, pick) -> Verdict:
     than ``limit`` codewords outside it; ``pick`` turns the tuple of covered
     codewords into the witness's second entry."""
     columns = np.ascontiguousarray((words := _words(_masks(code))).T)
-    for block, unions in _union_walk(code, words, s, code.t * len(columns)):
+    for lo, _, unions in _union_walk(code, words, s, code.t * len(columns)):
         covered = _covers(unions, columns, s)  # each row's s members among its flags
         if (bad := np.flatnonzero(covered.sum(axis=1) > s + limit)).size:
-            i = bad[0]
-            js = tuple(j + 1 for j in np.flatnonzero(covered[i]).tolist() if j not in block[i])
-            return Verdict(False, witness=(_as_tuple(block[i] + 1), pick(js)),
+            i, members = bad[0], _unrank(code.t, s, lo + bad[0])
+            js = tuple(j for j in (np.flatnonzero(covered[i]) + 1).tolist() if j not in members)
+            return Verdict(False, witness=(members, pick(js)),
                            colliding_output=(_subsets_of(unions[i], code),))
     return Verdict(True)
 
@@ -369,11 +373,11 @@ def is_hash(code: Code, s: int) -> Verdict:
     """Every s-tuple of codewords has a coordinate with all symbols distinct."""
     check_params("hash", code.t, code.q, s)
     masks = _masks(code)
-    for block, unions in _union_walk(code, masks, s, s * code.N):
+    for lo, _, unions in _union_walk(code, masks, s, s * code.N):
         distinct = np.bitwise_count(unions) == s
         bad = np.flatnonzero(~distinct.any(axis=1))
         if bad.size:
-            return Verdict(False, witness=(_as_tuple(block[bad[0]] + 1),))
+            return Verdict(False, witness=(_unrank(code.t, s, lo + bad[0]),))
     return Verdict(True)
 
 

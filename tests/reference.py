@@ -53,7 +53,6 @@ from scipy.optimize import brentq, minimize
 
 from sepmac import bounds as bnd
 from sepmac import cli
-from sepmac import verify as vfy
 from sepmac.bounds import BoundReport, Distribution, multinomial
 from sepmac.channels import ChannelSpec
 from sepmac.core import (
@@ -236,34 +235,33 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
 
 def grouped_collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells: int,
                       word) -> Verdict:
-    """``sepmac.verify._collision`` by grouping: the sets and rows of every
-    message whose key repeats are rebuilt, sorted stably by key, and compared
-    within a key's run, a run whose rows differ being regrouped by its rows;
-    the witness is the first two sets of the group whose pair is smallest.
-    It takes _collision's arguments, so a test can put it in its place."""
-    keys, levels, done = np.empty(n, np.uint64), [], 0
+    """``sepmac.verify._collision`` by grouping: every message, a k-subset of
+    0..t-2 (k in ``sizes``) folded from ``zero`` by ``step`` one member at a
+    time, plus one larger index, gets its set, row and key; the messages whose
+    key repeats are sorted stably by key and compared within a key's run, a
+    run whose rows differ being regrouped by its rows; the witness is the
+    first two sets of the group whose pair is smallest. It takes _collision's
+    arguments, so a test can put it in its place."""
+    keys, rows, sets = [], [], []
     for k in sizes:
-        levels.append((done, k, []))
-        for prefix, folds in vfy._walk(t - 1, k, zero, step, cells):
-            c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
-            keys[done:done + len(c)], done = key(folds, c), done + len(c)
-            levels[-1][2].append((prefix, folds))
+        prefixes = list(itertools.combinations(range(t - 1), k))
+        prefix = np.array(prefixes, np.intp).reshape(len(prefixes), k)
+        folds = np.repeat(zero[None], len(prefix), axis=0)
+        for column in prefix.T:
+            folds = step(folds, column)
+        # prefix p's messages add an index b above its last: cells p * t + b
+        c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
+        p, b = np.divmod(c, t)
+        keys.append(key(folds, c))
+        rows.append(step(folds[p], b))
+        sets += [tuple(x + 1 for x in prefixes[i]) + (j + 1,)
+                 for i, j in zip(p.tolist(), b.tolist())]
+    keys, rows = np.concatenate(keys), np.concatenate(rows)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     found = np.flatnonzero(counts[inverse] > 1)
-    keys = keys[found]
     if not found.size:
         return Verdict(True)
-    sets = np.zeros((len(found), sizes.stop), np.min_scalar_type(t))
-    rows = np.empty((len(found), len(zero)), zero.dtype)
-    edges = np.searchsorted(found, [level[0] for level in levels] + [n])
-    for (lo, k, held), i, j in zip(levels, edges, edges[1:]):
-        prefix, folds = (np.concatenate(h) for h in zip(*held))
-        ends, first = vfy._children(prefix, t)
-        m = found[i:j] - lo
-        p = np.searchsorted(ends, m, side="right")
-        b = first[p] + m
-        sets[i:j, :k], sets[i:j, k] = prefix[p] + 1, b + 1
-        rows[i:j] = step(folds[p], b)
+    keys, rows, sets = keys[found], rows[found], [sets[m] for m in found]
     order, new = runs(keys)
     same = np.r_[False, (rows[order[1:]] == rows[order[:-1]]).all(axis=1)]
     if (split := ~(new | same)).any():
@@ -274,11 +272,9 @@ def grouped_collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key,
     starts = np.flatnonzero(new[:-1] & ~new[1:])
     if not starts.size:
         return Verdict(True)
-    first, second = order[starts], order[starts + 1]
-    g = np.lexsort(np.concatenate([sets[first], sets[second]], axis=1).T[::-1])[0]
-    a, b = first[g], second[g]
-    return Verdict(False, witness=(vfy._as_tuple(sets[a]), vfy._as_tuple(sets[b])),
-                   colliding_output=(word(rows[a]),))
+    a, b = min(zip(order[starts].tolist(), order[starts + 1].tolist()),
+               key=lambda pair: (sets[pair[0]], sets[pair[1]]))
+    return Verdict(False, witness=(sets[a], sets[b]), colliding_output=(word(rows[a]),))
 
 
 @dataclass(frozen=True)

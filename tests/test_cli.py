@@ -338,7 +338,10 @@ def test_bound_bits_flag(capsys):
     _, bits = run_json(capsys, [
         "bound", "--kind", "b-capacity", "--s", "2", "--q", "2", "--bits"])
     assert abs(nats["payload"]["value"] - bits["payload"]["value"] * math.log(2)) < 1e-12
-    assert abs(bits["payload"]["value"] - 0.75) < 1e-12
+    assert bits["payload"]["value"] == 0.75
+    _, bits = run_json(capsys, [
+        "bound", "--kind", "a-upper", "--s", "4", "--q", "8", "--bits"])
+    assert bits["payload"]["value"] == 1.5
 
 
 def test_b_capacity_limit_exit_code(capsys):

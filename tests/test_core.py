@@ -50,7 +50,7 @@ def test_type_union_permutation_invariant(qw):
         # the union word of a one-row code whose codewords are w's symbols:
         # the fold of the walk's one set of all of them
         code = Code(q, [(a,) for a in w])
-        (_, unions), = _union_walk(code, _words(_masks(code)), len(w), 1)
+        (_, _, unions), = _union_walk(code, _words(_masks(code)), len(w), 1)
         return _subsets_of(unions[0], code)
 
     assert union(word) == union(rev)

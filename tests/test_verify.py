@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,7 @@ from sepmac.channels import make_channel
 from sepmac.construct import EnsembleSpec, random_code
 from sepmac.verify import (
     MESSAGE_GUARD,
+    _unrank,
     check_params,
     factor_decode,
     is_at_most_s_separable,
@@ -224,6 +226,21 @@ def test_message_count_and_guard():
     for prop, s in (("frameproof", 10 ** 6), ("le_separable", 30000), ("list", 5 * 10 ** 6)):
         with pytest.raises(SizeLimitError):
             check_params(prop, 10 ** 7, 2, s, 1)
+
+
+def test_unrank():
+    # every position of every k-subset of 1..t, t <= 8, in tuple order
+    for t in range(1, 9):
+        for k in range(1, t + 1):
+            for r, x in enumerate(itertools.combinations(range(1, t + 1), k)):
+                assert _unrank(t, k, r) == x, (t, k, r)
+    # the last position where C(t, k) is near the guard, from an int and a numpy int
+    for t, k in ((1414, 2), (182, 3), (10 ** 6, 1)):
+        for r in (comb(t, k) - 1, np.int64(comb(t, k) - 1)):
+            x = _unrank(t, k, r)
+            assert x == tuple(range(t - k + 1, t + 1))
+            assert all(type(j) is int for j in x) and json.dumps(x)
+    assert _unrank(1414, 2, np.int64(1412)) == (1, 1414)
 
 
 def test_hash():
