@@ -22,6 +22,7 @@ from .channels import ChannelSpec, _check_shape, _state_laws, _weight, output_la
 from .construct import k_factor
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
+QPRIME_MAX = 64  # the largest auxiliary alphabet size q' lower_bound_LD tries by default
 # work units capacity_entropy_bound may spend: q^3 per step of its SLSQP polish, where
 # one runs, plus 10 (s + 1) per composition of weight <= s, times q; a unit is
 # 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.45 s)
@@ -251,13 +252,13 @@ def check_ld_work(rows, qprime_max: int) -> None:
                                  f"(s, L, q) = {(s, L, q)}")
 
 
-def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = 64) -> BoundReport:
+def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = QPRIME_MAX) -> BoundReport:
     """Random-coding lower bound on the list-decoding rate, maximized over
     the auxiliary alphabet size q'. Ties break toward the smallest q'."""
     return lower_bound_LD_rows([(s, L, q)], qprime_max)[0]
 
 
-def lower_bound_LD_rows(rows, qprime_max: int = 64) -> list:
+def lower_bound_LD_rows(rows, qprime_max: int = QPRIME_MAX) -> list:
     """lower_bound_LD of each (s, L, q) row, their work checked together before
     the first: rows that share (s, L) share the P_term of each q'."""
     for s, L, q in rows:

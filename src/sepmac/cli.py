@@ -152,7 +152,8 @@ def cmd_bound(args) -> int:
     if kind == "entropy":
         report = bnd.capacity_entropy_bound(_channel_from_args(args, s, q))
     elif kind == "ld-lower":
-        report = bnd.lower_bound_LD(s, L, q, 64 if args.qprime_max is None else args.qprime_max)
+        qprime_max = bnd.QPRIME_MAX if args.qprime_max is None else args.qprime_max
+        report = bnd.lower_bound_LD(s, L, q, qprime_max)
     elif kind == "ld-upper":
         report = bnd.BoundReport(kind, bnd.upper_bound_LD(s, L, q), {"s": s, "L": L, "q": q})
     else:
@@ -164,7 +165,10 @@ def cmd_bound(args) -> int:
     if args.bits:
         payload["value"] /= math.log(2)
     payload["unit"] = "bits" if args.bits else "nats"
-    _emit(args, {"kind": kind, "s": s, "q": q, "L": L, "bits": args.bits}, payload)
+    params = {"kind": kind, "s": s, "q": q, "L": L, "bits": args.bits}
+    if args.channel is not None:
+        params["channel"] = args.channel
+    _emit(args, params, payload)
     return EXIT_OK
 
 
@@ -284,7 +288,7 @@ def subcommand_parser(name: str) -> argparse.ArgumentParser:
         p.add_argument("--qprime-max", dest="qprime_max", type=int)
         p.add_argument("--bits", action="store_true")
     elif name == "table1":
-        p.add_argument("--qprime-max", dest="qprime_max", type=int, default=64)
+        p.add_argument("--qprime-max", dest="qprime_max", type=int, default=bnd.QPRIME_MAX)
     elif name == "search":
         p.add_argument("--channel", required=True)
         p.add_argument("--s", type=int, required=True)

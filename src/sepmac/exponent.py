@@ -15,18 +15,18 @@ The cr ensemble has mu = 0 (Gallager's E0); fc keeps mu as multipliers on
 the fixed input marginals.
 
 The s splits of one word table are stacked in blocks of at most WORD_GUARD
-cells, each block's rows sorted once, and one ``solve`` gives every split
-of a block its E0, tau, H, I_m and marginals by segment sums. Neither
-endpoint of lam depends on R, so a sweep solves each block at lam = 1 once
-and keeps lam* = 1 wherever the slope I_m - mR of the concave dual is still
-positive there; it solves lam = 0 once, and only if some split at some rate
-needs it, and finds lam* by a root find on the split's rows where the slope
-changes sign. fc starts L-BFGS-B from the cr point (lam*, 0) only when that
-point fails the solver's own first test, the projected gradient's max-norm
-against its gtol; where the cr point already meets the marginals, as at
-uniform p on a channel invariant under symbol permutations, it is fc's
-answer too, the x that L-BFGS-B would return after 0 iterations. The
-dimension is q^s: WORD_GUARD caps the s * q^s cells of the word table.
+cells, each block's rows sorted once, and one ``solve`` at one lam gives
+every split of a block its E0, tau, H, I_m and marginals by segment sums.
+Neither endpoint of lam depends on R, so a sweep solves each block at
+lam = 1 once and keeps lam* = 1 wherever the slope I_m - mR of the concave
+dual is still positive there; it solves lam = 0 once, and only if some
+split at some rate needs it, and finds lam* by a root find on the split
+solved alone where the slope changes sign. fc starts L-BFGS-B over (lam, mu)
+on the split alone, the only solve that takes multipliers, from the cr point
+(lam*, 0), and only when that point fails the solver's own first test, the
+projected gradient's max-norm against its gtol; where the cr point already
+meets the marginals, as at uniform p on a channel invariant under symbol
+permutations, it is fc's answer too, the x L-BFGS-B returns after 0 iterations.
 
 The input law p is a ``core.Distribution``. This module and ``bounds``, the
 two optimisers, are the only ones that import scipy.
@@ -98,17 +98,15 @@ class Sweep(tuple):
         return all(rep.converged for rep in self)
 
 
-def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> str:
+def _check_args(channel: ChannelSpec, p: Distribution, ensemble: str) -> None:
     cells = channel.s * channel.q ** channel.s
     if cells > WORD_GUARD:
         raise SizeLimitError(f"instance too large: s*q^s = {cells} word-table cells exceed "
                              f"guard {WORD_GUARD} (s={channel.s}, q={channel.q})")
     if p.q != channel.q:
         raise InvalidParametersError(f"distribution over {p.q} symbols, channel q={channel.q}")
-    ensemble = ensemble.lower()
     if ensemble not in ("cr", "fc"):
         raise InvalidParametersError(f"ensemble must be 'cr' or 'fc', got {ensemble!r}")
-    return ensemble
 
 
 class _Table(NamedTuple):
@@ -141,9 +139,10 @@ class _Block:
     word, split at coordinate ms[j] into head h and tail u, in rows
     j * n to (j + 1) * n. One sort orders the rows by (split, u, f(w)), so
     each group (u, f(w)) is one run from its index in ``starts`` and no group
-    crosses a split. mu[j, k * q + a] is split j's multiplier of symbol a at
-    coordinate k, and ``cols`` holds each row's indices j * s * q + k * q + w_k
-    into the flattened mu."""
+    crosses a split. All splits are solved at one lam, and multipliers only
+    on a block of one split: mu[k * q + a] is that of symbol a at coordinate
+    k. ``cols`` holds each row's j * s * q + k * q + w_k, the indices of its
+    symbols' stacked marginals and, for j = 0, of their multipliers."""
 
     def __init__(self, table: _Table, ms: Sequence[int]):
         pf, words, ids, cum_lp, labels = table
@@ -176,22 +175,19 @@ class _Block:
         support = np.flatnonzero(pf > 0)[:-1]
         return (np.arange(self.words.shape[1])[:, None] * len(pf) + support).ravel()
 
-    def solve(self, lam: np.ndarray, mu: np.ndarray | None = None) -> list[_Point]:
-        """Every split's point at its (lam[j], mu[j]); no ``mu`` is mu = 0.
-        A split's point depends on its own rows alone: it is the same, bit
-        for bit, solved in any block."""
+    def solve(self, lam: float, mu: np.ndarray | None = None) -> list[_Point]:
+        """Every split's point at one lam; no ``mu`` is mu = 0, the only mu a
+        stacked block takes. A split's point depends on its own rows alone: it
+        is the same, bit for bit, solved in any block."""
         starts, group, split, k = self.starts, self.group, self.split, len(self.ms)
         a, tail, lam1 = self.lp_h, self.tail, 1 + lam
-        if mu is not None:  # each split's head and tail multipliers, summed on its own rows
-            mu, head, tail = mu.ravel(), np.empty_like(a), tail.copy()
-            for j, m in enumerate(self.ms):
-                rows, g = self.rows(j), starts[self.first[j]:self.first[j + 1]]
-                head[rows] = mu[self.cols[rows, :m]].sum(axis=1)
-                tail[self.first[j]:self.first[j + 1]] -= mu[self.cols[g, m:]].sum(axis=1)
-            a = a - head / lam1[split]
+        if mu is not None:  # the head and tail multipliers of the block's one split
+            (m,) = self.ms
+            a = a - mu[self.cols[:, :m]].sum(axis=1) / lam1
+            tail = tail - mu[self.cols[starts, m:]].sum(axis=1)
         peak = np.maximum.reduceat(a, starts)
         log_S = peak + np.log(np.add.reduceat(np.exp(a - peak[group]), starts))
-        b = tail + lam1[self.gsplit] * log_S
+        b = tail + lam1 * log_S
         top = np.maximum.reduceat(b, self.first[:-1])
         e0 = -(top + np.log(np.add.reduceat(np.exp(b - top[self.gsplit]), self.first[:-1])))
         log_pi = a - log_S[group]
@@ -241,8 +237,7 @@ class _Block:
         the split's rows; both endpoints are solved once for every rate. fc
         then solves over (lam, mu) from there, unless that cr point already
         passes L-BFGS-B's first test."""
-        k = len(self.ms)
-        top, low = self.solve(np.ones(k)), None
+        top, low = self.solve(1.0), None
         out = []
         for j, m in enumerate(self.ms):
             col = []
@@ -250,14 +245,13 @@ class _Block:
                 lam, pt = 1.0, top[j]
                 if not pt.I - m * R > 0:
                     if low is None:
-                        low = self.solve(np.zeros(k))
+                        low = self.solve(0.0)
                     if not low[j].I - m * R > 0:
                         lam, pt = 0.0, low[j]
                     elif pt.I - m * R < 0:
                         one = self._alone(j)
-                        lam = brentq(lambda x: one.solve(np.full(1, x))[0].I - m * R,
-                                     0.0, 1.0, xtol=1e-15)
-                        pt = one.solve(np.full(1, lam))[0]
+                        lam = brentq(lambda x: one.solve(x)[0].I - m * R, 0.0, 1.0, xtol=1e-15)
+                        pt = one.solve(lam)[0]
                 shift = 0.0  # <mu, p>
                 if ensemble == "fc" and not self._stops_at_start(m, R, lam, pt):
                     lam, pt, shift = self._lbfgsb(j, R, lam)
@@ -269,18 +263,18 @@ class _Block:
         """fc's lam*, point and <mu*, p> on split j from (lam, mu = 0), by
         L-BFGS-B over (lam, free mu) on the split's rows."""
         one, m, free = self._alone(j), self.ms[j], self.free
-        mu = np.zeros((1, len(self.p_flat)))
+        mu = np.zeros(len(self.p_flat))
 
         def neg_dual(x):
-            mu[0, free] = x[1:]
-            pt = one.solve(x[:1], mu)[0]
-            return -(pt.e0 - float(mu[0] @ self.p_flat) - x[0] * m * R), -self._grad(m, pt, R)
+            mu[free] = x[1:]
+            pt = one.solve(x[0], mu)[0]
+            return -(pt.e0 - float(mu @ self.p_flat) - x[0] * m * R), -self._grad(m, pt, R)
 
         res = minimize(neg_dual, np.r_[lam, np.zeros(len(free))], jac=True,
                        method="L-BFGS-B", bounds=[(0.0, 1.0)] + [(None, None)] * len(free),
                        options={"maxiter": 500, "ftol": 0.0, "gtol": _GTOL})
-        mu[0, free] = res.x[1:]
-        return float(res.x[0]), one.solve(res.x[:1], mu)[0], float(mu[0] @ self.p_flat)
+        mu[free] = res.x[1:]
+        return float(res.x[0]), one.solve(res.x[0], mu)[0], float(mu @ self.p_flat)
 
 
 def _table(channel: ChannelSpec, p: Distribution) -> _Table:
@@ -309,7 +303,7 @@ def exponent(channel: ChannelSpec, p: Distribution, rates: Sequence[float],
     dual E_m(R). No split depends on R, so each block is built once and
     solved for every rate; only the splits that may yet be a rate's m* are
     kept."""
-    ensemble = _check_args(channel, p, ensemble)
+    _check_args(channel, p, ensemble)
     rates = [R + 0.0 for R in rates]  # a rate of -0.0 reports as 0.0
     for R in rates:
         if not (math.isfinite(R) and R >= 0):
@@ -347,7 +341,7 @@ def rate_lower_bound_general(channel: ChannelSpec, p: Distribution,
     """General random-coding lower bound on the separable-code rate:
     min over m of min_tau (H + I_m) / (s + m - 1), the inner minimum being
     E_m(0); the dual's slope in lam is I_m >= 0 there, so lam* = 1."""
-    ensemble = _check_args(channel, p, ensemble)
+    _check_args(channel, p, ensemble)
     return min(max(0.0, col[0][0]) / (channel.s + m - 1)
                for block in _blocks(channel, p)
                for m, col in zip(block.ms, block.maximize([0.0], ensemble)))

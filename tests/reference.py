@@ -829,13 +829,13 @@ def maximize_lbfgsb(block, rates, ensemble: str):
         one = type(block)(block.table, (m,))
         col = []
         for R in rates:
-            mu = np.zeros((1, len(one.p_flat)))
+            mu = np.zeros(len(one.p_flat))
 
             def dual(pt, lam):
-                return pt.e0 - float(mu[0] @ one.p_flat) - lam * m * R
+                return pt.e0 - float(mu @ one.p_flat) - lam * m * R
 
             def solve(lam):
-                return one.solve(np.full(1, lam), mu)[0]
+                return one.solve(lam, mu)[0]
 
             lam, pt = 0.0, solve(0.0)
             if pt.I - m * R > 0:
@@ -845,8 +845,8 @@ def maximize_lbfgsb(block, rates, ensemble: str):
                     pt = solve(lam)
             if ensemble == "fc":
                 def neg_dual(x):
-                    mu[0, one.free] = x[1:]
-                    pt = one.solve(x[:1], mu)[0]
+                    mu[one.free] = x[1:]
+                    pt = one.solve(x[0], mu)[0]
                     grad = np.concatenate(([pt.I - m * R], (pt.marg - one.p_flat)[one.free]))
                     return -dual(pt, x[0]), -grad
 
@@ -855,8 +855,8 @@ def maximize_lbfgsb(block, rates, ensemble: str):
                                bounds=[(0.0, 1.0)] + [(None, None)] * len(one.free),
                                options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-11})
                 lam = float(res.x[0])
-                mu[0, one.free] = res.x[1:]
-                pt = one.solve(res.x[:1], mu)[0]
+                mu[one.free] = res.x[1:]
+                pt = one.solve(res.x[0], mu)[0]
             col.append((dual(pt, lam), pt))
         out.append(col)
     return out

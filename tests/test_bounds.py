@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from reference import P_term_enumerate, proof_probability_estimates, reference_asymptotics
-from sepmac.core import InvalidParametersError, SizeLimitError
+from sepmac.core import InvalidParametersError, SizeLimitError, compositions
 from sepmac.channels import make_channel
 from sepmac.bounds import (
     ENTROPY_WORK_GUARD,
@@ -22,9 +22,11 @@ from sepmac.bounds import (
     entropy_output,
     k_factor,
     lower_bound_LD,
+    lower_bound_LD_rows,
     upper_bound_A,
     upper_bound_LD,
 )
+from sepmac.construct import EnsembleSpec
 
 LN2 = math.log(2)
 
@@ -204,6 +206,28 @@ def test_lower_bound_LD_table_values():
 def test_lower_bound_LD_empty_range():
     with pytest.raises(InvalidParametersError):
         lower_bound_LD(2, 1, 3, qprime_max=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: capacity_B_closed_form(0, 2),
+    lambda: comb_upper_bound(1, 2),
+    lambda: P_term(2, 1, 0),
+    lambda: lower_bound_LD_rows([(1, 1, 2)]),
+    lambda: upper_bound_LD(1, 1, 2),
+    lambda: upper_bound_A(1, 2),
+    lambda: list(compositions(-1, 2)),  # a generator: it refuses at its first item
+    lambda: EnsembleSpec("cr", 1, 3, 4, p=(1.0,)),
+    lambda: entropy_output(make_channel("B", 2, 2), Distribution((0.2, 0.3, 0.5))),
+], ids=["b-capacity", "comb-upper", "P_term", "ld-lower", "ld-upper", "a-upper",
+        "compositions", "ensemble", "entropy"])
+def test_out_of_range_parameters_refused(call):
+    with pytest.raises(InvalidParametersError):
+        call()
+
+
+def test_approximate_report_says_so():
+    rep = BoundReport("entropy-capacity", 0.5, {"s": 2}, approximate=True)
+    assert rep.to_dict()["approximate"] is True
 
 
 def test_upper_bound_LD():

@@ -182,9 +182,12 @@ def test_parse_channel_strict(bad):
     ("# no header\n", "empty channel file"),
     ("2 3\n", "header must be 'q s |Z|', got '2 3'"),
     ("2 3 x\n", "non-integer header '2 3 x'"),
+    ("2 1 2\n1 0 0\n0 1 -> 1\n", "expected '2 counts -> label', got '1 0 0'"),
+    ("2 1 2\n1 x -> 0\n0 1 -> 1\n", "non-integer count in '1 x -> 0'"),
 ])
 def test_parse_channel_header_messages(bad, message):
-    # the channel header's faults, named as the code header's are
+    # the channel header's faults, named as the code header's are, and a
+    # row's faults, named with the row
     with pytest.raises(ChannelFileError) as exc:
         parse_channel(bad)
     assert str(exc.value) == message

@@ -401,6 +401,34 @@ def test_bound_requires_L(capsys):
     assert rc == 2
 
 
+NO_CHANNEL = "usage error: --channel is required for this operation"
+
+
+@pytest.mark.parametrize("seed, argv, rc, want", [
+    (None, ["bound", "--kind", "ld-upper", "--s", "3", "--L", "2", "--q", "2"], 0,
+     '"unit": "nats", "value": 0.34657359027997264}'),
+    (None, ["bound", "--kind", "ld-upper", "--s", "3", "--L", "2", "--q", "2", "--bits"], 0,
+     '"unit": "bits", "value": 0.5}'),
+    (None, ["verify", "--code", "CODE", "--s", "2", "--separable"], 2, NO_CHANNEL),
+    (None, ["bound", "--kind", "entropy", "--s", "2", "--q", "2"], 2, NO_CHANNEL),
+    ("1,2", ["search", "--channel", "B", "--s", "2", "--q", "2", "--N", "3", "--mode", "greedy"],
+     2, "SEPMAC_SEED 1,2: expected one integer"),
+    # the code's second row is malformed: the refusal is the header check's
+    (None, ["verify", "--code", "CODE", "--s", "2", "--list", "0"], 2, "L >= 1, got s=2, L=0"),
+    (None, ["bound", "--kind", "comb-upper", "--s", "1", "--q", "2"], 2, "need s >= 2"),
+    (None, ["bound", "--kind", "a-upper", "--s", "1", "--q", "2"], 2, "need s >= 2"),
+    (None, ["bound", "--kind", "ld-upper", "--s", "1", "--L", "1", "--q", "2"], 2,
+     "need s >= 2, L >= 1, q >= 2, got (1, 1, 2)"),
+])
+def test_cli_paths_and_refusals(capsys, code_file, monkeypatch, seed, argv, rc, want):
+    if seed is not None:
+        monkeypatch.setenv("SEPMAC_SEED", seed)
+    path = code_file("2 1 4\n1 x 0 1\n")
+    got, out, err = run_err(capsys, [path if a == "CODE" else a for a in argv])
+    assert got == rc
+    assert want in (out if rc == 0 else err) and (out if rc else err) == ""
+
+
 def test_table1_csv(capsys):
     rc, out = run(capsys, ["table1"])
     assert rc == 0
@@ -802,6 +830,11 @@ def test_custom_channel(capsys, tmp_path, code_file):
         "--channel", f"custom:{ch}", "--separable"])
     assert rc in (0, 1)
     assert rec["params"]["channel"].startswith("custom:")
+    # the bound's record names the channel file too; its payload keeps the name "custom"
+    rc, rec = run_json(capsys, ["bound", "--kind", "entropy", "--s", "2", "--q", "2",
+                                "--channel", f"custom:{ch}"])
+    assert rc == 0 and rec["params"]["channel"] == f"custom:{ch}"
+    assert rec["payload"]["params"]["channel"] == "custom"
 
 
 def test_custom_channel_shape_mismatch(capsys, tmp_path, code_file):

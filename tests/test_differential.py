@@ -268,57 +268,62 @@ def _drawn_law(data, q):
 
 
 def _drawn_lam_mu(data, k, sq):
-    """A lam in [0, 1] and a free mu for each of k splits."""
-    lam = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    """One lam in [0, 1] and a free mu for each of k splits."""
+    lam = data.draw(st.floats(0.0, 1.0))
     mu = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=k * sq, max_size=k * sq))
     return lam, np.array(mu).reshape(k, sq)
+
+
+def _assert_matches_dense(got, words, want):
+    e0, tau, H, I, marg = want
+    for x, y in ((got.e0, e0), (got.H, H), (got.I, I)):
+        assert abs(x - y) <= 1e-12
+    assert np.max(np.abs(got.marg - marg)) <= 1e-12
+    got_tau = dict(zip(map(tuple, words.tolist()), got.tau.tolist()))
+    assert got_tau.keys() == tau.keys()
+    assert max(abs(got_tau[w] - t) for w, t in tau.items()) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(2, 3), st.data())
 def test_split_matches_dense_reference(kind, s, q, data):
-    # every m of a block of all s splits, p often with zero entries, and
-    # each split its own lam in [0, 1] and free mu
+    # every m of a block of all s splits at one lam in [0, 1] and mu = 0,
+    # and each split alone at its own free mu, p often with zero entries
     q = 2 if kind in ("thr", "disj") else q
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     ch = _channel(kind, s, q, rng)
     p = _drawn_law(data, q)
     lam, mu = _drawn_lam_mu(data, s, s * q)
-    block = _Block(_table(ch, p), range(1, s + 1))
-    for j, got in enumerate(block.solve(lam, mu)):
-        e0, tau, H, I, marg = ref.DenseSplit(ch, p, block.ms[j]).solve(lam[j], mu[j])
-        for x, y in ((got.e0, e0), (got.H, H), (got.I, I)):
-            assert abs(x - y) <= 1e-12
-        assert np.max(np.abs(got.marg - marg)) <= 1e-12
-        got_tau = dict(zip(map(tuple, block.words[block.rows(j)].tolist()), got.tau.tolist()))
-        assert got_tau.keys() == tau.keys()
-        assert max(abs(got_tau[w] - t) for w, t in tau.items()) <= 1e-12
+    table = _table(ch, p)
+    block = _Block(table, range(1, s + 1))
+    for j, got in enumerate(block.solve(lam)):
+        dense, one = ref.DenseSplit(ch, p, block.ms[j]), _Block(table, block.ms[j:j + 1])
+        _assert_matches_dense(got, block.words[block.rows(j)], dense.solve(lam, np.zeros(s * q)))
+        _assert_matches_dense(one.solve(lam, mu[j])[0], one.words, dense.solve(lam, mu[j]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(KINDS), st.integers(2, 4), st.integers(2, 3), st.booleans(), st.data())
-def test_split_alone_matches_block(kind, s, q, zero_mu, data):
+@given(st.sampled_from(KINDS), st.integers(2, 4), st.integers(2, 3), st.data())
+def test_split_alone_matches_block(kind, s, q, data):
     # a split's point is the same, bit for bit, solved in a block of its own
-    # or stacked with other splits, and no mu is the same as mu = 0
+    # or stacked with other splits at the same lam; on its own, no mu is the
+    # same as mu = 0, and a stacked block takes no multipliers
     q = 2 if kind in ("thr", "disj") else q
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     ch = _channel(kind, s, q, rng)
     table = _table(ch, _drawn_law(data, q))
     lo = data.draw(st.integers(1, s - 1))
     block = _Block(table, range(lo, data.draw(st.integers(lo + 1, s)) + 1))
-    k = len(block.ms)
-    lam, mu = _drawn_lam_mu(data, k, s * q)
-    if zero_mu:
-        stacked = block.solve(lam)
-        _assert_points_equal(stacked, block.solve(lam, np.zeros_like(mu)))
-    else:
-        stacked = block.solve(lam, mu)
+    lam, zero = data.draw(st.floats(0.0, 1.0)), np.zeros(s * q)
+    stacked = block.solve(lam)
+    with pytest.raises(ValueError):
+        block.solve(lam, zero)
     for j, m in enumerate(block.ms):
         one = _Block(table, (m,))
         assert np.array_equal(one.words, block.words[block.rows(j)])
         assert np.array_equal(one.ids, block.ids[block.rows(j)])
-        _assert_points_equal(one.solve(lam[j:j + 1], None if zero_mu else mu[j:j + 1]),
-                             stacked[j:j + 1])
+        _assert_points_equal(one.solve(lam), stacked[j:j + 1])
+        _assert_points_equal(one.solve(lam, zero), stacked[j:j + 1])
 
 
 def _assert_points_equal(got, want):
