@@ -225,7 +225,7 @@ def cmd_reduce(args) -> int:
 def cmd_decode(args) -> int:
     code = load_code(args.code, lambda q, N, t: vfy._check_masks(q))
     with open(args.z, "r", encoding="utf-8") as fh:
-        rows = [ln.replace("{", "").replace("}", "") for ln in _content(fh)]
+        rows = [ln.replace("{", "").replace("}", "").strip() for ln in _content(fh)]
     z = [_values("--z", row, int) if row else () for row in rows]
     _emit(args, {"decoded": sorted(vfy.factor_decode(code, z))})
     return EXIT_OK

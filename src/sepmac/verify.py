@@ -11,20 +11,21 @@ state is one gather from its prefix's, trans[state, x[b]], and its union one
 OR. A set is its position in tuple order; only a witness is unranked (``_unrank``).
 
 The collision verdicts take one path (``_collision``): a message, a prefix
-plus one larger index b, gets one uint64 key, equal rows equal keys. Only
+plus one larger index b, gets one uint64 key, which _collision alone hashes
+from the exact uint64 columns of its row that the verdict hands it. Only
 candidates for the witness, found from each size's first repeated key, and
 their keys' messages get their rows, one more step of the walk.
 Separability's prefixes have s-1 codewords: a message's output in column i
 is trans[prefix state, x_b[i]], so the output rows of a prefix's messages,
 packed a few columns to an integer below 2^32, are one exact float64
 product with the one-hot codewords (``_times_onehot``, built once a verdict
-while it fits in _BLOCK_CELLS cells).
+while it fits in _BLOCK_CELLS cells), one column a slice of the row.
 
 The other channel-free verdicts but --hash, and factor decoding, lay a
 codeword's masks end to end in W uint64 words (``_words``), zero-padded.
 Codeword j lies inside a union u when every word of words[j] & ~u is 0
 (``_covers``); (<= s)-separability, whose prefixes have 0..s-1 codewords,
-keys a union by its words as base-_HASH digits mod 2^64.
+hands _collision a union's words as its columns.
 """
 
 from __future__ import annotations
@@ -148,12 +149,16 @@ def _union_walk(code: Code, rows: np.ndarray, s: int, cells: int):
     return _walk(code.t, s, np.zeros(rows.shape[1], rows.dtype), lambda u, b: u | rows[b], cells)
 
 
-def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells: int,
+_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, so rows that differ in one column get distinct keys
+
+
+def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, columns, cells: int,
                word) -> Verdict:
     """Holds when the n messages' rows are distinct. A message is a prefix of
     size k in ``sizes``, from _walk(t - 1, k, zero, step, cells), plus one
-    larger index b, and its row is step(prefix's fold, b); key(folds, c) keys
-    a block's messages, c being their cells p * t + b, equal rows equal keys.
+    larger index b, and its row is step(prefix's fold, b); columns(folds, c)
+    gives a block's rows as exact uint64 columns of len(c), c being their
+    cells p * t + b, and a key folds them as k * _HASH + u from the first.
     The witness is the first two messages, by size and then in order, of the
     group of equal rows whose first is least in tuple order, the order of
     each size's messages: the least candidate (a message whose key repeats,
@@ -166,7 +171,8 @@ def _collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells:
         for _, last, folds in _walk(t - 1, k, zero, step, cells):
             # the prefix's messages add a larger index b, in order: cells p * t + b
             c = np.flatnonzero(np.arange(t) > last[:, None])
-            keys[done:done + len(c)], done = key(folds, c), done + len(c)
+            keys[done:done + len(c)] = reduce(lambda k, u: k * _HASH + u, columns(folds, c))
+            done += len(c)
             held.append((last, folds))
         levels.append((lo, done, k, held))
     if not (repeat := repeated(keys)).size:
@@ -251,9 +257,6 @@ def _times_onehot(code: Code):
     return times
 
 
-_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, so rows that differ in one slice get distinct keys
-
-
 def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     """All channel output words over s-messages are pairwise distinct; the
     colliding output is the word's tuple of output labels.
@@ -275,18 +278,15 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     slices = [(lo, min(lo + per, N)) for lo in range(0, N, per)]
     times = _times_onehot(code)
 
-    def key(states, cells):
+    def columns(states, cells):
         # a block's products take at most _BLOCK_CELLS multiply-adds each
-        key = np.zeros(len(cells), np.uint64)
         for lo, hi in slices:
-            key *= _HASH
             packed = np.take(values, states[:, lo:hi], axis=0)
             packed *= shift[:hi - lo]
-            key += times(packed.reshape(len(states), -1), lo, hi).ravel().take(cells).astype(
+            yield times(packed.reshape(len(states), -1), lo, hi).ravel().take(cells).astype(
                 np.uint64)
-        return key
-    return _collision(t, n, range(s - 1, s), np.zeros(N, trans.dtype), step, key, t * per * q,
-                      lambda row: tuple(channel.outputs[z] for z in row.tolist()))
+    return _collision(t, n, range(s - 1, s), np.zeros(N, trans.dtype), step, columns,
+                      t * per * q, lambda row: tuple(channel.outputs[z] for z in row.tolist()))
 
 
 def _check_masks(q: int) -> np.dtype:
@@ -332,10 +332,9 @@ def is_at_most_s_separable(code: Code, s: int) -> Verdict:
     of sizes 1..s (the A-MAC, tuples of unequal size included)."""
     n, words = check_params("le_separable", code.t, code.q, s), _words(_masks(code))
     t, step = code.t, lambda u, b: u | words[b]
-    # a union's words u key as sum_w u_w * _HASH^(W-1-w) mod 2^64, by Horner's rule
-    key = lambda unions, c: reduce(lambda k, u: k * _HASH + u, step(unions[c // t], c % t).T)
     # a block's messages take about _BLOCK_CELLS / 8 bytes of words
-    return _collision(t, n, range(s), np.zeros(words.shape[1], np.uint64), step, key,
+    return _collision(t, n, range(s), np.zeros(words.shape[1], np.uint64), step,
+                      lambda unions, c: step(unions[c // t], c % t).T,
                       8 * t * words.shape[1], lambda row: _subsets_of(row, code))
 
 

@@ -27,7 +27,7 @@ and a boolean (groups x words) membership matrix, in word order, and
 split alone solves both ends of lam at every rate and runs L-BFGS-B at
 every fc point, even where the cr point is already stationary.
 ``grouped_collision`` is the collision verdicts' grouping of every message
-whose key repeats, which the search for the first repeated key replaced.
+by its exact row, which reads no key.
 ``column`` and ``type_of`` read one codeword and the type of one word,
 and ``error_fraction`` counts the messages whose output word collides.
 ``parse_code`` reads a code file into tuples of Python ints, cell by cell,
@@ -233,16 +233,15 @@ def is_separable(code: Code, s: int, channel: ChannelSpec) -> Verdict:
     return Verdict(False, witness=(bad[0], bad[1]), colliding_output=(bad[2],))
 
 
-def grouped_collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key, cells: int,
-                      word) -> Verdict:
+def grouped_collision(t: int, n: int, sizes: range, zero: np.ndarray, step, columns,
+                      cells: int, word) -> Verdict:
     """``sepmac.verify._collision`` by grouping: every message, a k-subset of
     0..t-2 (k in ``sizes``) folded from ``zero`` by ``step`` one member at a
-    time, plus one larger index, gets its set, row and key; the messages whose
-    key repeats are sorted stably by key and compared within a key's run, a
-    run whose rows differ being regrouped by its rows; the witness is the
-    first two sets of the group whose pair is smallest. It takes _collision's
-    arguments, so a test can put it in its place."""
-    keys, rows, sets = [], [], []
+    time, plus one larger index, gets its set and row; one stable sort of the
+    rows groups the messages by their exact rows, and the witness is the first
+    two sets of the group whose pair is smallest. It reads no key, so no hash,
+    and takes _collision's arguments, so a test can put it in its place."""
+    rows, sets = [], []
     for k in sizes:
         prefixes = list(itertools.combinations(range(t - 1), k))
         prefix = np.array(prefixes, np.intp).reshape(len(prefixes), k)
@@ -252,23 +251,11 @@ def grouped_collision(t: int, n: int, sizes: range, zero: np.ndarray, step, key,
         # prefix p's messages add an index b above its last: cells p * t + b
         c = np.flatnonzero(np.arange(t) > (prefix[:, -1:] if k else -1))
         p, b = np.divmod(c, t)
-        keys.append(key(folds, c))
         rows.append(step(folds[p], b))
         sets += [tuple(x + 1 for x in prefixes[i]) + (j + 1,)
                  for i, j in zip(p.tolist(), b.tolist())]
-    keys, rows = np.concatenate(keys), np.concatenate(rows)
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    found = np.flatnonzero(counts[inverse] > 1)
-    if not found.size:
-        return Verdict(True)
-    keys, rows, sets = keys[found], rows[found], [sets[m] for m in found]
-    order, new = runs(keys)
-    same = np.r_[False, (rows[order[1:]] == rows[order[:-1]]).all(axis=1)]
-    if (split := ~(new | same)).any():
-        split = np.isin(run := np.cumsum(new), run[split])
-        rest = order[split]
-        sub, fresh = runs(rows[rest].view(np.dtype((np.void, rows[0].nbytes))).ravel())
-        order, new = np.r_[order[~split], rest[sub]], np.r_[new[~split], fresh]
+    rows = np.concatenate(rows)
+    order, new = runs(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel())
     starts = np.flatnonzero(new[:-1] & ~new[1:])
     if not starts.size:
         return Verdict(True)

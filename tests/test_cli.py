@@ -604,12 +604,15 @@ def test_reduce_to_larger_alphabet(capsys, tmp_path, code_file):
 
 
 def test_decode(capsys, tmp_path, code_file):
+    # a row of braces around nothing, or around blanks, is the empty set
     code_path = code_file(format_code(Code(2, [(0, 0), (1, 1), (0, 1)])))
     z = tmp_path / "z.txt"
-    z.write_text("0,1\n1\n")
-    rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
-    assert rc == 0
-    assert rec["payload"]["decoded"] == [2, 3]
+    for text, decoded in [("0,1\n1\n", [2, 3]), ("{0, 1}\n{1}\n", [2, 3]),
+                          ("0,1\n{}\n", []), ("{0,1}\n{ }\n", [])]:
+        z.write_text(text)
+        rc, rec = run_json(capsys, ["decode", "--code", code_path, "--z", str(z)])
+        assert rc == 0
+        assert rec["payload"]["decoded"] == decoded, text
 
 
 def test_decode_indented_comment(capsys, tmp_path, code_file):

@@ -76,6 +76,9 @@ def codes(draw, kinds=KINDS):
 
 # walk blocks of one set, of a few sets that split prefixes, and of all sets
 BLOCK_CELLS = st.sampled_from([1, 7, 1 << 18])
+# the collision verdicts' hash factor: 0 and 1 make distinct rows share keys,
+# and no factor may decide a verdict or its witness
+HASH_FACTORS = st.one_of(st.sampled_from([0, 1, int(verify._HASH)]), st.integers(0, 2 ** 64 - 1))
 
 
 def _assert_same_verdict(got, want):
@@ -141,11 +144,11 @@ def hashed_codes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(hashed_codes(), BLOCK_CELLS, st.sampled_from([0, 1, int(verify._HASH)]))
+@given(hashed_codes(), BLOCK_CELLS, HASH_FACTORS)
 def test_separable_hashed_keys_match_reference(case, cells, factor):
     # both collision verdicts hash their rows: --separable's output rows when
-    # there is a channel, and --le-separable's union words always; with a
-    # hash factor of 0 or 1 distinct rows share keys, which must not decide
+    # there is a channel, and --le-separable's union words always; under any
+    # hash factor, 0 and 1 among them, shared keys must not decide
     code, s, ch = case
     with mock.patch.object(verify, "_BLOCK_CELLS", cells), \
             mock.patch.object(verify, "_HASH", np.uint64(factor)):
@@ -182,11 +185,11 @@ def colliding_codes(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(colliding_codes(), BLOCK_CELLS, st.sampled_from([0, 1, int(verify._HASH)]))
+@given(colliding_codes(), BLOCK_CELLS, HASH_FACTORS)
 def test_collision_witness_matches_grouping(case, cells, factor):
     # the search from the first repeated key against the grouping of every
-    # message whose key repeats, for both collision verdicts; a hash factor
-    # of 0 or 1 makes candidates whose key's rows differ
+    # message by its exact row, for both collision verdicts, under any hash
+    # factor; 0 or 1 makes candidates whose key's rows differ
     code, s, ch = case
     verdicts = lambda: (is_separable(code, s, ch), is_at_most_s_separable(code, s))
     with mock.patch.object(verify, "_BLOCK_CELLS", cells), \

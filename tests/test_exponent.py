@@ -344,6 +344,28 @@ def test_fc_off_uniform_p_runs_lbfgsb(monkeypatch, name, s, q, probs):
     assert got == [rep.value for rep in exponent(ch, p, RATES, "fc")]
 
 
+@pytest.mark.parametrize("probs", [(0.3, 0.7), (0.5, 0.5)])
+def test_fc_at_a_huge_rate_runs_lbfgsb(monkeypatch, probs):
+    # at R = 1e308 the m = 2 split's m·R overflows, so its first-order check
+    # meets a non-finite gradient and leaves the point to L-BFGS-B; the
+    # exponent there is 0, converged, with no RuntimeWarning (an error here)
+    checks, lbfgsb = [], []
+    stops, run = expm._Block._stops_at_start, expm._Block._lbfgsb
+
+    def check(self, m, *rest):
+        checks.append((m, stops(self, m, *rest)))
+        return checks[-1][1]
+
+    def counting(self, j, *rest):
+        lbfgsb.append(self.ms[j])
+        return run(self, j, *rest)
+    monkeypatch.setattr(expm._Block, "_stops_at_start", check)
+    monkeypatch.setattr(expm._Block, "_lbfgsb", counting)
+    rep, = exponent(B22, Distribution(probs), [1e308], "fc")
+    assert (2, False) in checks and 2 in lbfgsb
+    assert 0.0 <= rep.value <= 1e-12 and rep.converged
+
+
 RATES7 = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 
 
