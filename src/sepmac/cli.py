@@ -4,11 +4,12 @@ Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 0 success / property holds, 1 property fails, 2 usage error (a bad option
 or value, an unreadable or malformed file, a decode symbol outside the
 alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
-gen, reduce, bounds and exponent). `main` parses, starts the clock, runs the
-command's handler, named in `SUBCOMMANDS`, and maps its errors to these
-codes; commands call the library and `_emit` the result. A command that
-reads a code file makes every refusal that its header and the options
-decide, of size or of usage, before it parses the rows.
+gen, reduce, bounds and exponent). `main` parses, starts the clock, refuses
+an `--out` that open would refuse, runs the command's handler, named in
+`SUBCOMMANDS`, and maps its errors to these codes; commands call the library
+and `_emit` the result. A command that reads a code file makes every refusal
+that its header and the options decide, of size or of usage, before it
+parses the rows.
 
 Each subcommand's options live in one parser, `subcommand_parser(name)`, the
 only parser of a command that starts with `name`. The top-level parser,
@@ -32,10 +33,12 @@ flag and `bound`'s `bits` as `--bits` when true.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -111,6 +114,18 @@ def _distribution_from_args(args) -> Distribution:
         return Distribution(_values("--p", args.p))
     except InvalidParametersError as exc:
         raise UsageError(f"--p {args.p}: {exc}") from None
+
+
+def _check_out(path: str) -> None:
+    """Raise open's error for an --out that open would refuse, a directory or
+    a path whose parent is not a directory, without opening the file."""
+    try:
+        code = errno.EISDIR if os.path.isdir(path) else \
+            0 if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode) else errno.ENOTDIR
+    except OSError as exc:  # the parent is missing, or a file lies on the way to it
+        code = exc.errno
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -353,6 +368,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     args.started = time.monotonic()
     try:
+        if getattr(args, "out", None):  # search, gen and reduce, before their work
+            _check_out(args.out)
         return SUBCOMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -117,7 +117,7 @@ def reduce_alphabet(code: Code, q: int) -> Code:
     return Code(q, words.reshape(code.t, code.N * l))
 
 
-EXHAUSTIVE_GUARD = 2 ** 20
+EXHAUSTIVE_GUARD = 2 ** 20  # candidates q^N, and distinct rows an exhaustive search numbers
 NODE_GUARD = 2 ** 21  # branch-and-bound nodes an exhaustive search may visit
 # key cells a greedy search may gather: about 20 s at the 10^8 cells/s of a
 # 2-CPU Xeon, so B s=2 q=2 N=17 (1.4·10^9 cells, 14 s) runs and N = 20 is refused
@@ -167,35 +167,39 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     lexicographic; no table of the q^N columns is built, nor q^N itself
     past EXHAUSTIVE_GUARD, where both modes raise SizeLimitError. A
     candidate's new messages join it to each (s-1)-subset of the code, so
-    its new output rows are that subset's keys (one bytes object per output
-    row) at the candidate.
+    its new output rows are that subset's rows at the candidate: bytes keys
+    in greedy mode, and in exhaustive mode ids, one per distinct row of a
+    search, held as the bits of int masks.
 
     Exhaustive mode runs a branch-and-bound over the candidates in index
     order; the returned witness is the lexicographically smallest maximum
-    code. The search keeps one path, the code and its messages' keys, grown
-    on a push and cut back on a pop, so no node copies its parent's code.
-    Each open node holds its surviving candidates in its current block of
-    candidates: those whose messages with its code have output keys that
-    miss the path's and differ from each other, each stored with those
-    keys, one per (s-1)-subset of the code. One routine builds every list.
-    A child narrows its parent's survivors after its column and checks only
-    what changed: a survivor's stored keys must miss the ones the push
-    added, and its keys with the child's new subsets must miss the path's
-    and differ from each other and from its stored keys. At s = 2 a push
-    passes its column as its one new subset, and a survivor gains one key
-    from that subset's row. A node entering a block, the root its first,
-    narrows the block's candidates, with no keys stored, by every
+    code. The search keeps one path, the code and the mask of its messages'
+    ids, or-ed in on a push and xor-ed out on a pop, so no node copies its
+    parent's code. Each open node holds its surviving candidates in its
+    current block of candidates: those whose messages with its code have
+    ids that miss the path's and differ from each other, each stored with
+    the mask of those ids, one per (s-1)-subset of the code. One routine
+    builds every list. A child narrows its parent's survivors after its
+    column and checks only what changed: a survivor's stored mask must miss
+    the one the push added, and its ids with the child's new subsets must
+    miss the path's and differ from each other and from its stored ones. At
+    s = 2 a push passes its column as its one new subset, and a survivor
+    gains one bit from that subset's row. A node entering a block, the root
+    its first, narrows the block's candidates, with empty masks, by every
     (s-1)-subset of the code. A list ends at a cut that its caller passes
     from its bound and each survivor kept raises by one: no descendant can
     take a candidate past it. The record is copied once, at the deepest
-    node of its path. One subset's keys over one block are one numpy gather
-    of at most GATHER_CELLS cells, read through a per-search ``lru_cache``
-    that keeps at most MEMO_CELLS cells; each block's candidate columns are
-    built once and kept for the last few blocks. A child's list is built in
-    full when it is pushed, so where every candidate survives (s = 1) or
-    the bound ends most nodes early, the lists cost more than the nodes'
-    tries. A tree of more than NODE_GUARD nodes raises SizeLimitError,
-    after the search has started.
+    node of its path. One subset's ids over one block come from one numpy
+    gather of at most GATHER_CELLS cells, read through a per-search
+    ``lru_cache`` that keeps at most MEMO_CELLS cells of ids, not masks; each
+    block's candidate columns are built once and kept for the last few
+    blocks. A mask is as wide as its largest id, so a search that reads
+    many distinct rows pays for wide masks on every test. A child's list
+    is built in full when it is pushed, so where every candidate survives
+    (s = 1) or the bound ends most nodes early, the lists cost more than
+    the nodes' tries. A tree of more than NODE_GUARD nodes, or that numbers
+    more than EXHAUSTIVE_GUARD rows, raises SizeLimitError, after the
+    search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
@@ -257,61 +261,75 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         """The candidate columns of the block that starts at ``lo``."""
         return _digits(np.arange(lo, min(lo + step, n_cand)), q, N)
 
+    ids: dict = {}  # each distinct output row the search reads, numbered in order
+
     @functools.lru_cache(maxsize=memo_blocks)
     def row(subset: tuple, lo: int) -> list:
-        """The keys of ``subset`` joined to each candidate of the block that
-        starts at ``lo``."""
-        return _keys(channel, output_ids(channel, _digits(subset, q, N)), block(lo))[:, 0].tolist()
+        """The ids of the output rows of ``subset`` joined to each candidate
+        of the block that starts at ``lo``."""
+        keys = _keys(channel, output_ids(channel, _digits(subset, q, N)), block(lo))[:, 0].tolist()
+        r = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) > EXHAUSTIVE_GUARD:  # each mask would be wider, and each test slower
+            raise SizeLimitError(f"search too large: more than {EXHAUSTIVE_GUARD} distinct output "
+                                 f"rows (q^N = {n_cand}, s = {s})")
+        return r
 
-    # the path to the open node: its code and its messages' output keys,
-    # grown on a push and cut back on a pop
+    # the path to the open node: its code and the mask of its messages'
+    # ids, grown on a push and cut back on a pop
     chosen: list[int] = []
-    seen: set = set()
+    seen = 0
     best: list[int] = []
 
-    def narrow(rest, joins: list, lo: int, cut: int) -> list:
+    def narrow(rest, joins: list, lo: int, cut: int, push: int = 0) -> list:
         """The open node's survivors in the block at ``lo``: the entries
-        (i, keys) of ``rest`` before ``cut`` whose stored keys miss ``seen``
-        and whose keys with the subsets ``joins`` miss ``seen`` and differ
-        from each other and from the stored keys. A push passes its parent's
-        survivors after its column and its new subsets; a block entry, the
-        block's candidates with no keys and every (s-1)-subset of the code."""
+        (i, km) of ``rest`` before ``cut`` whose mask km misses ``push``, the
+        mask a push added to ``seen``, and whose ids with the subsets
+        ``joins`` miss ``seen`` and differ from each other and from km's. A
+        push passes its parent's survivors after its column and its new
+        subsets; a block entry, the block's candidates with empty masks and
+        every (s-1)-subset of the code."""
         kept = []
         # a descendant is at most one level deeper for each survivor kept
         # before its candidate, and the bound grows by one a level, so each
-        # survivor kept raises the cut by one; a survivor's stored keys
-        # missed ``seen`` before the push, so ``seen.isdisjoint(keys)``
-        # tests them against the push's keys
+        # survivor kept raises the cut by one; a survivor's km missed
+        # ``seen`` before the push, so only the push's ids can meet it
         if len(joins) == 1:  # one new message a survivor, every push at s = 2
             r = row(joins[0], lo)
-            for i, keys in rest:
+            for i, km in rest:
                 if i >= cut:
                     break
-                new = r[i - lo]
-                if new not in seen and new not in keys and seen.isdisjoint(keys):
-                    kept.append((i, keys + (new,)))
+                b = 1 << r[i - lo]
+                if not (seen & (m := km | b) or km & b):
+                    kept.append((i, m))
                     cut += 1
             return kept
         rows = [row(sub, lo) for sub in joins]
         for entry in rest:
-            i, keys = entry
+            i, km = entry
             if i >= cut:
                 break
-            if seen.isdisjoint(keys):
-                if rows:
-                    more = tuple([r[i - lo] for r in rows])
-                    if not (seen.isdisjoint(more) and len(fresh := set(more)) == len(more)
-                            and fresh.isdisjoint(keys)):
-                        continue
-                    entry = i, keys + more
+            if rows:
+                if km & push:
+                    continue
+                more = km  # each new id must miss ``seen``, km and the ones before it
+                for r in rows:
+                    b = 1 << r[i - lo]
+                    if seen & b or more & b:
+                        break
+                    more |= b
+                else:
+                    kept.append((i, more))
+                    cut += 1
+            # no new subset (s = 1, short codes): one id each at most; == stops where & reads all
+            elif not (push and km == push):
                 kept.append(entry)
                 cut += 1
         return kept
 
-    # one entry per open node: the keys it added to ``seen``, the block it
+    # one entry per open node: the mask it added to ``seen``, the block it
     # is in, its survivors there and how many of them it has tried; the root
     # starts before the first block, so its first move enters it
-    stack = [[(), -step, [], 0]]
+    stack = [[0, -step, [], 0]]
     nodes = 1
     while True:
         node = stack[-1]
@@ -324,7 +342,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         else:
             lo += step
             if lo < n_cand and lo < stop:
-                fresh = ((i, ()) for i in range(lo, min(lo + step, n_cand)))
+                fresh = ((i, 0) for i in range(lo, min(lo + step, n_cand)))
                 node[1:] = lo, narrow(fresh, [*itertools.combinations(chosen, s - 1)], lo, stop), 0
                 continue
             idx = stop
@@ -337,7 +355,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 break
             stack.pop()
             chosen.pop()
-            seen.difference_update(node[0])
+            seen ^= node[0]
             continue
         node[3] = tried + 1
         nodes += 1
@@ -347,6 +365,6 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         rest = itertools.islice(kept, tried + 1, None)
         joins = [(idx,)] if s == 2 else _joins(chosen, idx, s)  # at s = 2, the column
         chosen.append(idx)
-        seen.update(new)  # exact to cut back: distinct, and disjoint from ``seen``
-        stack.append([new, lo, narrow(rest, joins, lo, stop + 1), 0])
+        seen |= new  # exact to cut back: disjoint from ``seen``
+        stack.append([new, lo, narrow(rest, joins, lo, stop + 1, new), 0])
     return SearchResult(len(best), Code(q, _digits(best, q, N)), nodes, "exhaustive")

@@ -501,6 +501,46 @@ def test_search_node_budget_exit_code(capsys, monkeypatch):
     assert rc == 3 and out == "" and "nodes" in err
 
 
+# each command that writes --out, its other options and the work that fills the file
+OUT_WORK = {"search": (["--channel", "B", "--s", "2", "--q", "3", "--N", "3"], "max_code_search"),
+            "gen": (["--ensemble", "cr", "--q", "2", "--N", "3", "--t", "4"], "random_code"),
+            "reduce": (["--code", "{dir}/code.txt", "--q", "2"], "reduce_alphabet")}
+
+
+def _out_argv(tmp_path, name, out):
+    """Command ``name`` writing ``out`` in tmp_path, whose code.txt is a q=3 code."""
+    (tmp_path / "code.txt").write_text(format_code(Code(3, [(0, 1), (2, 0)])))
+    argv = [a.format(dir=tmp_path) for a in OUT_WORK[name][0]]
+    return [name, *argv, "--out", str(tmp_path / out)]
+
+
+@pytest.mark.parametrize("out, err", [("missing/x.txt", "[Errno 2] No such file or directory"),
+                                      ("code.txt/x.txt", "[Errno 20] Not a directory"),
+                                      (".", "[Errno 21] Is a directory")],
+                         ids=["missing parent", "file as parent", "directory"])
+@pytest.mark.parametrize("name", list(OUT_WORK))
+def test_unusable_out_refused_before_the_work(capsys, tmp_path, monkeypatch, name, out, err):
+    # an --out that open would refuse is refused with open's error before the
+    # search, draw or reduction runs (the B s=2 q=3 N=3 search takes 265,594 nodes)
+    work = OUT_WORK[name][1]
+    monkeypatch.setattr(cst, work, lambda *args, **kwargs: pytest.fail(f"{work} ran"))
+    rc, stdout, stderr = run_err(capsys, argv := _out_argv(tmp_path, name, out))
+    assert rc == 2 and stdout == ""
+    assert stderr == f"error: {err}: {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("name", list(OUT_WORK))
+def test_out_untouched_when_the_work_is_refused(capsys, tmp_path, monkeypatch, name):
+    # the check opens nothing, so a file at --out outlives a refused command
+    def refuse(*args, **kwargs):
+        raise cst.SizeLimitError("refused")
+    monkeypatch.setattr(cst, OUT_WORK[name][1], refuse)
+    (tmp_path / "out.txt").write_text("kept\n")
+    rc, stdout, stderr = run_err(capsys, _out_argv(tmp_path, name, "out.txt"))
+    assert (rc, stdout, stderr) == (3, "", "error: refused\n")
+    assert (tmp_path / "out.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("prop", [
     ["--channel", "B", "--separable"], ["--le-separable"], ["--frameproof"], ["--hash"],
     ["--list", "2"]])

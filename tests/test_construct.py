@@ -282,6 +282,17 @@ def test_node_budget(monkeypatch):
         max_code_search(DISJ2, 4)
 
 
+def test_distinct_row_budget(monkeypatch):
+    # B s=2 q=2 N=4 numbers 80 of its 81 possible output rows (16 candidates);
+    # past EXHAUSTIVE_GUARD rows each mask would be wider, and it is refused
+    monkeypatch.setattr(cst, "EXHAUSTIVE_GUARD", 80)
+    res = max_code_search(make_channel("B", 2, 2), 4)
+    assert (res.t_star, res.nodes) == (7, 2554)
+    monkeypatch.setattr(cst, "EXHAUSTIVE_GUARD", 79)
+    with pytest.raises(SizeLimitError, match="more than 79 distinct output rows"):
+        max_code_search(make_channel("B", 2, 2), 4)
+
+
 # searches whose candidates span several blocks once GATHER_CELLS is small;
 # B s=2 q=3 N=2 (52 nodes) pushes at s = 2 across block boundaries at q = 3
 GATHER_CASES = [(DISJ2, 4, "exhaustive"), (make_channel("eras", 2, 2), 4, "exhaustive"),
@@ -305,9 +316,9 @@ def _reference_searches() -> list:
 @pytest.mark.parametrize("cells", [1, 7])
 def test_gather_blocks_leave_search_unchanged(monkeypatch, cells):
     # blocks of one candidate, and blocks that split a node's candidates
-    # unevenly, against the oracle: the path's one seen-key set, grown on a
-    # push and cut back on a pop, stays exact across block moves and pops
-    # back into an earlier block
+    # unevenly, against the oracle: the path's one mask of output-row ids,
+    # grown on a push and cut back on a pop, stays exact across block moves
+    # and pops back into an earlier block
     monkeypatch.setattr(cst, "GATHER_CELLS", cells)
     assert _searches(GATHER_CASES) == _reference_searches()
 

@@ -201,6 +201,19 @@ def test_collision_witness_matches_grouping(case, cells, factor):
         _assert_same_verdict(g, w)
 
 
+def test_collision_keeps_a_candidate_whose_key_a_smaller_set_has():
+    # N=9 binary masks fill two uint64 words, and under hash factor 0 a key
+    # is the last word, here the last column: every codeword ends in 0, so
+    # each pair's key is a single codeword's while its row differs. The
+    # pairs {1, 2} and {3, 4} share their row, and only the row check of a
+    # key first seen in a smaller size keeps {1, 2} a candidate
+    code = Code(2, [(0,) * 9, (1,) * 8 + (0,), (0, 1) * 4 + (0,), (1, 0) * 4 + (0,)])
+    with mock.patch.object(verify, "_HASH", np.uint64(0)):
+        got = is_at_most_s_separable(code, 2)
+    _assert_same_verdict(got, ref.is_at_most_s_separable(code, 2))
+    assert got.witness == ((1, 2), (3, 4))
+
+
 def _assert_kernel_matches_reference(ch):
     # one table over the compositions of weight < s, in the smallest dtype
     # that holds every state and output id
