@@ -29,9 +29,6 @@ QPRIME_MAX = 64  # the largest auxiliary alphabet size q' lower_bound_LD tries b
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
-# the gap the result climbs on to: SLSQP stops once a step gains under _FTOL, which
-# on a maximum as flat as (p - p*)^8 leaves H 1e-8 short at gap 1e-6
-_SETTLED_BEST = 1e-8
 _FTOL = 1e-12  # SLSQP's ftol for the entropy bound's polish
 
 
@@ -107,15 +104,15 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
     return (float(value[0]), grad[0]) if np.ndim(x) == 1 else (value, grad)
 
 
-def _climb(channel: ChannelSpec, p: np.ndarray, settled: float = _SETTLED) -> np.ndarray:
+def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
     """Exponentiated-gradient ascent of H from every row of p at once, in place: a
     row steps to p * exp(eta dH/dp), renormalised, and stops once its gap max_a
-    dH/dp_a - p . dH/dp is below ``settled``. Returns the best end, the argmin of -H."""
+    dH/dp_a - p . dH/dp is below _SETTLED. Returns the best end, the argmin of -H."""
     value, grad = _neg_entropy(p, channel)
     eta = np.ones(len(p))
     active = np.arange(len(p))
     for _ in range(_CLIMB_STEPS):
-        active = active[-grad[active].min(1) >= settled]
+        active = active[-grad[active].min(1) >= _SETTLED]
         if not active.size:
             break
         z = -eta[active, None] * grad[active]
@@ -150,9 +147,9 @@ def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
     """Entropy upper bound on the rate: max_p H(output) / s. The uniform law and
     the 16 Dirichlet draws of numpy's ``default_rng(0)`` climb as one batch
     (``_climb``); SLSQP, with the exact gradient of H, polishes the best end
-    unless it would stop there at once (``_stops_at_start``), the result climbs
-    on alone to a gap of _SETTLED_BEST, and ``entropy_output`` re-evaluates it.
-    Approximate when SLSQP did not succeed."""
+    unless it would stop there at once (``_stops_at_start``), and
+    ``entropy_output`` re-evaluates the result. Approximate when SLSQP did not
+    succeed."""
     q = channel.q
     work = q ** 3 + 10 * (channel.s + 1) * comb(q + channel.s, channel.s) * q
     if work > ENTROPY_WORK_GUARD:
@@ -168,7 +165,6 @@ def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
                        method="SLSQP", bounds=[(0.0, 1.0)] * q, constraints=constraints,
                        options={"maxiter": 500, "ftol": _FTOL})
         x, success = np.clip(res.x, 0.0, None), res.success
-    x = _climb(channel, x[None] / x.sum(), _SETTLED_BEST)
     p = Distribution(tuple(float(v) for v in x / x.sum()))
     return BoundReport(
         name="entropy-capacity",

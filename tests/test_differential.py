@@ -427,16 +427,6 @@ def test_entropy_bound_reaches_a_maximum_some_seeds_missed():
     assert not rep.approximate
 
 
-def test_entropy_bound_reaches_a_flat_maximum():
-    # two labels, s=4, q=3: P(v) = 4 p0 p1 (p0^2 + p1^2) at p2 = 0 touches 1/2
-    # only at p = (1/2, 1/2, 0), so H falls off as (p0 - 1/2)^8 along that edge.
-    # SLSQP stopped at p0 = 0.553, 2.1e-9 below the maximum ln 2 / 4
-    ch = ChannelSpec("custom", 3, 4, lambda c: "v" if c[0] == 1 or c == (3, 1, 0) else "u")
-    rep = capacity_entropy_bound(ch)
-    assert abs(rep.value - math.log(2) / 4) <= 1e-10
-    assert not rep.approximate
-
-
 @pytest.mark.xfail(strict=True, reason="known miss: every climb end lies outside the basin "
                    "of the maximum, 1.4e-3 nats below it (ROADMAP item 7)")
 def test_entropy_bound_reaches_a_maximum_the_climb_misses():
