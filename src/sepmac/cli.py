@@ -5,7 +5,8 @@ Payload goes to stdout (JSON or CSV), logs to stderr. Exit codes:
 or value, an unreadable or malformed file, a decode symbol outside the
 alphabet), 3 size limit (the desk-scale guards of channels, search, verify,
 gen, reduce, bounds and exponent). `main` parses, starts the clock, refuses
-an `--out` that open would refuse, runs the command's handler, named in
+an `--out` that open would refuse (before the handler's own checks, so with
+2 where they would exit 3), runs the command's handler, named in
 `SUBCOMMANDS`, and maps its errors to these codes; commands call the library
 and `_emit` the result. A command that reads a code file makes every refusal
 that its header and the options decide, of size or of usage, before it

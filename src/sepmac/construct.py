@@ -117,7 +117,10 @@ def reduce_alphabet(code: Code, q: int) -> Code:
     return Code(q, words.reshape(code.t, code.N * l))
 
 
-EXHAUSTIVE_GUARD = 2 ** 20  # candidates q^N, and distinct rows an exhaustive search numbers
+# candidates q^N, and distinct output rows an exhaustive search numbers: at
+# s = 1 these are at most q^N, so the row bound refuses only at s >= 2, where
+# the rows' table and masks of 2^20 bits reach about 250 MB (B s=2 q=2 N=14)
+EXHAUSTIVE_GUARD = 2 ** 20
 NODE_GUARD = 2 ** 21  # branch-and-bound nodes an exhaustive search may visit
 # key cells a greedy search may gather: about 20 s at the 10^8 cells/s of a
 # 2-CPU Xeon, so B s=2 q=2 N=17 (1.4·10^9 cells, 14 s) runs and N = 20 is refused
@@ -178,7 +181,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     parent's code. Each open node holds its surviving candidates in its
     current block of candidates: those whose messages with its code have
     ids that miss the path's and differ from each other, each stored with
-    the mask of those ids, one per (s-1)-subset of the code. One routine
+    the mask of those ids, one per (s-1)-subset of the code; at s = 1,
+    where a survivor and a push hold one id each, with the id itself, so a
+    list does not keep single-bit masks as wide as the ids. One routine
     builds every list. A child narrows its parent's survivors after its
     column and checks only what changed: a survivor's stored mask must miss
     the one the push added, and its ids with the child's new subsets must
@@ -287,7 +292,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         ``joins`` miss ``seen`` and differ from each other and from km's. A
         push passes its parent's survivors after its column and its new
         subsets; a block entry, the block's candidates with empty masks and
-        every (s-1)-subset of the code."""
+        every (s-1)-subset of the code. At s = 1, km and ``push`` are ids."""
         kept = []
         # a descendant is at most one level deeper for each survivor kept
         # before its candidate, and the bound grows by one a level, so each
@@ -300,7 +305,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                     break
                 b = 1 << r[i - lo]
                 if not (seen & (m := km | b) or km & b):
-                    kept.append((i, m))
+                    kept.append((i, m if s > 1 else r[i - lo]))  # at s = 1, the id
                     cut += 1
             return kept
         rows = [row(sub, lo) for sub in joins]
@@ -320,15 +325,18 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 else:
                     kept.append((i, more))
                     cut += 1
-            # no new subset (s = 1, short codes): one id each at most; == stops where & reads all
-            elif not (push and km == push):
+            # no new subset: at s = 1 a survivor and the push are one id each,
+            # and ids compare where masks' & would read every digit; at s > 1
+            # the code is shorter than s - 1 and holds no message
+            elif s > 1 or km != push:
                 kept.append(entry)
                 cut += 1
         return kept
 
-    # one entry per open node: the mask it added to ``seen``, the block it
-    # is in, its survivors there and how many of them it has tried; the root
-    # starts before the first block, so its first move enters it
+    # one entry per open node: the mask it added to ``seen`` (at s = 1, the
+    # id), the block it is in, its survivors there and how many of them it
+    # has tried; the root starts before the first block, so its first move
+    # enters it
     stack = [[0, -step, [], 0]]
     nodes = 1
     while True:
@@ -355,7 +363,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 break
             stack.pop()
             chosen.pop()
-            seen ^= node[0]
+            seen ^= node[0] if s > 1 else 1 << node[0]
             continue
         node[3] = tried + 1
         nodes += 1
@@ -365,6 +373,6 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         rest = itertools.islice(kept, tried + 1, None)
         joins = [(idx,)] if s == 2 else _joins(chosen, idx, s)  # at s = 2, the column
         chosen.append(idx)
-        seen |= new  # exact to cut back: disjoint from ``seen``
+        seen |= new if s > 1 else 1 << new  # exact to cut back: disjoint from ``seen``
         stack.append([new, lo, narrow(rest, joins, lo, stop + 1, new), 0])
     return SearchResult(len(best), Code(q, _digits(best, q, N)), nodes, "exhaustive")

@@ -541,6 +541,19 @@ def test_out_untouched_when_the_work_is_refused(capsys, tmp_path, monkeypatch, n
     assert (tmp_path / "out.txt").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--channel", "B", "--s", "2", "--q", "2", "--N", "100000000"],
+    ["gen", "--ensemble", "cr", "--q", "2", "--N", "100000", "--t", "100000"],
+    ["reduce", "--code", "{dir}/big.txt", "--q", "2"]], ids=lambda argv: argv[0])
+def test_unusable_out_refused_before_the_command_checks(capsys, tmp_path, argv):
+    # with a usable --out each exits 3 on its own size check (q^N, cells drawn,
+    # a header of 30,000,000 cells); an unusable one is refused first, with 2
+    (tmp_path / "big.txt").write_text("3 1000 10000\n0 1 2\n")
+    out = str(tmp_path / "missing" / "x.txt")
+    rc, stdout, stderr = run_err(capsys, [a.format(dir=tmp_path) for a in argv] + ["--out", out])
+    assert (rc, stdout, stderr) == (2, "", f"error: [Errno 2] No such file or directory: {out!r}\n")
+
+
 @pytest.mark.parametrize("prop", [
     ["--channel", "B", "--separable"], ["--le-separable"], ["--frameproof"], ["--hash"],
     ["--list", "2"]])

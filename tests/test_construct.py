@@ -283,8 +283,9 @@ def test_node_budget(monkeypatch):
 
 
 def test_distinct_row_budget(monkeypatch):
-    # B s=2 q=2 N=4 numbers 80 of its 81 possible output rows (16 candidates);
-    # past EXHAUSTIVE_GUARD rows each mask would be wider, and it is refused
+    # B s=2 q=2 N=4 numbers 80 of its 81 possible output rows; past
+    # EXHAUSTIVE_GUARD rows each mask would be wider, and it is refused (its 16
+    # candidates stay inside the guard's q^N bound at either value)
     monkeypatch.setattr(cst, "EXHAUSTIVE_GUARD", 80)
     res = max_code_search(make_channel("B", 2, 2), 4)
     assert (res.t_star, res.nodes) == (7, 2554)
@@ -404,6 +405,20 @@ def test_search_memory_of_a_tree_where_every_candidate_survives():
         tracemalloc.stop()
     assert (res.t_star, res.nodes) == (1024, 1025)
     assert peak <= 64 * 2 ** 20
+
+
+def test_search_memory_of_a_path_of_one_id_survivors():
+    # B s=1 q=2 N=14: the one path keeps every candidate's survivor entry, about
+    # 26 MB; entries that held the bit of their id, as wide as the id, added
+    # about 17 MB, which grows with the square of q^N (4.6 GB more at N=18)
+    tracemalloc.start()
+    try:
+        res = max_code_search(make_channel("B", 1, 2), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.t_star, res.nodes) == (2 ** 14, 2 ** 14 + 1)
+    assert peak <= 32 * 2 ** 20
 
 
 def test_search_memory_of_an_s3_refusal(monkeypatch):
