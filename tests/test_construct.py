@@ -394,23 +394,11 @@ def test_search_memory_of_a_many_key_refusal(monkeypatch):
 
 
 def test_search_memory_of_a_tree_where_every_candidate_survives():
-    # B s=1 q=2 N=10 keeps every candidate: each of the 1,025 nodes on the one
-    # path holds the survivors left in its block, so lists over all 2^10
-    # candidates would grow with the square of the path
-    tracemalloc.start()
-    try:
-        res = max_code_search(make_channel("B", 1, 2), 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (res.t_star, res.nodes) == (1024, 1025)
-    assert peak <= 64 * 2 ** 20
-
-
-def test_search_memory_of_a_path_of_one_id_survivors():
-    # B s=1 q=2 N=14: the one path keeps every candidate's survivor entry, about
-    # 26 MB; entries that held the bit of their id, as wide as the id, added
-    # about 17 MB, which grows with the square of q^N (4.6 GB more at N=18)
+    # B s=1 q=2 N=14 keeps every candidate: each of the 16,385 nodes on the
+    # one path holds the survivors left in its block, about 26 MB traced.
+    # Lists over all 2^14 candidates would grow with the square of the path,
+    # and so did survivors holding the bit of their id, as wide as the id
+    # (43 MB here, about 4.6 GB more at N=18)
     tracemalloc.start()
     try:
         res = max_code_search(make_channel("B", 1, 2), 14)
