@@ -354,8 +354,7 @@ def _parse_args(argv: list) -> argparse.Namespace:
     if argv[:1] == ["--"]:  # Python 3.11's argparse takes it for the subcommand's name
         argv = argv[1:]
     if not argv or argv[0] not in SUBCOMMANDS:
-        top = build_parser().parse_args(argv)  # help, a missing or unknown subcommand exit
-        argv = [top.command, *top.rest]
+        build_parser().parse_args(argv)  # help, a missing or unknown subcommand: each exits
     args, extras = subcommand_parser(argv[0]).parse_known_args(argv[1:])
     if extras:
         build_parser().error(f"unrecognized arguments: {' '.join(extras)}")

@@ -176,35 +176,34 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
 
     Exhaustive mode runs a branch-and-bound over the candidates in index
     order; the returned witness is the lexicographically smallest maximum
-    code. The search keeps one path, the code and the mask of its messages'
-    ids, or-ed in on a push and xor-ed out on a pop, so no node copies its
-    parent's code. Each open node holds its surviving candidates in its
-    current block of candidates: those whose messages with its code have
-    ids that miss the path's and differ from each other, each stored with
-    the mask of those ids, one per (s-1)-subset of the code; at s = 1,
-    where a survivor and a push hold one id each, with the id itself, so a
-    list does not keep single-bit masks as wide as the ids. One routine
-    builds every list. A child narrows its parent's survivors after its
-    column and checks only what changed: a survivor's stored mask must miss
-    the one the push added, and its ids with the child's new subsets must
-    miss the path's and differ from each other and from its stored ones. At
-    s = 2 a push passes its column as its one new subset, and a survivor
-    gains one bit from that subset's row. A node entering a block, the root
-    its first, narrows the block's candidates, with empty masks, by every
-    (s-1)-subset of the code. A list ends at a cut that its caller passes
-    from its bound and each survivor kept raises by one: no descendant can
-    take a candidate past it. The record is copied once, at the deepest
-    node of its path. One subset's ids over one block come from one numpy
-    gather of at most GATHER_CELLS cells, read through a per-search
-    ``lru_cache`` that keeps at most MEMO_CELLS cells of ids, not masks; each
-    block's candidate columns are built once and kept for the last few
-    blocks. A mask is as wide as its largest id, so a search that reads
-    many distinct rows pays for wide masks on every test. A child's list
-    is built in full when it is pushed, so where every candidate survives
-    (s = 1) or the bound ends most nodes early, the lists cost more than
-    the nodes' tries. A tree of more than NODE_GUARD nodes, or that numbers
-    more than EXHAUSTIVE_GUARD rows, raises SizeLimitError, after the
-    search has started.
+    code. It keeps one path, the code and the mask of its messages' ids,
+    or-ed in on a push and xor-ed out on a pop, and a stack of frames, one
+    per open node: its survivors in its current block of candidates, its
+    read position and the block. A survivor's messages with the node's
+    code have ids that miss the path's and differ from each other; it is
+    stored with their mask, at s = 1 with its one id. A pop reads the mask
+    to xor out from the parent's survivor before its read position. A
+    child narrows its parent's survivors after its column and checks only
+    what changed: a stored mask must miss the one the push added, and the
+    ids with the child's new subsets must miss the path's and differ from
+    each other and from the stored ones. A child with no survivors that
+    cannot enter a later block is a leaf: counted, maybe the record, but
+    given no frame. At s = 2 a push's one new subset is its column, whose
+    ids over its own block the loop reads from a table keyed by column;
+    s = 1 and s >= 3 pushes, and a node entering a block (the root its
+    first) with the block's candidates, empty masks and every (s-1)-subset
+    of the code, share one routine. A list ends at a cut that its caller
+    passes from its bound and each survivor kept raises by one: no
+    descendant can take a candidate past it. The record is copied once, at
+    the deepest node of its path. One subset's ids over one block come from
+    one numpy gather of at most GATHER_CELLS cells; the s = 2 table and a
+    per-search ``lru_cache`` of other subsets' ids share MEMO_CELLS cells,
+    and each block's candidate columns are kept for the last few blocks. A
+    mask is as wide as its largest id, so many distinct rows make every
+    test slower, and a child's list is built in full on its push, so lists
+    can cost more than the tries. A tree of more than NODE_GUARD nodes, or
+    that numbers more than EXHAUSTIVE_GUARD rows, raises SizeLimitError,
+    after the search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
@@ -257,7 +256,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         return SearchResult(len(chosen), Code(q, _digits(sorted(chosen), q, N)), n_cand, "greedy")
 
     step = max(1, GATHER_CELLS // N)  # candidates per block
-    memo_blocks = max(1, MEMO_CELLS // (min(step, n_cand) * N))
+    # at s = 2 pushes read their rows from ``cols`` and block entries from
+    # ``row``'s cache: the two share the budget, half each
+    memo_blocks = max(1, MEMO_CELLS // (min(step, n_cand) * N) // (1 + (s == 2)))
 
     # a node's full check and its children's reads use one block, and a few
     # more serve pops back into earlier blocks
@@ -284,6 +285,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     chosen: list[int] = []
     seen = 0
     best: list[int] = []
+    cols: dict = {}  # at s = 2, pushed columns' ids over their own blocks, emptied when full
 
     def narrow(rest, joins: list, lo: int, cut: int, push: int = 0) -> list:
         """The open node's survivors in the block at ``lo``: the entries
@@ -294,21 +296,11 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         subsets; a block entry, the block's candidates with empty masks and
         every (s-1)-subset of the code. At s = 1, km and ``push`` are ids."""
         kept = []
+        rows = [row(sub, lo) for sub in joins]
         # a descendant is at most one level deeper for each survivor kept
         # before its candidate, and the bound grows by one a level, so each
         # survivor kept raises the cut by one; a survivor's km missed
         # ``seen`` before the push, so only the push's ids can meet it
-        if len(joins) == 1:  # one new message a survivor, every push at s = 2
-            r = row(joins[0], lo)
-            for i, km in rest:
-                if i >= cut:
-                    break
-                b = 1 << r[i - lo]
-                if not (seen & (m := km | b) or km & b):
-                    kept.append((i, m if s > 1 else r[i - lo]))  # at s = 1, the id
-                    cut += 1
-            return kept
-        rows = [row(sub, lo) for sub in joins]
         for entry in rest:
             i, km = entry
             if i >= cut:
@@ -323,7 +315,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                         break
                     more |= b
                 else:
-                    kept.append((i, more))
+                    kept.append((i, more if s > 1 else r[i - lo]))  # at s = 1, the id
                     cut += 1
             # no new subset: at s = 1 a survivor and the push are one id each,
             # and ids compare where masks' & would read every digit; at s > 1
@@ -333,46 +325,62 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 cut += 1
         return kept
 
-    # one entry per open node: the mask it added to ``seen`` (at s = 1, the
-    # id), the block it is in, its survivors there and how many of them it
-    # has tried; the root starts before the first block, so its first move
-    # enters it
-    stack = [[0, -step, [], 0]]
+    # the open node's frame, its survivors, how many it has tried and its
+    # block (the root's first move enters the first), and its ancestors'
+    kept, pos, lo, stack = [], 0, -step, []
     nodes = 1
     while True:
-        node = stack[-1]
-        _, lo, kept, tried = node
         # bound: from stop on, even taking every remaining candidate cannot
         # beat best; a path deeper than best puts stop past n_cand
         stop = n_cand - len(best) + len(chosen)
-        if tried < len(kept):
-            idx, new = kept[tried]
-        else:
-            lo += step
-            if lo < n_cand and lo < stop:
-                fresh = ((i, 0) for i in range(lo, min(lo + step, n_cand)))
-                node[1:] = lo, narrow(fresh, [*itertools.combinations(chosen, s - 1)], lo, stop), 0
+        if pos < len(kept):
+            idx, new = kept[pos]
+            if idx < stop:
+                pos += 1
+                nodes += 1
+                if nodes > NODE_GUARD:
+                    raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
+                                         f"(q^N = {n_cand}, s = {s})")
+                seen |= new if s > 1 else 1 << new  # exact to cut back: new misses seen
+                if s == 2:  # the push's one new subset is its column: narrow's test, inline
+                    if (r := cols.get(idx)) is None:
+                        if len(cols) >= memo_blocks:
+                            cols.clear()
+                        r = cols[idx] = row.__wrapped__((idx,), lo)
+                    child, cut = [], stop + 1
+                    for i, km in itertools.islice(kept, pos, None):
+                        if i >= cut:
+                            break
+                        b = 1 << r[i - lo]
+                        if not (seen & (m := km | b) or km & b):
+                            child.append((i, m))
+                            cut += 1
+                else:
+                    child = narrow(itertools.islice(kept, pos, None), _joins(chosen, idx, s),
+                                   lo, stop + 1, new)
+                # a child with no survivors that cannot enter a later block is
+                # a leaf: it is counted and may be the record, but gets no frame
+                if child or (nxt := lo + step) <= stop and nxt < n_cand:
+                    stack.append((kept, pos, lo))
+                    kept, pos = child, 0
+                    chosen.append(idx)
+                else:
+                    seen ^= new if s > 1 else 1 << new
+                    if len(chosen) >= len(best):
+                        best = [*chosen, idx]
                 continue
-            idx = stop
-        if idx >= stop:  # the node is done
-            # the first node done on a path deeper than best is its deepest:
-            # the record is copied here, once, not on each push past best
-            if len(chosen) > len(best):
-                best = chosen.copy()
-            if not chosen:
-                break
-            stack.pop()
-            chosen.pop()
-            seen ^= node[0] if s > 1 else 1 << node[0]
+        elif (lo := lo + step) < n_cand and lo < stop:
+            fresh = ((i, 0) for i in range(lo, min(lo + step, n_cand)))
+            kept, pos = narrow(fresh, [*itertools.combinations(chosen, s - 1)], lo, stop), 0
             continue
-        node[3] = tried + 1
-        nodes += 1
-        if nodes > NODE_GUARD:
-            raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
-                                 f"(q^N = {n_cand}, s = {s})")
-        rest = itertools.islice(kept, tried + 1, None)
-        joins = [(idx,)] if s == 2 else _joins(chosen, idx, s)  # at s = 2, the column
-        chosen.append(idx)
-        seen |= new if s > 1 else 1 << new  # exact to cut back: disjoint from ``seen``
-        stack.append([new, lo, narrow(rest, joins, lo, stop + 1, new), 0])
+        # the node is done. The first node done on a path deeper than best is
+        # its deepest: the record is copied here, once, not on each push past best
+        if len(chosen) > len(best):
+            best = chosen.copy()
+        if not stack:
+            break
+        kept, pos, lo = stack.pop()
+        chosen.pop()
+        _, new = kept[pos - 1]  # the mask, or at s = 1 the id, that the push added
+        seen ^= new if s > 1 else 1 << new
     return SearchResult(len(best), Code(q, _digits(best, q, N)), nodes, "exhaustive")

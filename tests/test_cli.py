@@ -211,6 +211,19 @@ def test_leading_double_dash(argv):
     assert parse_outcome(cli._parse_args, ["--", *argv]) == parse_outcome(cli._parse_args, argv)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--", "--", "exponent", "--channel", "B", "--s", "2", "--q", "2", "--R", "0.1"],
+     "invalid choice: '--'"),
+    (["-", "exponent"], "invalid choice: '-'"), (["expo"], "invalid choice: 'expo'"),
+    (["--", "--"], "the following arguments are required: command")], ids=" ".join)
+def test_top_level_parse_only_exits(argv, error):
+    # an argv that does not start with a subcommand, after one `--`, is left
+    # to the top-level parser, which exits on each of these: a second `--`, a
+    # lone `-`, a prefix of a subcommand's name, nothing after the `--`s
+    rc, out, err = parse_outcome(cli._parse_args, argv)
+    assert (rc, out) == (2, "") and err.startswith("usage: sepmac [-h] {verify,") and error in err
+
+
 def test_option_before_subcommand():
     # an option before the subcommand is refused under the top-level usage
     rc, out, err = parse_outcome(cli._parse_args, ["-x", "verify", "--code", "c", "--s", "2",

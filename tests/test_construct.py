@@ -393,6 +393,15 @@ def test_search_memory_of_a_many_key_refusal(monkeypatch):
     assert _refusal_peak(monkeypatch, make_channel("B", 2, 2), 12, 500) <= 64 * 2 ** 20
 
 
+def test_search_memory_of_a_small_memo_refusal(monkeypatch):
+    # B s=2 q=2 N=12 refused after 200 nodes under a memo of 2^16 cells, 16
+    # blocks of 341 candidates, that its s = 2 push rows keyed by column and
+    # its block entries' rows share: 51.1 MB traced with one cache of 16
+    # blocks for both, nearly all of it numbered rows and survivors' masks
+    monkeypatch.setattr(cst, "MEMO_CELLS", 2 ** 16)
+    assert _refusal_peak(monkeypatch, make_channel("B", 2, 2), 12, 200) <= 56 * 2 ** 20
+
+
 def test_search_memory_of_a_tree_where_every_candidate_survives():
     # B s=1 q=2 N=14 keeps every candidate: each of the 16,385 nodes on the
     # one path holds the survivors left in its block, about 26 MB traced.

@@ -2,7 +2,8 @@
 output law, the verifiers at several walk block sizes (verdicts, witnesses
 and outputs byte for byte), the collision verdicts' witness search against
 the grouping of every repeated message it replaced, the incremental
-exhaustive search (also at several block sizes) and the greedy search, the
+exhaustive search (also at several block sizes, and on drawn custom
+channels) and the greedy search, the
 integer P_term, the list-decoding lower bound (one gcd per q'), the entropy bound (all starts
 climbed as one batch, the best end polished by exact-gradient SLSQP) and the exponent's E0 solver
 on index arrays against the pure-Python reference, the one-Fraction-per-q' bound, the
@@ -649,6 +650,34 @@ def test_search_matches_reference(s, q, n, name, cells):
         got = max_code_search(ch, n)
     want = ref.max_code_search(ch, n)
     assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes)
+
+
+@st.composite
+def search_channels(draw):
+    """A custom s = 2 or 3 channel, each composition labelled with one of
+    2-4 labels, and a length N with q^N <= 16."""
+    s = draw(st.integers(2, 3))
+    q, n = draw(st.sampled_from([(q, n) for q in range(2, 17) for n in range(1, 5)
+                                 if q ** n <= 16]))
+    comps = list(compositions(s, q))
+    labels = draw(st.lists(st.sampled_from("uvwx"[:draw(st.integers(2, 4))]),
+                           min_size=len(comps), max_size=len(comps)))
+    return ChannelSpec("custom", q, s, dict(zip(comps, labels)).__getitem__), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_channels())
+def test_search_matches_reference_on_drawn_channels(case):
+    # where a child has no survivors and no later block it is a leaf without
+    # a frame: at blocks of one candidate, at blocks that split a node's
+    # survivors unevenly and at the default, t*, the node count and the
+    # witness are the oracle's on any channel
+    ch, n = case
+    want = ref.max_code_search(ch, n)
+    for cells in (1, 7, construct.GATHER_CELLS):
+        with mock.patch.object(construct, "GATHER_CELLS", cells):
+            got = max_code_search(ch, n)
+        assert (got.t_star, got.code, got.nodes) == (want.t_star, want.code, want.nodes), cells
 
 
 def _greedy_instances():
