@@ -13,15 +13,13 @@ output ids and ``output_law`` gives the output law of i.i.d. inputs.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 
 import numpy as np
 
 from .core import InvalidParametersError, SizeLimitError, _content, _header
 
-KERNEL_GUARD = 2 ** 20  # a channel's compositions of weight <= s, C(q+s, s), times q
+KERNEL_GUARD = 2 ** 20  # C(q+s, s) compositions of weight <= s, times q: caps build time and memory
 _UNPRINTABLE = 10 ** 4300
 
 
@@ -70,26 +68,26 @@ def _kernel(q: int, s: int, output) -> tuple[np.ndarray, tuple]:
     next state below weight s-1 and at weight s-1 the output id of the weight-s
     composition c reached, so s symbols fold from state 0 to their output id.
     outputs[id] is c's label ``str(output(c))``; equal labels share an id, and
-    ``trans`` has the smallest dtype that holds every state and id. A state is
-    kept as its sorted word, so adding a symbol is an insertion and its counts
-    are a bincount; count order is reverse word order."""
-    words = [w for k in range(s + 1)
-             for w in reversed(list(itertools.combinations_with_replacement(range(q), k)))]
-    index = {w: i for i, w in enumerate(words)}
-    n = math.comb(q + s - 1, s - 1)  # the states; the weight-s words follow
-    top = np.array(words[n:], dtype=np.intp)
-    counts = np.bincount((top + q * np.arange(len(top))[:, None]).ravel(), minlength=len(top) * q)
-    ids: dict = {}
-    cell = list(range(n)) + [ids.setdefault(str(output(c)), len(ids))
-                             for c in map(tuple, counts.reshape(-1, q).tolist())]
-
-    def grown(w: tuple, a: int) -> int:
-        k = bisect.bisect_right(w, a)
-        return cell[index[w[:k] + (a,) + w[k:]]]
-
-    trans = np.array([[grown(w, a) for a in range(q)] for w in words[:n]],
-                     dtype=np.min_scalar_type(max(n, len(ids)) - 1))
-    return trans, tuple(ids)
+    ``trans`` has the smallest dtype that holds every state and id. Weight by
+    weight, a state is kept as its parent (one symbol lighter), its largest
+    symbol b and its counts: adding a >= b makes a child, each state's children
+    with a falling in count order, and adding a < b commutes, so
+    trans[state, a] = trans[trans[parent, a], b], a child already numbered."""
+    n = math.comb(q + s - 1, s - 1)  # the states, the compositions of weight < s
+    trans, ids = [0] * (n * q), {}
+    states, lo = [(0, 0, (0,) * q)], 0  # this weight's (parent, b, counts), from state lo
+    for k in range(s):
+        kids = [(i, a, c[:a] + (c[a] + 1,) + c[a + 1:])
+                for i, (_, b, c) in enumerate(states, lo) for a in range(q - 1, b - 1, -1)]
+        cells = (range(lo + len(states), lo + len(states) + len(kids)) if k < s - 1 else
+                 [ids.setdefault(str(output(c)), len(ids)) for *_, c in kids])
+        for (i, a, _), cell in zip(kids, cells):
+            trans[i * q + a] = cell
+        for i, (p, b, _) in enumerate(states, lo):
+            for a in range(b):
+                trans[i * q + a] = trans[trans[p * q + a] * q + b]
+        states, lo = kids, lo + len(states)
+    return np.array(trans, dtype=np.min_scalar_type(max(n, len(ids)) - 1)).reshape(n, q), tuple(ids)
 
 
 def output_ids(channel: ChannelSpec, words) -> np.ndarray:

@@ -222,6 +222,19 @@ def test_kernel_memory_at_its_guard():
     assert kept <= 4 * 2 ** 20
 
 
+def test_kernel_memory_at_large_s():
+    # disj s=300 has 45,150 states of weight < s; the build holds one weight's
+    # states at a time and peaks within 16 MB
+    tracemalloc.start()
+    try:
+        ch = make_channel("disj", 300, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.trans.shape == (45150, 2) and ch.outputs == ("1", "0")
+    assert peak <= 16 * 2 ** 20
+
+
 def test_parse_channel_names_missing_composition(tmp_path, capsys):
     text = "2 3 2\n3 0 -> 0\n2 1 -> 1\n0 3 -> 1\n"
     with pytest.raises(ChannelFileError, match=r"missing composition \(1, 2\)"):

@@ -247,11 +247,24 @@ def test_builtin_rules_match_reference(kind):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32))
-def test_custom_kernel_matches_reference(q, s, n_labels, seed):
+@given(st.sampled_from([(q, s) for q in range(2, 6) for s in range(1, 5)]
+                       + [(q, s) for q in (2, 3) for s in (5, 6)]),
+       st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_custom_kernel_matches_reference(qs, n_labels, seed):
+    q, s = qs
     rng = random.Random(seed)
     table = {c: rng.choice("uvwxyz"[:n_labels]) for c in compositions(s, q)}
     _assert_kernel_matches_reference(ChannelSpec("custom", q, s, table.__getitem__))
+
+
+@pytest.mark.parametrize("name,s,q", [
+    *[(f"thr:{l}", s, 2) for s in (8, 12) for l in range(1, s + 1)],
+    ("disj", 8, 2), ("disj", 12, 2),
+    *[(kind, s, 3) for kind in ("A", "B", "eras") for s in (5, 6, 7)]])
+def test_deep_kernel_matches_reference(name, s, q):
+    # a cell adding a symbol below the state's largest is copied from another
+    # state of its weight, trans[trans[parent, a], b]; copies chain from weight 2
+    _assert_kernel_matches_reference(make_channel(name, s, q))
 
 
 @pytest.mark.parametrize("kind,s,q", [("B", 3, 16), ("A", 3, 17), ("eras", 2, 20),
@@ -438,6 +451,15 @@ def test_entropy_bound_reaches_a_maximum_the_climb_misses():
     table = {c: rng.choice("uvwx") for c in compositions(4, 4)}
     ch = ChannelSpec("custom", 4, 4, table.__getitem__)
     assert capacity_entropy_bound(ch).value >= ref.capacity_entropy_bound(ch).value - 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="known miss: SLSQP stops 2.1e-9 below a maximum as "
+                   "flat as (p - p*)^8 with the climb's 1e-6 gap met (ROADMAP item 7)")
+def test_entropy_bound_reaches_a_flat_maximum():
+    # the maximum ln 2 / 4 at p = (1/2, 1/2, 0) falls off as (p0 - 1/2)^8;
+    # test_entropy_bound_not_below_reference fails on draws like this one
+    ch = ChannelSpec("custom", 3, 4, lambda c: "v" if c[0] == 1 or c == (3, 1, 0) else "u")
+    assert capacity_entropy_bound(ch).value >= math.log(2) / 4 - 1e-12
 
 
 @pytest.mark.parametrize("name,s,q", [("B", 5, 5), ("A", 4, 4), ("A", 3, 5), ("eras", 3, 4)])
