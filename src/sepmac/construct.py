@@ -117,9 +117,8 @@ def reduce_alphabet(code: Code, q: int) -> Code:
     return Code(q, words.reshape(code.t, code.N * l))
 
 
-# candidates q^N, and distinct output rows an exhaustive search numbers: at
-# s = 1 these are at most q^N, so the row bound refuses only at s >= 2, where
-# the rows' table and masks of 2^20 bits reach about 250 MB (B s=2 q=2 N=14)
+# candidates q^N, and distinct output rows an exhaustive search numbers: the
+# rows' table and masks of 2^20 bits reach about 250 MB (B s=2 q=2 N=14)
 EXHAUSTIVE_GUARD = 2 ** 20
 NODE_GUARD = 2 ** 21  # branch-and-bound nodes an exhaustive search may visit
 # key cells a greedy search may gather: about 20 s at the 10^8 cells/s of a
@@ -174,36 +173,33 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
     in greedy mode, and in exhaustive mode ids, one per distinct row of a
     search, held as the bits of int masks.
 
-    Exhaustive mode runs a branch-and-bound over the candidates in index
-    order; the returned witness is the lexicographically smallest maximum
-    code. It keeps one path, the code and the mask of its messages' ids,
-    or-ed in on a push and xor-ed out on a pop, and a stack of frames, one
-    per open node: its survivors in its current block of candidates, its
-    read position and the block. A survivor's messages with the node's
-    code have ids that miss the path's and differ from each other; it is
-    stored with their mask, at s = 1 with its one id. A pop reads the mask
-    to xor out from the parent's survivor before its read position. A
-    child narrows its parent's survivors after its column and checks only
-    what changed: a stored mask must miss the one the push added, and the
-    ids with the child's new subsets must miss the path's and differ from
-    each other and from the stored ones. A child with no survivors that
-    cannot enter a later block is a leaf: counted, maybe the record, but
-    given no frame. At s = 2 a push's one new subset is its column, whose
-    ids over its own block the loop reads from a table keyed by column;
-    s = 1 and s >= 3 pushes, and a node entering a block (the root its
-    first) with the block's candidates, empty masks and every (s-1)-subset
-    of the code, share one routine. A list ends at a cut that its caller
-    passes from its bound and each survivor kept raises by one: no
-    descendant can take a candidate past it. The record is copied once, at
-    the deepest node of its path. One subset's ids over one block come from
-    one numpy gather of at most GATHER_CELLS cells; the s = 2 table and a
-    per-search ``lru_cache`` of other subsets' ids share MEMO_CELLS cells,
-    and each block's candidate columns are kept for the last few blocks. A
-    mask is as wide as its largest id, so many distinct rows make every
-    test slower, and a child's list is built in full on its push, so lists
-    can cost more than the tries. A tree of more than NODE_GUARD nodes, or
-    that numbers more than EXHAUSTIVE_GUARD rows, raises SizeLimitError,
-    after the search has started.
+    Exhaustive mode returns the lexicographically smallest maximum code. At
+    s = 1, where output rows need only differ, it is every N-word over R,
+    the least symbol of each output, in index order: t* = |R|^N, and
+    ``nodes`` counts its path, t* + 1. At s >= 2 it runs a branch-and-bound
+    over the candidates in index order. It keeps one path, the code and the
+    mask of its messages' ids, or-ed in on a push and xor-ed out on a pop,
+    and a stack of frames, one per open node: its survivors in its current
+    block of candidates, its read position and the block. A survivor's
+    messages with the node's code have ids that miss the path's and differ
+    from each other; it is stored with their mask, which a pop reads back
+    from the parent's survivor before its read position. A child narrows its
+    parent's survivors after its column and checks only what changed
+    (``narrow``). A child with no survivors that cannot enter a later block
+    is a leaf: counted, maybe the record, but given no frame. At s = 2 a
+    push's one new subset is its column, whose ids over its own block the
+    loop reads from a table keyed by column; s >= 3 pushes, and a node
+    entering a block (the root its first) with the block's candidates, empty
+    masks and every (s-1)-subset of the code, share one routine. The record
+    is copied once, at the deepest node of its path. One subset's ids over
+    one block come from one numpy gather of at most GATHER_CELLS cells; the
+    s = 2 table and a per-search ``lru_cache`` of other subsets' ids share
+    MEMO_CELLS cells, and each block's candidate columns are kept for the
+    last few blocks. A mask is as wide as its largest id, so many distinct
+    rows make every test slower, and a child's list is built in full on its
+    push, so lists can cost more than the tries. A tree of more than
+    NODE_GUARD nodes, or that numbers more than EXHAUSTIVE_GUARD rows,
+    raises SizeLimitError, after the search has started.
 
     Greedy mode tries each candidate once, in an order shuffled by
     ``seed``, gathering every subset's keys for a block of that order at a
@@ -255,6 +251,12 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             lo += i + 1
         return SearchResult(len(chosen), Code(q, _digits(sorted(chosen), q, N)), n_cand, "greedy")
 
+    if s == 1:  # R, the smallest symbol of each output; column k runs each |R|^(N-1-k) times
+        reps = np.sort(np.unique(channel.trans[0], return_index=True)[1]).astype(_dtype(q))
+        words = np.stack([np.tile(np.repeat(reps, len(reps) ** (N - 1 - k)), len(reps) ** k)
+                          for k in range(N)], axis=1)
+        return SearchResult(len(words), Code(q, words), len(words) + 1, "exhaustive")
+
     step = max(1, GATHER_CELLS // N)  # candidates per block
     # at s = 2 pushes read their rows from ``cols`` and block entries from
     # ``row``'s cache: the two share the budget, half each
@@ -294,7 +296,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
         ``joins`` miss ``seen`` and differ from each other and from km's. A
         push passes its parent's survivors after its column and its new
         subsets; a block entry, the block's candidates with empty masks and
-        every (s-1)-subset of the code. At s = 1, km and ``push`` are ids."""
+        every (s-1)-subset of the code."""
         kept = []
         rows = [row(sub, lo) for sub in joins]
         # a descendant is at most one level deeper for each survivor kept
@@ -315,12 +317,9 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                         break
                     more |= b
                 else:
-                    kept.append((i, more if s > 1 else r[i - lo]))  # at s = 1, the id
+                    kept.append((i, more))
                     cut += 1
-            # no new subset: at s = 1 a survivor and the push are one id each,
-            # and ids compare where masks' & would read every digit; at s > 1
-            # the code is shorter than s - 1 and holds no message
-            elif s > 1 or km != push:
+            else:  # no new subset: the code is shorter than s - 1 and holds no message
                 kept.append(entry)
                 cut += 1
         return kept
@@ -341,7 +340,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                 if nodes > NODE_GUARD:
                     raise SizeLimitError(f"search tree too large: more than {NODE_GUARD} nodes "
                                          f"(q^N = {n_cand}, s = {s})")
-                seen |= new if s > 1 else 1 << new  # exact to cut back: new misses seen
+                seen |= new  # exact to cut back: new misses seen
                 if s == 2:  # the push's one new subset is its column: narrow's test, inline
                     if (r := cols.get(idx)) is None:
                         if len(cols) >= memo_blocks:
@@ -365,7 +364,7 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
                     kept, pos = child, 0
                     chosen.append(idx)
                 else:
-                    seen ^= new if s > 1 else 1 << new
+                    seen ^= new
                     if len(chosen) >= len(best):
                         best = [*chosen, idx]
                 continue
@@ -381,6 +380,6 @@ def max_code_search(channel: ChannelSpec, N: int, mode: str = "exhaustive",
             break
         kept, pos, lo = stack.pop()
         chosen.pop()
-        _, new = kept[pos - 1]  # the mask, or at s = 1 the id, that the push added
-        seen ^= new if s > 1 else 1 << new
+        _, new = kept[pos - 1]  # the mask that the push added
+        seen ^= new
     return SearchResult(len(best), Code(q, _digits(best, q, N)), nodes, "exhaustive")

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import sys
 import time
@@ -251,11 +252,17 @@ def test_search_trees_pinned(name, s, N):
 
 
 def test_search_deeper_than_the_recursion_limit():
-    # the B-MAC with s = 1 separates every code: the tree is one path
-    res = max_code_search(make_channel("B", 1, 2), 10)
-    assert (res.t_star, res.nodes) == (1024, 1025)
-    assert res.nodes > sys.getrecursionlimit()
-    assert res.code == Code(2, list(itertools.product(range(2), repeat=10)))
+    # B s=2 q=40 N=1 separates every code, since each pair of symbols has its
+    # own composition: the tree is one path of 41 nodes, deeper than a
+    # recursion limit 20 frames above this test's own stack
+    channel, depth, limit = make_channel("B", 2, 40), len(inspect.stack(0)), sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        res = max_code_search(channel, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.t_star, res.nodes) == (40, 41)
+    assert res.code == Code(40, [[a] for a in range(40)])
 
 
 def test_greedy_key_cell_budget(monkeypatch):
@@ -354,6 +361,17 @@ def test_memo_gathers_each_subset_once(monkeypatch):
     assert len(gathers) <= 2 ** 5
 
 
+def test_column_table_keeps_its_budget(monkeypatch):
+    # with a memo of one block, the s = 2 table of pushed columns' ids holds
+    # one column at a time: disj s=2 N=5 gathers again the columns its pushes
+    # revisit (about 6,400 blocks), where a table never emptied would gather
+    # at most one block per candidate, 32
+    monkeypatch.setattr(cst, "MEMO_CELLS", 1)
+    gathers = _counting_gathers(monkeypatch)
+    assert max_code_search(DISJ2, 5).nodes == 6553
+    assert len(gathers) > 2 ** 5
+
+
 def test_memo_bound_counts_a_blocks_cells(monkeypatch):
     # thr:2 s=3 N=5 has C(32, 2) = 496 pair subsets and one block of 32
     # candidates; a memo of 2^17 cells holds 819 such blocks, so each subset
@@ -403,41 +421,22 @@ def test_search_memory_of_a_small_memo_refusal(monkeypatch):
 
 
 def test_search_memory_of_a_tree_where_every_candidate_survives():
-    # B s=1 q=2 N=14 keeps every candidate: each of the 16,385 nodes on the
-    # one path holds the survivors left in its block, about 26 MB traced.
-    # Lists over all 2^14 candidates would grow with the square of the path,
-    # and so did survivors holding the bit of their id, as wide as the id
-    # (43 MB here, about 4.6 GB more at N=18)
+    # B s=1 q=2 N=20, the largest N inside EXHAUSTIVE_GUARD, keeps every
+    # candidate: the closed form writes the 2^20 x 20 witness a column at a
+    # time, about 40 MB traced. Digits of every index take 328 MB, and a
+    # branch-and-bound path whose open nodes hold their survivors reached
+    # 385 MB of RSS at N=18
     tracemalloc.start()
     try:
-        res = max_code_search(make_channel("B", 1, 2), 14)
+        res = max_code_search(make_channel("B", 1, 2), 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (res.t_star, res.nodes) == (2 ** 14, 2 ** 14 + 1)
-    assert peak <= 32 * 2 ** 20
+    assert (res.t_star, res.nodes) == (2 ** 20, 2 ** 20 + 1)
+    assert peak <= 64 * 2 ** 20
 
 
 def test_search_memory_of_an_s3_refusal(monkeypatch):
     # B s=3 q=2 N=11 refused after 60 nodes: a survivor carries one key per
     # pair subset of the code, so an s=3 node's list is the widest
     assert _refusal_peak(monkeypatch, make_channel("B", 3, 2), 11, 60) <= 64 * 2 ** 20
-
-
-def test_search_time_per_node_where_every_candidate_survives():
-    # B s=1 q=2: one path, each node copying the rest of its block's
-    # survivors, so the time per node stays flat from N=10 to N=15 (about
-    # 35-60 us); lists over all q^N candidates would make it grow with q^N
-    # (about 3.6 times from N=10 to N=12), and copying the record on every
-    # push that deepens it with the path's length (1.7-2.8 times from N=10
-    # to N=15)
-    def per_node(N):
-        best = float("inf")
-        for _ in range(3):
-            t = time.perf_counter()
-            res = max_code_search(make_channel("B", 1, 2), N)
-            best = min(best, time.perf_counter() - t)
-        assert (res.t_star, res.nodes) == (2 ** N, 2 ** N + 1)
-        return best / res.nodes
-    assert per_node(12) <= 2 * per_node(10)
-    assert per_node(15) <= 1.5 * per_node(10)
