@@ -25,7 +25,7 @@ LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spe
 QPRIME_MAX = 64  # the largest auxiliary alphabet size q' lower_bound_LD tries by default
 # work units capacity_entropy_bound may spend: q^3 per step of its SLSQP polish, where
 # one runs, plus 10 (s + 1) per composition of weight <= s, times q; a unit is
-# 0.002-0.14 us on a Xeon core under CPython 3.11 (at most 0.45 s)
+# at most 0.06 us on a Xeon core under CPython 3.11 (at most 0.3 s)
 ENTROPY_WORK_GUARD = 6 * 10 ** 6
 _CLIMB_STEPS = 60  # most steps of the entropy bound's ascent (see _climb)
 _SETTLED = 1e-6  # the stationarity gap (nats) of a settled start
@@ -78,9 +78,8 @@ def entropy_output(channel: ChannelSpec, p: Distribution) -> float:
     return max(0.0, -float(law @ np.log(law)))  # 0.0 first: a point law gives -0.0
 
 
-def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
-    """-H(output) at p = x+ / sum(x+) (x+ = max(x, 0)), x one point (q,) or a
-    (K, q) batch of them, and its gradient in x.
+def _slope(p: np.ndarray, channel: ChannelSpec):
+    """H(output) and dH/dp at each row of p, a (K, q) batch of laws.
 
     The output law is homogeneous of degree s in p and symmetric, so
     dP(z)/dp_a = s * sum_state L(state) [trans[state, a] = z], L being the
@@ -88,42 +87,61 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
     output ids; hence dH/dp_a = -s * sum_state L(state) (1 + log
     P(trans[state, a])). An output of probability 0 that symbol a can reach
     (then p_a = 0) has slope +inf into p_a > 0; its log is taken as log of
-    the smallest normal float, so the gradient stays finite, still points
+    the smallest normal float, so the slope stays finite, still points
     inward, and the value, where 0 log 0 = 0, is unchanged."""
-    q, s = channel.q, channel.s
-    rows = np.clip(x, 0.0, None).reshape(-1, q)
-    total = rows.sum(1, keepdims=True)
-    p = rows / np.where(total > 0, total, 1.0)
+    s = channel.s
     *_, before, law = _state_laws(channel, p)
-    last = _weight(q, s - 1)
+    last = _weight(channel.q, s - 1)
     log = np.log(np.maximum(law, np.finfo(float).tiny))
     dh = -s * (1.0 + np.einsum("rs,rsa->ra", before[:, last], log[:, channel.trans[last]]))
+    return -(law * log).sum(1), dh
+
+
+def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
+    """-H(output) at p = x+ / sum(x+) (x+ = max(x, 0)), x one point (q,) or a
+    (K, q) batch of them, and its gradient in x (see ``_slope``)."""
+    rows = np.clip(x, 0.0, None).reshape(-1, channel.q)
+    total = rows.sum(1, keepdims=True)
+    p = rows / np.where(total > 0, total, 1.0)
+    h, dh = _slope(p, channel)
     # through p = x+ / total; a clipped x_a < 0 and an all-zero row have slope 0
     grad = ((p * dh).sum(1, keepdims=True) - dh) * (x >= 0) / np.where(total > 0, total, np.inf)
-    value = (law * log).sum(1)
-    return (float(value[0]), grad[0]) if np.ndim(x) == 1 else (value, grad)
+    return (-float(h[0]), grad[0]) if np.ndim(x) == 1 else (-h, grad)
 
 
 def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
-    """Exponentiated-gradient ascent of H from every row of p at once, in place: a
-    row steps to p * exp(eta dH/dp), renormalised, and stops once its gap max_a
-    dH/dp_a - p . dH/dp is below _SETTLED. Returns the best end, the argmin of -H."""
-    value, grad = _neg_entropy(p, channel)
+    """Exponentiated-gradient ascent of H from every row of p, a (K, q) batch
+    of laws, at once, in place: a row steps to p * exp(eta dH/dp),
+    renormalised, and stops once its gap max_a dH/dp_a - p . dH/dp is below
+    _SETTLED. A trial that does not raise H halves eta. After a move p -> x
+    the next eta is the Barzilai-Borwein step in the entropic metric,
+    sum x u^2 / -sum x u h, u = log x - log p and h the change of dH/dp, both
+    centred by their x-weighted means, kept within [eta/4, 4 eta]; where the
+    curvature -sum x u h is not positive, 4 eta. Returns the best end, the
+    argmax of H."""
+    value, grad = _slope(p, channel)
     eta = np.ones(len(p))
     active = np.arange(len(p))
     for _ in range(_CLIMB_STEPS):
-        active = active[-grad[active].min(1) >= _SETTLED]
+        gap = grad[active].max(1) - (p[active] * grad[active]).sum(1)
+        active = active[gap >= _SETTLED]
         if not active.size:
             break
-        z = -eta[active, None] * grad[active]
+        z = eta[active, None] * grad[active]
         trial = p[active] * np.exp(z - z.max(1, keepdims=True))
         trial /= trial.sum(1, keepdims=True)
-        v, g = _neg_entropy(trial, channel)
-        up = v < value[active]
-        eta[active] *= np.where(up, 1.5, 0.5)  # by 2, eta swings: 300-600 steps, not 20-50
+        v, g = _slope(trial, channel)
+        up = v > value[active]
         gained = active[up]
-        p[gained], value[gained], grad[gained] = trial[up], v[up], g[up]
-    return p[value.argmin()]
+        x, u = trial[up], z[up]  # log x - log p is u up to a constant
+        u -= (x * u).sum(1, keepdims=True)
+        curve = -(x * u * (g[up] - grad[gained])).sum(1)
+        bb = (x * u * u).sum(1) / np.where(curve > 0, curve, 1.0)
+        old = eta[gained]
+        eta[gained] = np.where(curve > 0, np.clip(bb, old / 4, old * 4), old * 4)
+        eta[active[~up]] /= 2
+        p[gained], value[gained], grad[gained] = x, v[up], g[up]
+    return p[value.argmax()]
 
 
 def _stops_at_start(x: np.ndarray, channel: ChannelSpec) -> bool:
@@ -146,10 +164,10 @@ def _stops_at_start(x: np.ndarray, channel: ChannelSpec) -> bool:
 def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
     """Entropy upper bound on the rate: max_p H(output) / s. The uniform law and
     the 16 Dirichlet draws of numpy's ``default_rng(0)`` climb as one batch
-    (``_climb``); SLSQP, with the exact gradient of H, polishes the best end
-    unless it would stop there at once (``_stops_at_start``), and
-    ``entropy_output`` re-evaluates the result. Approximate when SLSQP did not
-    succeed."""
+    with Barzilai-Borwein steps (``_climb``); SLSQP, with the exact gradient
+    of H, polishes the best end unless it would stop there at once
+    (``_stops_at_start``), and ``entropy_output`` re-evaluates the result.
+    Approximate when SLSQP did not succeed."""
     q = channel.q
     work = q ** 3 + 10 * (channel.s + 1) * comb(q + channel.s, channel.s) * q
     if work > ENTROPY_WORK_GUARD:
@@ -157,7 +175,7 @@ def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
                              f"exceed the guard of {ENTROPY_WORK_GUARD} work units "
                              f"(s={channel.s}, q={q})")
     rng = np.random.default_rng(0)
-    starts = np.vstack([np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)])
+    starts = np.vstack([np.full(q, 1.0 / q), rng.dirichlet(np.ones(q), 16)])
     x, success = _climb(channel, starts), True
     if not _stops_at_start(x, channel):
         constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(q)}]

@@ -15,7 +15,10 @@ into a channel.
 The greedy search keeps a column iff the reference separability check
 holds on the grown code. The entropy bound's multi-start SLSQP here
 takes finite-difference gradients, each step evaluating
-``sepmac.bounds.entropy_output`` q + 1 times.
+``sepmac.bounds.entropy_output`` q + 1 times; ``climb_fixed_factor`` is the
+bound's ascent with the fixed step rule (eta times 1.5 or 0.5) that the
+Barzilai-Borwein step replaced, and
+``capacity_entropy_bound_fixed_factor`` the bound built on it.
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
@@ -607,6 +610,55 @@ def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
         params={"channel": channel.name(), "s": channel.s, "q": channel.q},
         witness=pstar,
         approximate=not converged,
+    )
+
+
+def climb_fixed_factor(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
+    """The entropy bound's exponentiated-gradient ascent with a fixed step
+    rule: a row steps to p * exp(eta dH/dp), renormalised, eta growing by 1.5
+    after a gain and halving after a loss, until its gap max_a dH/dp_a - p .
+    dH/dp is below ``sepmac.bounds._SETTLED`` or ``_CLIMB_STEPS`` pass.
+    Returns the best end."""
+    value, grad = bnd._neg_entropy(p, channel)
+    eta = np.ones(len(p))
+    active = np.arange(len(p))
+    for _ in range(bnd._CLIMB_STEPS):
+        active = active[-grad[active].min(1) >= bnd._SETTLED]
+        if not active.size:
+            break
+        z = -eta[active, None] * grad[active]
+        trial = p[active] * np.exp(z - z.max(1, keepdims=True))
+        trial /= trial.sum(1, keepdims=True)
+        v, g = bnd._neg_entropy(trial, channel)
+        up = v < value[active]
+        eta[active] *= np.where(up, 1.5, 0.5)
+        gained = active[up]
+        p[gained], value[gained], grad[gained] = trial[up], v[up], g[up]
+    return p[value.argmin()]
+
+
+def capacity_entropy_bound_fixed_factor(channel: ChannelSpec) -> BoundReport:
+    """The entropy bound from the same 17 starts climbed by
+    ``climb_fixed_factor``, then the same SLSQP polish, skipped where
+    ``sepmac.bounds._stops_at_start`` holds, and ``entropy_output``."""
+    q = channel.q
+    rng = np.random.default_rng(0)
+    starts = np.vstack([np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)])
+    x, success = climb_fixed_factor(channel, starts), True
+    if not bnd._stops_at_start(x, channel):
+        res = minimize(bnd._neg_entropy, x, args=(channel,), jac=True, method="SLSQP",
+                       bounds=[(0.0, 1.0)] * q,
+                       constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
+                                     "jac": lambda x: np.ones(q)}],
+                       options={"maxiter": 500, "ftol": bnd._FTOL})
+        x, success = np.clip(res.x, 0.0, None), res.success
+    p = Distribution(tuple(float(v) for v in x / x.sum()))
+    return BoundReport(
+        name="entropy-capacity",
+        value=bnd.entropy_output(channel, p) / channel.s,
+        params={"channel": channel.name(), "s": channel.s, "q": channel.q},
+        witness=p,
+        approximate=not success,
     )
 
 

@@ -2,12 +2,14 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from reference import P_term_enumerate, proof_probability_estimates, reference_asymptotics
+from sepmac import bounds
 from sepmac.core import InvalidParametersError, SizeLimitError, compositions
 from sepmac.channels import make_channel
 from sepmac.bounds import (
@@ -90,6 +92,19 @@ def test_entropy_bound_witness(name, s, q):
     assert rep.value == entropy_output(ch, rep.witness) / s
     assert abs(math.fsum(rep.witness.probs) - 1) <= 1e-12
     assert not rep.approximate
+
+
+@pytest.mark.parametrize("name,s,q,passes", [("B", 5, 5, 9), ("A", 4, 4, 12), ("A", 3, 5, 10),
+                                              ("eras", 3, 4, 24), ("disj", 6, 2, 22)])
+def test_entropy_bound_state_law_passes(name, s, q, passes):
+    # state-law folds of the climb and the first-iterate test (and of the
+    # SLSQP polish, where it runs) on the benchmark's four instances and on
+    # disj s=6; the fixed-factor climb (eta times 1.5 or 0.5) took 25, 30,
+    # 23, 40 and 37, disj s=6 with the polish
+    fold = bounds._state_laws
+    with mock.patch.object(bounds, "_state_laws", side_effect=fold) as spy:
+        capacity_entropy_bound(make_channel(name, s, q))
+    assert spy.call_count == passes
 
 
 def _largest_admitted_q(name, s):
