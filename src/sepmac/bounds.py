@@ -278,7 +278,15 @@ def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = QPRIME_MAX) -> Boun
 
 def lower_bound_LD_rows(rows, qprime_max: int = QPRIME_MAX) -> list:
     """lower_bound_LD of each (s, L, q) row, their work checked together before
-    the first: rows that share (s, L) share the P_term of each q'."""
+    the first: rows that share (s, L) share the P_term of each q'.
+
+    Each row's scan over q' ends before the first q' > q with q' >= e s whose
+    envelope U(q') = (q-1) L [ln(q'/s) - ln(1 - (s-1)/(2q'))] / ((s+L-1) q')
+    is below the best value so far by a relative 1e-9. U bounds the value of
+    every q' > q: P_term >= (E|S|/q')^L (Jensen), E|S| = q'(1 - (1-1/q')^s)
+    >= s (1 - (s-1)/(2q')) (Bonferroni) and k_factor(q, q') >= q'/(q-1). It
+    does not increase from q' = e s on, so no later q' can win. The cut
+    changes no answer; check_ld_work still charges every q' up to qprime_max."""
     for s, L, q in rows:
         if s < 2 or L < 1 or q < 2:
             raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")
@@ -289,6 +297,8 @@ def lower_bound_LD_rows(rows, qprime_max: int = QPRIME_MAX) -> list:
     for s, L, q in rows:
         best_val, best_qp = -math.inf, None
         for qp in range(q, qprime_max + 1):
+            if qp > q and qp >= math.e * s and _ld_envelope(s, L, q, qp) * (1 + 1e-9) < best_val:
+                break
             if (s, L, qp) not in logs:  # P_term(qp, s, L), reduced by one gcd
                 hits, total = _hits(qp, s, L), qp ** (s + L)
                 g = math.gcd(hits, total)
@@ -299,6 +309,12 @@ def lower_bound_LD_rows(rows, qprime_max: int = QPRIME_MAX) -> list:
         params = {"s": s, "L": L, "q": q, "qprime_max": qprime_max, "at_cap": best_qp == qprime_max}
         reports.append(BoundReport("ld-lower", best_val, params, best_qp, P_term(best_qp, s, L)))
     return reports
+
+
+def _ld_envelope(s: int, L: int, q: int, qp: int) -> float:
+    """U(q'), an upper bound on lower_bound_LD's value at any q' > q that does
+    not increase from q' = e s on (see lower_bound_LD_rows)."""
+    return (q - 1) * L * (log(qp / s) - math.log1p(-(s - 1) / (2 * qp))) / ((s + L - 1) * qp)
 
 
 def upper_bound_LD(s: int, L: int, q: int) -> float:

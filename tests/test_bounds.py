@@ -6,8 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+import reference as ref
 from reference import P_term_enumerate, proof_probability_estimates, reference_asymptotics
 from sepmac import bounds
 from sepmac.core import InvalidParametersError, SizeLimitError, compositions
@@ -221,6 +223,39 @@ def test_lower_bound_LD_table_values():
 def test_lower_bound_LD_empty_range():
     with pytest.raises(InvalidParametersError):
         lower_bound_LD(2, 1, 3, qprime_max=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(2, 6), st.integers(0, 300))
+def test_ld_envelope_bounds_every_later_qprime(s, L, q, extra):
+    # U(q') >= the value at q', and U(q' + 1) <= U(q'), from q' = max(q + 1, ceil(e s)) on;
+    # at s=2 L=1 q=2 the two are equal, so the scan's cut needs its strict margin
+    qp = max(q + 1, math.ceil(math.e * s)) + extra
+    pr = P_term(qp, s, L)
+    val = (math.log(pr.denominator) - math.log(pr.numerator)) / ((s + L - 1) * k_factor(q, qp))
+    envelope = bounds._ld_envelope(s, L, q, qp)
+    assert val <= envelope * (1 + 1e-12), (s, L, q, qp)
+    assert bounds._ld_envelope(s, L, q, qp + 1) <= envelope, (s, L, q, qp)
+
+
+def _ld_fields(rep):
+    return repr(rep.value), rep.witness, rep.exact, rep.params["at_cap"]
+
+
+def test_ld_scan_stops_at_the_envelope():
+    # table1's 20 rows at q' <= 64 took 650 _hits sums with the full scan
+    table = [(s, L, q) for q in (2, 3) for L in (1, 2) for s in range(2, 7)]
+    with mock.patch.object(bounds, "_hits", wraps=bounds._hits) as hits:
+        reports = lower_bound_LD_rows(table, 64)
+    assert hits.call_count <= 120
+    for (s, L, q), rep in zip(table, reports):
+        assert _ld_fields(rep) == _ld_fields(ref.lower_bound_LD(s, L, q, 64)), (s, L, q)
+    # 10^6 - 1 values of q', of which the full scan would sum every one
+    with mock.patch.object(bounds, "_hits", wraps=bounds._hits) as hits:
+        rep = lower_bound_LD(3, 2, 2, 10 ** 6)
+    assert hits.call_count <= 10
+    assert _ld_fields(rep) == _ld_fields(ref.lower_bound_LD(3, 2, 2, 256))
+    assert (rep.witness, rep.exact) == (6, Fraction(241, 1296))
 
 
 @pytest.mark.parametrize("call", [
