@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import Distribution, InvalidParametersError, SizeLimitError, compositions
-from .channels import ChannelSpec, _check_shape, _state_laws, _weight, output_law
+from .channels import ChannelSpec, _check_shape, _fold_index, _state_laws, output_law
 from .construct import k_factor
 
 LD_WORK_GUARD = 10 ** 10  # work units (see _P_term_work) lower_bound_LD may spend, ~10 s
@@ -85,15 +85,18 @@ def _slope(p: np.ndarray, channel: ChannelSpec):
     dP(z)/dp_a = s * sum_state L(state) [trans[state, a] = z], L being the
     state law after s-1 inputs, on the weight-(s-1) states, whose rows are
     output ids; hence dH/dp_a = -s * sum_state L(state) (1 + log
-    P(trans[state, a])). An output of probability 0 that symbol a can reach
+    P(trans[state, a])). The last fold's cells are those output ids, offset
+    by each row's place in the batch, so one ``take`` gathers every log
+    P(trans[state, a]). An output of probability 0 that symbol a can reach
     (then p_a = 0) has slope +inf into p_a > 0; its log is taken as log of
     the smallest normal float, so the slope stays finite, still points
     inward, and the value, where 0 log 0 = 0, is unchanged."""
-    s = channel.s
     *_, before, law = _state_laws(channel, p)
-    last = _weight(channel.q, s - 1)
+    w, _, cells = _fold_index(channel, len(p))[-1]
     log = np.log(np.maximum(law, np.finfo(float).tiny))
-    dh = -s * (1.0 + np.einsum("rs,rsa->ra", before[:, last], log[:, channel.trans[last]]))
+    last = before[:, w]
+    dh = -channel.s * (1.0 + np.einsum("rs,rsa->ra", last,
+                                       log.take(cells).reshape(last.shape + (-1,))))
     return -(law * log).sum(1), dh
 
 
@@ -109,75 +112,96 @@ def _neg_entropy(x: np.ndarray, channel: ChannelSpec):
     return (-float(h[0]), grad[0]) if np.ndim(x) == 1 else (-h, grad)
 
 
-def _climb(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
+def _climb(channel: ChannelSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exponentiated-gradient ascent of H from every row of p, a (K, q) batch
-    of laws, at once, in place: a row steps to p * exp(eta dH/dp),
-    renormalised, and stops once its gap max_a dH/dp_a - p . dH/dp is below
-    _SETTLED. A trial that does not raise H halves eta. After a move p -> x
-    the next eta is the Barzilai-Borwein step in the entropic metric,
-    sum x u^2 / -sum x u h, u = log x - log p and h the change of dH/dp, both
-    centred by their x-weighted means, kept within [eta/4, 4 eta]; where the
-    curvature -sum x u h is not positive, 4 eta. Returns the best end, the
-    argmax of H."""
+    of laws, at once: a row steps to p * exp(eta dH/dp), renormalised, and
+    stops once its gap max_a dH/dp_a - p . dH/dp is below _SETTLED. A trial
+    that does not raise H halves eta. After a move p -> x the next eta is the
+    Barzilai-Borwein step in the entropic metric, sum x u^2 / -sum x u h,
+    u = log x - log p and h the change of dH/dp, both centred by their
+    x-weighted means, kept within [eta/4, 4 eta]; where the curvature
+    -sum x u h is not positive, 4 eta. Only the rows still climbing are
+    carried: a step where some settle sets their ends aside, and a step where
+    every trial rose takes the trials whole. Returns the best end, the argmax
+    of H, and dH/dp there; p is not written."""
     value, grad = _slope(p, channel)
-    eta = np.ones(len(p))
-    active = np.arange(len(p))
+    rows, eta = np.arange(len(p)), np.ones(len(p))
+    ends = np.empty(len(p)), np.empty_like(p), np.empty_like(p)  # each row's H, p, dH/dp
     for _ in range(_CLIMB_STEPS):
-        gap = grad[active].max(1) - (p[active] * grad[active]).sum(1)
-        active = active[gap >= _SETTLED]
-        if not active.size:
-            break
-        z = eta[active, None] * grad[active]
-        trial = p[active] * np.exp(z - z.max(1, keepdims=True))
+        live = grad.max(1) - (p * grad).sum(1) >= _SETTLED
+        if not live.all():
+            for end, now in zip(ends, (value, p, grad)):
+                end[rows[~live]] = now[~live]
+            rows, p, value, grad, eta = rows[live], p[live], value[live], grad[live], eta[live]
+            if not rows.size:
+                break
+        z = eta[:, None] * grad
+        trial = p * np.exp(z - z.max(1, keepdims=True))
         trial /= trial.sum(1, keepdims=True)
         v, g = _slope(trial, channel)
-        up = v > value[active]
-        gained = active[up]
-        x, u = trial[up], z[up]  # log x - log p is u up to a constant
-        u -= (x * u).sum(1, keepdims=True)
-        curve = -(x * u * (g[up] - grad[gained])).sum(1)
-        bb = (x * u * u).sum(1) / np.where(curve > 0, curve, 1.0)
-        old = eta[gained]
-        eta[gained] = np.where(curve > 0, np.clip(bb, old / 4, old * 4), old * 4)
-        eta[active[~up]] /= 2
-        p[gained], value[gained], grad[gained] = x, v[up], g[up]
-    return p[value.argmax()]
+        u = z - (trial * z).sum(1, keepdims=True)  # log trial - log p, centred
+        xu = trial * u
+        curve = (xu * (grad - g)).sum(1)
+        bb = (xu * u).sum(1) / np.where(curve > 0, curve, 1.0)
+        bb = np.where(curve > 0, np.clip(bb, eta / 4, eta * 4), eta * 4)
+        up = v > value
+        if up.all():
+            p, value, grad, eta = trial, v, g, bb
+        else:
+            p, grad = np.where(up[:, None], trial, p), np.where(up[:, None], g, grad)
+            value, eta = np.where(up, v, value), np.where(up, bb, eta / 2)
+    for end, now in zip(ends, (value, p, grad)):
+        end[rows] = now
+    best = ends[0].argmax()
+    return ends[1][best], ends[2][best]
 
 
-def _stops_at_start(x: np.ndarray, channel: ChannelSpec) -> bool:
-    """Whether SLSQP on -H, started at the law x, would stop there at its first
-    iterate. With B = I its step is d = y - x, y the projection of x - g onto
-    the simplex (g the gradient), found exactly from the sorted x - g, and its
-    multiplier r the shift onto it; SLSQP stops when |g.d| + |r c| and |c|,
-    c = sum x - 1, are below ftol, here tested with a 10x margin."""
-    g = _neg_entropy(x, channel)[1]
+def _stops_at_start(x: np.ndarray, dh: np.ndarray) -> bool:
+    """Whether SLSQP on -H, started at the law x where dH/dp is dh, would stop
+    there at its first iterate. Its gradient g of -H is dh taken through
+    p = x / sum x, as ``_neg_entropy`` takes it (dh at x rather than at p,
+    which differ by rounding only). With B = I SLSQP's step is d = y - x, y
+    the projection of x - g onto the simplex, found exactly from the sorted
+    x - g, and its multiplier r the shift onto it; SLSQP stops when
+    |g.d| + |r c| and |c|, c = sum x - 1, are below ftol, here tested with a
+    10x margin."""
+    total = x.sum()
+    g = ((x / total * dh).sum() - dh) / total
     v = x - g
     u = np.sort(v)[::-1]
     excess = np.cumsum(u) - 1.0  # of the k + 1 largest entries over 1
     k = np.flatnonzero(u - excess / np.arange(1, len(u) + 1) > 0)[-1]
     r = -excess[k] / (k + 1)
     d = np.maximum(v + r, 0.0) - x
-    c = x.sum() - 1.0
+    c = total - 1.0
     return abs(g @ d) + abs(r * c) < _FTOL / 10 and abs(c) < _FTOL / 10
 
 
+@lru_cache(maxsize=64)
+def _starts(q: int) -> np.ndarray:
+    """The entropy bound's 17 starts over q symbols, read-only: the uniform
+    law and the 16 Dirichlet draws of numpy's ``default_rng(0)``."""
+    starts = np.vstack([np.full(q, 1.0 / q), np.random.default_rng(0).dirichlet(np.ones(q), 16)])
+    starts.flags.writeable = False
+    return starts
+
+
 def capacity_entropy_bound(channel: ChannelSpec) -> BoundReport:
-    """Entropy upper bound on the rate: max_p H(output) / s. The uniform law and
-    the 16 Dirichlet draws of numpy's ``default_rng(0)`` climb as one batch
-    with Barzilai-Borwein steps (``_climb``); SLSQP, with the exact gradient
-    of H, polishes the best end unless it would stop there at once
-    (``_stops_at_start``), and ``entropy_output`` re-evaluates the result.
-    Approximate when SLSQP did not succeed."""
+    """Entropy upper bound on the rate: max_p H(output) / s. The 17 starts
+    (``_starts``) climb as one batch with Barzilai-Borwein steps (``_climb``);
+    SLSQP, with the exact gradient of H, polishes the best end unless it would
+    stop there at once (``_stops_at_start``, from the climb's gradient), and
+    ``entropy_output`` re-evaluates the result. Approximate when SLSQP did
+    not succeed."""
     q = channel.q
     work = q ** 3 + 10 * (channel.s + 1) * comb(q + channel.s, channel.s) * q
     if work > ENTROPY_WORK_GUARD:
         raise SizeLimitError(f"instance too large: the entropy bound's {work} work units "
                              f"exceed the guard of {ENTROPY_WORK_GUARD} work units "
                              f"(s={channel.s}, q={q})")
-    rng = np.random.default_rng(0)
-    starts = np.vstack([np.full(q, 1.0 / q), rng.dirichlet(np.ones(q), 16)])
-    x, success = _climb(channel, starts), True
-    if not _stops_at_start(x, channel):
+    x, dh = _climb(channel, _starts(q))
+    success = True
+    if not _stops_at_start(x, dh):
         constraints = [{"type": "eq", "fun": lambda x: x.sum() - 1.0, "jac": lambda x: np.ones(q)}]
         res = minimize(_neg_entropy, x, args=(channel,), jac=True,
                        method="SLSQP", bounds=[(0.0, 1.0)] * q, constraints=constraints,
@@ -255,19 +279,75 @@ def _P_term_work(q: int, s: int, L: int) -> int:
 
 def check_ld_work(rows, qprime_max: int) -> None:
     """Refuse lower_bound_LD on the (s, L, q) rows with q' up to qprime_max
-    when their P_term work would exceed LD_WORK_GUARD units."""
-    work = 0
-    for s, L, q in rows:
-        for qp in range(q, min(qprime_max, s) + 1):
-            work += _P_term_work(qp, s, L)
+    when their P_term work would exceed LD_WORK_GUARD units. Each row is
+    charged every q' up to qprime_max; only where that is over the guard are
+    the rows charged again, each only up to the last q' its scan can reach
+    (``_ld_last``)."""
+    for capped in (False, True):
+        work = 0
+        for s, L, q in rows:
+            top = _ld_last(s, L, q, qprime_max) if capped else qprime_max
+            work += _ld_work(s, L, q, top, LD_WORK_GUARD - work)
             if work > LD_WORK_GUARD:
                 break
-        else:  # past q' = s only the denominator grows: charge those q' as qprime_max
-            work += max(0, qprime_max - max(q, s + 1) + 1) * _P_term_work(qprime_max, s, L)
-        if work > LD_WORK_GUARD:
-            raise SizeLimitError(f"instance too large: the P_term work for q' up to {qprime_max} "
-                                 f"exceeds the guard of {LD_WORK_GUARD} work units at "
-                                 f"(s, L, q) = {(s, L, q)}")
+        else:
+            return
+    raise SizeLimitError(f"instance too large: the P_term work for q' up to {qprime_max} "
+                         f"exceeds the guard of {LD_WORK_GUARD} work units at "
+                         f"(s, L, q) = {(s, L, q)}")
+
+
+def _ld_work(s: int, L: int, q: int, top: int, budget: int) -> int:
+    """The P_term work of q' = q..top on the row (s, L, q), or a part of it
+    over budget once that is exceeded."""
+    work = 0
+    for qp in range(q, min(top, s) + 1):
+        work += _P_term_work(qp, s, L)
+        if work > budget:
+            return work
+    # past q' = s only the denominator grows: charge those q' as top
+    return work + max(0, top - max(q, s + 1) + 1) * _P_term_work(top, s, L)
+
+
+def _ld_last(s: int, L: int, q: int, qprime_max: int) -> int:
+    """The last q' whose P_term lower_bound_LD_rows may take on the row
+    (s, L, q): the one before a q* >= max(q + 1, e s) whose envelope
+    U(q*) (1 + 1e-9) is below ``_ld_floor``, else qprime_max. The scan's best
+    value at q*'s test is at least its value at q' = q, which is at least that
+    floor, so the scan stops there. q* is found by bisection up to
+    q + LD_WORK_GUARD // 1000 + 1, since a scan that reaches that q' takes
+    more than LD_WORK_GUARD units anyway (each P_term takes at least 1000),
+    and only where s, L and that q' are below 2^53, so that every float here
+    is finite and every int converts exactly."""
+    top = min(qprime_max, q + LD_WORK_GUARD // 1000 + 1)
+    if max(s, L, top) >= 2 ** 53:
+        return qprime_max
+    v0 = _ld_floor(s, L, q)
+
+    def stops(qp: int) -> bool:
+        return _ld_envelope(s, L, q, qp) * (1 + 1e-9) < v0
+
+    lo = max(q + 1, math.ceil(math.e * s))
+    if lo > top or not stops(top):
+        return qprime_max
+    while lo < top:  # stops(top) holds throughout
+        mid = (lo + top) // 2
+        lo, top = (lo, mid) if stops(mid) else (mid + 1, top)
+    return top - 1
+
+
+def _ld_floor(s: int, L: int, q: int) -> float:
+    """v0, a lower bound on lower_bound_LD's value at q' = q, taken before any
+    P_term: P_term(q) <= E|S|/q = 1 - (1 - 1/q)^s, so that value is at least
+    -ln(1 - (1 - 1/q)^s) / (s + L - 1), with equality at L = 1. Float margin:
+    v0 is that bound taken a relative 1e-12 and an absolute
+    2^-50 (s + L) ln q / (s + L - 1) lower, more than its own rounding and
+    that of the scan's value, a difference of two logarithms of up to
+    (s + L) ln q. For s, L and q below 2^53."""
+    x = s * math.log1p(-1 / q)  # ln (1 - 1/q)^s
+    # -ln(1 - e^x), by expm1 where e^x is near 1 and by log1p where it is small
+    miss = -log(-math.expm1(x)) if x > -math.log(2) else -math.log1p(-math.exp(x))
+    return (miss * (1 - 1e-12) - 2 ** -50 * (s + L) * log(q)) / (s + L - 1)
 
 
 def lower_bound_LD(s: int, L: int, q: int, qprime_max: int = QPRIME_MAX) -> BoundReport:
@@ -286,7 +366,8 @@ def lower_bound_LD_rows(rows, qprime_max: int = QPRIME_MAX) -> list:
     every q' > q: P_term >= (E|S|/q')^L (Jensen), E|S| = q'(1 - (1-1/q')^s)
     >= s (1 - (s-1)/(2q')) (Bonferroni) and k_factor(q, q') >= q'/(q-1). It
     does not increase from q' = e s on, so no later q' can win. The cut
-    changes no answer; check_ld_work still charges every q' up to qprime_max."""
+    changes no answer; where charging every q' up to qprime_max would refuse,
+    check_ld_work charges each row only up to a q' where the cut must fall."""
     for s, L, q in rows:
         if s < 2 or L < 1 or q < 2:
             raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")

@@ -234,9 +234,10 @@ class _Block:
         rate. The dual is concave in lam with slope I_m(tau) - mR at the tau
         attaining E0, so at mu = 0 (cr) lam* is 1 where the slope at 1 is
         positive, 0 where the slope at 0 is not, and otherwise a root find on
-        the split's rows; both endpoints are solved once for every rate. fc
-        then solves over (lam, mu) from there, unless that cr point already
-        passes L-BFGS-B's first test."""
+        the split's rows; both endpoints are solved once for every rate, and
+        the root find reads them rather than solving them again. fc then
+        solves over (lam, mu) from there, unless that cr point already passes
+        L-BFGS-B's first test."""
         top, low = self.solve(1.0), None
         out = []
         for j, m in enumerate(self.ms):
@@ -249,8 +250,12 @@ class _Block:
                     if not low[j].I - m * R > 0:
                         lam, pt = 0.0, low[j]
                     elif pt.I - m * R < 0:
-                        one = self._alone(j)
-                        lam = brentq(lambda x: one.solve(x)[0].I - m * R, 0.0, 1.0, xtol=1e-15)
+                        one, ends = self._alone(j), {0.0: low[j], 1.0: top[j]}
+
+                        def slope(x):
+                            return (ends[x] if x in ends else one.solve(x)[0]).I - m * R
+
+                        lam = brentq(slope, 0.0, 1.0, xtol=1e-15)
                         pt = one.solve(lam)[0]
                 shift = 0.0  # <mu, p>
                 if ensemble == "fc" and not self._stops_at_start(m, R, lam, pt):

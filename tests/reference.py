@@ -18,7 +18,13 @@ takes finite-difference gradients, each step evaluating
 ``sepmac.bounds.entropy_output`` q + 1 times; ``climb_fixed_factor`` is the
 bound's ascent with the fixed step rule (eta times 1.5 or 0.5) that the
 Barzilai-Borwein step replaced, and
-``capacity_entropy_bound_fixed_factor`` the bound built on it.
+``capacity_entropy_bound_fixed_factor`` the bound built on it, skipping
+SLSQP where ``stops_at_start``, the first-iterate test that folds the law
+at the climb's end again, holds. ``climb`` is the Barzilai-Borwein ascent
+on the whole batch, each step gathering the rows still climbing from
+(K, ...) arrays and scattering their gains back, on ``slope``, which
+gathers the output log-law through the last states' rows of ``trans`` in
+2-D.
 Next to them are the proofs' desk checks (rare rows, the split-graph girth
 condition, the random-coding probability estimates and their enumeration
 oracle), the quoted asymptotic constants, and the exponent's definitions on
@@ -57,7 +63,7 @@ from scipy.optimize import brentq, minimize
 from sepmac import bounds as bnd
 from sepmac import cli
 from sepmac.bounds import BoundReport, Distribution, multinomial
-from sepmac.channels import ChannelSpec
+from sepmac.channels import ChannelSpec, _state_laws, _weight
 from sepmac.core import (
     Code,
     CodeFileError,
@@ -613,6 +619,64 @@ def capacity_entropy_bound(channel: ChannelSpec, seed: int = 0) -> BoundReport:
     )
 
 
+def slope(p: np.ndarray, channel: ChannelSpec):
+    """H(output) and dH/dp at each row of p, a (K, q) batch of laws: the law
+    of the weight-(s-1) states against the log output law gathered, in 2-D,
+    at their rows of ``trans`` (see ``sepmac.bounds._slope``)."""
+    *_, before, law = _state_laws(channel, p)
+    last = _weight(channel.q, channel.s - 1)
+    log = np.log(np.maximum(law, np.finfo(float).tiny))
+    dh = -channel.s * (1.0 + np.einsum("rs,rsa->ra", before[:, last], log[:, channel.trans[last]]))
+    return -(law * log).sum(1), dh
+
+
+def climb(channel: ChannelSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy bound's Barzilai-Borwein ascent (``sepmac.bounds._climb``)
+    on the whole batch: p, H, dH/dp and eta stay (K, ...) arrays, and each
+    step gathers the rows still climbing and scatters their gains back.
+    Returns the best end and dH/dp there."""
+    p = p.copy()
+    value, grad = slope(p, channel)
+    eta = np.ones(len(p))
+    active = np.arange(len(p))
+    for _ in range(bnd._CLIMB_STEPS):
+        gap = grad[active].max(1) - (p[active] * grad[active]).sum(1)
+        active = active[gap >= bnd._SETTLED]
+        if not active.size:
+            break
+        z = eta[active, None] * grad[active]
+        trial = p[active] * np.exp(z - z.max(1, keepdims=True))
+        trial /= trial.sum(1, keepdims=True)
+        v, g = slope(trial, channel)
+        up = v > value[active]
+        gained = active[up]
+        x, u = trial[up], z[up]  # log x - log p is u up to a constant
+        u -= (x * u).sum(1, keepdims=True)
+        curve = -(x * u * (g[up] - grad[gained])).sum(1)
+        bb = (x * u * u).sum(1) / np.where(curve > 0, curve, 1.0)
+        old = eta[gained]
+        eta[gained] = np.where(curve > 0, np.clip(bb, old / 4, old * 4), old * 4)
+        eta[active[~up]] /= 2
+        p[gained], value[gained], grad[gained] = x, v[up], g[up]
+    best = value.argmax()
+    return p[best], grad[best]
+
+
+def stops_at_start(x: np.ndarray, channel: ChannelSpec) -> bool:
+    """Whether SLSQP on -H, started at the law x, would stop there at its
+    first iterate (see ``sepmac.bounds._stops_at_start``), its gradient from
+    ``sepmac.bounds._neg_entropy`` folding the law at x again."""
+    g = bnd._neg_entropy(x, channel)[1]
+    v = x - g
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0  # of the k + 1 largest entries over 1
+    k = np.flatnonzero(u - excess / np.arange(1, len(u) + 1) > 0)[-1]
+    r = -excess[k] / (k + 1)
+    d = np.maximum(v + r, 0.0) - x
+    c = x.sum() - 1.0
+    return abs(g @ d) + abs(r * c) < bnd._FTOL / 10 and abs(c) < bnd._FTOL / 10
+
+
 def climb_fixed_factor(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
     """The entropy bound's exponentiated-gradient ascent with a fixed step
     rule: a row steps to p * exp(eta dH/dp), renormalised, eta growing by 1.5
@@ -640,12 +704,12 @@ def climb_fixed_factor(channel: ChannelSpec, p: np.ndarray) -> np.ndarray:
 def capacity_entropy_bound_fixed_factor(channel: ChannelSpec) -> BoundReport:
     """The entropy bound from the same 17 starts climbed by
     ``climb_fixed_factor``, then the same SLSQP polish, skipped where
-    ``sepmac.bounds._stops_at_start`` holds, and ``entropy_output``."""
+    ``stops_at_start`` holds, and ``entropy_output``."""
     q = channel.q
     rng = np.random.default_rng(0)
     starts = np.vstack([np.full(q, 1.0 / q)] + [rng.dirichlet(np.ones(q)) for _ in range(16)])
     x, success = climb_fixed_factor(channel, starts), True
-    if not bnd._stops_at_start(x, channel):
+    if not stops_at_start(x, channel):
         res = minimize(bnd._neg_entropy, x, args=(channel,), jac=True, method="SLSQP",
                        bounds=[(0.0, 1.0)] * q,
                        constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,

@@ -382,11 +382,13 @@ LD_LOWER = ["bound", "--kind", "ld-lower", "--q", "2"]
 
 
 @pytest.mark.parametrize("argv", [
-    # 10^8 - 1 values of q'
-    LD_LOWER + ["--s", "3", "--L", "1", "--qprime-max", "100000000"],
-    ["table1", "--qprime-max", "100000000"],
-    # the first two rows fit the budget, the whole table does not
-    ["table1", "--qprime-max", "1000000"],
+    # charged again up to where the envelope must end the scan: still over
+    # the budget with L = 200000, where that q' is past 10^7; nowhere for
+    # s = 20000, whose first value underflows; and not sought for L = 10^16,
+    # past a float's 53-bit mantissa
+    LD_LOWER + ["--s", "3", "--L", "200000", "--qprime-max", "100000000"],
+    LD_LOWER + ["--s", "20000", "--L", "1", "--qprime-max", "100000000"],
+    LD_LOWER + ["--s", "3", "--L", str(10 ** 16)],
     # q'^(s+L) denominators of up to 1.2 million bits
     LD_LOWER + ["--s", "3", "--L", "200000"],
     # 64^2 powers (m-k)^s of up to 120,000 and 12 million bits
@@ -400,6 +402,28 @@ def test_ld_lower_limit_exit_code(capsys, argv):
     rc, out, err = run_err(capsys, argv)
     assert rc == 3 and out == "" and "work units" in err
     assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    # 10^8 - 1 values of q' (and past 2^53), but the envelope ends the scan
+    # before q' = 10
+    LD_LOWER + ["--s", "3", "--L", "1", "--qprime-max", "100000000"],
+    LD_LOWER + ["--s", "3", "--L", "1", "--qprime-max", str(10 ** 400)],
+    # every q' up to 10^8 (10^6) is over the budget (only the first two rows
+    # fit it up to 10^6), but each row's scan ends below q' = 17
+    ["table1", "--qprime-max", "100000000"],
+    ["table1", "--qprime-max", "1000000"]])
+def test_ld_lower_budget_charges_up_to_the_envelope(capsys, argv):
+    # the budget is charged again only up to where the envelope must end each
+    # scan: these answer at once, and table1 as at the default q'max
+    start = time.monotonic()
+    rc, out, err = run_err(capsys, argv)
+    assert rc == 0 and "work units" not in err
+    assert time.monotonic() - start < 1
+    if argv[0] == "table1":
+        assert out == run(capsys, ["table1"])[1]
+    else:
+        assert '"witness": 6' in out and '"at_cap": false' in out
 
 
 def test_ld_lower_exact_too_long_to_print(capsys):

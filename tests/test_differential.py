@@ -11,10 +11,11 @@ on index arrays against the pure-Python reference, the one-Fraction-per-q' bound
 finite-difference multi-start SLSQP and the dense E0 solver in
 ``reference.py``; the entropy bound where it skips SLSQP against SLSQP from
 the same point, and against the fixed-factor climb that the Barzilai-Borwein
-step replaced; a split's E0 solved alone, bit for bit, against the same
-split stacked in a block; the exponent reports, bit for bit, against the
-dual maximiser there that solves each split alone and runs L-BFGS-B at
-every fc point; the entropy gradient
+step replaced; the climb, which carries only its live rows, bit for bit
+against the same climb on the whole batch; a split's E0 solved alone, bit
+for bit, against the same split stacked in a block; the exponent reports,
+bit for bit, against the dual maximiser there that solves each split alone
+and runs L-BFGS-B at every fc point; the entropy gradient
 against central differences, and the batched state laws, values and
 gradients against one row at a time, also on a channel whose fold index a
 larger batch built, and against a freshly built channel."""
@@ -485,13 +486,13 @@ def _skip_matches_slsqp(ch) -> bool:
     returns that end bit for bit. Returns whether the skip fired."""
     seen, stops = [], bounds._stops_at_start
 
-    def spy(x, channel):
-        seen.append((x.copy(), stops(x, channel)))
+    def spy(x, dh):
+        seen.append((x.copy(), stops(x, dh)))
         return seen[-1][1]
 
     with mock.patch.object(bounds, "_stops_at_start", spy):
         got = capacity_entropy_bound(ch)
-    with mock.patch.object(bounds, "_stops_at_start", lambda x, channel: False):
+    with mock.patch.object(bounds, "_stops_at_start", lambda x, dh: False):
         want = capacity_entropy_bound(ch)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.approximate == want.approximate
@@ -520,6 +521,37 @@ def test_entropy_skip_matches_slsqp_on_benchmark(name, s, q):
     # SLSQP stops at the climb's end on each of the benchmark's four instances
     # and on disj s=2..6
     assert _skip_matches_slsqp(make_channel(name, s, q))
+
+
+def _assert_climb_matches_full_batch(ch, starts):
+    """The climb, which carries only its live rows, against the reference that
+    gathers them from the whole batch each step: the same best end and dH/dp
+    there, bit for bit, from read-only starts."""
+    starts.flags.writeable = False
+    x, dh = bounds._climb(ch, starts)
+    want_x, want_dh = ref.climb(ch, starts)
+    assert x.tobytes() == want_x.tobytes()
+    assert dh.tobytes() == want_dh.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32), st.integers(2, 5),
+       st.one_of(st.none(), st.integers(1, 17)))
+def test_climb_matches_full_batch_reference(q, s, seed, labels, rows):
+    # a custom table from the bound's own 17 starts, or from 1-17 drawn laws
+    rng = random.Random(seed)
+    table = {c: rng.choice("uvwxy"[:labels]) for c in compositions(s, q)}
+    ch = ChannelSpec("custom", q, s, table.__getitem__)
+    starts = (bounds._starts(q) if rows is None else
+              np.random.default_rng(seed).dirichlet(np.ones(q), rows))
+    _assert_climb_matches_full_batch(ch, starts)
+
+
+@pytest.mark.parametrize("name,s,q", [(name, s, q) for name in ("A", "B", "eras")
+                                      for s in range(1, 5) for q in range(2, 6)]
+                         + [("disj", s, 2) for s in range(2, 7)])
+def test_climb_matches_full_batch_reference_on_builtins(name, s, q):
+    _assert_climb_matches_full_batch(make_channel(name, s, q), bounds._starts(q))
 
 
 @pytest.mark.parametrize("name,s,q", [("A", 3, 4), ("B", 4, 3), ("eras", 2, 5), ("thr:2", 5, 2)])

@@ -407,22 +407,25 @@ def test_sweep_solves_each_endpoint_once_per_block(monkeypatch, name, s, q):
 
 def test_root_find_solves_as_the_reference(monkeypatch):
     # A s=3 q=2 from R = 0.15 to 0.3, where every rate root-finds on some
-    # split: each split whose slope changes sign in lam makes brentq's
-    # solves, both ends among them, and one at the root on its own rows (8
-    # to 11 here), as the split-by-split reference does after its own
-    # lam = 0 and lam = 1 solves
+    # split: each split whose slope changes sign in lam makes brentq's solves
+    # inside (0, 1), reading both ends from its block's solves, and one at
+    # the root on its own rows (6 to 9 here), as the split-by-split reference
+    # does after its own lam = 0 and lam = 1 solves and brentq's at both ends.
+    # The exponent makes 11, 18, 19 and 8 solves in all (13, 22, 23 and 10
+    # when brentq solved the ends again)
     ch = make_channel("A", 3, 2)
     calls = _count_solves(monkeypatch)
-    for R in (0.15, 0.2, 0.25, 0.3):
+    for R, total in ((0.15, 11), (0.2, 18), (0.25, 19), (0.3, 8)):
         calls.clear()
         exponent(ch, UNIF2, [R])
+        assert len(calls) == total
         got = {ms[0]: sum(1 for c in calls if c[0] == ms) for ms, _ in calls if len(ms) == 1}
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(expm._Block, "maximize", ref.maximize_lbfgsb)
             exponent(ch, UNIF2, [R])
         want = {ms[0]: sum(1 for c in calls if c[0] == ms) for ms, _ in calls}
-        assert got and got == {m: n - 2 for m, n in want.items() if n > 2}
+        assert got and got == {m: n - 4 for m, n in want.items() if n > 2}
 
 
 @pytest.mark.parametrize("tol", [None, 1e-11, 0.0])
