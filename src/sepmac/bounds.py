@@ -86,17 +86,18 @@ def _slope(p: np.ndarray, channel: ChannelSpec):
     state law after s-1 inputs, on the weight-(s-1) states, whose rows are
     output ids; hence dH/dp_a = -s * sum_state L(state) (1 + log
     P(trans[state, a])). The last fold's cells are those output ids, offset
-    by each row's place in the batch, so one ``take`` gathers every log
-    P(trans[state, a]). An output of probability 0 that symbol a can reach
-    (then p_a = 0) has slope +inf into p_a > 0; its log is taken as log of
-    the smallest normal float, so the slope stays finite, still points
-    inward, and the value, where 0 log 0 = 0, is unchanged."""
+    by each row's place in the batch, so one ``take`` of this batch's prefix
+    of them gathers every log P(trans[state, a]). An output of probability 0
+    that symbol a can reach (then p_a = 0) has slope +inf into p_a > 0; its
+    log is taken as log of the smallest normal float, so the slope stays
+    finite, still points inward, and the value, where 0 log 0 = 0, is
+    unchanged."""
     *_, before, law = _state_laws(channel, p)
     w, _, cells = _fold_index(channel, len(p))[-1]
     log = np.log(np.maximum(law, np.finfo(float).tiny))
     last = before[:, w]
-    dh = -channel.s * (1.0 + np.einsum("rs,rsa->ra", last,
-                                       log.take(cells).reshape(last.shape + (-1,))))
+    gather = log.take(cells[:last.size * channel.q]).reshape(last.shape + (-1,))
+    dh = -channel.s * (1.0 + np.einsum("rs,rsa->ra", last, gather))
     return -(law * log).sum(1), dh
 
 
@@ -280,18 +281,14 @@ def _P_term_work(q: int, s: int, L: int) -> int:
 def check_ld_work(rows, qprime_max: int) -> None:
     """Refuse lower_bound_LD on the (s, L, q) rows with q' up to qprime_max
     when their P_term work would exceed LD_WORK_GUARD units. Each row is
-    charged every q' up to qprime_max; only where that is over the guard are
-    the rows charged again, each only up to the last q' its scan can reach
-    (``_ld_last``)."""
-    for capped in (False, True):
-        work = 0
-        for s, L, q in rows:
-            top = _ld_last(s, L, q, qprime_max) if capped else qprime_max
-            work += _ld_work(s, L, q, top, LD_WORK_GUARD - work)
-            if work > LD_WORK_GUARD:
-                break
-        else:
-            return
+    charged every q' up to the last one its scan can reach (``_ld_last``)."""
+    work = 0
+    for s, L, q in rows:
+        work += _ld_work(s, L, q, _ld_last(s, L, q, qprime_max), LD_WORK_GUARD - work)
+        if work > LD_WORK_GUARD:
+            break
+    else:
+        return
     raise SizeLimitError(f"instance too large: the P_term work for q' up to {qprime_max} "
                          f"exceeds the guard of {LD_WORK_GUARD} work units at "
                          f"(s, L, q) = {(s, L, q)}")
@@ -366,8 +363,8 @@ def lower_bound_LD_rows(rows, qprime_max: int = QPRIME_MAX) -> list:
     every q' > q: P_term >= (E|S|/q')^L (Jensen), E|S| = q'(1 - (1-1/q')^s)
     >= s (1 - (s-1)/(2q')) (Bonferroni) and k_factor(q, q') >= q'/(q-1). It
     does not increase from q' = e s on, so no later q' can win. The cut
-    changes no answer; where charging every q' up to qprime_max would refuse,
-    check_ld_work charges each row only up to a q' where the cut must fall."""
+    changes no answer, and check_ld_work charges each row only up to a q'
+    where the cut must fall."""
     for s, L, q in rows:
         if s < 2 or L < 1 or q < 2:
             raise InvalidParametersError(f"need s >= 2, L >= 1, q >= 2, got {(s, L, q)}")

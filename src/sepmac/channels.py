@@ -53,7 +53,7 @@ class ChannelSpec:
         _check_shape(q, s)
         self._name, self.q, self.s, self.output = name, q, s, output
         self.trans, self.outputs = _kernel(q, s, output)
-        self._folds: tuple = (0, {})  # _fold_index's largest batch and its folds by batch size
+        self._folds: tuple = (0, [])  # _fold_index's batch size and its folds
 
     def __repr__(self):
         return f"ChannelSpec({self._name}, q={self.q}, s={self.s})"
@@ -106,21 +106,17 @@ def _weight(q: int, k: int) -> slice:
 
 def _fold_index(channel: ChannelSpec, rows: int) -> list:
     """Per fold step, the states it reads, the size of the law it writes and its
-    ``np.bincount`` index for a batch of ``rows`` rows: row r's cells are
-    offset by r * size. The index is built for the largest batch seen; a
-    smaller batch's is a prefix of it, sliced once and kept with it."""
+    ``np.bincount`` index for the largest batch seen, at least ``rows`` rows: row
+    r's cells are offset by r * size, so a smaller batch reads a prefix."""
     held, folds = channel._folds
     if held < rows:
-        n, full = len(channel.trans), []
+        n, folds = len(channel.trans), []
         for k in range(channel.s):
             w, size = _weight(channel.q, k), n if k < channel.s - 1 else len(channel.outputs)
             cells = channel.trans[w] + size * np.arange(rows)[:, None, None]
-            full.append((w, size, cells.ravel()))
-        held, folds = channel._folds = rows, {rows: full}
-    if rows not in folds:
-        folds[rows] = [(w, size, cells[:len(cells) // held * rows])
-                       for w, size, cells in folds[held]]
-    return folds[rows]
+            folds.append((w, size, cells.ravel()))
+        channel._folds = rows, folds
+    return folds
 
 
 def _state_laws(channel: ChannelSpec, p):
@@ -136,7 +132,7 @@ def _state_laws(channel: ChannelSpec, p):
     for w, size, cells in _fold_index(channel, len(rows)):
         # each cell's one product, in the order bincount sums it: broadcasting is slower
         weights = np.einsum("rs,ra->rsa", law[:, w], rows).ravel()
-        law = np.bincount(cells, weights, len(rows) * size).reshape(len(rows), size)
+        law = np.bincount(cells[:len(weights)], weights, len(rows) * size).reshape(len(rows), size)
         yield law.reshape(p.shape[:-1] + (size,))
 
 

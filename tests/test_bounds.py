@@ -243,10 +243,9 @@ def test_ld_envelope_bounds_every_later_qprime(s, L, q, extra):
 @given(st.one_of(st.integers(2, 12), st.integers(13, 60)), st.integers(1, 5), st.integers(2, 9),
        st.sampled_from([0, 1, 5, 62, 300, 10 ** 8]))
 def test_ld_budget_cap_covers_the_scan(s, L, q, extra):
-    # the q' up to which check_ld_work charges a row where every q' up to
-    # q'max is over the budget: the scan, here run unguarded, takes no P_term
-    # past it. Large s at L = 1 puts the first value's lower bound within
-    # rounding of the value
+    # the q' up to which check_ld_work charges a row: the scan, here run
+    # unguarded, takes no P_term past it. Large s at L = 1 puts the first
+    # value's lower bound within rounding of the value
     qprime_max = q + extra
     with mock.patch.object(bounds, "_hits", wraps=bounds._hits) as spy, \
             mock.patch.object(bounds, "check_ld_work"):

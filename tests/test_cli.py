@@ -382,8 +382,8 @@ LD_LOWER = ["bound", "--kind", "ld-lower", "--q", "2"]
 
 
 @pytest.mark.parametrize("argv", [
-    # charged again up to where the envelope must end the scan: still over
-    # the budget with L = 200000, where that q' is past 10^7; nowhere for
+    # charged up to where the envelope must end the scan: still over the
+    # budget with L = 200000, where that q' is past 10^7; nowhere for
     # s = 20000, whose first value underflows; and not sought for L = 10^16,
     # past a float's 53-bit mantissa
     LD_LOWER + ["--s", "3", "--L", "200000", "--qprime-max", "100000000"],
@@ -409,13 +409,14 @@ def test_ld_lower_limit_exit_code(capsys, argv):
     # before q' = 10
     LD_LOWER + ["--s", "3", "--L", "1", "--qprime-max", "100000000"],
     LD_LOWER + ["--s", "3", "--L", "1", "--qprime-max", str(10 ** 400)],
-    # every q' up to 10^8 (10^6) is over the budget (only the first two rows
-    # fit it up to 10^6), but each row's scan ends below q' = 17
+    # charging every q' up to 10^8 (10^6) would be over the budget (only the
+    # first two rows would fit it up to 10^6), but each row's scan ends below
+    # q' = 17
     ["table1", "--qprime-max", "100000000"],
     ["table1", "--qprime-max", "1000000"]])
 def test_ld_lower_budget_charges_up_to_the_envelope(capsys, argv):
-    # the budget is charged again only up to where the envelope must end each
-    # scan: these answer at once, and table1 as at the default q'max
+    # the budget is charged only up to where the envelope must end each scan:
+    # these answer at once, and table1 as at the default q'max
     start = time.monotonic()
     rc, out, err = run_err(capsys, argv)
     assert rc == 0 and "work units" not in err
